@@ -1,10 +1,15 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
 The recorded operation graph doubles as the tape: every op returns a new
-Tensor that references its inputs and carries a closure pushing the output
-gradient back to them.  ``backward()`` walks the tape once in reverse
-topological order.  Gradients are re-zeroed at the start of every backward
-pass, so repeated passes over the same tape are bit-identical.
+Tensor that references its inputs and carries a closure that receives the
+output gradient and pushes it back to them.  ``backward()`` walks the tape
+once in reverse topological order.  Gradients are re-zeroed at the start of
+every backward pass, so repeated passes over the same tape are bit-identical.
+
+A closure holds its inputs but never its own output, so the tape is acyclic:
+it is freed by reference counting as soon as the last reference to its
+output (typically the loss) goes, without waiting for the cyclic collector.
+An op whose inputs all have ``requires_grad=False`` records nothing.
 
 Ops that need a non-standard backward rule (e.g. straight-through
 binarization) are registered through :func:`custom_primitive` instead of
@@ -14,6 +19,7 @@ being hard-coded here.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -32,7 +38,6 @@ __all__ = [
     "linear",
     "load_params",
     "matmul",
-    "mean_rows",
     "mul",
     "relu",
     "reshape",
@@ -42,7 +47,6 @@ __all__ = [
     "softmax_cross_entropy",
     "spmm",
     "sum_all",
-    "sum_rows",
 ]
 
 
@@ -108,7 +112,7 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
 
     # Operator sugar; the module-level functions are the canonical ops.
     def __add__(self, other):
@@ -140,12 +144,17 @@ def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _record(data: np.ndarray, inputs: tuple[Tensor, ...], make_backward) -> Tensor:
+def _record(data: np.ndarray, inputs: tuple[Tensor, ...], backward) -> Tensor:
+    """Wrap data as an op output; tape it only if some input needs a gradient.
+
+    ``backward(grad)`` receives the output gradient and accumulates into the
+    inputs' ``.grad``.
+    """
     out = Tensor(data)
     if any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out._prev = inputs
-        out._backward = make_backward(out)
+        out._backward = backward
     return out
 
 
@@ -157,16 +166,12 @@ def custom_primitive(data, inputs, vjp) -> Tensor:
     """
     inputs = tuple(_lift(t) for t in inputs)
 
-    def make(out):
-        def _bp():
-            grads = vjp(out.grad)
-            for t, g in zip(inputs, grads):
-                if t.requires_grad and g is not None:
-                    t.grad += g
+    def _bp(grad):
+        for t, g in zip(inputs, vjp(grad)):
+            if t.requires_grad and g is not None:
+                t.grad += g
 
-        return _bp
-
-    return _record(np.asarray(data, dtype=np.float64), inputs, make)
+    return _record(np.asarray(data, dtype=np.float64), inputs, _bp)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -185,16 +190,13 @@ def add(a, b) -> Tensor:
     except ValueError:
         raise DimensionError(f"add: shapes {a.data.shape} and {b.data.shape}") from None
 
-    def make(out):
-        def _bp():
-            if a.requires_grad:
-                a.grad += _unbroadcast(out.grad, a.data.shape)
-            if b.requires_grad:
-                b.grad += _unbroadcast(out.grad, b.data.shape)
+    def _bp(grad):
+        if a.requires_grad:
+            a.grad += _unbroadcast(grad, a.data.shape)
+        if b.requires_grad:
+            b.grad += _unbroadcast(grad, b.data.shape)
 
-        return _bp
-
-    return _record(data, (a, b), make)
+    return _record(data, (a, b), _bp)
 
 
 def mul(a, b) -> Tensor:
@@ -204,16 +206,13 @@ def mul(a, b) -> Tensor:
     except ValueError:
         raise DimensionError(f"mul: shapes {a.data.shape} and {b.data.shape}") from None
 
-    def make(out):
-        def _bp():
-            if a.requires_grad:
-                a.grad += _unbroadcast(out.grad * b.data, a.data.shape)
-            if b.requires_grad:
-                b.grad += _unbroadcast(out.grad * a.data, b.data.shape)
+    def _bp(grad):
+        if a.requires_grad:
+            a.grad += _unbroadcast(grad * b.data, a.data.shape)
+        if b.requires_grad:
+            b.grad += _unbroadcast(grad * a.data, b.data.shape)
 
-        return _bp
-
-    return _record(data, (a, b), make)
+    return _record(data, (a, b), _bp)
 
 
 def matmul(a, b) -> Tensor:
@@ -222,16 +221,13 @@ def matmul(a, b) -> Tensor:
         raise DimensionError(f"matmul: shapes {a.data.shape} and {b.data.shape}")
     data = a.data @ b.data
 
-    def make(out):
-        def _bp():
-            if a.requires_grad:
-                a.grad += out.grad @ b.data.T
-            if b.requires_grad:
-                b.grad += a.data.T @ out.grad
+    def _bp(grad):
+        if a.requires_grad:
+            a.grad += grad @ b.data.T
+        if b.requires_grad:
+            b.grad += a.data.T @ grad
 
-        return _bp
-
-    return _record(data, (a, b), make)
+    return _record(data, (a, b), _bp)
 
 
 def linear(x, w, b) -> Tensor:
@@ -249,13 +245,10 @@ def relu(x) -> Tensor:
     mask = x.data > 0  # subgradient at 0 fixed to 0
     data = np.where(mask, x.data, 0.0)
 
-    def make(out):
-        def _bp():
-            x.grad += out.grad * mask
+    def _bp(grad):
+        x.grad += grad * mask
 
-        return _bp
-
-    return _record(data, (x,), make)
+    return _record(data, (x,), _bp)
 
 
 def sigmoid(x) -> Tensor:
@@ -266,26 +259,20 @@ def sigmoid(x) -> Tensor:
     ex = np.exp(x.data[~pos])
     data[~pos] = ex / (1.0 + ex)
 
-    def make(out):
-        def _bp():
-            x.grad += out.grad * data * (1.0 - data)
+    def _bp(grad):
+        x.grad += grad * data * (1.0 - data)
 
-        return _bp
-
-    return _record(data, (x,), make)
+    return _record(data, (x,), _bp)
 
 
 def reshape(x, shape) -> Tensor:
     x = _lift(x)
     data = x.data.reshape(shape)
 
-    def make(out):
-        def _bp():
-            x.grad += out.grad.reshape(x.data.shape)
+    def _bp(grad):
+        x.grad += grad.reshape(x.data.shape)
 
-        return _bp
-
-    return _record(data, (x,), make)
+    return _record(data, (x,), _bp)
 
 
 def concat_cols(a, b) -> Tensor:
@@ -295,16 +282,13 @@ def concat_cols(a, b) -> Tensor:
     data = np.concatenate([a.data, b.data], axis=1)
     split = a.data.shape[1]
 
-    def make(out):
-        def _bp():
-            if a.requires_grad:
-                a.grad += out.grad[:, :split]
-            if b.requires_grad:
-                b.grad += out.grad[:, split:]
+    def _bp(grad):
+        if a.requires_grad:
+            a.grad += grad[:, :split]
+        if b.requires_grad:
+            b.grad += grad[:, split:]
 
-        return _bp
-
-    return _record(data, (a, b), make)
+    return _record(data, (a, b), _bp)
 
 
 def gather_rows(x, index) -> Tensor:
@@ -312,13 +296,10 @@ def gather_rows(x, index) -> Tensor:
     index = np.asarray(index, dtype=np.intp)
     data = x.data[index]
 
-    def make(out):
-        def _bp():
-            np.add.at(x.grad, index, out.grad)
+    def _bp(grad):
+        np.add.at(x.grad, index, grad)
 
-        return _bp
-
-    return _record(data, (x,), make)
+    return _record(data, (x,), _bp)
 
 
 def segment_sum(x, segment_ids, num_segments: int) -> Tensor:
@@ -332,53 +313,20 @@ def segment_sum(x, segment_ids, num_segments: int) -> Tensor:
     data = np.zeros((num_segments,) + x.data.shape[1:])
     np.add.at(data, segment_ids, x.data)
 
-    def make(out):
-        def _bp():
-            x.grad += out.grad[segment_ids]
+    def _bp(grad):
+        x.grad += grad[segment_ids]
 
-        return _bp
-
-    return _record(data, (x,), make)
-
-
-def sum_rows(x) -> Tensor:
-    x = _lift(x)
-    data = x.data.sum(axis=0)
-
-    def make(out):
-        def _bp():
-            x.grad += np.broadcast_to(out.grad, x.data.shape)
-
-        return _bp
-
-    return _record(data, (x,), make)
-
-
-def mean_rows(x) -> Tensor:
-    x = _lift(x)
-    n = x.data.shape[0]
-    data = x.data.mean(axis=0)
-
-    def make(out):
-        def _bp():
-            x.grad += np.broadcast_to(out.grad, x.data.shape) / n
-
-        return _bp
-
-    return _record(data, (x,), make)
+    return _record(data, (x,), _bp)
 
 
 def sum_all(x) -> Tensor:
     x = _lift(x)
     data = np.asarray(x.data.sum())
 
-    def make(out):
-        def _bp():
-            x.grad += np.broadcast_to(out.grad, x.data.shape)
+    def _bp(grad):
+        x.grad += np.broadcast_to(grad, x.data.shape)
 
-        return _bp
-
-    return _record(data, (x,), make)
+    return _record(data, (x,), _bp)
 
 
 class SparseMatrix:
@@ -432,16 +380,13 @@ def spmm(matrix: SparseMatrix, weights, x) -> Tensor:
     csr = matrix.assemble(weights.data)
     data = csr @ x.data
 
-    def make(out):
-        def _bp():
-            if weights.requires_grad and matrix.nnz:
-                weights.grad += (out.grad[matrix.rows] * x.data[matrix.cols]).sum(axis=1)
-            if x.requires_grad:
-                x.grad += csr.T @ out.grad
+    def _bp(grad):
+        if weights.requires_grad and matrix.nnz:
+            weights.grad += (grad[matrix.rows] * x.data[matrix.cols]).sum(axis=1)
+        if x.requires_grad:
+            x.grad += csr.T @ grad
 
-        return _bp
-
-    return _record(data, (weights, x), make)
+    return _record(data, (weights, x), _bp)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -460,15 +405,12 @@ def softmax_cross_entropy(logits, target: int) -> Tensor:
     log_probs = _log_softmax(logits.data)
     data = np.asarray(-log_probs[target])
 
-    def make(out):
-        def _bp():
-            g = np.exp(log_probs)
-            g[target] -= 1.0
-            logits.grad += g * out.grad
+    def _bp(grad):
+        g = np.exp(log_probs)
+        g[target] -= 1.0
+        logits.grad += g * grad
 
-        return _bp
-
-    return _record(data, (logits,), make)
+    return _record(data, (logits,), _bp)
 
 
 def cross_entropy_mean(logits, targets) -> Tensor:
@@ -485,15 +427,12 @@ def cross_entropy_mean(logits, targets) -> Tensor:
     rows = np.arange(targets.size)
     data = np.asarray(-log_probs[rows, targets].mean())
 
-    def make(out):
-        def _bp():
-            g = np.exp(log_probs)
-            g[rows, targets] -= 1.0
-            logits.grad += g * (out.grad / targets.size)
+    def _bp(grad):
+        g = np.exp(log_probs)
+        g[rows, targets] -= 1.0
+        logits.grad += g * (grad / targets.size)
 
-        return _bp
-
-    return _record(data, (logits,), make)
+    return _record(data, (logits,), _bp)
 
 
 def grad_check(f, params, h: float = 1e-5) -> float:
@@ -546,6 +485,11 @@ def load_params(path: str | os.PathLike) -> dict[str, Tensor]:
         doc = json.load(fh)
     out = {}
     for name, entry in doc.items():
-        data = np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
-        out[name] = Tensor(data, requires_grad=True)
+        values = np.array(entry["values"], dtype=np.float64)
+        shape = tuple(entry["shape"])
+        if values.ndim != 1 or values.size != math.prod(shape):
+            raise ValueError(
+                f"{path}: parameter '{name}' has {values.size} values for shape {shape}"
+            )
+        out[name] = Tensor(values.reshape(shape), requires_grad=True)
     return out

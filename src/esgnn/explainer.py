@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import base64
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,11 +26,10 @@ from .autodiff import (
     relu,
     reshape,
     sigmoid,
-    softmax_cross_entropy,
     sum_all,
 )
 from .gin import BackboneParams, backbone_forward_batch, build_graph_batch, glorot
-from .graphs import EdgeMask, Graph, SubgraphBag
+from .graphs import POLICY_TAGS, EdgeMask, Graph, SubgraphBag
 from .optim import AdamState, TrainingError, step_from_gradients
 
 __all__ = [
@@ -38,14 +37,11 @@ __all__ = [
     "ExplainerParams",
     "bag_from_json",
     "bag_to_json",
-    "binarize_ste",
     "concrete_sample",
     "edge_logits",
-    "explainer_loss",
     "generate_bag_noise",
     "generate_bag_topk",
     "hard_threshold",
-    "hard_top_k",
     "init_explainer",
     "mask_seed",
     "topk_binarize",
@@ -69,6 +65,10 @@ class ExplainerParams:
             f"{prefix}lin2/W": self.w2,
             f"{prefix}lin2/b": self.b2,
         }
+
+    def frozen(self) -> "ExplainerParams":
+        """Views of the same arrays with ``requires_grad=False`` (no copy)."""
+        return ExplainerParams(*(Tensor(t.data) for t in (self.w1, self.b1, self.w2, self.b2)))
 
 
 def init_explainer(rng: np.random.Generator, hidden: int = 32, width: int = 32) -> ExplainerParams:
@@ -148,24 +148,6 @@ def hard_threshold(s: Tensor, threshold: float) -> Tensor:
     return custom_primitive(bits, [s], lambda g: [g])
 
 
-def hard_top_k(s: Tensor, k: int) -> Tensor:
-    """Bits marking the k largest soft weights (ties to the lower index);
-    straight-through backward."""
-    if not 1 <= k <= s.data.size:
-        raise ValueError(f"budget {k} outside 1..{s.data.size}")
-    order = np.argsort(-s.data, kind="stable")
-    bits = np.zeros_like(s.data)
-    bits[order[:k]] = 1.0
-    return custom_primitive(bits, [s], lambda g: [g])
-
-
-def binarize_ste(s: Tensor | np.ndarray, threshold: float) -> EdgeMask:
-    """Threshold soft weights into a hard EdgeMask (strict inequality)."""
-    soft = s.data if isinstance(s, Tensor) else np.asarray(s, dtype=np.float64)
-    hard = (soft > threshold).astype(np.float64)
-    return EdgeMask(soft=soft.copy(), hard=hard, threshold_used=threshold)
-
-
 def topk_binarize(s: Tensor | np.ndarray, k: int) -> EdgeMask:
     """Keep exactly the k largest soft weights as an EdgeMask."""
     soft = s.data if isinstance(s, Tensor) else np.asarray(s, dtype=np.float64)
@@ -179,41 +161,17 @@ def topk_binarize(s: Tensor | np.ndarray, k: int) -> EdgeMask:
     )
 
 
-def explainer_loss(masked_logits: Tensor, target: int, e: Tensor, lam: float) -> Tensor:
-    """Cross-entropy to the unmasked prediction plus lam * (selected edges / total)."""
-    if lam < 0:
-        raise ValueError(f"sparsity weight {lam} must be >= 0")
-    ce = softmax_cross_entropy(masked_logits, target)
-    num_edges = e.data.shape[0]
-    if num_edges == 0:
-        return ce
-    return ce + sum_all(e) * (lam / num_edges)
-
-
-def _frozen_copy(backbone: BackboneParams) -> BackboneParams:
-    frozen = backbone.copy()
-    for t in frozen.named().values():
-        t.requires_grad = False
-    return frozen
-
-
-def _predicted_labels(graphs: list[Graph], backbone: BackboneParams) -> np.ndarray:
-    batch = build_graph_batch(graphs)
-    logits, _, _ = backbone_forward_batch(batch, backbone)
-    return logits.data.argmax(axis=1)
-
-
-def _node_embedding_cache(graphs: list[Graph], backbone: BackboneParams) -> list[np.ndarray]:
-    out = []
+def _labels_and_embeddings(
+    graphs: list[Graph], frozen: BackboneParams
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Predicted labels and per-graph last-layer node states, 256 graphs a forward."""
+    labels, z = [], []
     for start in range(0, len(graphs), 256):
         chunk = graphs[start : start + 256]
-        batch = build_graph_batch(chunk)
-        _, h, _ = backbone_forward_batch(batch, backbone)
-        offset = 0
-        for g in chunk:
-            out.append(h.data[offset : offset + g.num_nodes])
-            offset += g.num_nodes
-    return out
+        logits, h, _ = backbone_forward_batch(build_graph_batch(chunk), frozen)
+        labels.append(logits.data.argmax(axis=1))
+        z.extend(np.split(h.data, np.cumsum([g.num_nodes for g in chunk[:-1]])))
+    return np.concatenate(labels), z
 
 
 def train_explainer(
@@ -230,12 +188,11 @@ def train_explainer(
     """
     if not graphs:
         raise ValueError("empty training set")
-    frozen = _frozen_copy(backbone)
+    frozen = backbone.frozen()
     params = init_explainer(np.random.default_rng(seed), hidden=backbone.hidden)
     named = params.named()
     state = AdamState()
-    targets = _predicted_labels(graphs, frozen)
-    z_cache = _node_embedding_cache(graphs, frozen)
+    targets, z_cache = _labels_and_embeddings(graphs, frozen)
     history: list[dict] = []
     for epoch in range(cfg.epochs):
         tau = cfg.tau_at(epoch)
@@ -288,11 +245,9 @@ def mask_seed(*parts: int) -> int:
 
 
 def edge_scores(g: Graph, backbone: BackboneParams, params: ExplainerParams) -> np.ndarray:
-    """Raw per-edge logits omega for one graph (no gradients)."""
-    frozen = _frozen_copy(backbone)
-    batch = build_graph_batch([g])
-    _, h, _ = backbone_forward_batch(batch, frozen)
-    return edge_logits(Tensor(h.data), g.edge_array(), params).data
+    """Raw per-edge logits omega for one graph (no gradients, no tape)."""
+    _, h, _ = backbone_forward_batch(build_graph_batch([g]), backbone.frozen())
+    return edge_logits(h, g.edge_array(), params.frozen()).data
 
 
 def generate_bag_noise(
@@ -312,16 +267,9 @@ def generate_bag_noise(
     masks = []
     for t in range(m):
         child = mask_seed(seed, t)
-        s = concrete_sample(Tensor(omega), tau, noise_scale, child)
-        mask = binarize_ste(s, threshold)
-        masks.append(
-            EdgeMask(
-                soft=mask.soft,
-                hard=mask.hard,
-                threshold_used=threshold,
-                seed=child,
-            )
-        )
+        s = concrete_sample(omega, tau, noise_scale, child)
+        hard = hard_threshold(s, threshold).data
+        masks.append(EdgeMask(soft=s.data, hard=hard, threshold_used=threshold, seed=child))
     return SubgraphBag(base=g, masks=tuple(masks), policy_tag="EXPLAIN_NOISE")
 
 
@@ -337,7 +285,7 @@ def generate_bag_topk(
     if not fractions:
         raise ValueError("fractions must be non-empty")
     omega = edge_scores(g, backbone, params)
-    s = concrete_sample(Tensor(omega), tau, 0.0, 0)
+    s = concrete_sample(omega, tau, 0.0, 0)
     masks = tuple(
         topk_binarize(s, max(1, math.ceil(f * g.num_edges))) for f in fractions
     )
@@ -353,21 +301,32 @@ def bag_to_json(bag: SubgraphBag, graph_id: int) -> dict:
                 "bits": base64.b64encode(packed.tobytes()).decode("ascii"),
                 "K": m.budget,
                 "seed": m.seed,
+                "zeroed_nodes": list(m.zeroed_nodes),
             }
         )
     return {"graph_id": graph_id, "policy": bag.policy_tag, "masks": masks}
 
 
 def bag_from_json(doc: dict, base: Graph) -> SubgraphBag:
+    graph_id = doc.get("graph_id")
+    if doc["policy"] not in POLICY_TAGS:
+        raise ValueError(f"graph {graph_id}: unknown bag policy {doc['policy']!r}")
+    nbytes = (base.num_edges + 7) // 8
     masks = []
     for k, entry in enumerate(doc["masks"]):
         raw = base64.b64decode(entry["bits"])
-        if base.num_edges:
-            bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=base.num_edges)
-            hard = bits.astype(np.float64)
-        else:
-            hard = np.zeros(0)
-        zeroed = (k,) if doc["policy"] == "ND" else ()
+        if len(raw) != nbytes:
+            raise ValueError(
+                f"graph {graph_id}: mask {k} has {len(raw)} bytes of bits,"
+                f" expected {nbytes} for {base.num_edges} edges"
+            )
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=base.num_edges)
+        hard = bits.astype(np.float64)
+        zeroed = tuple(int(v) for v in entry.get("zeroed_nodes", ()))
+        if any(not 0 <= v < base.num_nodes for v in zeroed):
+            raise ValueError(
+                f"graph {graph_id}: mask {k} zeroes nodes {zeroed} outside 0..{base.num_nodes - 1}"
+            )
         masks.append(
             EdgeMask(
                 soft=hard.copy(),

@@ -7,7 +7,7 @@ block-diagonal minibatches with a graph-indicator vector for pooling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .autodiff import (
     cross_entropy_mean,
     gather_rows,
     linear,
-    matmul,
     relu,
     segment_sum,
     spmm,
@@ -103,25 +102,31 @@ class BackboneParams:
         out[f"{prefix}head/b"] = self.head_b
         return out
 
-    def copy(self) -> "BackboneParams":
-        clone = BackboneParams(
+    def _map(self, wrap) -> "BackboneParams":
+        return BackboneParams(
             layers=[
-                GinLayerParams(
-                    w1=Tensor(l.w1.data.copy(), requires_grad=True),
-                    b1=Tensor(l.b1.data.copy(), requires_grad=True),
-                    w2=Tensor(l.w2.data.copy(), requires_grad=True),
-                    b2=Tensor(l.b2.data.copy(), requires_grad=True),
-                    eps=Tensor(l.eps.data.copy(), requires_grad=True),
-                )
+                GinLayerParams(wrap(l.w1), wrap(l.b1), wrap(l.w2), wrap(l.b2), wrap(l.eps))
                 for l in self.layers
             ],
-            head_w=Tensor(self.head_w.data.copy(), requires_grad=True),
-            head_b=Tensor(self.head_b.data.copy(), requires_grad=True),
+            head_w=wrap(self.head_w),
+            head_b=wrap(self.head_b),
             in_dim=self.in_dim,
             hidden=self.hidden,
             num_classes=self.num_classes,
         )
-        return clone
+
+    def copy(self) -> "BackboneParams":
+        """Independent trainable parameters holding copies of the arrays."""
+        return self._map(lambda t: Tensor(t.data.copy(), requires_grad=True))
+
+    def frozen(self) -> "BackboneParams":
+        """Views of the same arrays with ``requires_grad=False``.
+
+        No data is copied, so the view follows in-place updates of the
+        originals.  Forwards through it record no tape for the backbone;
+        they are still taped through any input that needs a gradient.
+        """
+        return self._map(lambda t: Tensor(t.data))
 
 
 def init_backbone(
@@ -251,11 +256,7 @@ def backbone_forward(
 ) -> BackboneOutput:
     batch = build_graph_batch([g], [mask] if mask is not None else None)
     logits, h, pooled = backbone_forward_batch(batch, params)
-    return BackboneOutput(
-        node_embeddings=h,
-        graph_embedding=segment_sum(h, batch.node_graph, 1),
-        logits=logits,
-    )
+    return BackboneOutput(node_embeddings=h, graph_embedding=pooled, logits=logits)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -271,7 +272,7 @@ class Prediction:
 
 
 def predict(g: Graph, params: BackboneParams) -> Prediction:
-    logits = backbone_forward(g, params).logits.data[0]
+    logits = backbone_forward(g, params.frozen()).logits.data[0]
     probs = softmax(logits)
     return Prediction(label=int(np.argmax(probs)), probs=probs)
 
@@ -279,11 +280,12 @@ def predict(g: Graph, params: BackboneParams) -> Prediction:
 def evaluate_accuracy(graphs: list[Graph], params: BackboneParams) -> float:
     if not graphs:
         return float("nan")
+    frozen = params.frozen()
     correct = 0
     for start in range(0, len(graphs), 256):
         chunk = graphs[start : start + 256]
         batch = build_graph_batch(chunk)
-        logits, _, _ = backbone_forward_batch(batch, params)
+        logits, _, _ = backbone_forward_batch(batch, frozen)
         correct += int((logits.data.argmax(axis=1) == batch.labels).sum())
     return correct / len(graphs)
 

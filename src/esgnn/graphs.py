@@ -1,4 +1,4 @@
-"""Graph containers, subgraph policies, and connectivity operators.
+"""Graph containers, subgraph policies and node features.
 
 Graphs are immutable once built: undirected edges are stored once as
 canonically ordered (i, j) pairs with i < j, and every subgraph view is an
@@ -13,17 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import SparseMatrix
-
 __all__ = [
     "EdgeMask",
     "FeatureSpec",
     "Graph",
     "GraphDataset",
+    "POLICY_TAGS",
     "PolicyError",
     "SubgraphBag",
-    "adjacency",
-    "adjacency_with_self_loops",
     "constant_features",
     "degree_features",
     "degrees",
@@ -31,6 +28,10 @@ __all__ = [
     "policy_node_deleted",
     "sample_bag",
 ]
+
+
+# ED / ND delete one edge / node per subgraph; EXPLAIN_* are explainer bags
+POLICY_TAGS = ("ED", "ND", "EXPLAIN_NOISE", "EXPLAIN_TOPK")
 
 
 class PolicyError(ValueError):
@@ -163,7 +164,7 @@ class SubgraphBag:
 
     base: Graph
     masks: tuple[EdgeMask, ...]
-    policy_tag: str  # ED | ND | EXPLAIN_NOISE | EXPLAIN_TOPK
+    policy_tag: str  # one of POLICY_TAGS
 
     def __post_init__(self):
         if not self.masks:
@@ -233,35 +234,3 @@ def degree_features(g: Graph, cap: int) -> np.ndarray:
 
 def constant_features(num_nodes: int) -> np.ndarray:
     return np.ones((num_nodes, 1))
-
-
-def adjacency(g: Graph) -> SparseMatrix:
-    """Symmetric adjacency pattern: two directed entries per undirected edge.
-
-    Entry order is (i->j, j->i) per edge k, so entry 2k and 2k+1 both carry
-    the weight of undirected edge k.
-    """
-    arr = g.edge_array()
-    rows = np.empty(2 * g.num_edges, dtype=np.intp)
-    cols = np.empty(2 * g.num_edges, dtype=np.intp)
-    rows[0::2], cols[0::2] = arr[:, 0], arr[:, 1]
-    rows[1::2], cols[1::2] = arr[:, 1], arr[:, 0]
-    return SparseMatrix(g.num_nodes, g.num_nodes, rows, cols)
-
-
-def adjacency_with_self_loops(g: Graph, self_weight: float = 1.0):
-    """Adjacency plus a weighted diagonal, as (pattern, weights).
-
-    With self_weight = 1 + eps this is the GIN aggregation operator; the
-    pattern stays inside A plus the diagonal.
-    """
-    arr = g.edge_array()
-    e = g.num_edges
-    rows = np.empty(2 * e + g.num_nodes, dtype=np.intp)
-    cols = np.empty_like(rows)
-    rows[0:2 * e:2], cols[0:2 * e:2] = arr[:, 0], arr[:, 1]
-    rows[1:2 * e:2], cols[1:2 * e:2] = arr[:, 1], arr[:, 0]
-    rows[2 * e:] = cols[2 * e:] = np.arange(g.num_nodes)
-    weights = np.ones(rows.size)
-    weights[2 * e:] = self_weight
-    return SparseMatrix(g.num_nodes, g.num_nodes, rows, cols), weights

@@ -1,3 +1,5 @@
+import gc
+import json
 import math
 
 import numpy as np
@@ -15,7 +17,6 @@ from esgnn.autodiff import (
     grad_check,
     linear,
     matmul,
-    mean_rows,
     mul,
     relu,
     segment_sum,
@@ -23,7 +24,6 @@ from esgnn.autodiff import (
     softmax_cross_entropy,
     spmm,
     sum_all,
-    sum_rows,
 )
 
 
@@ -104,17 +104,6 @@ class TestElementwiseAndReductions:
         x = Tensor([0.0, 1.0], requires_grad=True)
         sum_all(relu(x)).backward()
         assert np.array_equal(x.grad, [0.0, 1.0])
-
-    def test_sum_rows(self):
-        out = sum_rows([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(out.data, [4.0, 6.0])
-
-    def test_mean_rows_gradient_is_uniform(self):
-        x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-        sum_all(mean_rows(x)).backward()
-        assert np.allclose(x.grad, 1.0 / 3.0)
-        err = grad_check(lambda: sum_all(mean_rows(x)), [x], h=1e-5)
-        assert err < 1e-6
 
     def test_sigmoid_gradient(self):
         rng = np.random.default_rng(2)
@@ -210,6 +199,31 @@ class TestTapeMechanics:
         loss.backward()
         assert np.array_equal(first, w.grad)
 
+    def test_tape_is_freed_without_the_cyclic_collector(self):
+        rng = np.random.default_rng(12)
+        w = rand_param(rng, 4, 3)
+        b = rand_param(rng, 3)
+        x = Tensor(rng.standard_normal((2, 4)))
+        # strong references, so no id below can be reused by a new Tensor
+        before = [o for o in gc.get_objects() if isinstance(o, Tensor)]
+        known = {id(o) for o in before}
+        gc.disable()
+        try:
+            for _ in range(5):
+                loss = sum_all(relu(linear(x, w, b)))
+                loss.backward()
+                del loss
+            left = [o for o in gc.get_objects() if isinstance(o, Tensor) and id(o) not in known]
+        finally:
+            gc.enable()
+        assert left == []
+
+    def test_untaped_inputs_record_nothing(self):
+        x = Tensor(np.ones((2, 2)))
+        out = relu(linear(x, np.eye(2), np.zeros(2)))
+        assert not out.requires_grad
+        assert out._prev == () and out._backward is None
+
     def test_shared_subexpression_accumulates(self):
         x = Tensor([2.0], requires_grad=True)
         y = x * x  # d/dx = 2x
@@ -276,3 +290,10 @@ class TestCheckpointRoundTrip:
         for name in params:
             assert loaded[name].data.shape == params[name].data.shape
             assert np.array_equal(loaded[name].data, params[name].data)
+
+    def test_load_error_names_parameter_and_file(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps({"layer/W": {"shape": [2, 3], "values": [1, 2, 3, 4, 5]}}))
+        with pytest.raises(ValueError, match="layer/W") as info:
+            ad.load_params(path)
+        assert str(path) in str(info.value)

@@ -17,7 +17,7 @@ from esgnn.gin import (
     predict,
     train_backbone,
 )
-from esgnn.graphs import EdgeMask, adjacency
+from esgnn.graphs import EdgeMask
 from tests.conftest import make_graph
 
 
@@ -72,7 +72,7 @@ class TestGinLayer:
     def test_masked_edge_touches_exactly_its_endpoints_pre_mlp(self, triangle):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((3, 2))
-        adj = adjacency(triangle)
+        adj = build_graph_batch([triangle]).adj
         full = spmm(adj, np.ones(adj.nnz), x).data
         masked_bits = np.array([0.0, 1.0, 1.0])  # drop edge 0 = (0, 1)
         masked = spmm(adj, masked_bits[np.repeat(np.arange(3), 2)], x).data

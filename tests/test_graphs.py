@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esgnn.autodiff import spmm
+from esgnn.autodiff import Tensor
+from esgnn.gin import GinLayerParams, apply_gin_layer, build_graph_batch
 from esgnn.graphs import (
     EdgeMask,
     FeatureSpec,
     Graph,
     PolicyError,
-    adjacency,
-    adjacency_with_self_loops,
     constant_features,
     degree_features,
     degrees,
@@ -132,25 +131,24 @@ class TestDegreeFeatures:
 
 class TestConnectivityOperators:
     def test_adjacency_pattern_is_symmetric(self, path4):
-        op = adjacency(path4)
+        op = build_graph_batch([path4]).adj
         pairs = set(zip(op.rows.tolist(), op.cols.tolist()))
         assert all((c, r) in pairs for r, c in pairs)
 
     def test_self_loop_operator_matches_explicit_form(self, triangle):
-        # (1 + eps) * h + A h  ==  (A + (1 + eps) I) h
+        # with an identity MLP a GIN layer is (A + (1 + eps) I) h; h >= 0 keeps
+        # the inner ReLU the identity
         eps = 0.25
-        h = np.random.default_rng(0).standard_normal((3, 2))
-        op, w = adjacency_with_self_loops(triangle, self_weight=1.0 + eps)
-        combined = spmm(op, w, h).data
-        plain = adjacency(triangle)
-        expected = (1.0 + eps) * h + spmm(plain, np.ones(plain.nnz), h).data
+        h = np.random.default_rng(0).random((3, 2))
+        eye, zero = np.eye(2), np.zeros(2)
+        layer = GinLayerParams(Tensor(eye), Tensor(zero), Tensor(eye), Tensor(zero), Tensor(eps))
+        batch = build_graph_batch([triangle])
+        combined = apply_gin_layer(layer, Tensor(h), batch.adj, np.ones(batch.adj.nnz)).data
+        dense = np.zeros((3, 3))
+        for i, j in triangle.edges:
+            dense[i, j] = dense[j, i] = 1.0
+        expected = (dense + (1.0 + eps) * np.eye(3)) @ h
         assert np.allclose(combined, expected, atol=1e-12)
-
-    def test_self_loop_pattern_within_a_plus_diagonal(self, path4):
-        op, _ = adjacency_with_self_loops(path4)
-        allowed = {(i, j) for i, j in path4.edges} | {(j, i) for i, j in path4.edges}
-        allowed |= {(v, v) for v in range(path4.num_nodes)}
-        assert set(zip(op.rows.tolist(), op.cols.tolist())) <= allowed
 
 
 class TestEdgeMask:
