@@ -354,7 +354,9 @@ class SparseMatrix:
         self.n_cols = n_cols
         self.rows = rows
         self.cols = cols
-        self._perm = np.lexsort((cols, rows))
+        # row-major order of the entries; a stable sort of the flat index
+        # gives the same permutation as lexsort((cols, rows)) in one pass
+        self._perm = np.argsort(rows * n_cols + cols, kind="stable")
         self._indices = cols[self._perm].astype(np.int32, copy=False)
         counts = np.bincount(rows, minlength=n_rows)
         self._indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)

@@ -203,13 +203,8 @@ def train_explainer(
             chunk = [graphs[i] for i in idx]
             batch = build_graph_batch(chunk)
             z = Tensor(np.concatenate([z_cache[i] for i in idx]))
-            edges, offset = [], 0
-            for g in chunk:
-                edges.append(g.edge_array() + offset)
-                offset += g.num_nodes
-            edges = np.concatenate(edges) if edges else np.zeros((0, 2), dtype=np.intp)
 
-            omega = edge_logits(z, edges, params)
+            omega = edge_logits(z, batch.edges, params)
             s = concrete_sample(omega, tau, cfg.noise_scale, [seed, 2, epoch, bi])
             e = hard_threshold(s, cfg.threshold)
 
@@ -327,13 +322,15 @@ def bag_from_json(doc: dict, base: Graph) -> SubgraphBag:
             raise ValueError(
                 f"graph {graph_id}: mask {k} zeroes nodes {zeroed} outside 0..{base.num_nodes - 1}"
             )
-        masks.append(
-            EdgeMask(
+        try:
+            mask = EdgeMask(
                 soft=hard.copy(),
                 hard=hard,
                 budget=entry.get("K"),
                 seed=entry.get("seed"),
                 zeroed_nodes=zeroed,
             )
-        )
+        except ValueError as err:
+            raise ValueError(f"graph {graph_id}: mask {k}: {err}") from err
+        masks.append(mask)
     return SubgraphBag(base=base, masks=tuple(masks), policy_tag=doc["policy"])

@@ -155,6 +155,7 @@ class GraphBatch:
     total_nodes: int
     x: np.ndarray
     node_graph: np.ndarray  # node row -> graph index
+    edges: np.ndarray  # (E, 2) undirected edges in batch node ids, i < j
     adj: SparseMatrix  # directed entries, 2 per undirected edge
     dir_to_edge: np.ndarray  # directed entry -> global undirected edge index
     edge_graph: np.ndarray  # undirected edge -> graph index
@@ -166,47 +167,63 @@ class GraphBatch:
 def build_graph_batch(
     graphs: list[Graph], masks: list[EdgeMask] | None = None
 ) -> GraphBatch:
+    """One block-diagonal batch; graph gi's nodes start at row sum(n[:gi]).
+
+    Each mask sets its graph's edge weights and zeroes its ``zeroed_nodes``
+    feature rows in the batch copy of ``x``.
+    """
     if masks is not None and len(masks) != len(graphs):
         raise ValueError(f"{len(masks)} masks for {len(graphs)} graphs")
-    xs, node_graph, edge_rows, edge_cols, edge_graph, values = [], [], [], [], [], []
-    offset = 0
+    width = graphs[0].x.shape[1] if graphs else 1
+    xs, edge_arrays, num_nodes, num_edges = [], [], [], []
     for gi, g in enumerate(graphs):
-        x = np.array(g.x, dtype=np.float64)
-        if masks is not None:
-            mask = masks[gi]
+        if g.x.shape[1] != width:
+            raise ValueError(f"graph {gi} has {g.x.shape[1]} feature columns, graph 0 has {width}")
+        xs.append(g.x)
+        edge_arrays.append(g.edge_array())
+        num_nodes.append(g.num_nodes)
+        num_edges.append(g.num_edges)
+    n = np.array(num_nodes, dtype=np.intp)
+    m = np.array(num_edges, dtype=np.intp)
+    offsets = np.cumsum(n) - n
+    edges = np.concatenate(edge_arrays or [np.zeros((0, 2), dtype=np.intp)])
+    edges += np.repeat(offsets, m)[:, None]
+    # a fresh copy, so zeroing deleted nodes below never writes to g.x
+    x = np.concatenate(xs or [np.zeros((0, width))], dtype=np.float64)
+
+    if masks is None:
+        values = np.ones(len(edges))
+    else:
+        for gi, (g, mask) in enumerate(zip(graphs, masks)):
             if mask.num_edges != g.num_edges:
                 raise ValueError(
                     f"mask length {mask.num_edges} vs {g.num_edges} edges in graph {gi}"
                 )
             if mask.zeroed_nodes:
-                x[list(mask.zeroed_nodes)] = 0.0
-            values.append(mask.hard)
-        else:
-            values.append(np.ones(g.num_edges))
-        xs.append(x)
-        node_graph.append(np.full(g.num_nodes, gi, dtype=np.intp))
-        arr = g.edge_array() + offset
-        edge_rows.append(arr[:, [0, 1]].reshape(-1))
-        edge_cols.append(arr[:, [1, 0]].reshape(-1))
-        edge_graph.append(np.full(g.num_edges, gi, dtype=np.intp))
-        offset += g.num_nodes
+                zeroed = np.asarray(mask.zeroed_nodes, dtype=np.intp)
+                if zeroed.min() < 0 or zeroed.max() >= g.num_nodes:
+                    raise ValueError(
+                        f"mask zeroes nodes {mask.zeroed_nodes} outside 0..{g.num_nodes - 1}"
+                        f" in graph {gi}"
+                    )
+                x[offsets[gi] + zeroed] = 0.0
+        values = np.concatenate([mask.hard for mask in masks] or [np.zeros(0)], dtype=np.float64)
 
-    total_nodes = offset
-    rows = np.concatenate(edge_rows) if edge_rows else np.zeros(0, dtype=np.intp)
-    cols = np.concatenate(edge_cols) if edge_cols else np.zeros(0, dtype=np.intp)
-    num_edges = rows.size // 2
-    dir_to_edge = np.repeat(np.arange(num_edges, dtype=np.intp), 2)
+    total_nodes = int(n.sum())
+    graph_index = np.arange(len(graphs), dtype=np.intp)
     return GraphBatch(
         num_graphs=len(graphs),
         total_nodes=total_nodes,
-        x=np.concatenate(xs) if xs else np.zeros((0, 1)),
-        node_graph=np.concatenate(node_graph) if node_graph else np.zeros(0, dtype=np.intp),
-        adj=SparseMatrix(total_nodes, total_nodes, rows, cols),
-        dir_to_edge=dir_to_edge,
-        edge_graph=np.concatenate(edge_graph) if edge_graph else np.zeros(0, dtype=np.intp),
-        num_edges=num_edges,
+        x=x,
+        node_graph=np.repeat(graph_index, n),
+        edges=edges,
+        # entries (i, j), (j, i) per edge, in edge order: dir_to_edge is k // 2
+        adj=SparseMatrix(total_nodes, total_nodes, edges.reshape(-1), edges[:, ::-1].reshape(-1)),
+        dir_to_edge=np.repeat(np.arange(len(edges), dtype=np.intp), 2),
+        edge_graph=np.repeat(graph_index, m),
+        num_edges=len(edges),
         labels=np.array([g.y for g in graphs], dtype=np.intp),
-        default_values=np.concatenate(values) if values else np.zeros(0),
+        default_values=values,
     )
 
 

@@ -9,7 +9,7 @@ feature row plus incident edges, so matrix shapes never change across a bag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,6 +66,8 @@ class Graph:
     y: int
     node_labels: tuple[int, ...] | None = None
     ground_truth_motif_edges: frozenset[int] | None = None
+    # edge_array() cache; built on first use so construction stays cheap
+    _edge_array: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()
@@ -79,16 +81,29 @@ class Graph:
             seen.add((i, j))
         if self.x.shape[0] != self.num_nodes:
             raise ValueError(f"feature matrix has {self.x.shape[0]} rows for {self.num_nodes} nodes")
+        if self.node_labels is not None and len(self.node_labels) != self.num_nodes:
+            raise ValueError(f"{len(self.node_labels)} node labels for {self.num_nodes} nodes")
+        motif = self.ground_truth_motif_edges
+        if motif:
+            for k in (min(motif), max(motif)):
+                if not 0 <= k < len(self.edges):
+                    raise ValueError(f"motif edge index {k} outside 0..{len(self.edges) - 1}")
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
 
     def edge_array(self) -> np.ndarray:
-        """Edges as an (E, 2) int array (empty -> shape (0, 2))."""
-        if not self.edges:
-            return np.zeros((0, 2), dtype=np.intp)
-        return np.asarray(self.edges, dtype=np.intp)
+        """Edges as a read-only (E, 2) intp array (empty -> shape (0, 2)).
+
+        Built on the first call; later calls return the same array.
+        """
+        arr = self._edge_array
+        if arr is None:
+            arr = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+            arr.flags.writeable = False
+            object.__setattr__(self, "_edge_array", arr)
+        return arr
 
 
 def degrees(g: Graph) -> np.ndarray:

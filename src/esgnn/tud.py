@@ -148,6 +148,11 @@ def load_tud_dataset(
         n = counts[gid]
         edges = tuple(sorted(edge_sets[gid]))
         motif = frozenset(motif_edges[gid]) if motif_edges and motif_edges[gid] else None
+        if motif and not all(0 <= k < len(edges) for k in motif):
+            raise FormatError(
+                f"{motif_path.name}: graph {gid + 1} lists motif edges {sorted(motif)}"
+                f" outside 0..{len(edges) - 1}"
+            )
         nl = tuple(per_graph_node_labels[gid]) if node_labels is not None else None
         bare.append(
             Graph(

@@ -79,6 +79,11 @@ class TestSpmm:
         with pytest.raises(DimensionError):
             SparseMatrix(2, 2, [0, 2], [1, 0])
 
+    def test_csr_order_is_the_stable_row_major_order(self):
+        rng = np.random.default_rng(2)
+        rows, cols = rng.integers(0, 7, 60), rng.integers(0, 5, 60)  # with repeats
+        assert np.array_equal(SparseMatrix(7, 5, rows, cols)._perm, np.lexsort((cols, rows)))
+
     def test_gradients_wrt_values_and_input(self):
         rng = np.random.default_rng(1)
         rows = np.array([0, 1, 1, 2, 0, 2])

@@ -168,6 +168,13 @@ class TestBagJson:
             bag_from_json(doc, triangle)
 
 
+    def test_rejects_a_budget_the_bits_miss_naming_graph_and_mask(self, triangle):
+        doc = bag_to_json(policy_edge_deleted(triangle), 9)
+        doc["masks"][1]["K"] = 3  # every ED mask keeps two of three edges
+        with pytest.raises(ValueError, match="graph 9: mask 1: hard mask sums to 2, budget is 3"):
+            bag_from_json(doc, triangle)
+
+
 class TestFrozenForwards:
     @pytest.fixture
     def spies(self, monkeypatch):

@@ -17,7 +17,7 @@ from esgnn.gin import (
     predict,
     train_backbone,
 )
-from esgnn.graphs import EdgeMask
+from esgnn.graphs import EdgeMask, policy_node_deleted
 from tests.conftest import make_graph
 
 
@@ -127,6 +127,103 @@ class TestBackboneForward:
         params = init_backbone(np.random.default_rng(0), 4, 2)
         with pytest.raises(ValueError, match="feature dim"):
             backbone_forward(triangle, params)
+
+
+def reference_batch(graphs, masks=None):
+    """Graph-by-graph assembly: each graph's arrays shifted by the nodes before it."""
+    xs, node_graph, rows, cols, edges, edge_graph, values = [], [], [], [], [], [], []
+    offset = 0
+    for gi, g in enumerate(graphs):
+        x = np.array(g.x, dtype=np.float64)
+        if masks is None:
+            values.append(np.ones(g.num_edges))
+        else:
+            x[list(masks[gi].zeroed_nodes)] = 0.0
+            values.append(masks[gi].hard)
+        xs.append(x)
+        node_graph.append(np.full(g.num_nodes, gi))
+        for i, j in g.edges:
+            edges.append((i + offset, j + offset))
+            rows += [i + offset, j + offset]
+            cols += [j + offset, i + offset]
+        edge_graph.append(np.full(g.num_edges, gi))
+        offset += g.num_nodes
+    num_edges = len(edges)
+    return {
+        "x": np.concatenate(xs) if xs else np.zeros((0, 1)),
+        "node_graph": np.concatenate(node_graph) if node_graph else np.zeros(0),
+        "rows": np.array(rows),
+        "cols": np.array(cols),
+        "edges": np.array(edges).reshape(-1, 2),
+        "dir_to_edge": np.repeat(np.arange(num_edges), 2),
+        "edge_graph": np.concatenate(edge_graph) if edge_graph else np.zeros(0),
+        "default_values": np.concatenate(values) if values else np.zeros(0),
+        "labels": np.array([g.y for g in graphs]),
+    }
+
+
+class TestBuildGraphBatch:
+    @staticmethod
+    def assert_matches_reference(graphs, masks=None):
+        batch = build_graph_batch(graphs, masks)
+        ref = reference_batch(graphs, masks)
+        got = {name: getattr(batch, name, None) for name in ref}
+        got["rows"], got["cols"] = batch.adj.rows, batch.adj.cols
+        for name, want in ref.items():
+            assert got[name].shape == want.shape, name
+            assert np.array_equal(got[name], want), name
+        assert (batch.num_graphs, batch.total_nodes, batch.num_edges) == (
+            len(graphs),
+            sum(g.num_nodes for g in graphs),
+            sum(g.num_edges for g in graphs),
+        )
+
+    @pytest.fixture
+    def mixed(self):
+        rng = np.random.default_rng(4)
+        shapes = [
+            (3, [(0, 1), (1, 2), (0, 2)]),
+            (2, []),
+            (4, [(0, 1), (1, 2), (2, 3)]),
+            (1, []),
+            (5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
+        ]
+        return [
+            make_graph(n, e, y=k % 2, x=rng.normal(size=(n, 3)))
+            for k, (n, e) in enumerate(shapes)
+        ]
+
+    def test_matches_per_graph_reference_with_an_edgeless_graph(self, mixed):
+        self.assert_matches_reference(mixed)
+
+    def test_matches_per_graph_reference_with_node_deleted_and_noise_masks(self, mixed):
+        rng = np.random.default_rng(5)
+        masks = []
+        for k, g in enumerate(mixed):
+            if k % 2 == 0:
+                masks.append(policy_node_deleted(g).masks[-1])
+            else:
+                hard = (rng.random(g.num_edges) > 0.5).astype(np.float64)
+                masks.append(EdgeMask(soft=rng.random(g.num_edges), hard=hard, seed=k))
+        before = [g.x.copy() for g in mixed]
+        self.assert_matches_reference(mixed, masks)
+        for g, x in zip(mixed, before):
+            assert np.array_equal(g.x, x)
+
+    def test_empty_list(self):
+        self.assert_matches_reference([])
+        self.assert_matches_reference([], [])
+
+    def test_feature_width_mismatch_names_the_graph(self, triangle, single_edge):
+        wide = make_graph(2, [(0, 1)], x=np.ones((2, 3)))
+        with pytest.raises(ValueError, match="graph 2 has 3 feature columns"):
+            build_graph_batch([triangle, single_edge, wide])
+
+    def test_zeroed_node_outside_its_graph_is_rejected(self, triangle, single_edge):
+        mask = EdgeMask.full(single_edge.num_edges)
+        bad = EdgeMask(soft=mask.soft, hard=mask.hard, zeroed_nodes=(2,))
+        with pytest.raises(ValueError, match="graph 1"):
+            build_graph_batch([triangle, single_edge], [EdgeMask.full(3), bad])
 
 
 class TestEndToEndGradient:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,46 @@ class TestGraphInvariants:
     def test_rejects_feature_row_mismatch(self):
         with pytest.raises(ValueError, match="rows"):
             Graph(num_nodes=3, edges=(), x=constant_features(2), y=0)
+
+
+    def test_rejects_node_labels_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="3 node labels for 2 nodes"):
+            Graph(num_nodes=2, edges=((0, 1),), x=constant_features(2), y=0, node_labels=(1, 2, 3))
+
+    def test_rejects_motif_edge_out_of_range(self):
+        with pytest.raises(ValueError, match="motif edge index 5 outside 0..0"):
+            Graph(
+                num_nodes=2,
+                edges=((0, 1),),
+                x=constant_features(2),
+                y=0,
+                ground_truth_motif_edges=frozenset({0, 5}),
+            )
+
+
+class TestEdgeArray:
+    def test_cached_read_only_and_equal_to_edges(self, path4):
+        arr = path4.edge_array()
+        assert path4.edge_array() is arr
+        assert arr.dtype == np.intp and arr.shape == (3, 2)
+        assert arr.tolist() == [list(e) for e in path4.edges]
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 5
+
+    def test_replace_starts_a_fresh_cache(self, path4):
+        arr = path4.edge_array()
+        other = dataclasses.replace(path4, edges=((0, 1),))
+        assert other._edge_array is None
+        assert other.edge_array().tolist() == [[0, 1]]
+        assert path4.edge_array() is arr
+
+    def test_repr_and_equality_ignore_the_cache(self):
+        a = make_graph(2, [(0, 1)])
+        b = dataclasses.replace(a)  # shares a.x, so == can compare it by identity
+        text = repr(a)
+        a.edge_array()
+        assert repr(a) == text and "_edge_array" not in text
+        assert a == b and b._edge_array is None
 
 
 class TestEdgeDeletedPolicy:

@@ -70,6 +70,12 @@ class TestLoader:
         with pytest.raises(FormatError, match="FIX_A.txt:1"):
             load_tud_dataset(tmp_path, "FIX")
 
+    def test_motif_edge_out_of_range_names_file_and_graph(self, tmp_path):
+        write_fixture(tmp_path)
+        (tmp_path / "FIX_motif_edges.json").write_text("[[0, 2], [1]]")
+        with pytest.raises(FormatError, match=r"FIX_motif_edges.json: graph 2 .*\[1\]"):
+            load_tud_dataset(tmp_path, "FIX")
+
     def test_explicit_constant_features(self, tmp_path):
         ds = load_tud_dataset(write_fixture(tmp_path), "FIX", FeatureSpec("constant"))
         assert ds.feature_dim == 1
