@@ -28,7 +28,7 @@ from .autodiff import (
     sigmoid,
     sum_all,
 )
-from .gin import BackboneParams, backbone_forward_batch, build_graph_batch, glorot
+from .gin import BackboneParams, backbone_forward_batch, build_graph_batch, frozen_forward, glorot
 from .graphs import POLICY_TAGS, EdgeMask, Graph, SubgraphBag
 from .optim import AdamState, TrainingError, step_from_gradients
 
@@ -48,7 +48,13 @@ __all__ = [
     "train_explainer",
 ]
 
+# top-K bag budgets, as fractions of the graph's edges
 DEFAULT_FRACTIONS = (0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75)
+# bags are drawn at temperature 1 and noise bags thresholded at 1/2
+BAG_TAU = 1.0
+BAG_THRESHOLD = 0.5
+# hidden width of the edge MLP
+MLP_WIDTH = 32
 
 
 @dataclass
@@ -71,11 +77,11 @@ class ExplainerParams:
         return ExplainerParams(*(Tensor(t.data) for t in (self.w1, self.b1, self.w2, self.b2)))
 
 
-def init_explainer(rng: np.random.Generator, hidden: int = 32, width: int = 32) -> ExplainerParams:
+def init_explainer(rng: np.random.Generator, hidden: int = 32) -> ExplainerParams:
     return ExplainerParams(
-        w1=Tensor(glorot(rng, 2 * hidden, width), requires_grad=True),
-        b1=Tensor(np.zeros(width), requires_grad=True),
-        w2=Tensor(glorot(rng, width, 1), requires_grad=True),
+        w1=Tensor(glorot(rng, 2 * hidden, MLP_WIDTH), requires_grad=True),
+        b1=Tensor(np.zeros(MLP_WIDTH), requires_grad=True),
+        w2=Tensor(glorot(rng, MLP_WIDTH, 1), requires_grad=True),
         b2=Tensor(np.zeros(1), requires_grad=True),
     )
 
@@ -87,8 +93,6 @@ class ExplainerConfig:
     lam: float = 0.1
     noise_scale: float = 1.0
     threshold: float = 0.5
-    bag_size: int = 10
-    fractions: tuple[float, ...] = DEFAULT_FRACTIONS
     epochs: int = 30
     lr: float = 3e-3
     batch_size: int = 32
@@ -102,10 +106,6 @@ class ExplainerConfig:
             raise ValueError("noise scale must be >= 0")
         if not 0.0 < self.threshold < 1.0:
             raise ValueError(f"threshold {self.threshold} outside (0, 1)")
-        if not self.fractions or list(self.fractions) != sorted(self.fractions):
-            raise ValueError("fractions must be non-empty and ascending")
-        if any(not 0.0 < f <= 1.0 for f in self.fractions):
-            raise ValueError("fractions must lie in (0, 1]")
 
     def tau_at(self, epoch: int) -> float:
         if self.epochs <= 1:
@@ -156,22 +156,7 @@ def topk_binarize(s: Tensor | np.ndarray, k: int) -> EdgeMask:
     order = np.argsort(-soft, kind="stable")
     hard = np.zeros_like(soft)
     hard[order[:k]] = 1.0
-    return EdgeMask(
-        soft=soft.copy(), hard=hard, threshold_used=float(soft[order[k - 1]]), budget=k
-    )
-
-
-def _labels_and_embeddings(
-    graphs: list[Graph], frozen: BackboneParams
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Predicted labels and per-graph last-layer node states, 256 graphs a forward."""
-    labels, z = [], []
-    for start in range(0, len(graphs), 256):
-        chunk = graphs[start : start + 256]
-        logits, h, _ = backbone_forward_batch(build_graph_batch(chunk), frozen)
-        labels.append(logits.data.argmax(axis=1))
-        z.extend(np.split(h.data, np.cumsum([g.num_nodes for g in chunk[:-1]])))
-    return np.concatenate(labels), z
+    return EdgeMask(soft=soft.copy(), hard=hard, budget=k)
 
 
 def train_explainer(
@@ -184,7 +169,9 @@ def train_explainer(
 
     Per graph the objective is cross-entropy of the masked prediction to the
     unmasked predicted label plus the normalized hard-edge count; the batch
-    loss is the mean over graphs.  Deterministic for a fixed (cfg, seed).
+    loss is the mean over graphs.  A batch without edges gives the explainer
+    no gradient and takes no optimizer step.  Deterministic for a fixed
+    (cfg, seed).
     """
     if not graphs:
         raise ValueError("empty training set")
@@ -192,7 +179,8 @@ def train_explainer(
     params = init_explainer(np.random.default_rng(seed), hidden=backbone.hidden)
     named = params.named()
     state = AdamState()
-    targets, z_cache = _labels_and_embeddings(graphs, frozen)
+    logits, z_cache = frozen_forward(graphs, backbone)
+    targets = logits.argmax(axis=1)
     history: list[dict] = []
     for epoch in range(cfg.epochs):
         tau = cfg.tau_at(epoch)
@@ -218,10 +206,10 @@ def train_explainer(
             loss = ce + sum_all(e * Tensor(weight)) * cfg.lam
             if not np.isfinite(loss.data):
                 raise TrainingError(f"non-finite explainer loss at epoch {epoch}")
-            loss.backward()
-            step_from_gradients(named, state, cfg.lr)
             losses.append(loss.item())
             if batch.num_edges:
+                loss.backward()
+                step_from_gradients(named, state, cfg.lr)
                 fractions.append(float(e.data.mean()))
         history.append(
             {
@@ -241,8 +229,8 @@ def mask_seed(*parts: int) -> int:
 
 def edge_scores(g: Graph, backbone: BackboneParams, params: ExplainerParams) -> np.ndarray:
     """Raw per-edge logits omega for one graph (no gradients, no tape)."""
-    _, h, _ = backbone_forward_batch(build_graph_batch([g]), backbone.frozen())
-    return edge_logits(h, g.edge_array(), params.frozen()).data
+    _, (z,) = frozen_forward([g], backbone)
+    return edge_logits(z, g.edge_array(), params.frozen()).data
 
 
 def generate_bag_noise(
@@ -252,8 +240,6 @@ def generate_bag_noise(
     m: int,
     noise_scale: float,
     seed: int,
-    tau: float = 1.0,
-    threshold: float = 0.5,
 ) -> SubgraphBag:
     """m independent concrete draws, thresholded into hard masks."""
     if m < 1:
@@ -262,9 +248,9 @@ def generate_bag_noise(
     masks = []
     for t in range(m):
         child = mask_seed(seed, t)
-        s = concrete_sample(omega, tau, noise_scale, child)
-        hard = hard_threshold(s, threshold).data
-        masks.append(EdgeMask(soft=s.data, hard=hard, threshold_used=threshold, seed=child))
+        s = concrete_sample(omega, BAG_TAU, noise_scale, child)
+        hard = hard_threshold(s, BAG_THRESHOLD).data
+        masks.append(EdgeMask(soft=s.data, hard=hard, seed=child))
     return SubgraphBag(base=g, masks=tuple(masks), policy_tag="EXPLAIN_NOISE")
 
 
@@ -272,17 +258,13 @@ def generate_bag_topk(
     g: Graph,
     backbone: BackboneParams,
     params: ExplainerParams,
-    fractions: tuple[float, ...] = DEFAULT_FRACTIONS,
-    tau: float = 1.0,
 ) -> SubgraphBag:
-    """One mask per fraction f with budget max(1, ceil(f * |E|)); noise-free,
-    so the masks are nested."""
-    if not fractions:
-        raise ValueError("fractions must be non-empty")
+    """One mask per fraction f of ``DEFAULT_FRACTIONS`` with budget
+    max(1, ceil(f * |E|)); noise-free, so the masks are nested."""
     omega = edge_scores(g, backbone, params)
-    s = concrete_sample(omega, tau, 0.0, 0)
+    s = concrete_sample(omega, BAG_TAU, 0.0, 0)
     masks = tuple(
-        topk_binarize(s, max(1, math.ceil(f * g.num_edges))) for f in fractions
+        topk_binarize(s, max(1, math.ceil(f * g.num_edges))) for f in DEFAULT_FRACTIONS
     )
     return SubgraphBag(base=g, masks=masks, policy_tag="EXPLAIN_TOPK")
 

@@ -8,6 +8,7 @@ block-diagonal minibatches with a graph-indicator vector for pooling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -31,10 +32,10 @@ __all__ = [
     "Prediction",
     "TrainConfig",
     "apply_gin_layer",
-    "backbone_forward",
     "backbone_forward_batch",
     "build_graph_batch",
     "evaluate_accuracy",
+    "frozen_forward",
     "glorot",
     "init_backbone",
     "init_gin_layer",
@@ -261,19 +262,29 @@ def backbone_forward_batch(
     return logits, h, pooled
 
 
-@dataclass
-class BackboneOutput:
-    node_embeddings: Tensor
-    graph_embedding: Tensor
-    logits: Tensor
+# graphs per untaped forward; bounds the activations one forward holds
+FORWARD_CHUNK = 256
 
 
-def backbone_forward(
-    g: Graph, params: BackboneParams, mask: EdgeMask | None = None
-) -> BackboneOutput:
-    batch = build_graph_batch([g], [mask] if mask is not None else None)
-    logits, h, pooled = backbone_forward_batch(batch, params)
-    return BackboneOutput(node_embeddings=h, graph_embedding=pooled, logits=logits)
+def frozen_forward(
+    graphs: list[Graph], params: BackboneParams
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Untaped logits (G, C) and each graph's last-layer node states.
+
+    Runs ``FORWARD_CHUNK`` graphs per block-diagonal forward through
+    ``params.frozen()``, so no tape is built and no ``.grad`` is touched.
+    Node states equal those of a one-graph call bit for bit; logits may
+    differ from it in the last digits.
+    """
+    frozen = params.frozen()
+    logits, states = [], []
+    for start in range(0, len(graphs), FORWARD_CHUNK):
+        chunk = graphs[start : start + FORWARD_CHUNK]
+        out, h, _ = backbone_forward_batch(build_graph_batch(chunk), frozen)
+        logits.append(out.data)
+        bounds = list(accumulate((g.num_nodes for g in chunk), initial=0))
+        states.extend(h.data[a:b] for a, b in zip(bounds, bounds[1:]))
+    return np.concatenate(logits or [np.zeros((0, params.num_classes))]), states
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -289,22 +300,17 @@ class Prediction:
 
 
 def predict(g: Graph, params: BackboneParams) -> Prediction:
-    logits = backbone_forward(g, params.frozen()).logits.data[0]
-    probs = softmax(logits)
+    logits, _ = frozen_forward([g], params)
+    probs = softmax(logits[0])
     return Prediction(label=int(np.argmax(probs)), probs=probs)
 
 
 def evaluate_accuracy(graphs: list[Graph], params: BackboneParams) -> float:
     if not graphs:
         return float("nan")
-    frozen = params.frozen()
-    correct = 0
-    for start in range(0, len(graphs), 256):
-        chunk = graphs[start : start + 256]
-        batch = build_graph_batch(chunk)
-        logits, _, _ = backbone_forward_batch(batch, frozen)
-        correct += int((logits.data.argmax(axis=1) == batch.labels).sum())
-    return correct / len(graphs)
+    logits, _ = frozen_forward(graphs, params)
+    labels = np.array([g.y for g in graphs], dtype=np.intp)
+    return int((logits.argmax(axis=1) == labels).sum()) / len(graphs)
 
 
 @dataclass

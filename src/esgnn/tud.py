@@ -102,7 +102,8 @@ def load_tud_dataset(
         counts[gid - 1] += 1
 
     edge_sets: list[set[tuple[int, int]]] = [set() for _ in range(num_graphs)]
-    pending: dict[tuple[int, int, int], int] = {}
+    # unpaired row: (graph, low, high) -> (line number, written as low, high)
+    pending: dict[tuple[int, int, int], tuple[int, bool]] = {}
     for i, j, lineno in _read_edge_lines(paths["A"]):
         if not (1 <= i <= len(indicator)) or not (1 <= j <= len(indicator)):
             raise FormatError(f"{paths['A'].name}:{lineno}: node id outside 1..{len(indicator)}")
@@ -116,14 +117,19 @@ def load_tud_dataset(
             raise FormatError(f"{paths['A'].name}:{lineno}: self-loop at node {i}")
         key = (gi, min(li, lj), max(li, lj))
         if key in pending:
-            del pending[key]
+            first, ascending = pending.pop(key)
+            if ascending == (li < lj):
+                raise FormatError(
+                    f"{paths['A'].name}:{lineno}: edge ({i}, {j}) repeats line {first}"
+                    " instead of reversing it"
+                )
             edge_sets[gi].add((key[1], key[2]))
         elif (key[1], key[2]) in edge_sets[gi]:
             raise FormatError(f"{paths['A'].name}:{lineno}: edge ({i}, {j}) appears more than twice")
         else:
-            pending[key] = lineno
+            pending[key] = (lineno, li < lj)
     if pending:
-        lineno = min(pending.values())
+        lineno = min(first for first, _ in pending.values())
         raise FormatError(f"{paths['A'].name}:{lineno}: edge without its reverse-direction row")
 
     node_labels_path = root / f"{name}_node_labels.txt"

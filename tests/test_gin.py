@@ -3,16 +3,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from esgnn import gin
 from esgnn.autodiff import Tensor, cross_entropy_mean, grad_check, spmm
 from esgnn.ba2motifs import generate_ba2motifs
 from esgnn.gin import (
     GinLayerParams,
     TrainConfig,
     apply_gin_layer,
-    backbone_forward,
     backbone_forward_batch,
     build_graph_batch,
     evaluate_accuracy,
+    frozen_forward,
     init_backbone,
     predict,
     train_backbone,
@@ -31,6 +32,11 @@ def identity_layer(dim):
         b2=Tensor(zero.copy(), requires_grad=True),
         eps=Tensor(np.asarray(0.0), requires_grad=True),
     )
+
+
+def single_graph_logits(g, params, mask=None):
+    batch = build_graph_batch([g], None if mask is None else [mask])
+    return backbone_forward_batch(batch, params)[0].data
 
 
 def wl_fingerprint(g, rounds=10):
@@ -81,9 +87,9 @@ class TestGinLayer:
 
     def test_mask_of_all_ones_is_bit_identical_to_no_mask(self, cycle6):
         params = init_backbone(np.random.default_rng(1), 1, 2, hidden=8, num_layers=2)
-        plain = backbone_forward(cycle6, params).logits.data
+        plain = single_graph_logits(cycle6, params)
         full_mask = EdgeMask.full(cycle6.num_edges)
-        masked = backbone_forward(cycle6, params, mask=full_mask).logits.data
+        masked = single_graph_logits(cycle6, params, full_mask)
         assert np.array_equal(plain, masked)
 
 
@@ -93,7 +99,7 @@ class TestBackboneForward:
         g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)],
                        x=rng.standard_normal((5, 3)))
         params = init_backbone(rng, 3, 2)
-        logits = backbone_forward(g, params).logits.data
+        logits = single_graph_logits(g, params)
         perm = rng.permutation(5)
         inv = np.empty(5, dtype=int)
         inv[perm] = np.arange(5)
@@ -102,22 +108,22 @@ class TestBackboneForward:
             [(min(perm[i], perm[j]), max(perm[i], perm[j])) for i, j in g.edges],
             x=g.x[inv],
         )
-        plogits = backbone_forward(pg, params).logits.data
+        plogits = single_graph_logits(pg, params)
         assert np.max(np.abs(logits - plogits)) < 1e-9
 
     def test_zero_params_give_zero_logits(self, triangle):
         params = init_backbone(np.random.default_rng(0), 1, 3)
         for t in params.named().values():
             t.data[...] = 0.0
-        out = backbone_forward(triangle, params).logits.data
+        out = single_graph_logits(triangle, params)
         assert np.array_equal(out, np.zeros((1, 3)))
 
     def test_c6_vs_two_triangles_indistinguishable(self, cycle6, two_triangles):
         assert wl_fingerprint(cycle6) == wl_fingerprint(two_triangles)
         for seed in range(3):
             params = init_backbone(np.random.default_rng(seed), 1, 2)
-            a = backbone_forward(cycle6, params).logits.data
-            b = backbone_forward(two_triangles, params).logits.data
+            a = single_graph_logits(cycle6, params)
+            b = single_graph_logits(two_triangles, params)
             assert np.max(np.abs(a - b)) < 1e-9
 
     def test_wl_oracle_separates_where_it_should(self, path4, star_k13):
@@ -126,7 +132,7 @@ class TestBackboneForward:
     def test_feature_dim_mismatch_raises(self, triangle):
         params = init_backbone(np.random.default_rng(0), 4, 2)
         with pytest.raises(ValueError, match="feature dim"):
-            backbone_forward(triangle, params)
+            single_graph_logits(triangle, params)
 
 
 def reference_batch(graphs, masks=None):
@@ -263,6 +269,26 @@ class TestPredict:
             g = make_graph(n, list(edges))
             pred = predict(g, params)
             assert abs(pred.probs.sum() - 1.0) <= 1e-12
+
+
+class TestFrozenForward:
+    def test_batched_states_equal_single_graph_states_and_labels_equal_predict(
+        self, monkeypatch
+    ):
+        graphs = list(generate_ba2motifs(12, seed=2).graphs) + [make_graph(3, [])]
+        params = init_backbone(np.random.default_rng(3), 1, 2, hidden=8, num_layers=3)
+        monkeypatch.setattr(gin, "FORWARD_CHUNK", 5)  # three chunks: 5, 5, 3 graphs
+        logits, states = frozen_forward(graphs, params)
+        assert logits.shape == (13, 2) and len(states) == 13
+        for g, z in zip(graphs, states):
+            (single,) = frozen_forward([g], params)[1]
+            assert z.shape == (g.num_nodes, 8) and np.array_equal(z, single)
+        assert logits.argmax(axis=1).tolist() == [predict(g, params).label for g in graphs]
+
+    def test_empty_list(self):
+        params = init_backbone(np.random.default_rng(0), 1, 3)
+        logits, states = frozen_forward([], params)
+        assert logits.shape == (0, 3) and states == []
 
 
 class TestTraining:

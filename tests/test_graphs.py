@@ -232,3 +232,16 @@ def test_shapes_preserved_under_all_policies(path4):
 
 def test_degrees_helper(star_k13):
     assert degrees(star_k13).tolist() == [3, 1, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "n, edges", [(0, []), (3, []), (5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)])]
+)
+def test_degrees_match_an_edge_loop(n, edges):
+    g = make_graph(n, edges)
+    expected = np.zeros(n, dtype=np.intp)
+    for i, j in g.edges:
+        expected[i] += 1
+        expected[j] += 1
+    got = degrees(g)
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)

@@ -1,5 +1,6 @@
-"""Every exported name and every declared console script resolves."""
+"""Every exported name resolves and has a caller; every console script resolves."""
 
+import ast
 import importlib
 import pkgutil
 from pathlib import Path
@@ -9,7 +10,21 @@ import pytest
 import esgnn
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(esgnn.__path__, "esgnn."))
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
+# program code whose references count as callers; tests do not
+CALLER_FILES = [*(ROOT / "src" / "esgnn").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+
+# exported names with no caller in the program yet, and why they stay
+UNCALLED_EXPORTS = {
+    "grad_check": "test oracle for every autodiff op",
+    "softmax_cross_entropy": "test oracle for cross_entropy_mean",
+    "save_params": "checkpoints for the planned run records and CLI",
+    "load_params": "checkpoints for the planned run records and CLI",
+    "policy_edge_deleted": "ED baseline for the planned bag classifier",
+    "policy_node_deleted": "ND baseline for the planned bag classifier",
+    "sample_bag": "equal-size bag baselines for the planned bag classifier",
+}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -17,6 +32,34 @@ def test_every_name_in_all_resolves(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def referenced_names(path: Path) -> set[str]:
+    """Names loaded or read as attributes, except inside the statement that defines them."""
+    names = set()
+    for stmt in ast.parse(path.read_text()).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined = {stmt.name}
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            defined = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        else:
+            defined = set()
+        used = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+        names |= used - defined
+    return names
+
+
+def test_every_exported_name_has_a_caller():
+    referenced = set().union(*(referenced_names(p) for p in CALLER_FILES))
+    exported = {n for m in MODULES for n in getattr(importlib.import_module(m), "__all__", ())}
+    assert sorted(exported - referenced - UNCALLED_EXPORTS.keys()) == []
+    assert sorted(UNCALLED_EXPORTS.keys() & referenced) == []
 
 
 def test_project_scripts_import():

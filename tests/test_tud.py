@@ -64,6 +64,12 @@ class TestLoader:
         with pytest.raises(FormatError, match="reverse"):
             load_tud_dataset(tmp_path, "FIX")
 
+    def test_same_direction_row_twice_rejected_at_its_second_line(self, tmp_path):
+        write_fixture(tmp_path)
+        (tmp_path / "FIX_A.txt").write_text("1, 2\n2, 1\n2, 3\n2, 3\n")
+        with pytest.raises(FormatError, match="FIX_A.txt:4: edge \\(2, 3\\) repeats line 3"):
+            load_tud_dataset(tmp_path, "FIX")
+
     def test_out_of_range_node_reports_line(self, tmp_path):
         write_fixture(tmp_path)
         (tmp_path / "FIX_A.txt").write_text("1, 9\n")
