@@ -22,8 +22,6 @@ __all__ = [
     "PolicyError",
     "SubgraphBag",
     "constant_features",
-    "degree_features",
-    "degrees",
     "policy_edge_deleted",
     "policy_node_deleted",
     "sample_bag",
@@ -104,13 +102,6 @@ class Graph:
             arr.flags.writeable = False
             object.__setattr__(self, "_edge_array", arr)
         return arr
-
-
-def degrees(g: Graph) -> np.ndarray:
-    # a throwaway array, not edge_array(): load_tud_dataset calls this on graphs
-    # it then discards, and caching an array on each of them made the bag
-    # generation that follows a load 5-10% slower
-    return np.bincount(np.array(g.edges, dtype=np.intp).reshape(-1), minlength=g.num_nodes)
 
 
 @dataclass(frozen=True)
@@ -233,16 +224,6 @@ def sample_bag(bag: SubgraphBag, fraction: float, seed) -> SubgraphBag:
         masks=tuple(bag.masks[int(i)] for i in chosen),
         policy_tag=bag.policy_tag,
     )
-
-
-def degree_features(g: Graph, cap: int) -> np.ndarray:
-    """Row v = one-hot of min(deg(v), cap) in dimension cap + 1."""
-    if cap < 1:
-        raise ValueError(f"cap {cap} must be >= 1")
-    idx = np.minimum(degrees(g), cap)
-    out = np.zeros((g.num_nodes, cap + 1))
-    out[np.arange(g.num_nodes), idx] = 1.0
-    return out
 
 
 def constant_features(num_nodes: int) -> np.ndarray:

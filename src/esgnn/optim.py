@@ -6,7 +6,7 @@ import numpy as np
 
 from .autodiff import Tensor
 
-__all__ = ["AdamState", "TrainingError", "adam_update"]
+__all__ = ["AdamState", "TrainingError", "adam_update", "step_from_gradients"]
 
 
 class TrainingError(RuntimeError):

@@ -8,25 +8,25 @@ Files for dataset NAME inside a directory:
   NAME_motif_edges.json    ground-truth edge indices per graph (optional,
                            written for synthetic data)
 
-Edge rows are expected directed-duplicated; the pair (i, j)/(j, i) is merged
-into one undirected edge, and a row without its reverse is rejected.
+Blank lines are skipped, and the line numbers in errors count them.  The
+indicator need not be contiguous: a graph's local node ids follow its nodes'
+global order.
+
+Pairing rule for NAME_A.txt: every directed row (i, j) appears exactly once,
+and so does its reverse (j, i).  Each such pair is one undirected edge, and
+both of its nodes belong to the same graph.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
+from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
 
-from .graphs import (
-    FeatureSpec,
-    Graph,
-    GraphDataset,
-    constant_features,
-    degree_features,
-    degrees,
-)
+from .graphs import FeatureSpec, Graph, GraphDataset
 
 __all__ = ["FormatError", "IngestionError", "load_tud_dataset", "write_tud_dataset"]
 
@@ -39,34 +39,65 @@ class FormatError(ValueError):
     """A dataset file has malformed or inconsistent content."""
 
 
-def _read_int_lines(path: Path) -> list[int]:
-    out = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            out.append(int(line))
-        except ValueError:
-            raise FormatError(f"{path.name}:{lineno}: expected an integer, got '{line}'") from None
-    return out
-
-
-def _read_edge_lines(path: Path) -> list[tuple[int, int, int]]:
-    out = []
+def _read_rows(path: Path, width: int) -> tuple[np.ndarray, array]:
+    """The non-blank lines of `path` as an (R, width) int64 array of
+    comma-separated integers, plus each row's 1-based physical line number."""
+    shape, numbers = ("an integer",) * 2 if width == 1 else ("'i, j'", "integers")
+    values, lines = array("q"), array("q")
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         parts = line.split(",")
-        if len(parts) != 2:
-            raise FormatError(f"{path.name}:{lineno}: expected 'i, j', got '{line}'")
+        if len(parts) != width:
+            raise FormatError(f"{path.name}:{lineno}: expected {shape}, got '{line}'")
         try:
-            i, j = int(parts[0]), int(parts[1])
+            values.extend(map(int, parts))
         except ValueError:
-            raise FormatError(f"{path.name}:{lineno}: expected integers, got '{line}'") from None
-        out.append((i, j, lineno))
-    return out
+            raise FormatError(f"{path.name}:{lineno}: expected {numbers}, got '{line}'") from None
+        except OverflowError:
+            raise FormatError(f"{path.name}:{lineno}: '{line}' does not fit in 64 bits") from None
+        lines.append(lineno)
+    return np.frombuffer(values, dtype=np.int64).reshape(-1, width), lines
+
+
+def _pair_edges(path: Path, graph_of: np.ndarray) -> np.ndarray:
+    """The undirected edges of `path` under the pairing rule, as an (E, 2)
+    array of 0-based global node ids (i, j) with i < j, in file order."""
+    rows, lines = _read_rows(path, 2)
+    n = len(graph_of)
+    bad = np.flatnonzero(((rows < 1) | (rows > n)).any(axis=1))
+    if bad.size:
+        raise FormatError(f"{path.name}:{lines[bad[0]]}: node id outside 1..{n}")
+    i, j = rows[:, 0] - 1, rows[:, 1] - 1
+    bad = np.flatnonzero(graph_of[i] != graph_of[j])
+    if bad.size:
+        r = bad[0]
+        raise FormatError(
+            f"{path.name}:{lines[r]}: edge ({i[r] + 1}, {j[r] + 1}) crosses graphs"
+            f" {graph_of[i[r]] + 1} and {graph_of[j[r]] + 1}"
+        )
+    bad = np.flatnonzero(i == j)
+    if bad.size:
+        raise FormatError(f"{path.name}:{lines[bad[0]]}: self-loop at node {i[bad[0]] + 1}")
+    key = i * n + j
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    repeats = order[1:][ordered[1:] == ordered[:-1]]
+    if repeats.size:
+        r = repeats.min()
+        first = np.flatnonzero(key == key[r])[0]
+        raise FormatError(
+            f"{path.name}:{lines[r]}: edge ({i[r] + 1}, {j[r] + 1}) repeats line {lines[first]}"
+            " instead of reversing it"
+        )
+    reverse = j * n + i
+    found = np.searchsorted(ordered, reverse)
+    unpaired = np.flatnonzero(ordered[np.minimum(found, len(key) - 1)] != reverse)
+    if unpaired.size:
+        r = unpaired[0]
+        raise FormatError(f"{path.name}:{lines[r]}: edge without its reverse-direction row")
+    return rows[i < j] - 1
 
 
 def load_tud_dataset(
@@ -88,128 +119,96 @@ def load_tud_dataset(
         if not p.exists():
             raise IngestionError(f"missing mandatory file {p.name} in {root}")
 
-    indicator = _read_int_lines(paths["indicator"])
-    graph_labels = _read_int_lines(paths["labels"])
-    num_graphs = len(graph_labels)
-    if indicator and (min(indicator) < 1 or max(indicator) > num_graphs):
+    indicator = _read_rows(paths["indicator"], 1)[0][:, 0]
+    graph_labels = _read_rows(paths["labels"], 1)[0][:, 0]
+    num_graphs, num_nodes = len(graph_labels), len(indicator)
+    if num_nodes and (indicator.min() < 1 or indicator.max() > num_graphs):
         raise FormatError(f"{paths['indicator'].name}: graph id outside 1..{num_graphs}")
+    graph_of = indicator - 1
+    # by_graph lists the nodes graph by graph, each graph's in global order
+    by_graph = np.argsort(graph_of, kind="stable")
+    nodes_per_graph = np.bincount(graph_of, minlength=num_graphs)
+    node_at = np.concatenate(([0], np.cumsum(nodes_per_graph)))
+    local = np.empty(num_nodes, dtype=np.int64)
+    local[by_graph] = np.arange(num_nodes) - np.repeat(node_at[:-1], nodes_per_graph)
 
-    # global 1-based node id -> (graph index, local 0-based node id)
-    counts = [0] * num_graphs
-    local_of = []
-    for gid in indicator:
-        local_of.append((gid - 1, counts[gid - 1]))
-        counts[gid - 1] += 1
-
-    edge_sets: list[set[tuple[int, int]]] = [set() for _ in range(num_graphs)]
-    # unpaired row: (graph, low, high) -> (line number, written as low, high)
-    pending: dict[tuple[int, int, int], tuple[int, bool]] = {}
-    for i, j, lineno in _read_edge_lines(paths["A"]):
-        if not (1 <= i <= len(indicator)) or not (1 <= j <= len(indicator)):
-            raise FormatError(f"{paths['A'].name}:{lineno}: node id outside 1..{len(indicator)}")
-        gi, li = local_of[i - 1]
-        gj, lj = local_of[j - 1]
-        if gi != gj:
-            raise FormatError(
-                f"{paths['A'].name}:{lineno}: edge ({i}, {j}) crosses graphs {gi + 1} and {gj + 1}"
-            )
-        if li == lj:
-            raise FormatError(f"{paths['A'].name}:{lineno}: self-loop at node {i}")
-        key = (gi, min(li, lj), max(li, lj))
-        if key in pending:
-            first, ascending = pending.pop(key)
-            if ascending == (li < lj):
-                raise FormatError(
-                    f"{paths['A'].name}:{lineno}: edge ({i}, {j}) repeats line {first}"
-                    " instead of reversing it"
-                )
-            edge_sets[gi].add((key[1], key[2]))
-        elif (key[1], key[2]) in edge_sets[gi]:
-            raise FormatError(f"{paths['A'].name}:{lineno}: edge ({i}, {j}) appears more than twice")
-        else:
-            pending[key] = (lineno, li < lj)
-    if pending:
-        lineno = min(first for first, _ in pending.values())
-        raise FormatError(f"{paths['A'].name}:{lineno}: edge without its reverse-direction row")
+    pairs = _pair_edges(paths["A"], graph_of)
+    edge_graph = graph_of[pairs[:, 0]]
+    edges = local[pairs]
+    edges = edges[np.lexsort((edges[:, 1], edges[:, 0], edge_graph))]
 
     node_labels_path = root / f"{name}_node_labels.txt"
-    node_labels = _read_int_lines(node_labels_path) if node_labels_path.exists() else None
-    if node_labels is not None and len(node_labels) != len(indicator):
-        raise FormatError(
-            f"{node_labels_path.name}: {len(node_labels)} labels for {len(indicator)} nodes"
-        )
+    node_labels = None
+    if node_labels_path.exists():
+        node_labels = _read_rows(node_labels_path, 1)[0][:, 0]
+        if len(node_labels) != num_nodes:
+            raise FormatError(
+                f"{node_labels_path.name}: {len(node_labels)} labels for {num_nodes} nodes"
+            )
 
     motif_path = root / f"{name}_motif_edges.json"
-    motif_edges = json.loads(motif_path.read_text()) if motif_path.exists() else None
-
-    label_map = {lab: k for k, lab in enumerate(sorted(set(graph_labels)))}
-
-    per_graph_node_labels: list[list[int]] = [[] for _ in range(num_graphs)]
-    if node_labels is not None:
-        for (gid, _), lab in zip(local_of, node_labels):
-            per_graph_node_labels[gid].append(lab)
-
-    bare = []
-    for gid in range(num_graphs):
-        n = counts[gid]
-        edges = tuple(sorted(edge_sets[gid]))
-        motif = frozenset(motif_edges[gid]) if motif_edges and motif_edges[gid] else None
-        if motif and not all(0 <= k < len(edges) for k in motif):
+    motifs = [None] * num_graphs
+    if motif_path.exists():
+        try:
+            motifs = json.loads(motif_path.read_text())
+        except json.JSONDecodeError as e:
+            raise FormatError(f"{motif_path.name}:{e.lineno}: {e.msg}") from None
+        if not (
+            isinstance(motifs, list)
+            and len(motifs) == num_graphs
+            and all(isinstance(m, list) and all(type(k) is int for k in m) for m in motifs)
+        ):
             raise FormatError(
-                f"{motif_path.name}: graph {gid + 1} lists motif edges {sorted(motif)}"
-                f" outside 0..{len(edges) - 1}"
+                f"{motif_path.name}: expected a list of {num_graphs} edge-index lists,"
+                " one per graph"
             )
-        nl = tuple(per_graph_node_labels[gid]) if node_labels is not None else None
-        bare.append(
-            Graph(
-                num_nodes=n,
-                edges=edges,
-                x=constant_features(n),
-                y=label_map[graph_labels[gid]],
-                node_labels=nl,
-                ground_truth_motif_edges=motif,
-            )
-        )
 
+    classes, y = np.unique(graph_labels, return_inverse=True)
+    degrees = np.bincount(pairs.reshape(-1), minlength=num_nodes)
     if feature_spec is None:
         if node_labels is not None:
             feature_spec = FeatureSpec("node_labels")
         else:
-            max_deg = max(
-                (int(degrees(g).max()) if g.num_nodes else 0 for g in bare), default=0
-            )
-            feature_spec = FeatureSpec("degree", cap=max(1, max_deg))
+            feature_spec = FeatureSpec("degree", cap=max(1, int(degrees.max(initial=0))))
 
-    if feature_spec.kind == "node_labels":
-        if node_labels is None:
-            raise IngestionError(f"missing mandatory file {node_labels_path.name} in {root}")
-        distinct = sorted(set(node_labels))
-        index = {lab: k for k, lab in enumerate(distinct)}
-        def features(g: Graph) -> np.ndarray:
-            x = np.zeros((g.num_nodes, len(distinct)))
-            for v, lab in enumerate(g.node_labels):
-                x[v, index[lab]] = 1.0
-            return x
-    elif feature_spec.kind == "degree":
-        def features(g: Graph) -> np.ndarray:
-            return degree_features(g, feature_spec.cap)
+    if feature_spec.kind == "constant":
+        x = np.ones((num_nodes, 1))
     else:
-        def features(g: Graph) -> np.ndarray:
-            return constant_features(g.num_nodes)
+        if feature_spec.kind == "node_labels":
+            if node_labels is None:
+                raise IngestionError(f"missing mandatory file {node_labels_path.name} in {root}")
+            distinct, column = np.unique(node_labels, return_inverse=True)
+            width = len(distinct)
+        else:
+            column, width = np.minimum(degrees, feature_spec.cap), feature_spec.cap + 1
+        x = np.zeros((num_nodes, width))
+        x[np.arange(num_nodes), column] = 1.0
+    x = x[by_graph]
+    if node_labels is not None:
+        node_labels = node_labels[by_graph].tolist()
 
-    graphs = tuple(
-        Graph(
-            num_nodes=g.num_nodes,
-            edges=g.edges,
-            x=features(g),
-            y=g.y,
-            node_labels=g.node_labels,
-            ground_truth_motif_edges=g.ground_truth_motif_edges,
+    edge_at = np.concatenate(([0], np.cumsum(np.bincount(edge_graph, minlength=num_graphs))))
+    graphs = []
+    bounds = zip(pairwise(node_at.tolist()), pairwise(edge_at.tolist()))
+    for gid, ((n0, n1), (e0, e1)) in enumerate(bounds):
+        motif = frozenset(motifs[gid]) if motifs[gid] else None
+        if motif and not all(0 <= k < e1 - e0 for k in motif):
+            raise FormatError(
+                f"{motif_path.name}: graph {gid + 1} lists motif edges {sorted(motif)}"
+                f" outside 0..{e1 - e0 - 1}"
+            )
+        graphs.append(
+            Graph(
+                num_nodes=n1 - n0,
+                edges=tuple(map(tuple, edges[e0:e1].tolist())),
+                x=x[n0:n1],
+                y=int(y[gid]),
+                node_labels=None if node_labels is None else tuple(node_labels[n0:n1]),
+                ground_truth_motif_edges=motif,
+            )
         )
-        for g in bare
-    )
     return GraphDataset(
-        graphs=graphs, num_classes=len(label_map), name=name, feature_spec=feature_spec
+        graphs=tuple(graphs), num_classes=len(classes), name=name, feature_spec=feature_spec
     )
 
 

@@ -11,15 +11,22 @@ from esgnn.graphs import (
     EdgeMask,
     FeatureSpec,
     Graph,
+    GraphDataset,
     PolicyError,
     constant_features,
-    degree_features,
-    degrees,
     policy_edge_deleted,
     policy_node_deleted,
     sample_bag,
 )
+from esgnn.tud import load_tud_dataset, write_tud_dataset
 from tests.conftest import make_graph
+
+
+def degree_features(g, cap, root):
+    """The degree features of `g` after a TU round trip, one-hot of min(deg, cap)."""
+    ds = GraphDataset(graphs=(g,), num_classes=1, name="G", feature_spec=FeatureSpec("constant"))
+    write_tud_dataset(ds, root)
+    return load_tud_dataset(root, "G", FeatureSpec("degree", cap)).graphs[0].x
 
 
 class TestGraphInvariants:
@@ -156,18 +163,18 @@ class TestSampleBag:
 
 
 class TestDegreeFeatures:
-    def test_triangle_all_degree_two(self, triangle):
-        x = degree_features(triangle, cap=3)
+    def test_triangle_all_degree_two(self, triangle, tmp_path):
+        x = degree_features(triangle, 3, tmp_path)
         assert np.array_equal(x.argmax(axis=1), [2, 2, 2])
         assert x.shape == (3, 4)
 
-    def test_isolated_node(self):
-        x = degree_features(make_graph(1, []), cap=2)
+    def test_isolated_node(self, tmp_path):
+        x = degree_features(make_graph(1, []), 2, tmp_path)
         assert np.array_equal(x[0], [1.0, 0.0, 0.0])
 
-    def test_cap_clamps(self):
+    def test_cap_clamps(self, tmp_path):
         center_star = make_graph(6, [(0, k) for k in range(1, 6)])
-        x = degree_features(center_star, cap=3)
+        x = degree_features(center_star, 3, tmp_path)
         assert x[0].argmax() == 3
 
 
@@ -230,18 +237,19 @@ def test_shapes_preserved_under_all_policies(path4):
             assert mask.hard.shape == (path4.num_edges,)
 
 
-def test_degrees_helper(star_k13):
-    assert degrees(star_k13).tolist() == [3, 1, 1, 1]
+def test_degrees_helper(star_k13, tmp_path):
+    assert degree_features(star_k13, 3, tmp_path).argmax(axis=1).tolist() == [3, 1, 1, 1]
 
 
 @pytest.mark.parametrize(
     "n, edges", [(0, []), (3, []), (5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)])]
 )
-def test_degrees_match_an_edge_loop(n, edges):
+def test_degrees_match_an_edge_loop(n, edges, tmp_path):
     g = make_graph(n, edges)
     expected = np.zeros(n, dtype=np.intp)
     for i, j in g.edges:
         expected[i] += 1
         expected[j] += 1
-    got = degrees(g)
-    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    cap = max(1, n)  # no degree reaches the cap
+    got = degree_features(g, cap, tmp_path)
+    assert got.dtype == np.float64 and np.array_equal(got, np.eye(cap + 1)[expected])

@@ -1,8 +1,14 @@
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esgnn.ba2motifs import generate_ba2motifs
-from esgnn.graphs import FeatureSpec
+from esgnn.graphs import FeatureSpec, Graph, GraphDataset, constant_features
 from esgnn.tud import FormatError, IngestionError, load_tud_dataset, write_tud_dataset
 
 
@@ -109,3 +115,241 @@ class TestRoundTrip:
             assert g1.edges == g2.edges
             assert g1.y == g2.y
             assert g1.ground_truth_motif_edges == g2.ground_truth_motif_edges
+
+
+def load_with(tmp_path, **files):
+    """Load the fixture with some of its files replaced (key = file suffix)."""
+    write_fixture(tmp_path)
+    for suffix, text in files.items():
+        (tmp_path / f"FIX_{suffix}").write_text(text)
+    return load_tud_dataset(tmp_path, "FIX")
+
+
+class TestBoundary:
+    """Each single-fault input fails with the file and, where there is one, the line."""
+
+    @pytest.mark.parametrize(
+        "suffix, text, message",
+        [
+            ("A.txt", "1, 2\n2, 1\n2, x\n", "FIX_A.txt:3: expected integers, got '2, x'"),
+            ("A.txt", "1, 2\n2, 1\n2 3\n", "FIX_A.txt:3: expected 'i, j', got '2 3'"),
+            ("A.txt", "1, 2\n2, 1\n2, 3, 4\n", "FIX_A.txt:3: expected 'i, j', got '2, 3, 4'"),
+            (
+                "graph_indicator.txt",
+                "1\n1\none\n2\n2\n",
+                "FIX_graph_indicator.txt:3: expected an integer, got 'one'",
+            ),
+            (
+                "graph_labels.txt",
+                "1\n1.5\n",
+                "FIX_graph_labels.txt:2: expected an integer, got '1.5'",
+            ),
+            (
+                "node_labels.txt",
+                "0\n1\n0\n2\n2, 0\n",
+                "FIX_node_labels.txt:5: expected an integer, got '2, 0'",
+            ),
+        ],
+    )
+    def test_malformed_line(self, tmp_path, suffix, text, message):
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_with(tmp_path, **{suffix: text})
+
+    def test_integer_beyond_64_bits_names_its_line(self, tmp_path):
+        message = "FIX_graph_labels.txt:2: '18446744073709551616' does not fit in 64 bits"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_with(tmp_path, **{"graph_labels.txt": "1\n18446744073709551616\n"})
+
+    def test_self_loop_row(self, tmp_path):
+        with pytest.raises(FormatError, match=re.escape("FIX_A.txt:3: self-loop at node 3")):
+            load_with(tmp_path, **{"A.txt": "1, 2\n2, 1\n3, 3\n"})
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("1, 2\n2, 1\n1, 2\n", "FIX_A.txt:3: edge (1, 2) "),  # the pair plus a third row
+            ("4, 5\n4, 5\n4, 5\n", "FIX_A.txt:2: edge (4, 5) repeats line 1"),  # one row, thrice
+        ],
+    )
+    def test_row_seen_three_times(self, tmp_path, text, where):
+        with pytest.raises(FormatError, match=re.escape(where)):
+            load_with(tmp_path, **{"A.txt": text})
+
+    @pytest.mark.parametrize("text", ["1\n1\n1\n2\n3\n", "0\n1\n1\n2\n2\n"])
+    def test_indicator_graph_id_out_of_range(self, tmp_path, text):
+        message = "FIX_graph_indicator.txt: graph id outside 1..2"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_with(tmp_path, **{"graph_indicator.txt": text})
+
+    def test_node_label_count_mismatch(self, tmp_path):
+        message = "FIX_node_labels.txt: 4 labels for 5 nodes"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_with(tmp_path, **{"node_labels.txt": "0\n1\n0\n2\n"})
+
+    def test_node_label_features_need_the_node_label_file(self, tmp_path):
+        write_fixture(tmp_path, node_labels=False)
+        with pytest.raises(IngestionError, match="missing mandatory file FIX_node_labels.txt"):
+            load_tud_dataset(tmp_path, "FIX", FeatureSpec("node_labels"))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1, 2\n\n2, 1\n\n2, x\n", "FIX_A.txt:5: expected integers, got '2, x'"),
+            ("\n1, 2\n2, 1\n\n2, 3\n", "FIX_A.txt:5: edge without its reverse-direction row"),
+            ("\n\n1, 4\n4, 1\n", "FIX_A.txt:3: edge (1, 4) crosses graphs 1 and 2"),
+            ("1, 2\n\n\n1, 9\n", "FIX_A.txt:4: node id outside 1..5"),
+            ("\n2, 3\n\n2, 3\n", "FIX_A.txt:4: edge (2, 3) repeats line 2"),
+        ],
+    )
+    def test_errors_after_blank_lines_name_the_physical_line(self, tmp_path, text, message):
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_with(tmp_path, **{"A.txt": text})
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        ds = load_with(
+            tmp_path,
+            **{
+                "A.txt": "\n1, 2\n2, 1\n\n2, 3\n3, 2\n1, 3\n3, 1\n4, 5\n5, 4\n\n",
+                "graph_indicator.txt": "1\n1\n\n1\n2\n2\n\n",
+            },
+        )
+        assert [g.edges for g in ds.graphs] == [((0, 1), (0, 2), (1, 2)), ((0, 1),)]
+
+    def test_interleaved_indicator_loads_the_contiguous_graphs(self, tmp_path):
+        contiguous = load_tud_dataset(write_fixture(tmp_path / "a"), "FIX")
+        # graph 1 holds global nodes 1, 3, 5 and graph 2 nodes 2, 4; local order is kept
+        interleaved = load_with(
+            tmp_path / "b",
+            **{
+                "A.txt": "1, 3\n3, 1\n3, 5\n5, 3\n1, 5\n5, 1\n2, 4\n4, 2\n",
+                "graph_indicator.txt": "1\n2\n1\n2\n1\n",
+                "node_labels.txt": "0\n2\n1\n2\n0\n",
+            },
+        )
+        assert interleaved.feature_spec == contiguous.feature_spec
+        for g1, g2 in zip(contiguous.graphs, interleaved.graphs, strict=True):
+            assert (g1.num_nodes, g1.edges, g1.y, g1.node_labels) == (
+                g2.num_nodes,
+                g2.edges,
+                g2.y,
+                g2.node_labels,
+            )
+            assert np.array_equal(g1.x, g2.x)
+
+    def test_empty_edge_file_gives_edgeless_graphs(self, tmp_path):
+        write_fixture(tmp_path, node_labels=False)
+        (tmp_path / "FIX_A.txt").write_text("")
+        ds = load_tud_dataset(tmp_path, "FIX")
+        assert [(g.num_nodes, g.edges) for g in ds.graphs] == [(3, ()), (2, ())]
+        assert ds.feature_spec == FeatureSpec("degree", cap=1)
+        assert all(np.array_equal(g.x, np.eye(2)[[0] * g.num_nodes]) for g in ds.graphs)
+
+    @pytest.mark.parametrize("text", ["[[0]]", '{"1": [0], "2": []}', "[1, 2]", '[["0"], []]'])
+    def test_motif_file_must_list_one_entry_per_graph(self, tmp_path, text):
+        with pytest.raises(FormatError, match="FIX_motif_edges.json: expected a list of 2"):
+            load_with(tmp_path, **{"motif_edges.json": text})
+
+    def test_motif_file_that_is_not_json_names_its_line(self, tmp_path):
+        with pytest.raises(FormatError, match="FIX_motif_edges.json:2: "):
+            load_with(tmp_path, **{"motif_edges.json": "[[0],\n []"})
+
+
+@st.composite
+def datasets(draw):
+    """Up to five graphs of 0-6 nodes, some edgeless, with optional node labels and motifs."""
+    with_node_labels = draw(st.booleans())
+    graphs = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(0, 6))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        edges = tuple(e for e, k in zip(pairs, keep) if k)
+        motif = None
+        if edges and draw(st.booleans()):
+            motif = frozenset(draw(st.sets(st.integers(0, len(edges) - 1), min_size=1)))
+        labels = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+        graphs.append(
+            Graph(
+                num_nodes=n,
+                edges=edges,
+                x=constant_features(n),
+                y=draw(st.integers(0, 2)),
+                node_labels=tuple(draw(labels)) if with_node_labels else None,
+                ground_truth_motif_edges=motif,
+            )
+        )
+    return GraphDataset(
+        graphs=tuple(graphs), num_classes=3, name="H", feature_spec=FeatureSpec("constant")
+    )
+
+
+def shuffle_nodes(root, name, order, row_order):
+    """Interleave the graphs' nodes in the indicator (keeping each graph's node
+    order) and reorder the edge rows; the files then describe the same graphs."""
+    indicator = (root / f"{name}_graph_indicator.txt").read_text().split()
+    shuffled = [indicator[k] for k in order]
+    old_ids = {g: [v for v, h in enumerate(indicator) if h == g] for g in set(indicator)}
+    new_ids = {g: [v for v, h in enumerate(shuffled) if h == g] for g in set(indicator)}
+    new_of = {}
+    for g in old_ids:
+        new_of.update(zip(old_ids[g], new_ids[g]))
+    (root / f"{name}_graph_indicator.txt").write_text("\n".join(shuffled) + "\n")
+    rows = (root / f"{name}_A.txt").read_text().split("\n")[:-1]
+    rows = [rows[k] for k in row_order]
+    moved = [", ".join(str(new_of[int(v) - 1] + 1) for v in row.split(",")) for row in rows]
+    (root / f"{name}_A.txt").write_text("\n".join(moved) + "\n")
+    labels_path = root / f"{name}_node_labels.txt"
+    if labels_path.exists():
+        labels = labels_path.read_text().split()
+        new_labels = [None] * len(labels)
+        for v, label in enumerate(labels):
+            new_labels[new_of[v]] = label
+        labels_path.write_text("\n".join(new_labels) + "\n")
+
+
+def expected_x(g, spec, distinct_labels):
+    """Per-node reference features, built with loops."""
+    if spec.kind == "constant":
+        return np.ones((g.num_nodes, 1))
+    if spec.kind == "node_labels":
+        x = np.zeros((g.num_nodes, len(distinct_labels)))
+        for v, label in enumerate(g.node_labels):
+            x[v, distinct_labels.index(label)] = 1.0
+        return x
+    x = np.zeros((g.num_nodes, spec.cap + 1))
+    for v in range(g.num_nodes):
+        x[v, min(sum(v in e for e in g.edges), spec.cap)] = 1.0
+    return x
+
+
+@settings(max_examples=40, deadline=None)
+@given(ds=datasets(), cap=st.integers(1, 4), data=st.data())
+def test_round_trip_with_a_shuffled_indicator(ds, cap, data):
+    total = sum(g.num_nodes for g in ds.graphs)
+    order = data.draw(st.permutations(range(total)))
+    row_order = data.draw(st.permutations(range(2 * sum(g.num_edges for g in ds.graphs))))
+    with_node_labels = ds.graphs[0].node_labels is not None
+    degrees = [sum(v in e for e in g.edges) for g in ds.graphs for v in range(g.num_nodes)]
+    if with_node_labels:
+        default = FeatureSpec("node_labels")
+    else:
+        default = FeatureSpec("degree", max(1, max(degrees, default=0)))
+    specs = [(None, default), (FeatureSpec("constant"),) * 2, (FeatureSpec("degree", cap),) * 2]
+    if with_node_labels:
+        specs.append((FeatureSpec("node_labels"),) * 2)
+    distinct_labels = sorted({label for g in ds.graphs for label in g.node_labels or ()})
+    classes = sorted({g.y for g in ds.graphs})
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        write_tud_dataset(ds, root)
+        shuffle_nodes(root, ds.name, order, row_order)
+        for asked, spec in specs:
+            back = load_tud_dataset(root, ds.name, asked)
+            assert back.feature_spec == spec and back.num_classes == len(classes)
+            for g1, g2 in zip(ds.graphs, back.graphs, strict=True):
+                assert g2.num_nodes == g1.num_nodes and g2.edges == g1.edges
+                assert g2.node_labels == g1.node_labels
+                assert g2.ground_truth_motif_edges == g1.ground_truth_motif_edges
+                assert g2.y == classes.index(g1.y)
+                want = expected_x(g1, spec, distinct_labels)
+                assert g2.x.shape == want.shape and np.array_equal(g2.x, want)
