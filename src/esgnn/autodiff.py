@@ -29,6 +29,7 @@ __all__ = [
     "DimensionError",
     "Tensor",
     "SparseMatrix",
+    "WeightedSparse",
     "add",
     "concat_cols",
     "cross_entropy_mean",
@@ -237,7 +238,19 @@ def linear(x, w, b) -> Tensor:
         raise DimensionError(f"linear: shapes {x.data.shape} and {w.data.shape}")
     if b.data.shape != (w.data.shape[1],):
         raise DimensionError(f"linear: bias {b.data.shape} vs weight {w.data.shape}")
-    return add(matmul(x, w), b)
+    # bit-identical to add(matmul(x, w), b), without the second taped op
+    data = x.data @ w.data
+    data += b.data
+
+    def _bp(grad):
+        if x.requires_grad:
+            x.grad += grad @ w.data.T
+        if w.requires_grad:
+            w.grad += x.data.T @ grad
+        if b.requires_grad:
+            b.grad += grad.sum(axis=0)
+
+    return _record(data, (x, w, b), _bp)
 
 
 def relu(x) -> Tensor:
@@ -303,15 +316,34 @@ def gather_rows(x, index) -> Tensor:
 
 
 def segment_sum(x, segment_ids, num_segments: int) -> Tensor:
-    """Sum rows of x into num_segments buckets given per-row segment ids."""
+    """Sum rows of x into num_segments buckets given per-row segment ids.
+
+    One product with a (num_segments, rows) CSR of ones whose row s lists
+    the rows of segment s in their original order, so every bucket adds its
+    rows in the same order as ``np.add.at`` and the sums are bit-identical.
+    """
     x = _lift(x)
     segment_ids = np.asarray(segment_ids, dtype=np.intp)
-    if segment_ids.shape != (x.data.shape[0],):
+    if x.data.ndim not in (1, 2) or segment_ids.shape != (x.data.shape[0],):
         raise DimensionError(
             f"segment_sum: ids {segment_ids.shape} vs rows {x.data.shape}"
         )
-    data = np.zeros((num_segments,) + x.data.shape[1:])
-    np.add.at(data, segment_ids, x.data)
+    if segment_ids.size and (segment_ids.min() < 0 or segment_ids.max() >= num_segments):
+        bad = segment_ids[(segment_ids < 0) | (segment_ids >= num_segments)][0]
+        raise DimensionError(
+            f"segment_sum: segment id {bad} outside 0..{num_segments - 1}"
+            f" for num_segments={num_segments}"
+        )
+    counts = np.bincount(segment_ids, minlength=num_segments)
+    pool = scipy.sparse.csr_matrix(
+        (
+            np.ones(segment_ids.size),
+            np.argsort(segment_ids, kind="stable"),
+            np.concatenate(([0], np.cumsum(counts))),
+        ),
+        shape=(num_segments, segment_ids.size),
+    )
+    data = pool @ x.data
 
     def _bp(grad):
         x.grad += grad[segment_ids]
@@ -333,7 +365,7 @@ class SparseMatrix:
     """Fixed-pattern sparse operator in coordinate form.
 
     The pattern (rows, cols) is frozen at construction; per-entry weights are
-    supplied at application time so masked adjacencies stay differentiable
+    supplied at assembly time so masked adjacencies stay differentiable
     with respect to the weights.  A CSR template is precomputed once.
     """
 
@@ -365,28 +397,56 @@ class SparseMatrix:
     def nnz(self) -> int:
         return self.rows.size
 
-    def assemble(self, weights: np.ndarray) -> scipy.sparse.csr_matrix:
-        return scipy.sparse.csr_matrix(
-            (np.asarray(weights, dtype=np.float64)[self._perm], self._indices, self._indptr),
+    def assemble(self, weights) -> "WeightedSparse":
+        """The pattern with these per-entry weights, as one CSR."""
+        weights = _lift(weights)
+        if weights.data.shape != (self.nnz,):
+            raise DimensionError(f"assemble: weights {weights.data.shape} vs nnz {self.nnz}")
+        csr = scipy.sparse.csr_matrix(
+            (weights.data[self._perm], self._indices, self._indptr),
             shape=(self.n_rows, self.n_cols),
         )
+        return WeightedSparse(self, weights, csr)
 
 
-def spmm(matrix: SparseMatrix, weights, x) -> Tensor:
-    """Sparse-times-dense product; differentiable in both weights and x."""
-    weights, x = _lift(weights), _lift(x)
-    if weights.data.shape != (matrix.nnz,):
-        raise DimensionError(f"spmm: weights {weights.data.shape} vs nnz {matrix.nnz}")
-    if x.data.ndim != 2 or x.data.shape[0] != matrix.n_cols:
-        raise DimensionError(f"spmm: operand {x.data.shape} vs {matrix.n_rows}x{matrix.n_cols}")
-    csr = matrix.assemble(weights.data)
-    data = csr @ x.data
+class WeightedSparse:
+    """A SparseMatrix pattern, its weights and their CSR, from ``assemble``.
+
+    Assemble once per forward and hand the result to every ``spmm`` that
+    applies it.  The CSR holds the weights as they were at assembly; its
+    transpose is made on first use and shared by every backward after it.
+    """
+
+    __slots__ = ("pattern", "weights", "csr", "_csr_t")
+
+    def __init__(self, pattern: SparseMatrix, weights: Tensor, csr: scipy.sparse.csr_matrix):
+        self.pattern = pattern
+        self.weights = weights
+        self.csr = csr
+        self._csr_t = None
+
+    @property
+    def csr_t(self):
+        if self._csr_t is None:
+            self._csr_t = self.csr.T
+        return self._csr_t
+
+
+def spmm(adj: WeightedSparse, x) -> Tensor:
+    """Sparse-times-dense product; differentiable in both the weights and x."""
+    x = _lift(x)
+    pattern, weights = adj.pattern, adj.weights
+    if x.data.ndim != 2 or x.data.shape[0] != pattern.n_cols:
+        raise DimensionError(
+            f"spmm: operand {x.data.shape} vs {pattern.n_rows}x{pattern.n_cols}"
+        )
+    data = adj.csr @ x.data
 
     def _bp(grad):
-        if weights.requires_grad and matrix.nnz:
-            weights.grad += (grad[matrix.rows] * x.data[matrix.cols]).sum(axis=1)
+        if weights.requires_grad and pattern.nnz:
+            weights.grad += (grad[pattern.rows] * x.data[pattern.cols]).sum(axis=1)
         if x.requires_grad:
-            x.grad += csr.T @ grad
+            x.grad += adj.csr_t @ grad
 
     return _record(data, (weights, x), _bp)
 

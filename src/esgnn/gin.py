@@ -1,8 +1,15 @@
 """GIN graph classifier: stacked message-passing layers, sum pooling, head.
 
 Each layer computes MLP((1 + eps) * H + A_mask H) where A_mask zeroes masked
-edges; eps is a learnable scalar per layer.  Graphs are trained in
-block-diagonal minibatches with a graph-indicator vector for pooling.
+edges; eps is a learnable scalar per layer.  A_mask is assembled once per
+forward and shared by all layers.  Graphs are trained in block-diagonal
+minibatches with a graph-indicator vector for pooling.
+
+``train_backbone``'s per-epoch ``train_acc`` is the running minibatch
+accuracy: the share of training graphs that their minibatch's logits, taken
+before that minibatch's optimizer step, classify correctly.  Only the
+``<name>_acc`` entries of ``eval_sets`` re-score a set with the end-of-epoch
+parameters.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import numpy as np
 from .autodiff import (
     SparseMatrix,
     Tensor,
+    WeightedSparse,
     cross_entropy_mean,
     gather_rows,
     linear,
@@ -228,10 +236,8 @@ def build_graph_batch(
     )
 
 
-def apply_gin_layer(
-    layer: GinLayerParams, h: Tensor, adj: SparseMatrix, values: Tensor | np.ndarray
-) -> Tensor:
-    agg = spmm(adj, values, h)
+def apply_gin_layer(layer: GinLayerParams, h: Tensor, adj: WeightedSparse) -> Tensor:
+    agg = spmm(adj, h)
     z = h * (layer.eps + 1.0) + agg
     z = relu(linear(z, layer.w1, layer.b1))
     return linear(z, layer.w2, layer.b2)
@@ -254,9 +260,10 @@ def backbone_forward_batch(
         values = Tensor(batch.default_values[batch.dir_to_edge])
     else:
         values = gather_rows(mask_values, batch.dir_to_edge)
+    adj = batch.adj.assemble(values)
     h = Tensor(batch.x)
     for layer in params.layers:
-        h = apply_gin_layer(layer, h, batch.adj, values)
+        h = apply_gin_layer(layer, h, adj)
     pooled = segment_sum(h, batch.node_graph, batch.num_graphs)
     logits = linear(pooled, params.head_w, params.head_b)
     return logits, h, pooled
@@ -329,7 +336,14 @@ def train_backbone(
     cfg: TrainConfig,
     eval_sets: dict[str, list[Graph]] | None = None,
 ) -> tuple[BackboneParams, list[dict]]:
-    """Minibatch cross-entropy training; deterministic under cfg.seed."""
+    """Minibatch cross-entropy training; deterministic under cfg.seed.
+
+    Each history entry holds the epoch's mean minibatch ``loss`` and its
+    ``train_acc``, the running minibatch accuracy: the fraction of training
+    graphs classified correctly by their minibatch's logits before that
+    minibatch's step.  Each ``eval_sets`` entry adds ``<name>_acc``, the
+    exact accuracy of the end-of-epoch parameters on that set.
+    """
     if not graphs:
         raise ValueError("empty training set")
     rng = np.random.default_rng(cfg.seed)
@@ -341,7 +355,7 @@ def train_backbone(
     history: list[dict] = []
     for epoch in range(cfg.epochs):
         order = np.random.default_rng([cfg.seed, epoch]).permutation(len(graphs))
-        losses = []
+        losses, hits = [], 0
         for start in range(0, len(order), cfg.batch_size):
             chunk = [graphs[i] for i in order[start : start + cfg.batch_size]]
             batch = build_graph_batch(chunk)
@@ -349,11 +363,11 @@ def train_backbone(
             loss = cross_entropy_mean(logits, batch.labels)
             if not np.isfinite(loss.data):
                 raise TrainingError(f"non-finite loss at epoch {epoch}")
+            hits += int((logits.data.argmax(axis=1) == batch.labels).sum())
             loss.backward()
             step_from_gradients(named, state, cfg.lr)
             losses.append(loss.item())
-        entry = {"epoch": epoch, "loss": float(np.mean(losses))}
-        entry["train_acc"] = evaluate_accuracy(graphs, params)
+        entry = {"epoch": epoch, "loss": float(np.mean(losses)), "train_acc": hits / len(graphs)}
         for name, subset in (eval_sets or {}).items():
             entry[f"{name}_acc"] = evaluate_accuracy(subset, params)
         history.append(entry)

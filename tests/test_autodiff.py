@@ -10,6 +10,7 @@ from esgnn.autodiff import (
     DimensionError,
     SparseMatrix,
     Tensor,
+    add,
     concat_cols,
     cross_entropy_mean,
     custom_primitive,
@@ -50,29 +51,43 @@ class TestLinear:
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(0)
         w = rand_param(rng, 3, 2)
-        x = Tensor(rng.standard_normal((4, 3)))
+        x = rand_param(rng, 4, 3)
         b = rand_param(rng, 2)
-        err = grad_check(lambda: sum_all(linear(x, w, b)), [w, b], h=1e-5)
+        c = Tensor(rng.standard_normal((4, 2)))
+        err = grad_check(lambda: sum_all(mul(linear(x, w, b), c)), [x, w, b], h=1e-5)
         assert err < 1e-6
+
+    def test_bitwise_equal_to_matmul_then_add(self):
+        rng = np.random.default_rng(13)
+        x0, w0, b0 = rng.standard_normal((7, 5)), rng.standard_normal((5, 4)), rng.standard_normal(4)
+        x0[2] = -0.0  # a row of negative zeros
+        c = Tensor(rng.standard_normal((7, 4)) * 10.0 ** rng.uniform(-6, 6, (7, 4)))
+        results = []
+        for op in (linear, lambda x, w, b: add(matmul(x, w), b)):
+            x, w, b = (Tensor(a.copy(), requires_grad=True) for a in (x0, w0, b0))
+            out = op(x, w, b)
+            sum_all(relu(mul(out, c))).backward()
+            results.append([a.tobytes() for a in (out.data, x.grad, w.grad, b.grad)])
+        assert results[0] == results[1]
 
 
 class TestSpmm:
     def test_identity_operator(self):
         m = SparseMatrix(3, 3, [0, 1, 2], [0, 1, 2])
         x = Tensor(np.arange(6.0).reshape(3, 2))
-        out = spmm(m, np.ones(3), x)
+        out = spmm(m.assemble(np.ones(3)), x)
         assert np.array_equal(out.data, x.data)
 
     def test_single_edge_swaps_neighbors(self):
         m = SparseMatrix(2, 2, [0, 1], [1, 0])
-        out = spmm(m, np.ones(2), [[1.0], [2.0]])
+        out = spmm(m.assemble(np.ones(2)), [[1.0], [2.0]])
         assert np.array_equal(out.data, [[2.0], [1.0]])
 
     def test_triangle_degrees(self):
         rows = [0, 1, 0, 2, 1, 2]
         cols = [1, 0, 2, 0, 2, 1]
         m = SparseMatrix(3, 3, rows, cols)
-        out = spmm(m, np.ones(6), np.ones((3, 1)))
+        out = spmm(m.assemble(np.ones(6)), np.ones((3, 1)))
         assert np.array_equal(out.data, [[2.0], [2.0], [2.0]])
 
     def test_index_out_of_range(self):
@@ -91,12 +106,12 @@ class TestSpmm:
         m = SparseMatrix(3, 3, rows, cols)
         w = rand_param(rng, 6)
         x = rand_param(rng, 3, 2)
-        err = grad_check(lambda: sum_all(relu(spmm(m, w, x))), [w, x], h=1e-5)
+        err = grad_check(lambda: sum_all(relu(spmm(m.assemble(w), x))), [w, x], h=1e-5)
         assert err < 1e-5
 
     def test_empty_pattern(self):
         m = SparseMatrix(3, 3, [], [])
-        out = spmm(m, np.zeros(0), np.ones((3, 2)))
+        out = spmm(m.assemble(np.zeros(0)), np.ones((3, 2)))
         assert np.array_equal(out.data, np.zeros((3, 2)))
 
 
@@ -128,6 +143,28 @@ class TestElementwiseAndReductions:
             h=1e-5,
         )
         assert err < 1e-5
+
+    def test_segment_sum_is_bitwise_equal_to_add_at(self):
+        rng = np.random.default_rng(14)
+        # rows of widely varying magnitude, so any change of summation order shows
+        x = rng.standard_normal((40, 3)) * 10.0 ** rng.uniform(-8, 8, (40, 3))
+        x[[3, 17, 29]] = -0.0
+        x[[5, 11]] = 0.0
+        seg = rng.permutation(np.arange(40) % 5)  # unsorted
+        seg[seg == 2] = 4  # segment 2 is left empty, and so is the last one, 5
+        want = np.zeros((6, 3))
+        np.add.at(want, seg, x)
+        got = segment_sum(x, seg, 6).data
+        assert got.tobytes() == want.tobytes()
+
+    def test_segment_sum_of_no_rows(self):
+        out = segment_sum(np.zeros((0, 3)), np.zeros(0, dtype=int), 2)
+        assert out.data.tobytes() == np.zeros((2, 3)).tobytes()
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_segment_sum_rejects_ids_outside_the_segments(self, bad):
+        with pytest.raises(DimensionError, match=rf"segment_sum: segment id {bad}\b.*num_segments=3"):
+            segment_sum(np.ones((3, 2)), [0, bad, 1], 3)
 
     def test_concat_cols_gradient(self):
         rng = np.random.default_rng(4)
@@ -260,7 +297,7 @@ class TestTapeMechanics:
 
             def f():
                 h = relu(linear(x, w1, b1))
-                h = spmm(m, v, h)
+                h = spmm(m.assemble(v), h)
                 h = sigmoid(h)
                 pooled = segment_sum(h, [0, 0, 1], 2)
                 return cross_entropy_mean(pooled, [0, 2])

@@ -2,9 +2,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from esgnn import gin
-from esgnn.autodiff import Tensor, cross_entropy_mean, grad_check, spmm
+from esgnn.autodiff import SparseMatrix, Tensor, cross_entropy_mean, grad_check, spmm
 from esgnn.ba2motifs import generate_ba2motifs
 from esgnn.gin import (
     GinLayerParams,
@@ -65,23 +66,23 @@ class TestGinLayer:
     def test_edgeless_identity_mlp_is_identity(self):
         g = make_graph(2, [], x=[[1.0], [2.0]])
         batch = build_graph_batch([g])
-        h = apply_gin_layer(identity_layer(1), Tensor(batch.x), batch.adj, np.zeros(0))
+        h = apply_gin_layer(identity_layer(1), Tensor(batch.x), batch.adj.assemble(np.zeros(0)))
         assert np.array_equal(h.data, [[1.0], [2.0]])
 
     def test_single_edge_neighbor_sum(self):
         g = make_graph(2, [(0, 1)], x=[[1.0], [0.0]])
         batch = build_graph_batch([g])
         values = batch.default_values[batch.dir_to_edge]
-        h = apply_gin_layer(identity_layer(1), Tensor(batch.x), batch.adj, values)
+        h = apply_gin_layer(identity_layer(1), Tensor(batch.x), batch.adj.assemble(values))
         assert np.array_equal(h.data, [[1.0], [1.0]])
 
     def test_masked_edge_touches_exactly_its_endpoints_pre_mlp(self, triangle):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((3, 2))
         adj = build_graph_batch([triangle]).adj
-        full = spmm(adj, np.ones(adj.nnz), x).data
+        full = spmm(adj.assemble(np.ones(adj.nnz)), x).data
         masked_bits = np.array([0.0, 1.0, 1.0])  # drop edge 0 = (0, 1)
-        masked = spmm(adj, masked_bits[np.repeat(np.arange(3), 2)], x).data
+        masked = spmm(adj.assemble(masked_bits[np.repeat(np.arange(3), 2)]), x).data
         diff_rows = np.where(np.any(full != masked, axis=1))[0]
         assert diff_rows.tolist() == [0, 1]
 
@@ -247,6 +248,29 @@ class TestEndToEndGradient:
         assert grad_check(loss, params.named(), h=1e-5) < 1e-4
 
 
+class TestOneAdjacencyPerForward:
+    def test_a_four_layer_forward_assembles_one_csr_and_one_transpose(self, monkeypatch):
+        calls = Counter()
+
+        def spy(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(SparseMatrix, "assemble", spy("assemble", SparseMatrix.assemble))
+        monkeypatch.setattr(
+            scipy.sparse.csr_matrix, "transpose", spy("transpose", scipy.sparse.csr_matrix.transpose)
+        )
+        graphs = list(generate_ba2motifs(6, seed=1).graphs)
+        params = init_backbone(np.random.default_rng(0), 1, 2, hidden=8, num_layers=4)
+        logits, _, _ = backbone_forward_batch(build_graph_batch(graphs), params)
+        assert calls == {"assemble": 1}
+        cross_entropy_mean(logits, [g.y for g in graphs]).backward()
+        assert calls == {"assemble": 1, "transpose": 1}
+
+
 class TestPredict:
     def test_argmax_and_tie_rule(self, triangle):
         params = init_backbone(np.random.default_rng(0), 1, 2)
@@ -305,6 +329,30 @@ class TestTraining:
         cfg = TrainConfig(epochs=50, lr=1e-3, seed=0, hidden=32, num_layers=4)
         params, history = train_backbone(list(ds.graphs), 2, cfg)
         assert history[-1]["train_acc"] >= 0.95
+        assert evaluate_accuracy(list(ds.graphs), params) >= 0.95
+
+    def test_train_acc_is_exact_when_the_params_do_not_move(self):
+        graphs = list(generate_ba2motifs(40, seed=3).graphs)
+        cfg = TrainConfig(epochs=2, lr=0.0, seed=2, batch_size=16, hidden=8, num_layers=2)
+        params, history = train_backbone(graphs, 2, cfg)
+        assert [e["train_acc"] for e in history] == [evaluate_accuracy(graphs, params)] * 2
+
+    def test_scores_each_eval_set_once_per_epoch_and_nothing_else(self, monkeypatch):
+        graphs = list(generate_ba2motifs(12, seed=0).graphs)
+        eval_sets = {"val": graphs[8:10], "test": graphs[10:]}
+        scored = []
+        original = gin.evaluate_accuracy
+
+        def spy(subset, params):
+            scored.append(subset)
+            return original(subset, params)
+
+        monkeypatch.setattr(gin, "evaluate_accuracy", spy)
+        cfg = TrainConfig(epochs=3, seed=0, hidden=8, num_layers=2)
+        _, history = train_backbone(graphs[:8], 2, cfg, eval_sets=eval_sets)
+        assert len(scored) == cfg.epochs * len(eval_sets)
+        assert all(any(s is e for e in eval_sets.values()) for s in scored)
+        assert [sorted(e) for e in history] == [["epoch", "loss", "test_acc", "train_acc", "val_acc"]] * 3
 
     def test_deterministic_under_seed(self):
         ds = generate_ba2motifs(10, seed=0)
