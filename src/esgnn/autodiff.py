@@ -11,6 +11,12 @@ it is freed by reference counting as soon as the last reference to its
 output (typically the loss) goes, without waiting for the cyclic collector.
 An op whose inputs all have ``requires_grad=False`` records nothing.
 
+Graph adjacencies are :class:`SparseMatrix` objects: symmetric operators
+over undirected edges that own their directed entries.  ``assemble`` takes
+one weight per undirected edge and builds the CSR that every layer's
+``spmm`` shares; because the operator is symmetric, ``spmm``'s backward
+multiplies by that same CSR and no transpose is made.
+
 Ops that need a non-standard backward rule (e.g. straight-through
 binarization) are registered through :func:`custom_primitive` instead of
 being hard-coded here.
@@ -21,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -119,23 +126,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(_lift(other), self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(_lift(other), -1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -362,91 +354,86 @@ def sum_all(x) -> Tensor:
 
 
 class SparseMatrix:
-    """Fixed-pattern sparse operator in coordinate form.
+    """The symmetric n x n adjacency of undirected edges, weighted per edge.
 
-    The pattern (rows, cols) is frozen at construction; per-entry weights are
-    supplied at assembly time so masked adjacencies stay differentiable
-    with respect to the weights.  A CSR template is precomputed once.
+    Edge k = (i, j) of the (E, 2) ``edges`` array, i != j, is stored as the
+    two directed entries (i, j) and (j, i) at positions 2k and 2k + 1.  The
+    entries and their CSR template are built once here; ``assemble`` takes
+    one weight per undirected edge and gives both entries that weight.
     """
 
-    __slots__ = ("n_rows", "n_cols", "rows", "cols", "_perm", "_indices", "_indptr")
+    __slots__ = ("n", "num_edges", "rows", "cols", "_dir_to_edge", "_perm", "_indices", "_indptr")
 
-    def __init__(self, n_rows: int, n_cols: int, rows, cols):
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        if rows.shape != cols.shape or rows.ndim != 1:
-            raise DimensionError(
-                f"sparse entries: rows {rows.shape} vs cols {cols.shape}"
-            )
-        if rows.size and (
-            rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols
-        ):
-            raise DimensionError(f"sparse entry index out of range for {n_rows}x{n_cols}")
-        self.n_rows = n_rows
-        self.n_cols = n_cols
-        self.rows = rows
-        self.cols = cols
+    def __init__(self, n: int, edges):
+        edges = np.asarray(edges, dtype=np.intp)
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise DimensionError(f"sparse edges: shape {edges.shape}, expected (E, 2)")
+        if edges.size and (edges.min() < 0 or edges.max() >= n):
+            raise DimensionError(f"sparse edge endpoint out of range for {n} nodes")
+        if (edges[:, 0] == edges[:, 1]).any():
+            raise DimensionError("sparse edges: a self-loop has no symmetric pair of entries")
+        self.n = n
+        self.num_edges = len(edges)
+        self.rows = edges.reshape(-1)
+        self.cols = edges[:, ::-1].reshape(-1)
+        self._dir_to_edge = np.repeat(np.arange(len(edges), dtype=np.intp), 2)
         # row-major order of the entries; a stable sort of the flat index
         # gives the same permutation as lexsort((cols, rows)) in one pass
-        self._perm = np.argsort(rows * n_cols + cols, kind="stable")
-        self._indices = cols[self._perm].astype(np.int32, copy=False)
-        counts = np.bincount(rows, minlength=n_rows)
+        self._perm = np.argsort(self.rows * n + self.cols, kind="stable")
+        self._indices = self.cols[self._perm].astype(np.int32, copy=False)
+        counts = np.bincount(self.rows, minlength=n)
         self._indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
 
-    @property
-    def nnz(self) -> int:
-        return self.rows.size
-
     def assemble(self, weights) -> "WeightedSparse":
-        """The pattern with these per-entry weights, as one CSR."""
+        """The adjacency with these per-edge weights, as one CSR.
+
+        The weights reach the directed entries through one taped
+        ``gather_rows``, so a mask gradient sums each edge's two entries
+        after every layer's contribution has been added to them.
+        """
         weights = _lift(weights)
-        if weights.data.shape != (self.nnz,):
-            raise DimensionError(f"assemble: weights {weights.data.shape} vs nnz {self.nnz}")
+        if weights.data.shape != (self.num_edges,):
+            raise DimensionError(
+                f"assemble: weights {weights.data.shape} vs {self.num_edges} edges"
+            )
+        directed = gather_rows(weights, self._dir_to_edge)
         csr = scipy.sparse.csr_matrix(
-            (weights.data[self._perm], self._indices, self._indptr),
-            shape=(self.n_rows, self.n_cols),
+            (directed.data[self._perm], self._indices, self._indptr),
+            shape=(self.n, self.n),
         )
-        return WeightedSparse(self, weights, csr)
+        return WeightedSparse(self, directed, csr)
 
 
-class WeightedSparse:
-    """A SparseMatrix pattern, its weights and their CSR, from ``assemble``.
+class WeightedSparse(NamedTuple):
+    """An adjacency, its directed entry weights and their CSR, from ``assemble``.
 
     Assemble once per forward and hand the result to every ``spmm`` that
-    applies it.  The CSR holds the weights as they were at assembly; its
-    transpose is made on first use and shared by every backward after it.
+    applies it.  The CSR holds the weights as they were at assembly.
     """
 
-    __slots__ = ("pattern", "weights", "csr", "_csr_t")
-
-    def __init__(self, pattern: SparseMatrix, weights: Tensor, csr: scipy.sparse.csr_matrix):
-        self.pattern = pattern
-        self.weights = weights
-        self.csr = csr
-        self._csr_t = None
-
-    @property
-    def csr_t(self):
-        if self._csr_t is None:
-            self._csr_t = self.csr.T
-        return self._csr_t
+    pattern: SparseMatrix
+    weights: Tensor
+    csr: scipy.sparse.csr_matrix
 
 
 def spmm(adj: WeightedSparse, x) -> Tensor:
-    """Sparse-times-dense product; differentiable in both the weights and x."""
+    """A @ x; differentiable in both the edge weights and x.
+
+    A is symmetric, so the x-gradient A.T @ g is A @ g: backward multiplies
+    by the forward CSR, whose rows add their entries in the same order as
+    the columns of its transpose.
+    """
     x = _lift(x)
     pattern, weights = adj.pattern, adj.weights
-    if x.data.ndim != 2 or x.data.shape[0] != pattern.n_cols:
-        raise DimensionError(
-            f"spmm: operand {x.data.shape} vs {pattern.n_rows}x{pattern.n_cols}"
-        )
+    if x.data.ndim != 2 or x.data.shape[0] != pattern.n:
+        raise DimensionError(f"spmm: operand {x.data.shape} vs {pattern.n}x{pattern.n}")
     data = adj.csr @ x.data
 
     def _bp(grad):
-        if weights.requires_grad and pattern.nnz:
+        if weights.requires_grad and pattern.rows.size:
             weights.grad += (grad[pattern.rows] * x.data[pattern.cols]).sum(axis=1)
         if x.requires_grad:
-            x.grad += adj.csr_t @ grad
+            x.grad += adj.csr @ grad
 
     return _record(data, (weights, x), _bp)
 

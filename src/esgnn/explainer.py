@@ -50,9 +50,10 @@ __all__ = [
 
 # top-K bag budgets, as fractions of the graph's edges
 DEFAULT_FRACTIONS = (0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75)
-# bags are drawn at temperature 1 and noise bags thresholded at 1/2
+# bags are drawn at temperature 1
 BAG_TAU = 1.0
-BAG_THRESHOLD = 0.5
+# soft weights above this become hard bits, in training and in noise bags
+THRESHOLD = 0.5
 # hidden width of the edge MLP
 MLP_WIDTH = 32
 
@@ -64,12 +65,12 @@ class ExplainerParams:
     w2: Tensor
     b2: Tensor
 
-    def named(self, prefix: str = "explainer/") -> dict[str, Tensor]:
+    def named(self) -> dict[str, Tensor]:
         return {
-            f"{prefix}lin1/W": self.w1,
-            f"{prefix}lin1/b": self.b1,
-            f"{prefix}lin2/W": self.w2,
-            f"{prefix}lin2/b": self.b2,
+            "explainer/lin1/W": self.w1,
+            "explainer/lin1/b": self.b1,
+            "explainer/lin2/W": self.w2,
+            "explainer/lin2/b": self.b2,
         }
 
     def frozen(self) -> "ExplainerParams":
@@ -92,20 +93,21 @@ class ExplainerConfig:
     tau_end: float = 1.0
     lam: float = 0.1
     noise_scale: float = 1.0
-    threshold: float = 0.5
     epochs: int = 30
     lr: float = 3e-3
     batch_size: int = 32
 
     def __post_init__(self):
         if self.tau_start <= 0 or self.tau_end <= 0:
-            raise ValueError("temperatures must be positive")
+            raise ValueError(
+                f"tau_start {self.tau_start} and tau_end {self.tau_end} must be positive"
+            )
         if self.lam < 0:
-            raise ValueError(f"sparsity weight {self.lam} must be >= 0")
+            raise ValueError(f"lam {self.lam} must be >= 0")
         if self.noise_scale < 0:
-            raise ValueError("noise scale must be >= 0")
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError(f"threshold {self.threshold} outside (0, 1)")
+            raise ValueError(f"noise_scale {self.noise_scale} must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size {self.batch_size} must be >= 1")
 
     def tau_at(self, epoch: int) -> float:
         if self.epochs <= 1:
@@ -194,20 +196,18 @@ def train_explainer(
 
             omega = edge_logits(z, batch.edges, params)
             s = concrete_sample(omega, tau, cfg.noise_scale, [seed, 2, epoch, bi])
-            e = hard_threshold(s, cfg.threshold)
+            e = hard_threshold(s, THRESHOLD)
 
-            logits, _, _ = backbone_forward_batch(batch, frozen, mask_values=e)
+            logits, _ = backbone_forward_batch(batch, frozen, mask_values=e)
             ce = cross_entropy_mean(logits, targets[idx])
             # mean over graphs of (selected edges / graph edges)
             edge_counts = np.array([g.num_edges for g in chunk], dtype=np.float64)
-            weight = np.zeros(batch.num_edges)
-            if batch.num_edges:
-                weight = 1.0 / (edge_counts[batch.edge_graph] * len(chunk))
+            weight = 1.0 / (edge_counts[batch.edge_graph] * len(chunk))
             loss = ce + sum_all(e * Tensor(weight)) * cfg.lam
             if not np.isfinite(loss.data):
                 raise TrainingError(f"non-finite explainer loss at epoch {epoch}")
             losses.append(loss.item())
-            if batch.num_edges:
+            if len(batch.edges):
                 loss.backward()
                 step_from_gradients(named, state, cfg.lr)
                 fractions.append(float(e.data.mean()))
@@ -249,7 +249,7 @@ def generate_bag_noise(
     for t in range(m):
         child = mask_seed(seed, t)
         s = concrete_sample(omega, BAG_TAU, noise_scale, child)
-        hard = hard_threshold(s, BAG_THRESHOLD).data
+        hard = hard_threshold(s, THRESHOLD).data
         masks.append(EdgeMask(soft=s.data, hard=hard, seed=child))
     return SubgraphBag(base=g, masks=tuple(masks), policy_tag="EXPLAIN_NOISE")
 
@@ -286,11 +286,18 @@ def bag_to_json(bag: SubgraphBag, graph_id: int) -> dict:
 
 def bag_from_json(doc: dict, base: Graph) -> SubgraphBag:
     graph_id = doc.get("graph_id")
+    for key in ("policy", "masks"):
+        if key not in doc:
+            raise ValueError(f"graph {graph_id}: bag document has no {key!r}")
     if doc["policy"] not in POLICY_TAGS:
         raise ValueError(f"graph {graph_id}: unknown bag policy {doc['policy']!r}")
+    if not doc["masks"]:
+        raise ValueError(f"graph {graph_id}: bag document lists no masks")
     nbytes = (base.num_edges + 7) // 8
     masks = []
     for k, entry in enumerate(doc["masks"]):
+        if "bits" not in entry:
+            raise ValueError(f"graph {graph_id}: mask {k} has no 'bits'")
         raw = base64.b64decode(entry["bits"])
         if len(raw) != nbytes:
             raise ValueError(

@@ -1,9 +1,12 @@
 """GIN graph classifier: stacked message-passing layers, sum pooling, head.
 
-Each layer computes MLP((1 + eps) * H + A_mask H) where A_mask zeroes masked
-edges; eps is a learnable scalar per layer.  A_mask is assembled once per
-forward and shared by all layers.  Graphs are trained in block-diagonal
-minibatches with a graph-indicator vector for pooling.
+Each layer computes MLP((1 + eps) * H + A_mask H) where A_mask is the
+symmetric adjacency with one weight per undirected edge (0 for a masked
+edge); eps is a learnable scalar per layer.  A batch carries its edges once,
+as (E, 2) undirected pairs, and its ``SparseMatrix`` owns the directed
+entries; A_mask is assembled once per forward and shared by all layers and
+their backward.  Graphs are trained in block-diagonal minibatches with a
+graph-indicator vector for pooling.
 
 ``train_backbone``'s per-epoch ``train_acc`` is the running minibatch
 accuracy: the share of training graphs that their minibatch's logits, taken
@@ -24,7 +27,6 @@ from .autodiff import (
     Tensor,
     WeightedSparse,
     cross_entropy_mean,
-    gather_rows,
     linear,
     relu,
     segment_sum,
@@ -59,8 +61,8 @@ __all__ = [
 INIT_SCALE = 0.5
 
 
-def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, scale: float = INIT_SCALE) -> np.ndarray:
-    bound = scale * np.sqrt(6.0 / (fan_in + fan_out))
+def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+    bound = INIT_SCALE * np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
@@ -158,17 +160,17 @@ def init_backbone(
 
 @dataclass
 class GraphBatch:
-    """Block-diagonal concatenation of graphs (and optionally their masks)."""
+    """Block-diagonal concatenation of graphs (and optionally their masks).
 
-    num_graphs: int
-    total_nodes: int
+    Its sizes are ``len(labels)`` graphs, ``len(x)`` nodes and
+    ``len(edges)`` undirected edges.
+    """
+
     x: np.ndarray
     node_graph: np.ndarray  # node row -> graph index
     edges: np.ndarray  # (E, 2) undirected edges in batch node ids, i < j
-    adj: SparseMatrix  # directed entries, 2 per undirected edge
-    dir_to_edge: np.ndarray  # directed entry -> global undirected edge index
+    adj: SparseMatrix  # the symmetric adjacency over edges
     edge_graph: np.ndarray  # undirected edge -> graph index
-    num_edges: int
     labels: np.ndarray
     default_values: np.ndarray  # per-undirected-edge weights from masks (or ones)
 
@@ -218,19 +220,13 @@ def build_graph_batch(
                 x[offsets[gi] + zeroed] = 0.0
         values = np.concatenate([mask.hard for mask in masks] or [np.zeros(0)], dtype=np.float64)
 
-    total_nodes = int(n.sum())
     graph_index = np.arange(len(graphs), dtype=np.intp)
     return GraphBatch(
-        num_graphs=len(graphs),
-        total_nodes=total_nodes,
         x=x,
         node_graph=np.repeat(graph_index, n),
         edges=edges,
-        # entries (i, j), (j, i) per edge, in edge order: dir_to_edge is k // 2
-        adj=SparseMatrix(total_nodes, total_nodes, edges.reshape(-1), edges[:, ::-1].reshape(-1)),
-        dir_to_edge=np.repeat(np.arange(len(edges), dtype=np.intp), 2),
+        adj=SparseMatrix(len(x), edges),
         edge_graph=np.repeat(graph_index, m),
-        num_edges=len(edges),
         labels=np.array([g.y for g in graphs], dtype=np.intp),
         default_values=values,
     )
@@ -247,8 +243,8 @@ def backbone_forward_batch(
     batch: GraphBatch,
     params: BackboneParams,
     mask_values: Tensor | None = None,
-) -> tuple[Tensor, Tensor, Tensor]:
-    """Forward over a batch; returns (logits, last-layer node states, pooled).
+) -> tuple[Tensor, Tensor]:
+    """Forward over a batch; returns (logits, last-layer node states).
 
     mask_values, when given, is a per-undirected-edge weight tensor that
     overrides the batch defaults; gradients flow through it into the mask
@@ -256,17 +252,12 @@ def backbone_forward_batch(
     """
     if batch.x.shape[1] != params.in_dim:
         raise ValueError(f"feature dim {batch.x.shape[1]} vs layer-0 input {params.in_dim}")
-    if mask_values is None:
-        values = Tensor(batch.default_values[batch.dir_to_edge])
-    else:
-        values = gather_rows(mask_values, batch.dir_to_edge)
-    adj = batch.adj.assemble(values)
+    adj = batch.adj.assemble(batch.default_values if mask_values is None else mask_values)
     h = Tensor(batch.x)
     for layer in params.layers:
         h = apply_gin_layer(layer, h, adj)
-    pooled = segment_sum(h, batch.node_graph, batch.num_graphs)
-    logits = linear(pooled, params.head_w, params.head_b)
-    return logits, h, pooled
+    pooled = segment_sum(h, batch.node_graph, len(batch.labels))
+    return linear(pooled, params.head_w, params.head_b), h
 
 
 # graphs per untaped forward; bounds the activations one forward holds
@@ -287,7 +278,7 @@ def frozen_forward(
     logits, states = [], []
     for start in range(0, len(graphs), FORWARD_CHUNK):
         chunk = graphs[start : start + FORWARD_CHUNK]
-        out, h, _ = backbone_forward_batch(build_graph_batch(chunk), frozen)
+        out, h = backbone_forward_batch(build_graph_batch(chunk), frozen)
         logits.append(out.data)
         bounds = list(accumulate((g.num_nodes for g in chunk), initial=0))
         states.extend(h.data[a:b] for a, b in zip(bounds, bounds[1:]))
@@ -329,6 +320,13 @@ class TrainConfig:
     hidden: int = 32
     num_layers: int = 4
 
+    def __post_init__(self):
+        for name in ("batch_size", "hidden", "num_layers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} {getattr(self, name)} must be >= 1")
+        if self.epochs < 0:
+            raise ValueError(f"epochs {self.epochs} must be >= 0")
+
 
 def train_backbone(
     graphs: list[Graph],
@@ -346,6 +344,9 @@ def train_backbone(
     """
     if not graphs:
         raise ValueError("empty training set")
+    for i, g in enumerate(graphs):
+        if not 0 <= g.y < num_classes:
+            raise ValueError(f"graph {i} has label {g.y} outside 0..{num_classes - 1}")
     rng = np.random.default_rng(cfg.seed)
     params = init_backbone(
         rng, graphs[0].x.shape[1], num_classes, hidden=cfg.hidden, num_layers=cfg.num_layers
@@ -359,7 +360,7 @@ def train_backbone(
         for start in range(0, len(order), cfg.batch_size):
             chunk = [graphs[i] for i in order[start : start + cfg.batch_size]]
             batch = build_graph_batch(chunk)
-            logits, _, _ = backbone_forward_batch(batch, params)
+            logits, _ = backbone_forward_batch(batch, params)
             loss = cross_entropy_mean(logits, batch.labels)
             if not np.isfinite(loss.data):
                 raise TrainingError(f"non-finite loss at epoch {epoch}")

@@ -73,44 +73,78 @@ class TestLinear:
 
 class TestSpmm:
     def test_identity_operator(self):
-        m = SparseMatrix(3, 3, [0, 1, 2], [0, 1, 2])
-        x = Tensor(np.arange(6.0).reshape(3, 2))
-        out = spmm(m.assemble(np.ones(3)), x)
-        assert np.array_equal(out.data, x.data)
+        # a perfect matching swaps each pair, so applying it twice is the identity
+        m = SparseMatrix(4, [[0, 1], [2, 3]])
+        x = Tensor(np.arange(8.0).reshape(4, 2))
+        adj = m.assemble(np.ones(2))
+        assert np.array_equal(spmm(adj, spmm(adj, x)).data, x.data)
 
     def test_single_edge_swaps_neighbors(self):
-        m = SparseMatrix(2, 2, [0, 1], [1, 0])
-        out = spmm(m.assemble(np.ones(2)), [[1.0], [2.0]])
+        m = SparseMatrix(2, [[0, 1]])
+        out = spmm(m.assemble(np.ones(1)), [[1.0], [2.0]])
         assert np.array_equal(out.data, [[2.0], [1.0]])
 
     def test_triangle_degrees(self):
-        rows = [0, 1, 0, 2, 1, 2]
-        cols = [1, 0, 2, 0, 2, 1]
-        m = SparseMatrix(3, 3, rows, cols)
-        out = spmm(m.assemble(np.ones(6)), np.ones((3, 1)))
+        m = SparseMatrix(3, [[0, 1], [0, 2], [1, 2]])
+        out = spmm(m.assemble(np.ones(3)), np.ones((3, 1)))
         assert np.array_equal(out.data, [[2.0], [2.0], [2.0]])
 
     def test_index_out_of_range(self):
         with pytest.raises(DimensionError):
-            SparseMatrix(2, 2, [0, 2], [1, 0])
+            SparseMatrix(2, [[0, 2]])
+
+    def test_rejects_self_loops_and_ragged_edges(self):
+        with pytest.raises(DimensionError, match="self-loop"):
+            SparseMatrix(3, [[0, 1], [2, 2]])
+        with pytest.raises(DimensionError, match=r"\(E, 2\)"):
+            SparseMatrix(3, [0, 1, 2])
+        with pytest.raises(DimensionError, match="2 edges"):
+            SparseMatrix(3, [[0, 1], [1, 2]]).assemble(np.ones(4))
 
     def test_csr_order_is_the_stable_row_major_order(self):
         rng = np.random.default_rng(2)
-        rows, cols = rng.integers(0, 7, 60), rng.integers(0, 5, 60)  # with repeats
-        assert np.array_equal(SparseMatrix(7, 5, rows, cols)._perm, np.lexsort((cols, rows)))
+        edges = rng.integers(0, 7, (60, 2))  # with repeats
+        edges = edges[edges[:, 0] != edges[:, 1]]
+        m = SparseMatrix(7, edges)
+        assert np.array_equal(m._perm, np.lexsort((m.cols, m.rows)))
+
+    def test_each_edge_weights_both_of_its_entries(self):
+        edges, w = [(0, 1), (1, 3), (0, 2)], [0.5, -2.0, 3.0]
+        expected = np.zeros((4, 4))
+        for (i, j), wk in zip(edges, w):
+            expected[i, j] = expected[j, i] = wk
+        dense = SparseMatrix(4, edges).assemble(np.array(w)).csr.toarray()
+        assert np.array_equal(dense, expected)
+
+    def test_csr_is_symmetric_and_backward_reuses_it_bit_for_bit(self):
+        # a random simple graph with 30% zero weights and some -0.0 ones
+        rng = np.random.default_rng(7)
+        n = 300
+        pairs = rng.integers(0, n, (1500, 2))
+        edges = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1), axis=0)
+        w0 = rng.standard_normal(len(edges))
+        w0[rng.random(w0.size) < 0.3] = 0.0
+        w0[:10] = -0.0
+        w = Tensor(w0, requires_grad=True)
+        x = Tensor(rng.standard_normal((n, 5)), requires_grad=True)
+        g = rng.standard_normal((n, 5))
+        adj = SparseMatrix(n, edges).assemble(w)
+        assert adj.csr.toarray().tobytes() == adj.csr.T.toarray().tobytes()
+        sum_all(mul(spmm(adj, x), g)).backward()
+        expected = np.zeros((n, 5))
+        expected += adj.csr.T @ g
+        assert x.grad.tobytes() == expected.tobytes()
 
     def test_gradients_wrt_values_and_input(self):
         rng = np.random.default_rng(1)
-        rows = np.array([0, 1, 1, 2, 0, 2])
-        cols = np.array([1, 0, 2, 1, 2, 0])
-        m = SparseMatrix(3, 3, rows, cols)
-        w = rand_param(rng, 6)
+        m = SparseMatrix(3, [[0, 1], [1, 2], [0, 2]])
+        w = rand_param(rng, 3)
         x = rand_param(rng, 3, 2)
         err = grad_check(lambda: sum_all(relu(spmm(m.assemble(w), x))), [w, x], h=1e-5)
         assert err < 1e-5
 
     def test_empty_pattern(self):
-        m = SparseMatrix(3, 3, [], [])
+        m = SparseMatrix(3, np.zeros((0, 2)))
         out = spmm(m.assemble(np.zeros(0)), np.ones((3, 2)))
         assert np.array_equal(out.data, np.zeros((3, 2)))
 
@@ -286,13 +320,11 @@ class TestTapeMechanics:
 
     def test_all_primitives_pass_grad_check_at_random_points(self):
         rng = np.random.default_rng(10)
-        rows = np.array([0, 1, 1, 2])
-        cols = np.array([1, 0, 2, 1])
-        m = SparseMatrix(3, 3, rows, cols)
+        m = SparseMatrix(3, [[0, 1], [1, 2]])
         for trial in range(10):
             w1 = rand_param(rng, 3, 3)
             b1 = rand_param(rng, 3)
-            v = rand_param(rng, 4)
+            v = rand_param(rng, 2)
             x = Tensor(rng.standard_normal((3, 3)))
 
             def f():

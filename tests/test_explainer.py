@@ -107,13 +107,24 @@ class TestTraining:
         {"tau_end": -1.0},
         {"lam": -0.1},
         {"noise_scale": -1.0},
-        {"threshold": 0.0},
-        {"threshold": 1.0},
+        {"batch_size": 0},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError):
+    (field,) = kwargs
+    with pytest.raises(ValueError, match=field):
         ExplainerConfig(**kwargs)
+
+
+class TestTauSchedule:
+    def test_linear_from_start_at_epoch_zero_to_end_at_the_last_epoch(self):
+        cfg = ExplainerConfig(tau_start=5.0, tau_end=1.0, epochs=5)
+        assert [cfg.tau_at(e) for e in range(5)] == [5.0, 4.0, 3.0, 2.0, 1.0]
+
+    @pytest.mark.parametrize("epochs", [0, 1])
+    def test_a_single_epoch_runs_at_tau_end(self, epochs):
+        cfg = ExplainerConfig(tau_start=5.0, tau_end=2.0, epochs=epochs)
+        assert cfg.tau_at(0) == 2.0
 
 
 class TestBags:
@@ -189,6 +200,24 @@ class TestBagJson:
         with pytest.raises(ValueError, match="graph 2"):
             bag_from_json(doc, triangle)
 
+    @pytest.mark.parametrize("key", ["policy", "masks"])
+    def test_rejects_a_document_without_a_field_naming_the_graph(self, triangle, key):
+        doc = bag_to_json(policy_edge_deleted(triangle), 6)
+        del doc[key]
+        with pytest.raises(ValueError, match=f"graph 6: bag document has no '{key}'"):
+            bag_from_json(doc, triangle)
+
+    def test_rejects_a_mask_without_bits_naming_graph_and_mask(self, triangle):
+        doc = bag_to_json(policy_edge_deleted(triangle), 8)
+        del doc["masks"][2]["bits"]
+        with pytest.raises(ValueError, match="graph 8: mask 2 has no 'bits'"):
+            bag_from_json(doc, triangle)
+
+    def test_rejects_an_empty_mask_list_naming_the_graph(self, triangle):
+        doc = bag_to_json(policy_edge_deleted(triangle), 5)
+        doc["masks"] = []
+        with pytest.raises(ValueError, match="graph 5: bag document lists no masks"):
+            bag_from_json(doc, triangle)
 
     def test_rejects_a_budget_the_bits_miss_naming_graph_and_mask(self, triangle):
         doc = bag_to_json(policy_edge_deleted(triangle), 9)

@@ -2,6 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 from esgnn import gin
@@ -72,17 +73,17 @@ class TestGinLayer:
     def test_single_edge_neighbor_sum(self):
         g = make_graph(2, [(0, 1)], x=[[1.0], [0.0]])
         batch = build_graph_batch([g])
-        values = batch.default_values[batch.dir_to_edge]
-        h = apply_gin_layer(identity_layer(1), Tensor(batch.x), batch.adj.assemble(values))
+        adj = batch.adj.assemble(batch.default_values)
+        h = apply_gin_layer(identity_layer(1), Tensor(batch.x), adj)
         assert np.array_equal(h.data, [[1.0], [1.0]])
 
     def test_masked_edge_touches_exactly_its_endpoints_pre_mlp(self, triangle):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((3, 2))
         adj = build_graph_batch([triangle]).adj
-        full = spmm(adj.assemble(np.ones(adj.nnz)), x).data
+        full = spmm(adj.assemble(np.ones(adj.num_edges)), x).data
         masked_bits = np.array([0.0, 1.0, 1.0])  # drop edge 0 = (0, 1)
-        masked = spmm(adj.assemble(masked_bits[np.repeat(np.arange(3), 2)]), x).data
+        masked = spmm(adj.assemble(masked_bits), x).data
         diff_rows = np.where(np.any(full != masked, axis=1))[0]
         assert diff_rows.tolist() == [0, 1]
 
@@ -137,8 +138,12 @@ class TestBackboneForward:
 
 
 def reference_batch(graphs, masks=None):
-    """Graph-by-graph assembly: each graph's arrays shifted by the nodes before it."""
-    xs, node_graph, rows, cols, edges, edge_graph, values = [], [], [], [], [], [], []
+    """Graph-by-graph assembly: each graph's arrays shifted by the nodes before it.
+
+    The weighted adjacency is the block diagonal of each graph's dense
+    symmetric one.
+    """
+    xs, node_graph, edges, edge_graph, values, blocks = [], [], [], [], [], []
     offset = 0
     for gi, g in enumerate(graphs):
         x = np.array(g.x, dtype=np.float64)
@@ -149,20 +154,18 @@ def reference_batch(graphs, masks=None):
             values.append(masks[gi].hard)
         xs.append(x)
         node_graph.append(np.full(g.num_nodes, gi))
-        for i, j in g.edges:
+        block = np.zeros((g.num_nodes, g.num_nodes))
+        for (i, j), w in zip(g.edges, values[-1]):
             edges.append((i + offset, j + offset))
-            rows += [i + offset, j + offset]
-            cols += [j + offset, i + offset]
+            block[i, j] = block[j, i] = w
+        blocks.append(block)
         edge_graph.append(np.full(g.num_edges, gi))
         offset += g.num_nodes
-    num_edges = len(edges)
     return {
         "x": np.concatenate(xs) if xs else np.zeros((0, 1)),
         "node_graph": np.concatenate(node_graph) if node_graph else np.zeros(0),
-        "rows": np.array(rows),
-        "cols": np.array(cols),
+        "adjacency": scipy.linalg.block_diag(*blocks) if blocks else np.zeros((0, 0)),
         "edges": np.array(edges).reshape(-1, 2),
-        "dir_to_edge": np.repeat(np.arange(num_edges), 2),
         "edge_graph": np.concatenate(edge_graph) if edge_graph else np.zeros(0),
         "default_values": np.concatenate(values) if values else np.zeros(0),
         "labels": np.array([g.y for g in graphs]),
@@ -175,15 +178,10 @@ class TestBuildGraphBatch:
         batch = build_graph_batch(graphs, masks)
         ref = reference_batch(graphs, masks)
         got = {name: getattr(batch, name, None) for name in ref}
-        got["rows"], got["cols"] = batch.adj.rows, batch.adj.cols
+        got["adjacency"] = batch.adj.assemble(batch.default_values).csr.toarray()
         for name, want in ref.items():
             assert got[name].shape == want.shape, name
             assert np.array_equal(got[name], want), name
-        assert (batch.num_graphs, batch.total_nodes, batch.num_edges) == (
-            len(graphs),
-            sum(g.num_nodes for g in graphs),
-            sum(g.num_edges for g in graphs),
-        )
 
     @pytest.fixture
     def mixed(self):
@@ -242,14 +240,16 @@ class TestEndToEndGradient:
         batch = build_graph_batch([g])
 
         def loss():
-            logits, _, _ = backbone_forward_batch(batch, params)
+            logits, _ = backbone_forward_batch(batch, params)
             return cross_entropy_mean(logits, [1])
 
         assert grad_check(loss, params.named(), h=1e-5) < 1e-4
 
 
 class TestOneAdjacencyPerForward:
-    def test_a_four_layer_forward_assembles_one_csr_and_one_transpose(self, monkeypatch):
+    def test_a_four_layer_forward_and_backward_assemble_one_csr_and_no_transpose(
+        self, monkeypatch
+    ):
         calls = Counter()
 
         def spy(name, fn):
@@ -265,10 +265,9 @@ class TestOneAdjacencyPerForward:
         )
         graphs = list(generate_ba2motifs(6, seed=1).graphs)
         params = init_backbone(np.random.default_rng(0), 1, 2, hidden=8, num_layers=4)
-        logits, _, _ = backbone_forward_batch(build_graph_batch(graphs), params)
-        assert calls == {"assemble": 1}
+        logits, _ = backbone_forward_batch(build_graph_batch(graphs), params)
         cross_entropy_mean(logits, [g.y for g in graphs]).backward()
-        assert calls == {"assemble": 1, "transpose": 1}
+        assert (calls["assemble"], calls["transpose"]) == (1, 0)
 
 
 class TestPredict:
@@ -353,6 +352,19 @@ class TestTraining:
         assert len(scored) == cfg.epochs * len(eval_sets)
         assert all(any(s is e for e in eval_sets.values()) for s in scored)
         assert [sorted(e) for e in history] == [["epoch", "loss", "test_acc", "train_acc", "val_acc"]] * 3
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"batch_size": 0}, {"num_layers": 0}, {"hidden": 0}, {"epochs": -1}]
+    )
+    def test_config_rejects_bad_values_naming_the_field(self, kwargs):
+        (field,) = kwargs
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**kwargs)
+
+    def test_a_label_outside_the_classes_names_the_graph_and_label(self):
+        graphs = [make_graph(3, [(0, 1)], y=1), make_graph(2, [(0, 1)], y=2)]
+        with pytest.raises(ValueError, match="graph 1 has label 2 outside 0..1"):
+            train_backbone(graphs, 2, TrainConfig(epochs=1))
 
     def test_deterministic_under_seed(self):
         ds = generate_ba2motifs(10, seed=0)

@@ -192,7 +192,7 @@ class TestConnectivityOperators:
         eye, zero = np.eye(2), np.zeros(2)
         layer = GinLayerParams(Tensor(eye), Tensor(zero), Tensor(eye), Tensor(zero), Tensor(eps))
         batch = build_graph_batch([triangle])
-        combined = apply_gin_layer(layer, Tensor(h), batch.adj.assemble(np.ones(batch.adj.nnz))).data
+        combined = apply_gin_layer(layer, Tensor(h), batch.adj.assemble(np.ones(len(batch.edges)))).data
         dense = np.zeros((3, 3))
         for i, j in triangle.edges:
             dense[i, j] = dense[j, i] = 1.0
