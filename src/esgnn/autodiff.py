@@ -1,14 +1,21 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
 The recorded operation graph doubles as the tape: every op returns a new
-Tensor that references its inputs and carries a closure that receives the
-output gradient and pushes it back to them.  ``backward()`` walks the tape
-once in reverse topological order.  Gradients are re-zeroed at the start of
-every backward pass, so repeated passes over the same tape are bit-identical.
+Tensor that references its inputs and carries a vector-Jacobian closure.
+Every op, built in or registered through :func:`custom_primitive`, keeps
+one contract: the closure takes the output gradient and returns one
+gradient per input, in input order, or ``None`` for an input that needs
+none, and writes to no tensor.  ``backward()`` is the only place that
+allocates and adds up gradients.  It resets leaves that require a gradient
+to zeros and every other node to ``None``, then walks the tape once in
+reverse topological order, skipping nodes that nothing reached.  It adds
+with ``grad = g if grad is None else grad + g``, never in place, so a
+closure may return its upstream array, a view or a read-only broadcast: a
+non-leaf ``.grad`` may share memory and must be treated as read-only.
 
-A closure holds its inputs but never its own output, so the tape is acyclic:
-it is freed by reference counting as soon as the last reference to its
-output (typically the loss) goes, without waiting for the cyclic collector.
+A node holds its inputs and its closure, never its own output, so the tape
+is acyclic: it is freed by reference counting as soon as the last reference
+to its output (typically the loss) goes, without the cyclic collector.
 An op whose inputs all have ``requires_grad=False`` records nothing.
 
 Graph adjacencies are :class:`SparseMatrix` objects: symmetric operators
@@ -16,10 +23,6 @@ over undirected edges that own their directed entries.  ``assemble`` takes
 one weight per undirected edge and builds the CSR that every layer's
 ``spmm`` shares; because the operator is symmetric, ``spmm``'s backward
 multiplies by that same CSR and no transpose is made.
-
-Ops that need a non-standard backward rule (e.g. straight-through
-binarization) are registered through :func:`custom_primitive` instead of
-being hard-coded here.
 """
 
 from __future__ import annotations
@@ -88,24 +91,21 @@ class Tensor:
         stack: list[tuple[Tensor, iter]] = [(self, iter(self._prev))]
         while stack:
             node, children = stack[-1]
-            advanced = False
-            for child in children:
-                if id(child) not in visited:
-                    visited.add(id(child))
-                    stack.append((child, iter(child._prev)))
-                    advanced = True
-                    break
-            if not advanced:
+            child = next((c for c in children if id(c) not in visited), None)
+            if child is None:
                 order.append(node)
                 stack.pop()
+            else:
+                visited.add(id(child))
+                stack.append((child, iter(child._prev)))
         return order
 
     def backward(self) -> None:
         """Propagate d(self)/d(leaf) to every tensor reachable on the tape.
 
-        Only defined for single-element outputs (losses).  All gradients on
-        the tape are reset first; two calls on the same tape therefore give
-        bit-identical results.
+        Only defined for single-element outputs (losses).  Leaves that
+        require a gradient reset to zeros, every other node to ``None``;
+        two calls on the same tape therefore give bit-identical results.
         """
         if self.data.size != 1:
             raise DimensionError(
@@ -113,14 +113,17 @@ class Tensor:
             )
         order = self._toposort()
         for node in order:
-            if node.requires_grad:
-                node.grad = np.zeros_like(node.data)
+            leaf = node.requires_grad and node._backward is None
+            node.grad = np.zeros_like(node.data) if leaf else None
         if not self.requires_grad:
             return
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
-            if node._backward is not None:
-                node._backward(node.grad)
+            if node._backward is None or node.grad is None:
+                continue
+            for t, g in zip(node._prev, node._backward(node.grad)):
+                if g is not None and t.requires_grad:
+                    t.grad = g if t.grad is None else t.grad + g
 
     # Operator sugar; the module-level functions are the canonical ops.
     def __add__(self, other):
@@ -137,34 +140,24 @@ def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _record(data: np.ndarray, inputs: tuple[Tensor, ...], backward) -> Tensor:
-    """Wrap data as an op output; tape it only if some input needs a gradient.
-
-    ``backward(grad)`` receives the output gradient and accumulates into the
-    inputs' ``.grad``.
-    """
+def _record(data: np.ndarray, inputs: tuple[Tensor, ...], vjp) -> Tensor:
+    """An op output, taped with its vjp only if some input needs a gradient."""
     out = Tensor(data)
     if any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out._prev = inputs
-        out._backward = backward
+        out._backward = vjp
     return out
 
 
 def custom_primitive(data, inputs, vjp) -> Tensor:
     """Record an op with a caller-supplied backward rule.
 
-    ``vjp(grad_out)`` must return one gradient array (or None) per input,
-    in input order.
+    ``vjp(grad_out)`` keeps every op's contract: one gradient array, or
+    ``None``, per input, in input order, and no write to any tensor.  It
+    may return ``grad_out`` itself, since gradients are never added in place.
     """
-    inputs = tuple(_lift(t) for t in inputs)
-
-    def _bp(grad):
-        for t, g in zip(inputs, vjp(grad)):
-            if t.requires_grad and g is not None:
-                t.grad += g
-
-    return _record(np.asarray(data, dtype=np.float64), inputs, _bp)
+    return _record(np.asarray(data, dtype=np.float64), tuple(_lift(t) for t in inputs), vjp)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -184,10 +177,10 @@ def add(a, b) -> Tensor:
         raise DimensionError(f"add: shapes {a.data.shape} and {b.data.shape}") from None
 
     def _bp(grad):
-        if a.requires_grad:
-            a.grad += _unbroadcast(grad, a.data.shape)
-        if b.requires_grad:
-            b.grad += _unbroadcast(grad, b.data.shape)
+        return (
+            _unbroadcast(grad, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(grad, b.data.shape) if b.requires_grad else None,
+        )
 
     return _record(data, (a, b), _bp)
 
@@ -200,10 +193,10 @@ def mul(a, b) -> Tensor:
         raise DimensionError(f"mul: shapes {a.data.shape} and {b.data.shape}") from None
 
     def _bp(grad):
-        if a.requires_grad:
-            a.grad += _unbroadcast(grad * b.data, a.data.shape)
-        if b.requires_grad:
-            b.grad += _unbroadcast(grad * a.data, b.data.shape)
+        return (
+            _unbroadcast(grad * b.data, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(grad * a.data, b.data.shape) if b.requires_grad else None,
+        )
 
     return _record(data, (a, b), _bp)
 
@@ -215,10 +208,10 @@ def matmul(a, b) -> Tensor:
     data = a.data @ b.data
 
     def _bp(grad):
-        if a.requires_grad:
-            a.grad += grad @ b.data.T
-        if b.requires_grad:
-            b.grad += a.data.T @ grad
+        return (
+            grad @ b.data.T if a.requires_grad else None,
+            a.data.T @ grad if b.requires_grad else None,
+        )
 
     return _record(data, (a, b), _bp)
 
@@ -235,25 +228,21 @@ def linear(x, w, b) -> Tensor:
     data += b.data
 
     def _bp(grad):
-        if x.requires_grad:
-            x.grad += grad @ w.data.T
-        if w.requires_grad:
-            w.grad += x.data.T @ grad
-        if b.requires_grad:
-            b.grad += grad.sum(axis=0)
+        return (
+            grad @ w.data.T if x.requires_grad else None,
+            x.data.T @ grad if w.requires_grad else None,
+            grad.sum(axis=0) if b.requires_grad else None,
+        )
 
     return _record(data, (x, w, b), _bp)
 
 
 def relu(x) -> Tensor:
     x = _lift(x)
-    mask = x.data > 0  # subgradient at 0 fixed to 0
-    data = np.where(mask, x.data, 0.0)
-
-    def _bp(grad):
-        x.grad += grad * mask
-
-    return _record(data, (x,), _bp)
+    # maximum lets NaN through; the subgradient at 0 is fixed to 0
+    data = np.maximum(x.data, 0.0)
+    mask = x.data > 0
+    return _record(data, (x,), lambda grad: (grad * mask,))
 
 
 def sigmoid(x) -> Tensor:
@@ -263,21 +252,13 @@ def sigmoid(x) -> Tensor:
     data[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
     ex = np.exp(x.data[~pos])
     data[~pos] = ex / (1.0 + ex)
-
-    def _bp(grad):
-        x.grad += grad * data * (1.0 - data)
-
-    return _record(data, (x,), _bp)
+    return _record(data, (x,), lambda grad: (grad * data * (1.0 - data),))
 
 
 def reshape(x, shape) -> Tensor:
     x = _lift(x)
     data = x.data.reshape(shape)
-
-    def _bp(grad):
-        x.grad += grad.reshape(x.data.shape)
-
-    return _record(data, (x,), _bp)
+    return _record(data, (x,), lambda grad: (grad.reshape(x.data.shape),))
 
 
 def concat_cols(a, b) -> Tensor:
@@ -288,10 +269,10 @@ def concat_cols(a, b) -> Tensor:
     split = a.data.shape[1]
 
     def _bp(grad):
-        if a.requires_grad:
-            a.grad += grad[:, :split]
-        if b.requires_grad:
-            b.grad += grad[:, split:]
+        return (
+            grad[:, :split] if a.requires_grad else None,
+            grad[:, split:] if b.requires_grad else None,
+        )
 
     return _record(data, (a, b), _bp)
 
@@ -302,7 +283,9 @@ def gather_rows(x, index) -> Tensor:
     data = x.data[index]
 
     def _bp(grad):
-        np.add.at(x.grad, index, grad)
+        gx = np.zeros_like(x.data)
+        np.add.at(gx, index, grad)
+        return (gx,)
 
     return _record(data, (x,), _bp)
 
@@ -336,21 +319,13 @@ def segment_sum(x, segment_ids, num_segments: int) -> Tensor:
         shape=(num_segments, segment_ids.size),
     )
     data = pool @ x.data
-
-    def _bp(grad):
-        x.grad += grad[segment_ids]
-
-    return _record(data, (x,), _bp)
+    return _record(data, (x,), lambda grad: (grad[segment_ids],))
 
 
 def sum_all(x) -> Tensor:
     x = _lift(x)
     data = np.asarray(x.data.sum())
-
-    def _bp(grad):
-        x.grad += np.broadcast_to(grad, x.data.shape)
-
-    return _record(data, (x,), _bp)
+    return _record(data, (x,), lambda grad: (np.broadcast_to(grad, x.data.shape),))
 
 
 class SparseMatrix:
@@ -430,10 +405,12 @@ def spmm(adj: WeightedSparse, x) -> Tensor:
     data = adj.csr @ x.data
 
     def _bp(grad):
-        if weights.requires_grad and pattern.rows.size:
-            weights.grad += (grad[pattern.rows] * x.data[pattern.cols]).sum(axis=1)
-        if x.requires_grad:
-            x.grad += adj.csr @ grad
+        return (
+            (grad[pattern.rows] * x.data[pattern.cols]).sum(axis=1)
+            if weights.requires_grad
+            else None,
+            adj.csr @ grad if x.requires_grad else None,
+        )
 
     return _record(data, (weights, x), _bp)
 
@@ -457,7 +434,7 @@ def softmax_cross_entropy(logits, target: int) -> Tensor:
     def _bp(grad):
         g = np.exp(log_probs)
         g[target] -= 1.0
-        logits.grad += g * grad
+        return (g * grad,)
 
     return _record(data, (logits,), _bp)
 
@@ -479,7 +456,7 @@ def cross_entropy_mean(logits, targets) -> Tensor:
     def _bp(grad):
         g = np.exp(log_probs)
         g[rows, targets] -= 1.0
-        logits.grad += g * (grad / targets.size)
+        return (g * (grad / targets.size),)
 
     return _record(data, (logits,), _bp)
 

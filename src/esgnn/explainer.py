@@ -29,7 +29,7 @@ from .autodiff import (
     sum_all,
 )
 from .gin import BackboneParams, backbone_forward_batch, build_graph_batch, frozen_forward, glorot
-from .graphs import POLICY_TAGS, EdgeMask, Graph, SubgraphBag
+from .graphs import POLICY_TAGS, EdgeMask, Graph, PolicyError, SubgraphBag
 from .optim import AdamState, TrainingError, step_from_gradients
 
 __all__ = [
@@ -98,14 +98,16 @@ class ExplainerConfig:
     batch_size: int = 32
 
     def __post_init__(self):
+        for name in ("tau_start", "tau_end", "lam", "noise_scale", "lr"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} {getattr(self, name)} must be finite")
         if self.tau_start <= 0 or self.tau_end <= 0:
             raise ValueError(
                 f"tau_start {self.tau_start} and tau_end {self.tau_end} must be positive"
             )
-        if self.lam < 0:
-            raise ValueError(f"lam {self.lam} must be >= 0")
-        if self.noise_scale < 0:
-            raise ValueError(f"noise_scale {self.noise_scale} must be >= 0")
+        for name in ("lam", "noise_scale", "lr", "epochs"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} {getattr(self, name)} must be >= 0")
         if self.batch_size < 1:
             raise ValueError(f"batch_size {self.batch_size} must be >= 1")
 
@@ -261,6 +263,8 @@ def generate_bag_topk(
 ) -> SubgraphBag:
     """One mask per fraction f of ``DEFAULT_FRACTIONS`` with budget
     max(1, ceil(f * |E|)); noise-free, so the masks are nested."""
+    if g.num_edges == 0:
+        raise PolicyError("top-K bags need at least one edge")
     omega = edge_scores(g, backbone, params)
     s = concrete_sample(omega, BAG_TAU, 0.0, 0)
     masks = tuple(

@@ -324,8 +324,11 @@ class TrainConfig:
         for name in ("batch_size", "hidden", "num_layers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} {getattr(self, name)} must be >= 1")
-        if self.epochs < 0:
-            raise ValueError(f"epochs {self.epochs} must be >= 0")
+        if not np.isfinite(self.lr):
+            raise ValueError(f"lr {self.lr} must be finite")
+        for name in ("epochs", "lr"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} {getattr(self, name)} must be >= 0")
 
 
 def train_backbone(

@@ -1,6 +1,8 @@
+import ast
 import gc
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,6 +155,12 @@ class TestElementwiseAndReductions:
     def test_relu_values(self):
         out = relu([-1.0, 0.0, 2.0])
         assert np.array_equal(out.data, [0.0, 0.0, 2.0])
+
+    def test_relu_lets_nan_through_and_keeps_the_sign_of_zero(self):
+        x = np.array([np.nan, -0.0, 0.0, -1.0, 2.0, -np.inf, np.inf])
+        out = relu(x).data
+        assert np.isnan(out[0])
+        assert out[1:].tobytes() == np.array([0.0, 0.0, 0.0, 2.0, 0.0, np.inf]).tobytes()
 
     def test_relu_subgradient_zero_at_zero(self):
         x = Tensor([0.0, 1.0], requires_grad=True)
@@ -312,6 +320,26 @@ class TestTapeMechanics:
         loss.backward()
         assert np.array_equal(x.grad, [0.0, 0.0])
 
+    def test_an_op_returning_its_upstream_gradient_twice_aliases_nothing(self):
+        a = mul(Tensor([1.0, 2.0], requires_grad=True), 1.0)  # an intermediate
+        b = add(a, a)  # add's vjp returns b's gradient array for both inputs
+        sum_all(b).backward()
+        assert np.array_equal(b.grad, [1.0, 1.0])
+        assert np.array_equal(a.grad, [2.0, 2.0])
+
+    def test_leaves_reset_to_zeros_and_unreached_nodes_stay_none(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        unreached = Tensor([3.0], requires_grad=True)
+        mid = relu(unreached)
+        # a vjp that passes no gradient on: nothing reaches mid
+        cut = custom_primitive([0.0], [mid], lambda g: [None])
+        loss = add(sum_all(relu(x)), sum_all(cut))
+        x.grad, unreached.grad = np.full(2, 7.0), np.full(1, 7.0)
+        loss.backward()
+        assert np.array_equal(x.grad, [1.0, 1.0])
+        assert np.array_equal(unreached.grad, [0.0])  # reads zeros for Adam
+        assert mid.grad is None and np.array_equal(cut.grad, [1.0])
+
     def test_custom_primitive_backward_rule(self):
         x = Tensor([1.0, -2.0], requires_grad=True)
         doubled_grad = custom_primitive(x.data.copy(), [x], lambda g: [2.0 * g])
@@ -371,3 +399,35 @@ class TestCheckpointRoundTrip:
         with pytest.raises(ValueError, match="layer/W") as info:
             ad.load_params(path)
         assert str(path) in str(info.value)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "esgnn"
+
+
+def grad_assignments(path: Path) -> set[str]:
+    """Qualified names of the functions that assign to some ``.grad``."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}{child.name}.")
+                continue
+            if isinstance(child, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = child.targets if isinstance(child, ast.Assign) else [child.target]
+                if any(
+                    isinstance(n, ast.Attribute) and n.attr == "grad"
+                    for t in targets
+                    for n in ast.walk(t)
+                ):
+                    found.add(scope.rstrip("."))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def test_only_backward_assigns_gradients():
+    where = {f"{p.stem}:{fn}" for p in SRC.glob("*.py") for fn in grad_assignments(p)}
+    # __init__ only declares the slot as None
+    assert where == {"autodiff:Tensor.__init__", "autodiff:Tensor.backward"}

@@ -18,7 +18,7 @@ from esgnn.explainer import (
     mask_seed,
     train_explainer,
 )
-from esgnn.graphs import policy_edge_deleted, policy_node_deleted, sample_bag
+from esgnn.graphs import PolicyError, policy_edge_deleted, policy_node_deleted, sample_bag
 from tests.conftest import make_graph
 
 
@@ -108,6 +108,10 @@ class TestTraining:
         {"lam": -0.1},
         {"noise_scale": -1.0},
         {"batch_size": 0},
+        {"epochs": -1},
+        {"lr": -1.0},
+        *({name: float("nan")} for name in ("lr", "tau_start", "tau_end", "lam", "noise_scale")),
+        {"lam": float("inf")},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -149,6 +153,13 @@ class TestBags:
             assert np.array_equal(mask.soft, soft)
             assert np.array_equal(mask.hard, (soft > 0.5).astype(np.float64))
         assert len({m.hard.tobytes() for m in bag.masks}) > 1
+
+    def test_an_edgeless_graph_has_noise_bags_but_no_topk_bag(self, backbone, params):
+        g = make_graph(3, [])
+        with pytest.raises(PolicyError, match="top-K bags need at least one edge"):
+            generate_bag_topk(g, backbone, params)
+        bag = generate_bag_noise(g, backbone, params, m=2, noise_scale=1.0, seed=0)
+        assert [m.num_edges for m in bag.masks] == [0, 0]
 
 
 class TestBagJson:

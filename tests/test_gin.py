@@ -270,6 +270,25 @@ class TestOneAdjacencyPerForward:
         assert (calls["assemble"], calls["transpose"]) == (1, 0)
 
 
+def test_backward_zero_fills_only_the_parameters(monkeypatch):
+    graphs = list(generate_ba2motifs(32, seed=0).graphs)
+    params = init_backbone(np.random.default_rng(0), 1, 2)  # 4 layers, 22 tensors
+    batch = build_graph_batch(graphs)
+    loss = cross_entropy_mean(backbone_forward_batch(batch, params)[0], batch.labels)
+    filled = []
+    zeros_like = np.zeros_like
+
+    def spy(a, *args, **kwargs):
+        filled.append(a.shape)
+        return zeros_like(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros_like", spy)
+    loss.backward()
+    monkeypatch.undo()
+    assert sorted(filled) == sorted(t.shape for t in params.named().values())
+    assert len(filled) == 22
+
+
 class TestPredict:
     def test_argmax_and_tie_rule(self, triangle):
         params = init_backbone(np.random.default_rng(0), 1, 2)
@@ -313,6 +332,12 @@ class TestFrozenForward:
         logits, states = frozen_forward([], params)
         assert logits.shape == (0, 3) and states == []
 
+    def test_a_nan_bias_gives_non_finite_logits(self, triangle):
+        params = init_backbone(np.random.default_rng(0), 1, 2)
+        params.layers[0].b1.data[0] = np.nan
+        logits, _ = frozen_forward([triangle], params)
+        assert not np.isfinite(logits).any()
+
 
 class TestTraining:
     def test_zero_learning_rate_leaves_params_unchanged(self):
@@ -354,7 +379,16 @@ class TestTraining:
         assert [sorted(e) for e in history] == [["epoch", "loss", "test_acc", "train_acc", "val_acc"]] * 3
 
     @pytest.mark.parametrize(
-        "kwargs", [{"batch_size": 0}, {"num_layers": 0}, {"hidden": 0}, {"epochs": -1}]
+        "kwargs",
+        [
+            {"batch_size": 0},
+            {"num_layers": 0},
+            {"hidden": 0},
+            {"epochs": -1},
+            {"lr": -1.0},
+            {"lr": float("nan")},
+            {"lr": float("inf")},
+        ],
     )
     def test_config_rejects_bad_values_naming_the_field(self, kwargs):
         (field,) = kwargs

@@ -46,6 +46,16 @@ class TestGraphInvariants:
         with pytest.raises(ValueError, match="rows"):
             Graph(num_nodes=3, edges=(), x=constant_features(2), y=0)
 
+    def test_rejects_features_that_are_not_2d_naming_the_shape(self):
+        with pytest.raises(ValueError, match=r"shape \(3,\), expected 2-D"):
+            Graph(num_nodes=3, edges=(), x=np.ones(3), y=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_a_non_finite_feature_naming_the_first_bad_node(self, bad):
+        x = np.ones((4, 2))
+        x[2, 1] = x[3, 0] = bad
+        with pytest.raises(ValueError, match="non-finite feature at node 2"):
+            Graph(num_nodes=4, edges=((0, 1),), x=x, y=0)
 
     def test_rejects_node_labels_of_the_wrong_length(self):
         with pytest.raises(ValueError, match="3 node labels for 2 nodes"):
