@@ -128,6 +128,16 @@ def edge_logits(Z: Tensor | np.ndarray, edges: np.ndarray, params: ExplainerPara
     return reshape(linear(h, params.w2, params.b2), (edges.shape[0],))
 
 
+def _logistic_noise(seeds, n: int, noise_scale: float) -> np.ndarray:
+    """(len(seeds), n) scaled Logistic(0, 1) draws, row t from its own generator
+    ``default_rng(seeds[t])``; noise_scale = 0 draws nothing and gives zeros."""
+    if noise_scale == 0.0:
+        return np.zeros((len(seeds), n))
+    u = np.stack([np.random.default_rng(seed).random(n) for seed in seeds])
+    u = np.clip(u, 1e-12, 1.0 - 1e-12)
+    return noise_scale * (np.log(u) - np.log1p(-u))
+
+
 def concrete_sample(omega: Tensor | np.ndarray, tau: float, noise_scale: float, seed) -> Tensor:
     """Binary-concrete soft weights: sigmoid((omega + noise_scale * logistic) / tau).
 
@@ -136,13 +146,7 @@ def concrete_sample(omega: Tensor | np.ndarray, tau: float, noise_scale: float, 
     if tau <= 0:
         raise ValueError(f"temperature {tau} must be positive")
     omega = omega if isinstance(omega, Tensor) else Tensor(omega)
-    n = omega.data.shape[0]
-    if noise_scale == 0.0:
-        noise = np.zeros(n)
-    else:
-        u = np.random.default_rng(seed).random(n)
-        u = np.clip(u, 1e-12, 1.0 - 1e-12)
-        noise = noise_scale * (np.log(u) - np.log1p(-u))
+    (noise,) = _logistic_noise([seed], omega.data.shape[0], noise_scale)
     return sigmoid((omega + Tensor(noise)) * (1.0 / tau))
 
 
@@ -152,15 +156,23 @@ def hard_threshold(s: Tensor, threshold: float) -> Tensor:
     return custom_primitive(bits, [s], lambda g: [g])
 
 
-def topk_binarize(s: Tensor | np.ndarray, k: int) -> EdgeMask:
-    """Keep exactly the k largest soft weights as an EdgeMask."""
+def topk_binarize(s: Tensor | np.ndarray, budgets: list[int]) -> list[EdgeMask]:
+    """One EdgeMask per budget k keeping exactly the k largest soft weights.
+
+    All budgets come from one stable sort, so the masks are nested.  Edges
+    are ranked by their rounded float64 scores, equal scores in edge order:
+    two edges whose scores are equal in exact arithmetic but differ in the
+    last bit are ranked by that bit, so a change that only moves rounding
+    can swap them at a budget's edge.
+    """
     soft = s.data if isinstance(s, Tensor) else np.asarray(s, dtype=np.float64)
-    if not 1 <= k <= soft.size:
-        raise ValueError(f"budget {k} outside 1..{soft.size}")
-    order = np.argsort(-soft, kind="stable")
-    hard = np.zeros_like(soft)
-    hard[order[:k]] = 1.0
-    return EdgeMask(soft=soft.copy(), hard=hard, budget=k)
+    for k in budgets:
+        if not 1 <= k <= soft.size:
+            raise ValueError(f"budget {k} outside 1..{soft.size}")
+    rank = np.empty(soft.size, dtype=np.intp)
+    rank[np.argsort(-soft, kind="stable")] = np.arange(soft.size)
+    hard = (rank < np.array(budgets, dtype=np.intp)[:, None]).astype(np.float64)
+    return [EdgeMask(soft=soft.copy(), hard=bits, budget=k) for k, bits in zip(budgets, hard)]
 
 
 def train_explainer(
@@ -243,17 +255,20 @@ def generate_bag_noise(
     noise_scale: float,
     seed: int,
 ) -> SubgraphBag:
-    """m independent concrete draws, thresholded into hard masks."""
+    """m independent concrete draws, thresholded into hard masks.
+
+    Mask t draws its uniforms from ``mask_seed(seed, t)``; the noise, the
+    sigmoid and the threshold then run once over the stacked (m, E) draws.
+    """
     if m < 1:
         raise ValueError(f"bag size {m} must be >= 1")
     omega = edge_scores(g, backbone, params)
-    masks = []
-    for t in range(m):
-        child = mask_seed(seed, t)
-        s = concrete_sample(omega, BAG_TAU, noise_scale, child)
-        hard = hard_threshold(s, THRESHOLD).data
-        masks.append(EdgeMask(soft=s.data, hard=hard, seed=child))
-    return SubgraphBag(base=g, masks=tuple(masks), policy_tag="EXPLAIN_NOISE")
+    seeds = [mask_seed(seed, t) for t in range(m)]
+    noise = _logistic_noise(seeds, g.num_edges, noise_scale)
+    s = sigmoid((Tensor(omega) + Tensor(noise)) * (1.0 / BAG_TAU))
+    hard = hard_threshold(s, THRESHOLD).data
+    masks = tuple(EdgeMask(soft=s.data[t], hard=hard[t], seed=seeds[t]) for t in range(m))
+    return SubgraphBag(base=g, masks=masks, policy_tag="EXPLAIN_NOISE")
 
 
 def generate_bag_topk(
@@ -267,10 +282,8 @@ def generate_bag_topk(
         raise PolicyError("top-K bags need at least one edge")
     omega = edge_scores(g, backbone, params)
     s = concrete_sample(omega, BAG_TAU, 0.0, 0)
-    masks = tuple(
-        topk_binarize(s, max(1, math.ceil(f * g.num_edges))) for f in DEFAULT_FRACTIONS
-    )
-    return SubgraphBag(base=g, masks=masks, policy_tag="EXPLAIN_TOPK")
+    budgets = [max(1, math.ceil(f * g.num_edges)) for f in DEFAULT_FRACTIONS]
+    return SubgraphBag(base=g, masks=tuple(topk_binarize(s, budgets)), policy_tag="EXPLAIN_TOPK")
 
 
 def bag_to_json(bag: SubgraphBag, graph_id: int) -> dict:

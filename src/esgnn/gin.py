@@ -2,11 +2,15 @@
 
 Each layer computes MLP((1 + eps) * H + A_mask H) where A_mask is the
 symmetric adjacency with one weight per undirected edge (0 for a masked
-edge); eps is a learnable scalar per layer.  A batch carries its edges once,
-as (E, 2) undirected pairs, and its ``SparseMatrix`` owns the directed
-entries; A_mask is assembled once per forward and shared by all layers and
-their backward.  Graphs are trained in block-diagonal minibatches with a
-graph-indicator vector for pooling.
+edge); eps is a learnable scalar per layer.  A layer is one taped op: its
+backward returns the gradients of the edge weights, H, eps and the MLP's
+two weights and biases at once, bit-identical to the same layer composed
+of ``spmm``, ``mul``, ``add``, ``linear`` and ``relu``.  A batch carries its
+edges once, as (E, 2) undirected pairs, and its ``SparseMatrix`` owns the
+directed entries; A_mask is assembled once per forward and shared by all
+layers and their backward.  Graphs are trained in block-diagonal
+minibatches with a graph-indicator vector for pooling, and Adam updates
+all parameters in one flat vector step (``optim``).
 
 ``train_backbone``'s per-epoch ``train_acc`` is the running minibatch
 accuracy: the share of training graphs that their minibatch's logits, taken
@@ -23,14 +27,14 @@ from itertools import accumulate
 import numpy as np
 
 from .autodiff import (
+    DimensionError,
     SparseMatrix,
     Tensor,
     WeightedSparse,
     cross_entropy_mean,
+    custom_primitive,
     linear,
-    relu,
     segment_sum,
-    spmm,
 )
 from .graphs import EdgeMask, Graph
 from .optim import AdamState, TrainingError, step_from_gradients
@@ -233,10 +237,47 @@ def build_graph_batch(
 
 
 def apply_gin_layer(layer: GinLayerParams, h: Tensor, adj: WeightedSparse) -> Tensor:
-    agg = spmm(adj, h)
-    z = h * (layer.eps + 1.0) + agg
-    z = relu(linear(z, layer.w1, layer.b1))
-    return linear(z, layer.w2, layer.b2)
+    """MLP((1 + eps) * h + A h) as one taped op over the layer's seven inputs.
+
+    The forward keeps the MLP input ``z``, the ReLU mask and the hidden
+    activations ``r``; the backward returns the gradients of the edge
+    weights, ``h``, ``eps``, ``w1``, ``b1``, ``w2`` and ``b2`` with the same
+    arithmetic as the composed ``spmm``/``mul``/``add``/``linear``/``relu``
+    ops, so the two agree bit for bit.
+    """
+    pattern, weights = adj.pattern, adj.weights
+    eps, w1, b1, w2, b2 = layer.eps, layer.w1, layer.b1, layer.w2, layer.b2
+    if h.data.ndim != 2 or h.data.shape[0] != pattern.n:
+        raise DimensionError(f"GIN layer: states {h.data.shape} vs {pattern.n} nodes")
+    if h.data.shape[1] != w1.data.shape[0]:
+        raise DimensionError(f"GIN layer: states {h.data.shape} vs weight {w1.data.shape}")
+    scale = eps.data + 1.0
+    z = h.data * scale + adj.csr @ h.data
+    a = z @ w1.data
+    a += b1.data
+    relu_mask = a > 0
+    r = np.maximum(a, 0.0)
+    out = r @ w2.data
+    out += b2.data
+
+    needs_gz = weights.requires_grad or h.requires_grad or eps.requires_grad
+
+    def _bp(grad):
+        ga = (grad @ w2.data.T) * relu_mask
+        gz = ga @ w1.data.T if needs_gz else None
+        return (
+            (gz[pattern.rows] * h.data[pattern.cols]).sum(axis=1)
+            if weights.requires_grad
+            else None,
+            gz * scale + adj.csr @ gz if h.requires_grad else None,
+            (gz * h.data).sum(axis=0).sum(axis=0) if eps.requires_grad else None,
+            z.T @ ga if w1.requires_grad else None,
+            ga.sum(axis=0) if b1.requires_grad else None,
+            r.T @ grad if w2.requires_grad else None,
+            grad.sum(axis=0) if b2.requires_grad else None,
+        )
+
+    return custom_primitive(out, (weights, h, eps, w1, b1, w2, b2), _bp)
 
 
 def backbone_forward_batch(
@@ -304,11 +345,20 @@ def predict(g: Graph, params: BackboneParams) -> Prediction:
 
 
 def evaluate_accuracy(graphs: list[Graph], params: BackboneParams) -> float:
+    """Share of graphs whose argmax logit is their label.
+
+    Scores one ``FORWARD_CHUNK`` at a time, so each chunk's node states are
+    freed before the next chunk runs.
+    """
     if not graphs:
         return float("nan")
-    logits, _ = frozen_forward(graphs, params)
-    labels = np.array([g.y for g in graphs], dtype=np.intp)
-    return int((logits.argmax(axis=1) == labels).sum()) / len(graphs)
+    hits = 0
+    for start in range(0, len(graphs), FORWARD_CHUNK):
+        chunk = graphs[start : start + FORWARD_CHUNK]
+        logits = frozen_forward(chunk, params)[0]
+        labels = np.array([g.y for g in chunk], dtype=np.intp)
+        hits += int((logits.argmax(axis=1) == labels).sum())
+    return hits / len(graphs)
 
 
 @dataclass

@@ -274,3 +274,30 @@ class TestFrozenForwards:
         for t in tensors:
             assert t.requires_grad
             assert np.array_equal(t.grad, np.full(t.data.shape, 7.0))
+
+
+class TestTopK:
+    def test_equal_scores_rank_in_edge_order_and_budgets_nest(self):
+        masks = explainer.topk_binarize(np.array([0.5, 0.7, 0.5, 0.7, 0.1]), [1, 2, 3, 5])
+        assert [m.hard.tolist() for m in masks] == [
+            [0.0, 1.0, 0.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0, 1.0, 0.0],
+            [1.0, 1.0, 0.0, 1.0, 0.0],
+            [1.0, 1.0, 1.0, 1.0, 1.0],
+        ]
+        assert [m.budget for m in masks] == [1, 2, 3, 5]
+
+    @pytest.mark.parametrize("budget", [0, 4])
+    def test_a_budget_outside_the_edges_is_rejected(self, budget):
+        with pytest.raises(ValueError, match=f"budget {budget} outside 1..3"):
+            explainer.topk_binarize(np.ones(3), [1, budget])
+
+
+def test_noise_free_bags_threshold_the_plain_scores(graphs, backbone, params):
+    g = graphs[1]
+    bag = generate_bag_noise(g, backbone, params, m=3, noise_scale=0.0, seed=2)
+    soft = concrete_sample(edge_scores(g, backbone, params), 1.0, 0.0, 0).data
+    assert [m.seed for m in bag.masks] == [mask_seed(2, t) for t in range(3)]
+    for mask in bag.masks:
+        assert np.array_equal(mask.soft, soft)
+        assert np.array_equal(mask.hard, (soft > 0.5).astype(np.float64))

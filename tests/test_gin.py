@@ -1,3 +1,4 @@
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -5,8 +6,19 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from esgnn import gin
-from esgnn.autodiff import SparseMatrix, Tensor, cross_entropy_mean, grad_check, spmm
+from esgnn import explainer, gin
+from esgnn.autodiff import (
+    SparseMatrix,
+    Tensor,
+    add,
+    cross_entropy_mean,
+    grad_check,
+    linear,
+    mul,
+    relu,
+    spmm,
+    sum_all,
+)
 from esgnn.ba2motifs import generate_ba2motifs
 from esgnn.gin import (
     GinLayerParams,
@@ -93,6 +105,92 @@ class TestGinLayer:
         full_mask = EdgeMask.full(cycle6.num_edges)
         masked = single_graph_logits(cycle6, params, full_mask)
         assert np.array_equal(plain, masked)
+
+
+def composed_gin_layer(layer, h, adj):
+    """The GIN layer as seven taped ops: the oracle for the fused one."""
+    z = add(mul(h, add(layer.eps, 1.0)), spmm(adj, h))
+    return linear(relu(linear(z, layer.w1, layer.b1)), layer.w2, layer.b2)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestFusedGinLayer:
+    @staticmethod
+    def random_inputs(seed, num_graphs=6, hidden=5):
+        rng = np.random.default_rng(seed)
+        graphs = list(generate_ba2motifs(num_graphs, seed=seed).graphs)
+        batch = build_graph_batch(graphs)
+        values = Tensor(rng.random(len(batch.edges)), requires_grad=True)
+        h = Tensor(rng.standard_normal((len(batch.x), 3)), requires_grad=True)
+        layer = gin.init_gin_layer(rng, 3, hidden)
+        layer.eps.data[...] = 0.37
+        layer.b1.data[:] = rng.standard_normal(hidden) * 0.1
+        layer.b2.data[:] = rng.standard_normal(hidden) * 0.1
+        return batch, values, h, layer, rng.standard_normal((len(batch.x), hidden))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_output_and_all_seven_gradients_equal_the_composed_ops_bit_for_bit(self, seed):
+        batch, values, h, layer, upstream = self.random_inputs(seed)
+        results = []
+        for apply in (apply_gin_layer, composed_gin_layer):
+            adj = batch.adj.assemble(values)
+            out = apply(layer, h, adj)
+            sum_all(mul(out, upstream)).backward()
+            inputs = (adj.weights, values, h, layer.eps, layer.w1, layer.b1, layer.w2, layer.b2)
+            results.append([out.data] + [t.grad.copy() for t in inputs])
+        fused, composed = results
+        assert np.any(fused[1] != 0.0) and np.any(fused[3] != 0.0)
+        assert all(same_bits(a, b) for a, b in zip(fused, composed))
+
+    def test_taped_inputs_get_gradients_and_frozen_ones_none(self):
+        batch, values, h, layer, upstream = self.random_inputs(2)
+        frozen_h = Tensor(h.data)
+        adj = batch.adj.assemble(batch.default_values)
+        out = apply_gin_layer(layer, frozen_h, adj)
+        assert out._prev[:2] == (adj.weights, frozen_h)
+        grads = out._backward(upstream)
+        assert grads[0] is None and grads[1] is None
+        assert all(g is not None for g in grads[2:])
+
+    def test_grad_check_over_all_seven_inputs(self):
+        batch, values, h, layer, upstream = self.random_inputs(3, num_graphs=2, hidden=3)
+
+        def loss():
+            out = apply_gin_layer(layer, h, batch.adj.assemble(values))
+            return sum_all(mul(out, upstream))
+
+        inputs = [values, h, layer.eps, layer.w1, layer.b1, layer.w2, layer.b2]
+        assert grad_check(loss, inputs, h=1e-5) < 1e-6
+
+    def test_states_that_do_not_match_the_adjacency_are_rejected(self, triangle):
+        adj = build_graph_batch([triangle]).adj.assemble(np.ones(3))
+        layer = identity_layer(2)
+        with pytest.raises(ValueError, match="3 nodes"):
+            apply_gin_layer(layer, Tensor(np.ones((4, 2))), adj)
+        with pytest.raises(ValueError, match="weight"):
+            apply_gin_layer(layer, Tensor(np.ones((3, 1))), adj)
+
+    def test_training_runs_equal_those_of_the_composed_layer(self, monkeypatch):
+        graphs = list(generate_ba2motifs(40, seed=4).graphs)
+        cfg = TrainConfig(epochs=2, seed=3, batch_size=16, hidden=8, num_layers=3)
+        ecfg = explainer.ExplainerConfig(epochs=2, batch_size=16)
+
+        def run():
+            params, history = train_backbone(graphs[:30], 2, cfg, eval_sets={"val": graphs[30:]})
+            ex, ex_history = explainer.train_explainer(graphs[:30], params, ecfg, seed=5)
+            arrays = {k: t.data.copy() for p in (params, ex) for k, t in p.named().items()}
+            return history, ex_history, arrays
+
+        fused = run()
+        monkeypatch.setattr(gin, "apply_gin_layer", composed_gin_layer)
+        composed = run()
+        assert fused[:2] == composed[:2]
+        assert fused[2].keys() == composed[2].keys()
+        assert all(same_bits(fused[2][k], composed[2][k]) for k in fused[2])
 
 
 class TestBackboneForward:
@@ -416,6 +514,29 @@ class TestTraining:
         _, history = train_backbone(graphs[:6], 2, cfg, eval_sets={"val": graphs[6:]})
         assert "val_acc" in history[0]
         assert "train_acc" in history[0]
+
+
+def test_evaluate_accuracy_frees_each_chunks_states_before_the_next_chunk(monkeypatch):
+    graphs = list(generate_ba2motifs(14, seed=1).graphs)[:13]
+    params = init_backbone(np.random.default_rng(2), 1, 2, hidden=8, num_layers=2)
+    monkeypatch.setattr(gin, "FORWARD_CHUNK", 5)
+    expected = evaluate_accuracy(graphs, params)
+    sizes, live = [], []
+    forward = gin.frozen_forward
+
+    def spy(chunk, p):
+        assert all(ref() is None for ref in live)
+        sizes.append(len(chunk))
+        logits, states = forward(chunk, p)
+        live.extend(weakref.ref(z) for z in states)
+        return logits, states
+
+    monkeypatch.setattr(gin, "frozen_forward", spy)
+    assert evaluate_accuracy(graphs, params) == expected
+    assert sizes == [5, 5, 3]
+    logits, _ = forward(graphs, params)
+    labels = np.array([g.y for g in graphs])
+    assert expected == (logits.argmax(axis=1) == labels).mean()
 
 
 def test_evaluate_accuracy_on_known_params(triangle, single_edge):

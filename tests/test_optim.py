@@ -57,3 +57,88 @@ def test_matches_reference_recurrence():
         x -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
         step("p", p, [2.0 * p.data[0]], state, lr)
         assert p.data[0] == pytest.approx(x, abs=1e-15)
+
+
+def named(**shapes):
+    return {
+        name: Tensor(np.zeros(shape), requires_grad=True) for name, shape in shapes.items()
+    }
+
+
+def with_grads(params, value=0.5):
+    for p in params.values():
+        p.grad = np.full(p.data.shape, value)
+    return params
+
+
+def test_moments_are_views_into_one_flat_pair_of_arrays():
+    params = with_grads(named(w=(2, 3), b=(3,), eps=()))
+    state = AdamState()
+    step_from_gradients(params, state, lr=0.1)
+    assert [state.m[k].shape for k in params] == [(2, 3), (3,), ()]
+    bases = {id(state.m[k].base) for k in params} | {id(state.v[k].base) for k in params}
+    assert len(bases) == 2
+    assert np.allclose(state.m["w"], 0.05) and np.allclose(state.v["eps"], 0.00025)
+
+
+def test_matches_a_per_parameter_update_bit_for_bit():
+    rng = np.random.default_rng(0)
+    params = named(w=(4, 3), b=(3,), eps=())
+    state, t = AdamState(), 0
+    reference = {k: (p.data.copy(), np.zeros(p.shape), np.zeros(p.shape)) for k, p in params.items()}
+    for _ in range(4):
+        t += 1
+        for k, p in params.items():
+            p.grad = rng.standard_normal(p.data.shape)
+            x, m, v = reference[k]
+            m *= BETA1
+            m += (1.0 - BETA1) * p.grad
+            v *= BETA2
+            v += (1.0 - BETA2) * p.grad * p.grad
+            x -= 0.01 * (m / (1.0 - BETA1**t)) / (np.sqrt(v / (1.0 - BETA2**t)) + EPS)
+        step_from_gradients(params, state, lr=0.01)
+        for k, p in params.items():
+            assert p.data.tobytes() == reference[k][0].tobytes()
+
+
+@pytest.mark.parametrize(
+    "later, message",
+    [
+        ({"w": (2, 3), "b": (4,)}, "parameter 'b' has shape \\(4,\\)"),
+        ({"w": (2, 3), "c": (3,)}, "parameter 'c' at position 1 was 'b'"),
+        ({"b": (3,), "w": (2, 3)}, "parameter 'b' at position 0 was 'w'"),
+        ({"w": (2, 3), "b": (3,), "c": (1,)}, "parameter 'c' was not in the map"),
+        ({"w": (2, 3)}, "parameter 'b' of the first Adam step is missing"),
+    ],
+)
+def test_a_map_that_differs_from_the_first_step_names_the_parameter(later, message):
+    state = AdamState()
+    step_from_gradients(with_grads(named(w=(2, 3), b=(3,))), state, lr=0.1)
+    params = with_grads(named(**later))
+    with pytest.raises(ValueError, match=message):
+        step_from_gradients(params, state, lr=0.1)
+    assert state.step == 1
+    assert all(np.array_equal(p.data, np.zeros(p.data.shape)) for p in params.values())
+
+
+def test_a_missing_or_misshapen_gradient_names_the_parameter():
+    params = with_grads(named(w=(2, 3), b=(3,)))
+    params["b"].grad = None
+    with pytest.raises(ValueError, match="parameter 'b' has no gradient"):
+        step_from_gradients(params, AdamState(), lr=0.1)
+    params["b"].grad = np.zeros(2)
+    with pytest.raises(ValueError, match="gradient of parameter 'b' has shape \\(2,\\)"):
+        step_from_gradients(params, AdamState(), lr=0.1)
+
+
+def test_a_non_finite_gradient_changes_no_parameter_and_no_moment():
+    params = with_grads(named(w=(2, 3), b=(3,)))
+    state = AdamState()
+    step_from_gradients(params, state, lr=0.1)
+    before = {k: p.data.copy() for k, p in params.items()}
+    params["b"].grad[1] = np.inf
+    with pytest.raises(TrainingError, match="'b'"):
+        step_from_gradients(params, state, lr=0.1)
+    assert state.step == 1
+    assert all(np.array_equal(p.data, before[k]) for k, p in params.items())
+    assert np.allclose(state.m["w"], 0.05)

@@ -23,6 +23,7 @@ UNCALLED_EXPORTS = {
     "grad_check": "test oracle for every autodiff op",
     "softmax_cross_entropy": "test oracle for cross_entropy_mean",
     "matmul": "test oracle for linear; perfbench/tracing.py patches it by name",
+    "spmm": "test oracle for the fused GIN layer; perfbench/tracing.py patches it by name",
     "save_params": "checkpoints for the planned run records and CLI",
     "load_params": "checkpoints for the planned run records and CLI",
     "policy_edge_deleted": "ED baseline for the planned bag classifier",
