@@ -19,10 +19,13 @@ to its output (typically the loss) goes, without the cyclic collector.
 An op whose inputs all have ``requires_grad=False`` records nothing.
 
 Graph adjacencies are :class:`SparseMatrix` objects: symmetric operators
-over undirected edges that own their directed entries.  ``assemble`` takes
-one weight per undirected edge and builds the CSR that every layer's
-``spmm`` shares; because the operator is symmetric, ``spmm``'s backward
-multiplies by that same CSR and no transpose is made.
+over an (E, 2) array of undirected edges.  The directed entries exist only
+inside them, in the CSR template.  ``assemble`` takes one weight tensor
+with a value per undirected edge, records no tape node, and builds the CSR
+that every layer shares.  An op that applies it takes that weight tensor as
+its input and returns its gradient per edge through
+``SparseMatrix.weight_grad``.  Because the operator is symmetric, the
+backward multiplies by the same CSR and no transpose is made.
 """
 
 from __future__ import annotations
@@ -331,13 +334,15 @@ def sum_all(x) -> Tensor:
 class SparseMatrix:
     """The symmetric n x n adjacency of undirected edges, weighted per edge.
 
-    Edge k = (i, j) of the (E, 2) ``edges`` array, i != j, is stored as the
-    two directed entries (i, j) and (j, i) at positions 2k and 2k + 1.  The
-    entries and their CSR template are built once here; ``assemble`` takes
-    one weight per undirected edge and gives both entries that weight.
+    Edge k = (i, j) of the (E, 2) ``edges`` array, i != j, stands for the two
+    directed entries (i, j) and (j, i); they exist only in the CSR template
+    built here, where each entry records the edge it came from.
+    ``assemble`` takes one weight per undirected edge and gives both of its
+    entries that weight; ``weight_grad`` maps a product's gradient back to
+    one value per edge.
     """
 
-    __slots__ = ("n", "num_edges", "rows", "cols", "_dir_to_edge", "_perm", "_indices", "_indptr")
+    __slots__ = ("n", "edges", "_entry_edge", "_indices", "_indptr")
 
     def __init__(self, n: int, edges):
         edges = np.asarray(edges, dtype=np.intp)
@@ -348,39 +353,45 @@ class SparseMatrix:
         if (edges[:, 0] == edges[:, 1]).any():
             raise DimensionError("sparse edges: a self-loop has no symmetric pair of entries")
         self.n = n
-        self.num_edges = len(edges)
-        self.rows = edges.reshape(-1)
-        self.cols = edges[:, ::-1].reshape(-1)
-        self._dir_to_edge = np.repeat(np.arange(len(edges), dtype=np.intp), 2)
-        # row-major order of the entries; a stable sort of the flat index
-        # gives the same permutation as lexsort((cols, rows)) in one pass
-        self._perm = np.argsort(self.rows * n + self.cols, kind="stable")
-        self._indices = self.cols[self._perm].astype(np.int32, copy=False)
-        counts = np.bincount(self.rows, minlength=n)
+        self.edges = edges
+        # entry 2k is (i, j) and 2k + 1 is (j, i); a stable sort of the flat
+        # index puts them in row-major order, as lexsort((cols, rows)) would
+        rows, cols = edges.reshape(-1), edges[:, ::-1].reshape(-1)
+        perm = np.argsort(rows * n + cols, kind="stable")
+        self._entry_edge = perm // 2
+        self._indices = cols[perm].astype(np.int32, copy=False)
+        counts = np.bincount(rows, minlength=n)
         self._indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
+
+    @property
+    def num_edges(self) -> int:
+        return len(self.edges)
 
     def assemble(self, weights) -> "WeightedSparse":
         """The adjacency with these per-edge weights, as one CSR.
 
-        The weights reach the directed entries through one taped
-        ``gather_rows``, so a mask gradient sums each edge's two entries
-        after every layer's contribution has been added to them.
+        Records no tape node: the ops that apply the CSR take ``weights``
+        as their input and return its gradient through ``weight_grad``.
         """
         weights = _lift(weights)
         if weights.data.shape != (self.num_edges,):
             raise DimensionError(
                 f"assemble: weights {weights.data.shape} vs {self.num_edges} edges"
             )
-        directed = gather_rows(weights, self._dir_to_edge)
         csr = scipy.sparse.csr_matrix(
-            (directed.data[self._perm], self._indices, self._indptr),
+            (weights.data[self._entry_edge], self._indices, self._indptr),
             shape=(self.n, self.n),
         )
-        return WeightedSparse(self, directed, csr)
+        return WeightedSparse(self, weights, csr)
+
+    def weight_grad(self, g: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """d<g, A x>/d w_k = g_i . x_j + g_j . x_i for each edge k = (i, j)."""
+        i, j = self.edges[:, 0], self.edges[:, 1]
+        return (g[i] * x[j]).sum(axis=1) + (g[j] * x[i]).sum(axis=1)
 
 
 class WeightedSparse(NamedTuple):
-    """An adjacency, its directed entry weights and their CSR, from ``assemble``.
+    """An adjacency, its per-edge weights and their CSR, from ``assemble``.
 
     Assemble once per forward and hand the result to every ``spmm`` that
     applies it.  The CSR holds the weights as they were at assembly.
@@ -406,9 +417,7 @@ def spmm(adj: WeightedSparse, x) -> Tensor:
 
     def _bp(grad):
         return (
-            (grad[pattern.rows] * x.data[pattern.cols]).sum(axis=1)
-            if weights.requires_grad
-            else None,
+            pattern.weight_grad(grad, x.data) if weights.requires_grad else None,
             adj.csr @ grad if x.requires_grad else None,
         )
 
@@ -495,7 +504,14 @@ def grad_check(f, params, h: float = 1e-5) -> float:
 
 
 def save_params(params: dict[str, Tensor], path: str | os.PathLike) -> None:
-    """Write a flat name -> {shape, values} JSON checkpoint (atomic)."""
+    """Write a flat name -> {shape, values} JSON checkpoint (atomic).
+
+    Refuses a parameter with a non-finite value, naming it, and then writes
+    nothing: JSON has no NaN or infinity.
+    """
+    for name, t in params.items():
+        if not np.isfinite(t.data).all():
+            raise ValueError(f"{path}: parameter '{name}' has a non-finite value")
     doc = {
         name: {"shape": list(t.data.shape), "values": t.data.reshape(-1).tolist()}
         for name, t in params.items()
@@ -507,15 +523,35 @@ def save_params(params: dict[str, Tensor], path: str | os.PathLike) -> None:
 
 
 def load_params(path: str | os.PathLike) -> dict[str, Tensor]:
-    with open(path) as fh:
-        doc = json.load(fh)
+    """Read a ``save_params`` checkpoint into trainable tensors.
+
+    Unreadable JSON, an entry without ``shape`` or ``values``, a value count
+    that does not fit the shape and a non-finite value each raise a
+    ValueError that names the file and, where there is one, the parameter.
+    """
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        raise ValueError(f"{path}: unreadable checkpoint JSON: {err}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected an object of parameters, got {type(doc).__name__}")
     out = {}
     for name, entry in doc.items():
-        values = np.array(entry["values"], dtype=np.float64)
-        shape = tuple(entry["shape"])
+        where = f"{path}: parameter '{name}'"
+        if not isinstance(entry, dict) or not {"shape", "values"} <= entry.keys():
+            raise ValueError(f"{where} needs both 'shape' and 'values'")
+        shape = entry["shape"]
+        if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+            raise ValueError(f"{where} has shape {shape!r}, expected a list of sizes")
+        try:
+            values = np.array(entry["values"], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ValueError(f"{where} has non-numeric values") from None
         if values.ndim != 1 or values.size != math.prod(shape):
-            raise ValueError(
-                f"{path}: parameter '{name}' has {values.size} values for shape {shape}"
-            )
+            raise ValueError(f"{where} has {values.size} values for shape {tuple(shape)}")
+        if not np.isfinite(values).all():
+            k = np.flatnonzero(~np.isfinite(values))[0]
+            raise ValueError(f"{where} has the non-finite value {values[k]} at index {k}")
         out[name] = Tensor(values.reshape(shape), requires_grad=True)
     return out

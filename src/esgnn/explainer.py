@@ -208,7 +208,7 @@ def train_explainer(
             batch = build_graph_batch(chunk)
             z = Tensor(np.concatenate([z_cache[i] for i in idx]))
 
-            omega = edge_logits(z, batch.edges, params)
+            omega = edge_logits(z, batch.adj.edges, params)
             s = concrete_sample(omega, tau, cfg.noise_scale, [seed, 2, epoch, bi])
             e = hard_threshold(s, THRESHOLD)
 
@@ -221,7 +221,7 @@ def train_explainer(
             if not np.isfinite(loss.data):
                 raise TrainingError(f"non-finite explainer loss at epoch {epoch}")
             losses.append(loss.item())
-            if len(batch.edges):
+            if batch.adj.num_edges:
                 loss.backward()
                 step_from_gradients(named, state, cfg.lr)
                 fractions.append(float(e.data.mean()))
@@ -244,7 +244,7 @@ def mask_seed(*parts: int) -> int:
 def edge_scores(g: Graph, backbone: BackboneParams, params: ExplainerParams) -> np.ndarray:
     """Raw per-edge logits omega for one graph (no gradients, no tape)."""
     _, (z,) = frozen_forward([g], backbone)
-    return edge_logits(z, g.edge_array(), params.frozen()).data
+    return edge_logits(z, g.edges, params.frozen()).data
 
 
 def generate_bag_noise(

@@ -5,12 +5,14 @@ symmetric adjacency with one weight per undirected edge (0 for a masked
 edge); eps is a learnable scalar per layer.  A layer is one taped op: its
 backward returns the gradients of the edge weights, H, eps and the MLP's
 two weights and biases at once, bit-identical to the same layer composed
-of ``spmm``, ``mul``, ``add``, ``linear`` and ``relu``.  A batch carries its
-edges once, as (E, 2) undirected pairs, and its ``SparseMatrix`` owns the
-directed entries; A_mask is assembled once per forward and shared by all
-layers and their backward.  Graphs are trained in block-diagonal
-minibatches with a graph-indicator vector for pooling, and Adam updates
-all parameters in one flat vector step (``optim``).
+of ``spmm``, ``mul``, ``add``, ``linear`` and ``relu``.  A batch holds its
+edges once, as the (E, 2) undirected pairs ``batch.adj.edges``, and no
+code here indexes directed entries: the edge-weight gradient comes from
+``SparseMatrix.weight_grad``, one value per undirected edge.  A_mask is
+assembled once per forward and shared by all layers and their backward.
+Graphs are trained in block-diagonal minibatches with a graph-indicator
+vector for pooling, and Adam updates all parameters in one flat vector
+step (``optim``).
 
 ``train_backbone``'s per-epoch ``train_acc`` is the running minibatch
 accuracy: the share of training graphs that their minibatch's logits, taken
@@ -167,13 +169,12 @@ class GraphBatch:
     """Block-diagonal concatenation of graphs (and optionally their masks).
 
     Its sizes are ``len(labels)`` graphs, ``len(x)`` nodes and
-    ``len(edges)`` undirected edges.
+    ``adj.num_edges`` undirected edges.
     """
 
     x: np.ndarray
     node_graph: np.ndarray  # node row -> graph index
-    edges: np.ndarray  # (E, 2) undirected edges in batch node ids, i < j
-    adj: SparseMatrix  # the symmetric adjacency over edges
+    adj: SparseMatrix  # the symmetric adjacency over adj.edges, (E, 2) batch node ids, i < j
     edge_graph: np.ndarray  # undirected edge -> graph index
     labels: np.ndarray
     default_values: np.ndarray  # per-undirected-edge weights from masks (or ones)
@@ -195,7 +196,7 @@ def build_graph_batch(
         if g.x.shape[1] != width:
             raise ValueError(f"graph {gi} has {g.x.shape[1]} feature columns, graph 0 has {width}")
         xs.append(g.x)
-        edge_arrays.append(g.edge_array())
+        edge_arrays.append(g.edges)
         num_nodes.append(g.num_nodes)
         num_edges.append(g.num_edges)
     n = np.array(num_nodes, dtype=np.intp)
@@ -228,7 +229,6 @@ def build_graph_batch(
     return GraphBatch(
         x=x,
         node_graph=np.repeat(graph_index, n),
-        edges=edges,
         adj=SparseMatrix(len(x), edges),
         edge_graph=np.repeat(graph_index, m),
         labels=np.array([g.y for g in graphs], dtype=np.intp),
@@ -266,9 +266,7 @@ def apply_gin_layer(layer: GinLayerParams, h: Tensor, adj: WeightedSparse) -> Te
         ga = (grad @ w2.data.T) * relu_mask
         gz = ga @ w1.data.T if needs_gz else None
         return (
-            (gz[pattern.rows] * h.data[pattern.cols]).sum(axis=1)
-            if weights.requires_grad
-            else None,
+            pattern.weight_grad(gz, h.data) if weights.requires_grad else None,
             gz * scale + adj.csr @ gz if h.requires_grad else None,
             (gz * h.data).sum(axis=0).sum(axis=0) if eps.requires_grad else None,
             z.T @ ga if w1.requires_grad else None,

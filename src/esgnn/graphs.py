@@ -1,15 +1,18 @@
 """Graph containers, subgraph policies and node features.
 
-Graphs are immutable once built: undirected edges are stored once as
-canonically ordered (i, j) pairs with i < j, and every subgraph view is an
-edge mask over that list.  Node deletion keeps the node slot and zeroes its
-feature row plus incident edges, so matrix shapes never change across a bag.
+Graphs are immutable once built.  Their undirected edges are one read-only
+(E, 2) intp array of canonically ordered pairs (i, j), i < j: the one edge
+format of the package.  Batches concatenate these arrays, and only
+``autodiff.SparseMatrix`` expands them into directed entries.  Every
+subgraph view is an edge mask with one weight per row of that array.  Node
+deletion keeps the node slot and zeroes its feature row plus incident
+edges, so matrix shapes never change across a bag.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,28 +59,52 @@ class FeatureSpec:
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected graph with node features and a class label."""
+    """Undirected graph with node features and a class label.
+
+    ``edges`` takes any (E, 2) sequence of pairs and holds it as one
+    read-only (E, 2) intp array; a read-only intp array is kept as it is,
+    so ``dataclasses.replace`` shares it.
+    """
 
     num_nodes: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
     x: np.ndarray
     y: int
     node_labels: tuple[int, ...] | None = None
     ground_truth_motif_edges: frozenset[int] | None = None
-    # edge_array() cache, built on first use: building it at construction made
-    # perfbench backbone_train 9-22% slower in graphs/s (6/6 pairs, 2 vCPUs)
-    _edge_array: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
-        for i, j in self.edges:
-            if i == j:
-                raise ValueError(f"self-loop at node {i}")
-            if not (0 <= i < j < self.num_nodes):
-                raise ValueError(f"edge ({i}, {j}) outside 0..{self.num_nodes - 1} or not canonical")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate edge ({i}, {j})")
-            seen.add((i, j))
+        edges = self.edges
+        if not (
+            isinstance(edges, np.ndarray) and edges.dtype == np.intp and not edges.flags.writeable
+        ):
+            edges = np.asarray(edges)
+            if edges.shape == (0,):
+                edges = edges.reshape(0, 2)
+            if edges.size and edges.dtype.kind not in "iu":
+                raise ValueError(f"edges have dtype {edges.dtype}, expected integer node ids")
+            edges = edges.astype(np.intp)  # always a copy, so the caller's array stays writable
+            edges.flags.writeable = False
+            object.__setattr__(self, "edges", edges)
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise ValueError(f"edges have shape {edges.shape}, expected (E, 2)")
+        i, j = edges[:, 0], edges[:, 1]
+        key = i * self.num_nodes + j
+        canonical = (i >= 0) & (i < j) & (j < self.num_nodes)
+        # strictly increasing keys, the order every builder here uses, cannot repeat
+        if not (canonical.all() and (key[1:] > key[:-1]).all()):
+            repeat = np.ones(len(edges), dtype=bool)
+            repeat[np.unique(key, return_index=True)[1]] = False
+            bad = np.flatnonzero(~canonical | repeat)
+            if bad.size:
+                a, b = int(i[bad[0]]), int(j[bad[0]])
+                if a == b:
+                    raise ValueError(f"self-loop at node {a}")
+                if not canonical[bad[0]]:
+                    raise ValueError(
+                        f"edge ({a}, {b}) outside 0..{self.num_nodes - 1} or not canonical"
+                    )
+                raise ValueError(f"duplicate edge ({a}, {b})")
         if self.x.ndim != 2:
             raise ValueError(f"feature matrix has shape {self.x.shape}, expected 2-D")
         if self.x.shape[0] != self.num_nodes:
@@ -90,24 +117,16 @@ class Graph:
         motif = self.ground_truth_motif_edges
         if motif:
             for k in (min(motif), max(motif)):
-                if not 0 <= k < len(self.edges):
-                    raise ValueError(f"motif edge index {k} outside 0..{len(self.edges) - 1}")
+                if not 0 <= k < len(edges):
+                    raise ValueError(f"motif edge index {k} outside 0..{len(edges) - 1}")
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
 
     def edge_array(self) -> np.ndarray:
-        """Edges as a read-only (E, 2) intp array (empty -> shape (0, 2)).
-
-        Built on the first call; later calls return the same array.
-        """
-        arr = self._edge_array
-        if arr is None:
-            arr = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
-            arr.flags.writeable = False
-            object.__setattr__(self, "_edge_array", arr)
-        return arr
+        """``edges``, the read-only (E, 2) intp array (empty -> shape (0, 2))."""
+        return self.edges
 
 
 @dataclass(frozen=True)
@@ -151,9 +170,16 @@ class EdgeMask:
     zeroed_nodes: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.hard.shape != self.soft.shape or self.hard.ndim != 1:
+        if self.soft.ndim != 1 or self.hard.ndim != 1:
+            raise ValueError(
+                f"soft mask has shape {self.soft.shape} and hard {self.hard.shape}, expected 1-D"
+            )
+        if self.hard.shape != self.soft.shape:
             raise ValueError("soft and hard mask lengths differ")
-        if not np.all((self.hard == 0.0) | (self.hard == 1.0)):
+        if not np.isfinite(self.soft).all():
+            bad = np.flatnonzero(~np.isfinite(self.soft))[0]
+            raise ValueError(f"non-finite soft weight at edge {bad}")
+        if not ((self.hard == 0.0) | (self.hard == 1.0)).all():
             raise ValueError("hard mask must be binary")
         if self.budget is not None and int(self.hard.sum()) != self.budget:
             raise ValueError(f"hard mask sums to {int(self.hard.sum())}, budget is {self.budget}")
@@ -205,12 +231,10 @@ def policy_node_deleted(g: Graph) -> SubgraphBag:
     """One subgraph per node, dropping its incident edges and feature row."""
     if g.num_nodes < 1:
         raise PolicyError("node-deleted policy needs at least one node")
-    edge_arr = g.edge_array()
     masks = []
     for v in range(g.num_nodes):
         hard = np.ones(g.num_edges)
-        if g.num_edges:
-            hard[(edge_arr[:, 0] == v) | (edge_arr[:, 1] == v)] = 0.0
+        hard[(g.edges == v).any(axis=1)] = 0.0
         masks.append(EdgeMask(soft=hard.copy(), hard=hard, zeroed_nodes=(v,)))
     return SubgraphBag(base=g, masks=tuple(masks), policy_tag="ND")
 

@@ -135,7 +135,9 @@ def load_tud_dataset(
     pairs = _pair_edges(paths["A"], graph_of)
     edge_graph = graph_of[pairs[:, 0]]
     edges = local[pairs]
-    edges = edges[np.lexsort((edges[:, 1], edges[:, 0], edge_graph))]
+    edges = edges[np.lexsort((edges[:, 1], edges[:, 0], edge_graph))].astype(np.intp, copy=False)
+    # each graph's edges are a read-only view of this array, which Graph keeps as it is
+    edges.flags.writeable = False
 
     node_labels_path = root / f"{name}_node_labels.txt"
     node_labels = None
@@ -200,7 +202,7 @@ def load_tud_dataset(
         graphs.append(
             Graph(
                 num_nodes=n1 - n0,
-                edges=tuple(map(tuple, edges[e0:e1].tolist())),
+                edges=edges[e0:e1],
                 x=x[n0:n1],
                 y=int(y[gid]),
                 node_labels=None if node_labels is None else tuple(node_labels[n0:n1]),
@@ -221,9 +223,9 @@ def write_tud_dataset(ds: GraphDataset, root_dir: str | Path) -> None:
     offset = 0
     for gid, g in enumerate(ds.graphs, start=1):
         ind_lines.extend([str(gid)] * g.num_nodes)
-        for i, j in g.edges:
-            a_lines.append(f"{offset + i + 1}, {offset + j + 1}")
-            a_lines.append(f"{offset + j + 1}, {offset + i + 1}")
+        for i, j in (g.edges + (offset + 1)).tolist():
+            a_lines.append(f"{i}, {j}")
+            a_lines.append(f"{j}, {i}")
         lab_lines.append(str(g.y))
         if has_node_labels:
             nl_lines.extend(str(lab) for lab in g.node_labels)

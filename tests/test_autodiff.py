@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from esgnn import autodiff as ad
 from esgnn.autodiff import (
@@ -104,11 +105,38 @@ class TestSpmm:
             SparseMatrix(3, [[0, 1], [1, 2]]).assemble(np.ones(4))
 
     def test_csr_order_is_the_stable_row_major_order(self):
+        # scipy's COO -> CSR of both directions of every edge: rows in order,
+        # columns sorted within a row; edges in either orientation
         rng = np.random.default_rng(2)
-        edges = rng.integers(0, 7, (60, 2))  # with repeats
-        edges = edges[edges[:, 0] != edges[:, 1]]
-        m = SparseMatrix(7, edges)
-        assert np.array_equal(m._perm, np.lexsort((m.cols, m.rows)))
+        n = 40
+        pairs = rng.integers(0, n, (300, 2))
+        edges = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1), axis=0)
+        flip = rng.random(len(edges)) < 0.5
+        edges[flip] = edges[flip, ::-1]
+        edges = edges[rng.permutation(len(edges))]
+        w = rng.standard_normal(len(edges))
+        got = SparseMatrix(n, edges).assemble(w).csr
+        rows = np.concatenate([edges[:, 0], edges[:, 1]])
+        cols = np.concatenate([edges[:, 1], edges[:, 0]])
+        want = scipy.sparse.coo_matrix((np.concatenate([w, w]), (rows, cols)), shape=(n, n)).tocsr()
+        assert got.indptr.tolist() == want.indptr.tolist()
+        assert got.indices.tolist() == want.indices.tolist()
+        assert got.data.tobytes() == want.data.tobytes()
+
+    def test_weight_grad_sums_the_two_directed_entries_of_each_edge_bit_for_bit(self):
+        # the directed-entry formula: entry 2k is (i, j), entry 2k + 1 is (j, i)
+        rng = np.random.default_rng(3)
+        n = 50
+        pairs = rng.integers(0, n, (200, 2))
+        edges = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1), axis=0)
+        g = rng.standard_normal((n, 7)) * 10.0 ** rng.uniform(-6, 6, (n, 7))
+        x = rng.standard_normal((n, 7))
+        rows, cols = edges.reshape(-1), edges[:, ::-1].reshape(-1)
+        entries = (g[rows] * x[cols]).sum(axis=1)
+        want = np.zeros(len(edges))
+        np.add.at(want, np.repeat(np.arange(len(edges)), 2), entries)
+        got = SparseMatrix(n, edges).weight_grad(g, x)
+        assert got.shape == (len(edges),) and got.tobytes() == want.tobytes()
 
     def test_each_edge_weights_both_of_its_entries(self):
         edges, w = [(0, 1), (1, 3), (0, 2)], [0.5, -2.0, 3.0]
@@ -399,6 +427,41 @@ class TestCheckpointRoundTrip:
         with pytest.raises(ValueError, match="layer/W") as info:
             ad.load_params(path)
         assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("text", ['{"layer/W": {"shape": [1]', "\xff\xfe"])
+    def test_load_names_the_file_when_the_json_is_unreadable(self, tmp_path, text):
+        path = tmp_path / "ckpt.json"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ValueError, match="unreadable checkpoint JSON") as info:
+            ad.load_params(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "entry", [{"values": [1.0]}, {"shape": [1]}, [1.0], {"shape": "1", "values": [1.0]}]
+    )
+    def test_load_names_the_file_and_a_parameter_without_shape_or_values(self, tmp_path, entry):
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps({"ok": {"shape": [], "values": [1.0]}, "layer/b": entry}))
+        with pytest.raises(ValueError, match="parameter 'layer/b'.*shape") as info:
+            ad.load_params(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_load_rejects_a_non_finite_value_naming_file_and_parameter(self, tmp_path, bad):
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps({"layer/b": {"shape": [3], "values": [0.5, bad, 1.0]}}))
+        with pytest.raises(ValueError, match="parameter 'layer/b'.*non-finite.*index 1") as info:
+            ad.load_params(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_save_refuses_a_non_finite_value_and_writes_nothing(self, tmp_path, bad):
+        path = tmp_path / "ckpt.json"
+        params = {"ok": Tensor(np.ones(2)), "layer/b": Tensor(np.array([0.5, bad]))}
+        with pytest.raises(ValueError, match="parameter 'layer/b' has a non-finite value") as info:
+            ad.save_params(params, path)
+        assert str(path) in str(info.value)
+        assert list(tmp_path.iterdir()) == []
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "esgnn"

@@ -124,7 +124,7 @@ class TestFusedGinLayer:
         rng = np.random.default_rng(seed)
         graphs = list(generate_ba2motifs(num_graphs, seed=seed).graphs)
         batch = build_graph_batch(graphs)
-        values = Tensor(rng.random(len(batch.edges)), requires_grad=True)
+        values = Tensor(rng.random(batch.adj.num_edges), requires_grad=True)
         h = Tensor(rng.standard_normal((len(batch.x), 3)), requires_grad=True)
         layer = gin.init_gin_layer(rng, 3, hidden)
         layer.eps.data[...] = 0.37
@@ -276,6 +276,7 @@ class TestBuildGraphBatch:
         batch = build_graph_batch(graphs, masks)
         ref = reference_batch(graphs, masks)
         got = {name: getattr(batch, name, None) for name in ref}
+        got["edges"] = batch.adj.edges
         got["adjacency"] = batch.adj.assemble(batch.default_values).csr.toarray()
         for name, want in ref.items():
             assert got[name].shape == want.shape, name
@@ -342,6 +343,17 @@ class TestEndToEndGradient:
             return cross_entropy_mean(logits, [1])
 
         assert grad_check(loss, params.named(), h=1e-5) < 1e-4
+
+
+def test_a_masked_forward_tapes_the_mask_as_each_layers_input_and_no_gather(triangle, cycle6):
+    batch = build_graph_batch([triangle, cycle6])
+    params = init_backbone(np.random.default_rng(0), 1, 2, hidden=8, num_layers=3).frozen()
+    mask = Tensor(np.random.default_rng(1).random(batch.adj.num_edges), requires_grad=True)
+    logits, _ = backbone_forward_batch(batch, params, mask_values=mask)
+    tape = [node for node in logits._toposort() if node._backward is not None]
+    assert not any("gather_rows" in node._backward.__qualname__ for node in tape)
+    layers = [node for node in tape if node._backward.__qualname__.startswith("apply_gin_layer")]
+    assert len(layers) == 3 and all(node._prev[0] is mask for node in layers)
 
 
 class TestOneAdjacencyPerForward:

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,72 +30,117 @@ def degree_features(g, cap, root):
     return load_tud_dataset(root, "G", FeatureSpec("degree", cap)).graphs[0].x
 
 
+def tuple_and_array(edges):
+    """The same edges as a tuple of pairs and as a writable (E, 2) int64 array."""
+    return [edges, np.array(edges, dtype=np.int64).reshape(-1, 2)]
+
+
 class TestGraphInvariants:
     def test_rejects_self_loop(self):
-        with pytest.raises(ValueError, match="self-loop"):
-            Graph(num_nodes=2, edges=((1, 1),), x=constant_features(2), y=0)
+        for edges in tuple_and_array(((0, 1), (1, 1))):
+            with pytest.raises(ValueError, match="self-loop at node 1"):
+                Graph(num_nodes=2, edges=edges, x=constant_features(2), y=0)
 
     def test_rejects_duplicate_edge(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            Graph(num_nodes=3, edges=((0, 1), (0, 1)), x=constant_features(3), y=0)
+        for edges in tuple_and_array(((0, 1), (1, 2), (0, 1))):
+            with pytest.raises(ValueError, match=r"duplicate edge \(0, 1\)"):
+                Graph(num_nodes=3, edges=edges, x=constant_features(3), y=0)
 
     def test_rejects_out_of_range_endpoint(self):
-        with pytest.raises(ValueError):
-            Graph(num_nodes=2, edges=((0, 2),), x=constant_features(2), y=0)
+        for bad in ((0, 2), (-1, 1), (1, 0)):
+            for edges in tuple_and_array(((0, 1), bad)):
+                with pytest.raises(ValueError, match=rf"edge \({bad[0]}, {bad[1]}\) outside 0..1"):
+                    Graph(num_nodes=2, edges=edges, x=constant_features(2), y=0)
+
+    def test_names_the_first_bad_edge(self):
+        # a repeat, then a non-canonical edge, then a self-loop: the repeat is first
+        for edges in tuple_and_array(((0, 1), (1, 2), (0, 1), (2, 1), (2, 2))):
+            with pytest.raises(ValueError, match=r"duplicate edge \(0, 1\)"):
+                Graph(num_nodes=3, edges=edges, x=constant_features(3), y=0)
+        for edges in tuple_and_array(((0, 1), (2, 1), (0, 1), (2, 2))):
+            with pytest.raises(ValueError, match=r"edge \(2, 1\) outside"):
+                Graph(num_nodes=3, edges=edges, x=constant_features(3), y=0)
+
+    def test_accepts_canonical_edges_in_any_order(self):
+        for edges in tuple_and_array(((1, 2), (0, 2), (0, 1))):
+            g = Graph(num_nodes=3, edges=edges, x=constant_features(3), y=0)
+            assert g.edges.tolist() == [[1, 2], [0, 2], [0, 1]]
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([0, 1], r"shape \(2,\), expected \(E, 2\)"),
+            ([[0, 1, 2]], r"shape \(1, 3\), expected \(E, 2\)"),
+            (np.zeros((0, 3), dtype=np.intp), r"shape \(0, 3\), expected \(E, 2\)"),
+            ([[0.0, 1.0]], "dtype float64, expected integer"),
+            ([[True, False]], "dtype bool, expected integer"),
+        ],
+    )
+    def test_rejects_edges_that_are_not_integer_pairs(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            Graph(num_nodes=3, edges=edges, x=constant_features(3), y=0)
 
     def test_rejects_feature_row_mismatch(self):
-        with pytest.raises(ValueError, match="rows"):
-            Graph(num_nodes=3, edges=(), x=constant_features(2), y=0)
+        for edges in tuple_and_array(()):
+            with pytest.raises(ValueError, match="rows"):
+                Graph(num_nodes=3, edges=edges, x=constant_features(2), y=0)
 
     def test_rejects_features_that_are_not_2d_naming_the_shape(self):
-        with pytest.raises(ValueError, match=r"shape \(3,\), expected 2-D"):
-            Graph(num_nodes=3, edges=(), x=np.ones(3), y=0)
+        for edges in tuple_and_array(()):
+            with pytest.raises(ValueError, match=r"shape \(3,\), expected 2-D"):
+                Graph(num_nodes=3, edges=edges, x=np.ones(3), y=0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_a_non_finite_feature_naming_the_first_bad_node(self, bad):
         x = np.ones((4, 2))
         x[2, 1] = x[3, 0] = bad
-        with pytest.raises(ValueError, match="non-finite feature at node 2"):
-            Graph(num_nodes=4, edges=((0, 1),), x=x, y=0)
+        for edges in tuple_and_array(((0, 1),)):
+            with pytest.raises(ValueError, match="non-finite feature at node 2"):
+                Graph(num_nodes=4, edges=edges, x=x, y=0)
 
     def test_rejects_node_labels_of_the_wrong_length(self):
-        with pytest.raises(ValueError, match="3 node labels for 2 nodes"):
-            Graph(num_nodes=2, edges=((0, 1),), x=constant_features(2), y=0, node_labels=(1, 2, 3))
+        for edges in tuple_and_array(((0, 1),)):
+            with pytest.raises(ValueError, match="3 node labels for 2 nodes"):
+                Graph(num_nodes=2, edges=edges, x=constant_features(2), y=0, node_labels=(1, 2, 3))
 
     def test_rejects_motif_edge_out_of_range(self):
-        with pytest.raises(ValueError, match="motif edge index 5 outside 0..0"):
-            Graph(
-                num_nodes=2,
-                edges=((0, 1),),
-                x=constant_features(2),
-                y=0,
-                ground_truth_motif_edges=frozenset({0, 5}),
-            )
+        for edges in tuple_and_array(((0, 1),)):
+            with pytest.raises(ValueError, match="motif edge index 5 outside 0..0"):
+                Graph(
+                    num_nodes=2,
+                    edges=edges,
+                    x=constant_features(2),
+                    y=0,
+                    ground_truth_motif_edges=frozenset({0, 5}),
+                )
 
 
 class TestEdgeArray:
-    def test_cached_read_only_and_equal_to_edges(self, path4):
-        arr = path4.edge_array()
+    def test_is_the_read_only_edges_array(self, path4):
+        arr = path4.edges
         assert path4.edge_array() is arr
         assert arr.dtype == np.intp and arr.shape == (3, 2)
-        assert arr.tolist() == [list(e) for e in path4.edges]
+        assert arr.tolist() == [[0, 1], [1, 2], [2, 3]]
         with pytest.raises(ValueError, match="read-only"):
             arr[0, 0] = 5
 
-    def test_replace_starts_a_fresh_cache(self, path4):
-        arr = path4.edge_array()
+    def test_replace_shares_the_array_and_rebuilds_new_edges(self, path4):
+        same = dataclasses.replace(path4)  # shares x too, so == compares by identity
+        assert same.edges is path4.edges and same == path4
         other = dataclasses.replace(path4, edges=((0, 1),))
-        assert other._edge_array is None
-        assert other.edge_array().tolist() == [[0, 1]]
-        assert path4.edge_array() is arr
+        assert other.edges.tolist() == [[0, 1]]
+        assert path4.edges.tolist() == [[0, 1], [1, 2], [2, 3]]
 
-    def test_repr_and_equality_ignore_the_cache(self):
-        a = make_graph(2, [(0, 1)])
-        b = dataclasses.replace(a)  # shares a.x, so == can compare it by identity
-        text = repr(a)
-        a.edge_array()
-        assert repr(a) == text and "_edge_array" not in text
-        assert a == b and b._edge_array is None
+    def test_a_writable_array_is_copied_and_stays_writable(self):
+        given_edges = np.array([[0, 1], [1, 2]])
+        g = Graph(num_nodes=3, edges=given_edges, x=constant_features(3), y=0)
+        given_edges[0, 1] = 2
+        assert given_edges.flags.writeable and g.edges.tolist() == [[0, 1], [1, 2]]
+
+    @pytest.mark.parametrize("empty", [(), [], np.zeros((0, 2), dtype=np.int32)])
+    def test_no_edges_give_a_0_by_2_array(self, empty):
+        g = Graph(num_nodes=2, edges=empty, x=constant_features(2), y=0)
+        assert g.edges.shape == (0, 2) and g.edges.dtype == np.intp and g.num_edges == 0
 
 
 class TestEdgeDeletedPolicy:
@@ -189,10 +235,18 @@ class TestDegreeFeatures:
 
 
 class TestConnectivityOperators:
-    def test_adjacency_pattern_is_symmetric(self, path4):
-        op = build_graph_batch([path4]).adj
-        pairs = set(zip(op.rows.tolist(), op.cols.tolist()))
-        assert all((c, r) in pairs for r, c in pairs)
+    def test_adjacency_pattern_is_symmetric(self, path4, triangle):
+        # the CSR equals scipy's COO -> CSR of both directions of every edge
+        adj = build_graph_batch([path4, triangle]).adj
+        edges = adj.edges
+        rows = np.concatenate([edges[:, 0], edges[:, 1]])
+        cols = np.concatenate([edges[:, 1], edges[:, 0]])
+        want = scipy.sparse.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(7, 7)).tocsr()
+        got = adj.assemble(np.ones(adj.num_edges)).csr
+        assert got.indptr.tolist() == want.indptr.tolist()
+        assert got.indices.tolist() == want.indices.tolist()
+        assert got.data.tolist() == want.data.tolist()
+        assert (got != got.T).nnz == 0
 
     def test_self_loop_operator_matches_explicit_form(self, triangle):
         # with an identity MLP a GIN layer is (A + (1 + eps) I) h; h >= 0 keeps
@@ -202,7 +256,8 @@ class TestConnectivityOperators:
         eye, zero = np.eye(2), np.zeros(2)
         layer = GinLayerParams(Tensor(eye), Tensor(zero), Tensor(eye), Tensor(zero), Tensor(eps))
         batch = build_graph_batch([triangle])
-        combined = apply_gin_layer(layer, Tensor(h), batch.adj.assemble(np.ones(len(batch.edges)))).data
+        adj = batch.adj.assemble(np.ones(batch.adj.num_edges))
+        combined = apply_gin_layer(layer, Tensor(h), adj).data
         dense = np.zeros((3, 3))
         for i, j in triangle.edges:
             dense[i, j] = dense[j, i] = 1.0
@@ -214,6 +269,18 @@ class TestEdgeMask:
     def test_rejects_non_binary_hard(self):
         with pytest.raises(ValueError, match="binary"):
             EdgeMask(soft=np.array([0.5]), hard=np.array([0.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_soft_weight_naming_the_edge(self, bad):
+        soft = np.array([0.2, 0.9, bad, bad])
+        with pytest.raises(ValueError, match="non-finite soft weight at edge 2"):
+            EdgeMask(soft=soft, hard=np.ones(4))
+
+    def test_rejects_a_2d_pair_as_not_1d(self):
+        with pytest.raises(ValueError, match=r"\(2, 3\) and hard \(2, 3\), expected 1-D"):
+            EdgeMask(soft=np.ones((2, 3)), hard=np.ones((2, 3)))
+        with pytest.raises(ValueError, match="lengths differ"):
+            EdgeMask(soft=np.ones(3), hard=np.ones(2))
 
     def test_rejects_budget_mismatch(self):
         with pytest.raises(ValueError, match="budget"):

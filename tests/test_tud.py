@@ -30,8 +30,8 @@ class TestLoader:
         ds = load_tud_dataset(write_fixture(tmp_path), "FIX")
         assert len(ds) == 2
         assert [g.num_nodes for g in ds.graphs] == [3, 2]
-        assert ds.graphs[0].edges == ((0, 1), (0, 2), (1, 2))
-        assert ds.graphs[1].edges == ((0, 1),)
+        assert ds.graphs[0].edges.tolist() == [[0, 1], [0, 2], [1, 2]]
+        assert ds.graphs[1].edges.tolist() == [[0, 1]]
 
     def test_labels_remapped_contiguous(self, tmp_path):
         ds = load_tud_dataset(write_fixture(tmp_path), "FIX")
@@ -103,7 +103,7 @@ class TestRoundTrip:
         assert len(back) == len(ds)
         for g1, g2 in zip(ds.graphs, back.graphs):
             assert g1.num_nodes == g2.num_nodes
-            assert g1.edges == g2.edges
+            assert g1.edges.tolist() == g2.edges.tolist()
             assert g1.y == g2.y
             assert np.array_equal(g1.x, g2.x)
 
@@ -112,7 +112,7 @@ class TestRoundTrip:
         write_tud_dataset(ds, tmp_path)
         back = load_tud_dataset(tmp_path, "BA-2Motifs", FeatureSpec("constant"))
         for g1, g2 in zip(ds.graphs, back.graphs):
-            assert g1.edges == g2.edges
+            assert g1.edges.tolist() == g2.edges.tolist()
             assert g1.y == g2.y
             assert g1.ground_truth_motif_edges == g2.ground_truth_motif_edges
 
@@ -213,7 +213,7 @@ class TestBoundary:
                 "graph_indicator.txt": "1\n1\n\n1\n2\n2\n\n",
             },
         )
-        assert [g.edges for g in ds.graphs] == [((0, 1), (0, 2), (1, 2)), ((0, 1),)]
+        assert [g.edges.tolist() for g in ds.graphs] == [[[0, 1], [0, 2], [1, 2]], [[0, 1]]]
 
     def test_interleaved_indicator_loads_the_contiguous_graphs(self, tmp_path):
         contiguous = load_tud_dataset(write_fixture(tmp_path / "a"), "FIX")
@@ -228,9 +228,9 @@ class TestBoundary:
         )
         assert interleaved.feature_spec == contiguous.feature_spec
         for g1, g2 in zip(contiguous.graphs, interleaved.graphs, strict=True):
-            assert (g1.num_nodes, g1.edges, g1.y, g1.node_labels) == (
+            assert (g1.num_nodes, g1.edges.tolist(), g1.y, g1.node_labels) == (
                 g2.num_nodes,
-                g2.edges,
+                g2.edges.tolist(),
                 g2.y,
                 g2.node_labels,
             )
@@ -240,7 +240,7 @@ class TestBoundary:
         write_fixture(tmp_path, node_labels=False)
         (tmp_path / "FIX_A.txt").write_text("")
         ds = load_tud_dataset(tmp_path, "FIX")
-        assert [(g.num_nodes, g.edges) for g in ds.graphs] == [(3, ()), (2, ())]
+        assert [(g.num_nodes, g.edges.shape) for g in ds.graphs] == [(3, (0, 2)), (2, (0, 2))]
         assert ds.feature_spec == FeatureSpec("degree", cap=1)
         assert all(np.array_equal(g.x, np.eye(2)[[0] * g.num_nodes]) for g in ds.graphs)
 
@@ -347,7 +347,7 @@ def test_round_trip_with_a_shuffled_indicator(ds, cap, data):
             back = load_tud_dataset(root, ds.name, asked)
             assert back.feature_spec == spec and back.num_classes == len(classes)
             for g1, g2 in zip(ds.graphs, back.graphs, strict=True):
-                assert g2.num_nodes == g1.num_nodes and g2.edges == g1.edges
+                assert g2.num_nodes == g1.num_nodes and g2.edges.tolist() == g1.edges.tolist()
                 assert g2.node_labels == g1.node_labels
                 assert g2.ground_truth_motif_edges == g1.ground_truth_motif_edges
                 assert g2.y == classes.index(g1.y)
