@@ -120,6 +120,17 @@ class Graph:
                 if not 0 <= k < len(edges):
                     raise ValueError(f"motif edge index {k} outside 0..{len(edges) - 1}")
 
+    def __eq__(self, other):
+        # the dataclass default compares the arrays with ==, which has no truth value
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            (self.num_nodes, self.y, self.node_labels, self.ground_truth_motif_edges)
+            == (other.num_nodes, other.y, other.node_labels, other.ground_truth_motif_edges)
+            and np.array_equal(self.edges, other.edges)
+            and np.array_equal(self.x, other.x)
+        )
+
     @property
     def num_edges(self) -> int:
         return len(self.edges)

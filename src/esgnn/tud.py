@@ -8,7 +8,15 @@ Files for dataset NAME inside a directory:
   NAME_motif_edges.json    ground-truth edge indices per graph (optional,
                            written for synthetic data)
 
-Blank lines are skipped, and the line numbers in errors count them.  The
+Each integer file is read in one pass by numpy's C reader (``np.loadtxt``),
+but only when every byte of it is a digit, comma, plus, minus, space, tab,
+CR or LF: the C reader strips other whitespace (form feed, for one) inside a
+field, where Python's line splitting breaks the line.  A file that fails this
+byte guard, that the C reader rejects or warns about, or whose column count
+is off is scanned line by line instead.  That scan is the only code that
+words a malformed line, and it alone counts physical lines: blank lines are
+skipped but counted, so every line number in an error is the file's own.
+Errors found after parsing rescan the file for their line number.  The
 indicator need not be contiguous: a graph's local node ids follow its nodes'
 global order.
 
@@ -20,6 +28,7 @@ both of its nodes belong to the same graph.
 from __future__ import annotations
 
 import json
+import warnings
 from array import array
 from itertools import pairwise
 from pathlib import Path
@@ -39,9 +48,34 @@ class FormatError(ValueError):
     """A dataset file has malformed or inconsistent content."""
 
 
-def _read_rows(path: Path, width: int) -> tuple[np.ndarray, array]:
+# every byte the C reader parses the way the line scan does
+_NUMERIC_BYTES = b"0123456789,+- \t\r\n"
+
+
+def _read_rows(path: Path, width: int) -> np.ndarray:
     """The non-blank lines of `path` as an (R, width) int64 array of
-    comma-separated integers, plus each row's 1-based physical line number."""
+    comma-separated integers."""
+    if not path.read_bytes().translate(None, _NUMERIC_BYTES):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # loadtxt only warns on a file without rows
+                rows = np.loadtxt(path, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
+        except (ValueError, OverflowError, Warning):
+            pass
+        else:
+            if rows.shape[1] == width:
+                return rows
+    return _scan_rows(path, width)[0]
+
+
+def _line_of(path: Path, row: int) -> int:
+    """The 1-based physical line of edge row `row` in `path`."""
+    return _scan_rows(path, 2)[1][row]
+
+
+def _scan_rows(path: Path, width: int) -> tuple[np.ndarray, array]:
+    """`_read_rows` one line at a time, plus each row's 1-based physical line
+    number; raises the FormatError that names a malformed line."""
     shape, numbers = ("an integer",) * 2 if width == 1 else ("'i, j'", "integers")
     values, lines = array("q"), array("q")
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
@@ -64,22 +98,23 @@ def _read_rows(path: Path, width: int) -> tuple[np.ndarray, array]:
 def _pair_edges(path: Path, graph_of: np.ndarray) -> np.ndarray:
     """The undirected edges of `path` under the pairing rule, as an (E, 2)
     array of 0-based global node ids (i, j) with i < j, in file order."""
-    rows, lines = _read_rows(path, 2)
+    rows = _read_rows(path, 2)
     n = len(graph_of)
     bad = np.flatnonzero(((rows < 1) | (rows > n)).any(axis=1))
     if bad.size:
-        raise FormatError(f"{path.name}:{lines[bad[0]]}: node id outside 1..{n}")
+        raise FormatError(f"{path.name}:{_line_of(path, bad[0])}: node id outside 1..{n}")
     i, j = rows[:, 0] - 1, rows[:, 1] - 1
     bad = np.flatnonzero(graph_of[i] != graph_of[j])
     if bad.size:
         r = bad[0]
         raise FormatError(
-            f"{path.name}:{lines[r]}: edge ({i[r] + 1}, {j[r] + 1}) crosses graphs"
+            f"{path.name}:{_line_of(path, r)}: edge ({i[r] + 1}, {j[r] + 1}) crosses graphs"
             f" {graph_of[i[r]] + 1} and {graph_of[j[r]] + 1}"
         )
     bad = np.flatnonzero(i == j)
     if bad.size:
-        raise FormatError(f"{path.name}:{lines[bad[0]]}: self-loop at node {i[bad[0]] + 1}")
+        r = bad[0]
+        raise FormatError(f"{path.name}:{_line_of(path, r)}: self-loop at node {i[r] + 1}")
     key = i * n + j
     order = np.argsort(key, kind="stable")
     ordered = key[order]
@@ -88,15 +123,17 @@ def _pair_edges(path: Path, graph_of: np.ndarray) -> np.ndarray:
         r = repeats.min()
         first = np.flatnonzero(key == key[r])[0]
         raise FormatError(
-            f"{path.name}:{lines[r]}: edge ({i[r] + 1}, {j[r] + 1}) repeats line {lines[first]}"
-            " instead of reversing it"
+            f"{path.name}:{_line_of(path, r)}: edge ({i[r] + 1}, {j[r] + 1}) repeats line"
+            f" {_line_of(path, first)} instead of reversing it"
         )
+    # keys and reverse keys are now each duplicate-free and equally many, so
+    # every row has its reverse exactly when both sort to the same array
     reverse = j * n + i
-    found = np.searchsorted(ordered, reverse)
-    unpaired = np.flatnonzero(ordered[np.minimum(found, len(key) - 1)] != reverse)
-    if unpaired.size:
-        r = unpaired[0]
-        raise FormatError(f"{path.name}:{lines[r]}: edge without its reverse-direction row")
+    if not np.array_equal(np.sort(reverse), ordered):
+        found = np.searchsorted(ordered, reverse)
+        r = np.flatnonzero(ordered[np.minimum(found, len(key) - 1)] != reverse)[0]
+        line = _line_of(path, r)
+        raise FormatError(f"{path.name}:{line}: edge without its reverse-direction row")
     return rows[i < j] - 1
 
 
@@ -119,8 +156,8 @@ def load_tud_dataset(
         if not p.exists():
             raise IngestionError(f"missing mandatory file {p.name} in {root}")
 
-    indicator = _read_rows(paths["indicator"], 1)[0][:, 0]
-    graph_labels = _read_rows(paths["labels"], 1)[0][:, 0]
+    indicator = _read_rows(paths["indicator"], 1)[:, 0]
+    graph_labels = _read_rows(paths["labels"], 1)[:, 0]
     num_graphs, num_nodes = len(graph_labels), len(indicator)
     if num_nodes and (indicator.min() < 1 or indicator.max() > num_graphs):
         raise FormatError(f"{paths['indicator'].name}: graph id outside 1..{num_graphs}")
@@ -142,7 +179,7 @@ def load_tud_dataset(
     node_labels_path = root / f"{name}_node_labels.txt"
     node_labels = None
     if node_labels_path.exists():
-        node_labels = _read_rows(node_labels_path, 1)[0][:, 0]
+        node_labels = _read_rows(node_labels_path, 1)[:, 0]
         if len(node_labels) != num_nodes:
             raise FormatError(
                 f"{node_labels_path.name}: {len(node_labels)} labels for {num_nodes} nodes"

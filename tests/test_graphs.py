@@ -125,11 +125,25 @@ class TestEdgeArray:
             arr[0, 0] = 5
 
     def test_replace_shares_the_array_and_rebuilds_new_edges(self, path4):
-        same = dataclasses.replace(path4)  # shares x too, so == compares by identity
+        same = dataclasses.replace(path4)
         assert same.edges is path4.edges and same == path4
         other = dataclasses.replace(path4, edges=((0, 1),))
         assert other.edges.tolist() == [[0, 1]]
         assert path4.edges.tolist() == [[0, 1], [1, 2], [2, 3]]
+
+    def test_graphs_from_equal_distinct_arrays_compare_by_value(self):
+        def build(edges=((0, 1), (1, 2)), x=None):
+            x = np.eye(3) if x is None else x
+            return Graph(num_nodes=3, edges=np.array(edges), x=x, y=1, node_labels=(0, 1, 2))
+
+        g = build()
+        assert g == build() and not g != build()
+        assert g != build(edges=((0, 1), (0, 2)))
+        assert g != build(edges=((0, 1),))
+        x = np.eye(3)
+        x[2, 0] = 0.5
+        assert g != build(x=x)
+        assert g != dataclasses.replace(g, y=0) and g != "graph"
 
     def test_a_writable_array_is_copied_and_stays_writable(self):
         given_edges = np.array([[0, 1], [1, 2]])

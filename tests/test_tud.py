@@ -1,5 +1,7 @@
+import dataclasses
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from esgnn import tud
 from esgnn.ba2motifs import generate_ba2motifs
 from esgnn.graphs import FeatureSpec, Graph, GraphDataset, constant_features
 from esgnn.tud import FormatError, IngestionError, load_tud_dataset, write_tud_dataset
@@ -252,6 +255,100 @@ class TestBoundary:
     def test_motif_file_that_is_not_json_names_its_line(self, tmp_path):
         with pytest.raises(FormatError, match="FIX_motif_edges.json:2: "):
             load_with(tmp_path, **{"motif_edges.json": "[[0],\n []"})
+
+
+def load_quietly(root):
+    """Load FIX from `root`, failing if any warning escapes the load."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ds = load_tud_dataset(root, "FIX")
+    assert caught == []
+    return ds
+
+
+class TestOnePassRead:
+    def test_a_clean_file_never_reaches_the_line_scan(self, tmp_path, monkeypatch):
+        write_fixture(tmp_path)
+
+        def no_scan(path, width):
+            raise AssertionError(f"{path.name} was scanned line by line")
+
+        monkeypatch.setattr(tud, "_scan_rows", no_scan)
+        ds = load_tud_dataset(tmp_path, "FIX")
+        assert [g.edges.tolist() for g in ds.graphs] == [[[0, 1], [0, 2], [1, 2]], [[0, 1]]]
+
+    @pytest.mark.parametrize("blank", ["", " \t "])  # the C reader skips only empty lines
+    def test_crlf_blank_lines_and_trailing_blanks_load_the_lf_graphs(self, tmp_path, blank):
+        lf = load_quietly(write_fixture(tmp_path / "lf"))
+        crlf = write_fixture(tmp_path / "crlf")
+        for path in crlf.iterdir():
+            lines = path.read_text().splitlines()
+            lines.insert(1, blank)
+            path.write_bytes(("\r\n".join(lines) + f"\r\n\r\n{blank}\r\n\r\n").encode())
+        assert load_quietly(crlf).graphs == lf.graphs
+
+    def test_an_empty_edge_file_loads_the_lf_graphs_without_edges(self, tmp_path):
+        lf = load_quietly(write_fixture(tmp_path / "lf"))
+        root = write_fixture(tmp_path / "empty")
+        (root / "FIX_A.txt").write_text("")
+        edgeless = tuple(dataclasses.replace(g, edges=()) for g in lf.graphs)
+        assert load_quietly(root).graphs == edgeless
+
+
+# splitlines also breaks lines at the ODD_SEPARATORS, which loadtxt strips inside a field
+NUMERIC_TOKENS = [*"0123456789", ",", "+", "-", " ", "\t", "\r", "\n", "\r\n"]
+ODD_SEPARATORS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+OTHER_TOKENS = ["\ufeff", "_", ".", "#", '"', "'", "\u0663"]  # U+0663 is an Arabic-Indic 3
+
+
+@st.composite
+def integer_files(draw, width):
+    """Rows of padded integers, `width` in each row in two files of three and
+    some near the 64-bit limits, with tokens inserted anywhere or next to a
+    comma; or free text over the same alphabet."""
+    token = st.sampled_from(NUMERIC_TOKENS + ODD_SEPARATORS + OTHER_TOKENS)
+    if draw(st.booleans()):
+        return "".join(draw(st.lists(token, max_size=40)))
+    columns = draw(st.sampled_from([width, width, 3 - width]))
+    field = st.sampled_from([*range(-20, 21), 2**63 - 1, -(2**63), 2**63])
+    pad = st.sampled_from(["", " ", "\t"])
+    row = st.lists(st.tuples(pad, field, pad), min_size=columns, max_size=columns).map(
+        lambda fields: ",".join(f"{a}{v}{b}" for a, v, b in fields)
+    )
+    newline = st.sampled_from(["\n", "\n", "\r\n", "\r", "\n\n", "\n \n"])
+    text = "".join(r + draw(newline) for r in draw(st.lists(row, max_size=6)))
+    for _ in range(draw(st.integers(0, 2))):
+        beside_comma = [k + d for k, c in enumerate(text) if c == "," for d in (0, 1)]
+        at = draw(st.integers(0, len(text)) | st.sampled_from(beside_comma or [0]))
+        text = text[:at] + draw(token | st.sampled_from(ODD_SEPARATORS)) + text[at:]
+    return text
+
+
+@pytest.mark.parametrize("odd", ODD_SEPARATORS)
+def test_a_line_break_beside_a_comma_is_not_read_as_padding(tmp_path, odd):
+    path = tmp_path / "X_A.txt"
+    path.write_bytes(f"1, 2\n9,{odd}6\n".encode())
+    with pytest.raises(FormatError, match=re.escape("X_A.txt:2: expected integers, got '9,'")):
+        tud._read_rows(path, 2)
+
+
+def read_or_error(read, path, width):
+    try:
+        rows = read(path, width)
+    except FormatError as e:
+        return str(e)
+    return rows.shape, rows.dtype, rows.tolist()
+
+
+@settings(max_examples=400, deadline=None)
+@given(width=st.sampled_from([1, 2]), data=st.data())
+def test_one_pass_read_matches_the_line_scan(width, data):
+    text = data.draw(integer_files(width))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "X_A.txt"
+        path.write_bytes(text.encode())
+        scanned = read_or_error(lambda p, w: tud._scan_rows(p, w)[0], path, width)
+        assert read_or_error(tud._read_rows, path, width) == scanned
 
 
 @st.composite
