@@ -1,11 +1,14 @@
 """Learned hard edge-mask explanations over a frozen classifier.
 
 A small MLP maps concatenated endpoint embeddings [z_i ; z_j] to one logit
-per undirected edge.  Soft weights come from a binary-concrete relaxation
+per undirected edge.  The MLP is one taped op, from the gather of both
+endpoints to the reshape of the logits, and untaped it keeps nothing for a
+backward.  Soft weights come from a binary-concrete relaxation
 (logistic noise, temperature tau); the classifier only ever sees hard binary
 masks, obtained either by thresholding or by an exact top-K budget, with a
 straight-through estimator carrying gradients back to the logits.  The
 sparsity penalty acts on the hard bits, i.e. it counts selected edges.
+A bag's JSON packs and unpacks the bits of all its masks in one array pass.
 """
 
 from __future__ import annotations
@@ -17,14 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
+    DimensionError,
     Tensor,
-    concat_cols,
     cross_entropy_mean,
     custom_primitive,
-    gather_rows,
-    linear,
-    relu,
-    reshape,
     sigmoid,
     sum_all,
 )
@@ -119,18 +118,69 @@ class ExplainerConfig:
 
 
 def edge_logits(Z: Tensor | np.ndarray, edges: np.ndarray, params: ExplainerParams) -> Tensor:
-    """One logit per undirected edge from [z_i ; z_j] on the canonical i < j pair."""
+    """One logit per undirected edge from [z_i ; z_j] on the canonical i < j pair.
+
+    One taped op over ``Z``, ``w1``, ``b1``, ``w2`` and ``b2``: the forward
+    gathers both endpoints' rows, concatenates them and applies the MLP,
+    with its ReLU in place.  The backward closure keeps the concatenated
+    pairs and the hidden activations; when no input requires a gradient the
+    tape drops it, so an untaped call keeps nothing and records no node.
+    The backward returns the five gradients with the same arithmetic as the
+    composed ``gather_rows``/``concat_cols``/``linear``/``relu``/``linear``/
+    ``reshape`` ops, so the two agree bit for bit.  The weights and biases
+    must have the shapes ``init_explainer`` gives them.
+    """
     Z = Z if isinstance(Z, Tensor) else Tensor(Z)
     if edges.size == 0:
         return Tensor(np.zeros(0))
-    pair = concat_cols(gather_rows(Z, edges[:, 0]), gather_rows(Z, edges[:, 1]))
-    h = relu(linear(pair, params.w1, params.b1))
-    return reshape(linear(h, params.w2, params.b2), (edges.shape[0],))
+    w1, b1, w2, b2 = params.w1, params.b1, params.w2, params.b2
+    if Z.data.ndim != 2 or w1.data.ndim != 2 or 2 * Z.data.shape[1] != w1.data.shape[0]:
+        raise DimensionError(f"edge MLP: states {Z.data.shape} vs weight {w1.data.shape}")
+    hidden = w1.data.shape[1]
+    if b1.data.shape != (hidden,) or w2.data.shape != (hidden, 1) or b2.data.shape != (1,):
+        raise DimensionError(
+            f"edge MLP: weight {w1.data.shape} with bias {b1.data.shape},"
+            f" weight {w2.data.shape} with bias {b2.data.shape}"
+        )
+    pair = np.concatenate([Z.data[edges[:, 0]], Z.data[edges[:, 1]]], axis=1)
+    h = pair @ w1.data
+    h += b1.data
+    np.maximum(h, 0.0, out=h)
+    out = h @ w2.data
+    out += b2.data
+    logits = out.reshape(len(edges))
+
+    def _bp(grad):
+        grad = grad.reshape(out.shape)
+        # h > 0 exactly where the pre-activation was > 0 (NaN in neither)
+        gh = (grad @ w2.data.T) * (h > 0)
+        gz = None
+        if Z.requires_grad:
+            gpair = gh @ w1.data.T
+            split = Z.data.shape[1]
+            # each end's rows are summed apart and then added, as the two gathers' are
+            gi, gj = np.zeros_like(Z.data), np.zeros_like(Z.data)
+            np.add.at(gi, edges[:, 0], gpair[:, :split])
+            np.add.at(gj, edges[:, 1], gpair[:, split:])
+            gz = gi + gj
+        return (
+            gz,
+            pair.T @ gh if w1.requires_grad else None,
+            gh.sum(axis=0) if b1.requires_grad else None,
+            h.T @ grad if w2.requires_grad else None,
+            grad.sum(axis=0) if b2.requires_grad else None,
+        )
+
+    return custom_primitive(logits, (Z, w1, b1, w2, b2), _bp)
 
 
 def _logistic_noise(seeds, n: int, noise_scale: float) -> np.ndarray:
     """(len(seeds), n) scaled Logistic(0, 1) draws, row t from its own generator
     ``default_rng(seeds[t])``; noise_scale = 0 draws nothing and gives zeros."""
+    if not math.isfinite(noise_scale):
+        raise ValueError(f"noise_scale {noise_scale} must be finite")
+    if noise_scale < 0:
+        raise ValueError(f"noise_scale {noise_scale} must be >= 0")
     if noise_scale == 0.0:
         return np.zeros((len(seeds), n))
     u = np.stack([np.random.default_rng(seed).random(n) for seed in seeds])
@@ -143,7 +193,7 @@ def concrete_sample(omega: Tensor | np.ndarray, tau: float, noise_scale: float, 
 
     noise_scale = 0 gives the deterministic map sigmoid(omega / tau).
     """
-    if tau <= 0:
+    if not tau > 0:  # NaN too
         raise ValueError(f"temperature {tau} must be positive")
     omega = omega if isinstance(omega, Tensor) else Tensor(omega)
     (noise,) = _logistic_noise([seed], omega.data.shape[0], noise_scale)
@@ -287,32 +337,38 @@ def generate_bag_topk(
 
 
 def bag_to_json(bag: SubgraphBag, graph_id: int) -> dict:
-    masks = []
-    for m in bag.masks:
-        packed = np.packbits(m.hard.astype(np.uint8)) if m.num_edges else np.zeros(0, dtype=np.uint8)
-        masks.append(
-            {
-                "bits": base64.b64encode(packed.tobytes()).decode("ascii"),
-                "K": m.budget,
-                "seed": m.seed,
-                "zeroed_nodes": list(m.zeroed_nodes),
-            }
-        )
+    """Each mask's hard bits packed big-endian into bytes, base64-encoded."""
+    packed = np.packbits(np.array([m.hard for m in bag.masks], dtype=np.uint8), axis=1)
+    masks = [
+        {
+            "bits": base64.b64encode(row.tobytes()).decode("ascii"),
+            "K": m.budget,
+            "seed": m.seed,
+            "zeroed_nodes": list(m.zeroed_nodes),
+        }
+        for m, row in zip(bag.masks, packed)
+    ]
     return {"graph_id": graph_id, "policy": bag.policy_tag, "masks": masks}
 
 
 def bag_from_json(doc: dict, base: Graph) -> SubgraphBag:
+    """The bag ``bag_to_json`` wrote for ``base``.
+
+    Every mask's bits are checked for their byte length before any is
+    unpacked; an error names the graph and the first bad mask.
+    """
     graph_id = doc.get("graph_id")
     for key in ("policy", "masks"):
         if key not in doc:
             raise ValueError(f"graph {graph_id}: bag document has no {key!r}")
     if doc["policy"] not in POLICY_TAGS:
         raise ValueError(f"graph {graph_id}: unknown bag policy {doc['policy']!r}")
-    if not doc["masks"]:
+    entries = doc["masks"]
+    if not entries:
         raise ValueError(f"graph {graph_id}: bag document lists no masks")
     nbytes = (base.num_edges + 7) // 8
-    masks = []
-    for k, entry in enumerate(doc["masks"]):
+    raws = []
+    for k, entry in enumerate(entries):
         if "bits" not in entry:
             raise ValueError(f"graph {graph_id}: mask {k} has no 'bits'")
         raw = base64.b64decode(entry["bits"])
@@ -321,8 +377,12 @@ def bag_from_json(doc: dict, base: Graph) -> SubgraphBag:
                 f"graph {graph_id}: mask {k} has {len(raw)} bytes of bits,"
                 f" expected {nbytes} for {base.num_edges} edges"
             )
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=base.num_edges)
-        hard = bits.astype(np.float64)
+        raws.append(raw)
+    packed = np.frombuffer(b"".join(raws), dtype=np.uint8).reshape(len(raws), nbytes)
+    hard = np.unpackbits(packed, axis=1, count=base.num_edges).astype(np.float64)
+    soft = hard.copy()
+    masks = []
+    for k, entry in enumerate(entries):
         zeroed = tuple(int(v) for v in entry.get("zeroed_nodes", ()))
         if any(not 0 <= v < base.num_nodes for v in zeroed):
             raise ValueError(
@@ -330,8 +390,8 @@ def bag_from_json(doc: dict, base: Graph) -> SubgraphBag:
             )
         try:
             mask = EdgeMask(
-                soft=hard.copy(),
-                hard=hard,
+                soft=soft[k],
+                hard=hard[k],
                 budget=entry.get("K"),
                 seed=entry.get("seed"),
                 zeroed_nodes=zeroed,

@@ -10,9 +10,13 @@ edges once, as the (E, 2) undirected pairs ``batch.adj.edges``, and no
 code here indexes directed entries: the edge-weight gradient comes from
 ``SparseMatrix.weight_grad``, one value per undirected edge.  A_mask is
 assembled once per forward and shared by all layers and their backward.
-Graphs are trained in block-diagonal minibatches with a graph-indicator
-vector for pooling, and Adam updates all parameters in one flat vector
-step (``optim``).
+A layer applies its ReLU in place.  When no input requires a gradient, as
+in ``frozen_forward``, the tape drops the layer's backward closure, so the
+layer keeps nothing and records no node.  Graphs are trained in
+block-diagonal minibatches.  Each graph's node rows are contiguous, so the batch builds
+its (graphs x nodes) sum-pooling CSR from the node offsets once, and a
+forward pools with one product.  Adam updates all parameters in one flat
+vector step (``optim``).
 
 ``train_backbone``'s per-epoch ``train_acc`` is the running minibatch
 accuracy: the share of training graphs that their minibatch's logits, taken
@@ -27,6 +31,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
+import scipy.sparse
 
 from .autodiff import (
     DimensionError,
@@ -36,7 +41,6 @@ from .autodiff import (
     cross_entropy_mean,
     custom_primitive,
     linear,
-    segment_sum,
 )
 from .graphs import EdgeMask, Graph
 from .optim import AdamState, TrainingError, step_from_gradients
@@ -174,6 +178,7 @@ class GraphBatch:
 
     x: np.ndarray
     node_graph: np.ndarray  # node row -> graph index
+    pool: scipy.sparse.csr_matrix  # (graphs, nodes) ones; row g sums graph g's rows in order
     adj: SparseMatrix  # the symmetric adjacency over adj.edges, (E, 2) batch node ids, i < j
     edge_graph: np.ndarray  # undirected edge -> graph index
     labels: np.ndarray
@@ -226,9 +231,16 @@ def build_graph_batch(
         values = np.concatenate([mask.hard for mask in masks] or [np.zeros(0)], dtype=np.float64)
 
     graph_index = np.arange(len(graphs), dtype=np.intp)
+    # each graph's rows are contiguous, so row g of the pooling operator lists
+    # rows offsets[g]..offsets[g + 1] - 1 in order, as segment_sum's would
+    indptr = np.append(offsets, len(x)).astype(np.int32)
+    pool = scipy.sparse.csr_matrix(
+        (np.ones(len(x)), np.arange(len(x), dtype=np.int32), indptr), shape=(len(graphs), len(x))
+    )
     return GraphBatch(
         x=x,
         node_graph=np.repeat(graph_index, n),
+        pool=pool,
         adj=SparseMatrix(len(x), edges),
         edge_graph=np.repeat(graph_index, m),
         labels=np.array([g.y for g in graphs], dtype=np.intp),
@@ -239,8 +251,10 @@ def build_graph_batch(
 def apply_gin_layer(layer: GinLayerParams, h: Tensor, adj: WeightedSparse) -> Tensor:
     """MLP((1 + eps) * h + A h) as one taped op over the layer's seven inputs.
 
-    The forward keeps the MLP input ``z``, the ReLU mask and the hidden
-    activations ``r``; the backward returns the gradients of the edge
+    The forward applies the ReLU in place.  The backward closure keeps the
+    MLP input ``z`` and the hidden activations ``r``; when no input requires
+    a gradient the tape drops it, so an untaped layer keeps nothing and
+    records no node.  The backward returns the gradients of the edge
     weights, ``h``, ``eps``, ``w1``, ``b1``, ``w2`` and ``b2`` with the same
     arithmetic as the composed ``spmm``/``mul``/``add``/``linear``/``relu``
     ops, so the two agree bit for bit.
@@ -253,17 +267,16 @@ def apply_gin_layer(layer: GinLayerParams, h: Tensor, adj: WeightedSparse) -> Te
         raise DimensionError(f"GIN layer: states {h.data.shape} vs weight {w1.data.shape}")
     scale = eps.data + 1.0
     z = h.data * scale + adj.csr @ h.data
-    a = z @ w1.data
-    a += b1.data
-    relu_mask = a > 0
-    r = np.maximum(a, 0.0)
+    r = z @ w1.data
+    r += b1.data
+    np.maximum(r, 0.0, out=r)
     out = r @ w2.data
     out += b2.data
-
     needs_gz = weights.requires_grad or h.requires_grad or eps.requires_grad
 
     def _bp(grad):
-        ga = (grad @ w2.data.T) * relu_mask
+        # r > 0 exactly where the pre-activation was > 0 (NaN in neither)
+        ga = (grad @ w2.data.T) * (r > 0)
         gz = ga @ w1.data.T if needs_gz else None
         return (
             pattern.weight_grad(gz, h.data) if weights.requires_grad else None,
@@ -295,7 +308,8 @@ def backbone_forward_batch(
     h = Tensor(batch.x)
     for layer in params.layers:
         h = apply_gin_layer(layer, h, adj)
-    pooled = segment_sum(h, batch.node_graph, len(batch.labels))
+    node_graph = batch.node_graph
+    pooled = custom_primitive(batch.pool @ h.data, (h,), lambda grad: (grad[node_graph],))
     return linear(pooled, params.head_w, params.head_b), h
 
 

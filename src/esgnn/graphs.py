@@ -190,10 +190,12 @@ class EdgeMask:
         if not np.isfinite(self.soft).all():
             bad = np.flatnonzero(~np.isfinite(self.soft))[0]
             raise ValueError(f"non-finite soft weight at edge {bad}")
-        if not ((self.hard == 0.0) | (self.hard == 1.0)).all():
+        # binary exactly when every nonzero entry (NaN included) is a one
+        ones = np.count_nonzero(self.hard == 1.0)
+        if ones != np.count_nonzero(self.hard):
             raise ValueError("hard mask must be binary")
-        if self.budget is not None and int(self.hard.sum()) != self.budget:
-            raise ValueError(f"hard mask sums to {int(self.hard.sum())}, budget is {self.budget}")
+        if self.budget is not None and ones != self.budget:
+            raise ValueError(f"hard mask sums to {ones}, budget is {self.budget}")
 
     @property
     def num_edges(self) -> int:

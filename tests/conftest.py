@@ -14,6 +14,11 @@ def make_graph(n, edges, y=0, x=None):
     )
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 @pytest.fixture
 def triangle():
     return make_graph(3, [(0, 1), (1, 2), (0, 2)])

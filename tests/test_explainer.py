@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 
@@ -5,12 +6,24 @@ import numpy as np
 import pytest
 
 from esgnn import explainer, gin
+from esgnn.autodiff import (
+    DimensionError,
+    Tensor,
+    concat_cols,
+    gather_rows,
+    linear,
+    mul,
+    relu,
+    reshape,
+    sum_all,
+)
 from esgnn.ba2motifs import generate_ba2motifs
 from esgnn.explainer import (
     ExplainerConfig,
     bag_from_json,
     bag_to_json,
     concrete_sample,
+    edge_logits,
     edge_scores,
     generate_bag_noise,
     generate_bag_topk,
@@ -18,8 +31,15 @@ from esgnn.explainer import (
     mask_seed,
     train_explainer,
 )
-from esgnn.graphs import PolicyError, policy_edge_deleted, policy_node_deleted, sample_bag
-from tests.conftest import make_graph
+from esgnn.graphs import (
+    EdgeMask,
+    PolicyError,
+    SubgraphBag,
+    policy_edge_deleted,
+    policy_node_deleted,
+    sample_bag,
+)
+from tests.conftest import make_graph, same_bits
 
 
 @pytest.fixture
@@ -118,6 +138,22 @@ def test_config_rejects_bad_values(kwargs):
     (field,) = kwargs
     with pytest.raises(ValueError, match=field):
         ExplainerConfig(**kwargs)
+
+
+@pytest.mark.parametrize("noise_scale", [float("nan"), float("inf"), -1.0])
+class TestNoiseScaleIsChecked:
+    def test_by_generate_bag_noise(self, graphs, backbone, params, noise_scale):
+        with pytest.raises(ValueError, match=f"noise_scale {noise_scale} must be"):
+            generate_bag_noise(graphs[0], backbone, params, m=2, noise_scale=noise_scale, seed=0)
+
+    def test_by_concrete_sample(self, noise_scale):
+        with pytest.raises(ValueError, match=f"noise_scale {noise_scale} must be"):
+            concrete_sample(np.zeros(3), 1.0, noise_scale, 0)
+
+
+def test_concrete_sample_rejects_a_nan_temperature():
+    with pytest.raises(ValueError, match="temperature nan must be positive"):
+        concrete_sample(np.zeros(3), float("nan"), 1.0, 0)
 
 
 class TestTauSchedule:
@@ -230,6 +266,23 @@ class TestBagJson:
         with pytest.raises(ValueError, match="graph 5: bag document lists no masks"):
             bag_from_json(doc, triangle)
 
+    @pytest.mark.parametrize("num_edges", [0, 1, 7, 8, 9, 26])
+    def test_bits_are_each_masks_own_packbits(self, num_edges):
+        g = make_graph(num_edges + 1, [(i, i + 1) for i in range(num_edges)])
+        rng = np.random.default_rng(num_edges)
+        hard = (rng.random((5, num_edges)) > 0.5).astype(np.float64)
+        bag = SubgraphBag(g, tuple(EdgeMask(soft=h.copy(), hard=h) for h in hard), "ED")
+        doc = bag_to_json(bag, 3)
+        for entry, h in zip(doc["masks"], hard):
+            assert entry["bits"] == base64.b64encode(np.packbits(h.astype(np.uint8))).decode()
+        self.assert_same(bag, bag_from_json(json.loads(json.dumps(doc)), g))
+
+    def test_two_masks_of_the_wrong_length_name_the_first(self, cycle6):
+        doc = bag_to_json(policy_edge_deleted(cycle6), 4)
+        doc["masks"][1]["bits"] = doc["masks"][4]["bits"] = "AAAA"
+        with pytest.raises(ValueError, match="graph 4: mask 1 has 3 bytes of bits, expected 1"):
+            bag_from_json(doc, cycle6)
+
     def test_rejects_a_budget_the_bits_miss_naming_graph_and_mask(self, triangle):
         doc = bag_to_json(policy_edge_deleted(triangle), 9)
         doc["masks"][1]["K"] = 3  # every ED mask keeps two of three edges
@@ -301,3 +354,73 @@ def test_noise_free_bags_threshold_the_plain_scores(graphs, backbone, params):
     for mask in bag.masks:
         assert np.array_equal(mask.soft, soft)
         assert np.array_equal(mask.hard, (soft > 0.5).astype(np.float64))
+
+
+def composed_edge_logits(Z, edges, params):
+    """The edge MLP as seven taped ops: the oracle for the fused one."""
+    pair = concat_cols(gather_rows(Z, edges[:, 0]), gather_rows(Z, edges[:, 1]))
+    h = relu(linear(pair, params.w1, params.b1))
+    return reshape(linear(h, params.w2, params.b2), (edges.shape[0],))
+
+
+class TestFusedEdgeMlp:
+    @staticmethod
+    def random_inputs(seed):
+        rng = np.random.default_rng(seed)
+        g = generate_ba2motifs(4, seed=seed).graphs[seed]
+        Z = Tensor(rng.standard_normal((g.num_nodes, 8)), requires_grad=True)
+        params = init_explainer(rng, hidden=8)
+        params.b1.data[:] = rng.standard_normal(params.b1.data.shape) * 0.1
+        params.b2.data[:] = rng.standard_normal(1)
+        return Z, g.edges, params, rng.standard_normal(g.num_edges)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_output_and_all_five_gradients_equal_the_composed_ops_bit_for_bit(self, seed):
+        Z, edges, params, upstream = self.random_inputs(seed)
+        results = []
+        for apply in (edge_logits, composed_edge_logits):
+            out = apply(Z, edges, params)
+            sum_all(mul(out, upstream)).backward()
+            inputs = (Z, params.w1, params.b1, params.w2, params.b2)
+            results.append([out.data] + [t.grad.copy() for t in inputs])
+        fused, composed = results
+        assert np.any(fused[1] != 0.0) and np.any(fused[2] != 0.0)
+        assert all(same_bits(a, b) for a, b in zip(fused, composed))
+
+    def test_is_one_node_over_its_five_inputs(self):
+        Z, edges, params, _ = self.random_inputs(0)
+        out = edge_logits(Z, edges, params)
+        assert out._prev == (Z, params.w1, params.b1, params.w2, params.b2)
+        assert out._backward(np.ones(len(edges)))[0] is not None
+        frozen_z = edge_logits(Tensor(Z.data), edges, params)
+        assert frozen_z._backward(np.ones(len(edges)))[0] is None
+
+    def test_untaped_it_equals_the_taped_forward_and_records_no_node(self):
+        Z, edges, params, _ = self.random_inputs(1)
+        taped = edge_logits(Z, edges, params)
+        out = edge_logits(Z.data, edges, params.frozen())
+        assert taped.requires_grad and same_bits(out.data, taped.data)
+        assert not out.requires_grad and out._prev == () and out._backward is None
+
+    @pytest.mark.parametrize(
+        "name, shape",
+        [("w1", (8, 8)), ("b1", (1,)), ("b1", ()), ("w2", (8, 2)), ("w2", (8,)), ("b2", ())],
+    )
+    def test_a_weight_or_bias_of_the_wrong_shape_raises(self, name, shape):
+        Z, edges, params, _ = self.random_inputs(0)
+        setattr(params, name, Tensor(np.zeros(shape)))
+        with pytest.raises(DimensionError, match="edge MLP"):
+            edge_logits(Z, edges, params)
+
+    def test_training_runs_equal_those_of_the_composed_mlp(self, graphs, backbone, monkeypatch):
+        cfg = ExplainerConfig(epochs=2, batch_size=5)
+
+        def run():
+            params, history = train_explainer(graphs, backbone, cfg, seed=3)
+            return history, named_arrays(params)
+
+        fused = run()
+        monkeypatch.setattr(explainer, "edge_logits", composed_edge_logits)
+        composed = run()
+        assert fused[0] == composed[0]
+        assert all(same_bits(fused[1][k], composed[1][k]) for k in fused[1])

@@ -16,6 +16,7 @@ from esgnn.autodiff import (
     linear,
     mul,
     relu,
+    segment_sum,
     spmm,
     sum_all,
 )
@@ -33,7 +34,7 @@ from esgnn.gin import (
     train_backbone,
 )
 from esgnn.graphs import EdgeMask, policy_node_deleted
-from tests.conftest import make_graph
+from tests.conftest import make_graph, same_bits
 
 
 def identity_layer(dim):
@@ -113,11 +114,6 @@ def composed_gin_layer(layer, h, adj):
     return linear(relu(linear(z, layer.w1, layer.b1)), layer.w2, layer.b2)
 
 
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
 class TestFusedGinLayer:
     @staticmethod
     def random_inputs(seed, num_graphs=6, hidden=5):
@@ -165,6 +161,15 @@ class TestFusedGinLayer:
 
         inputs = [values, h, layer.eps, layer.w1, layer.b1, layer.w2, layer.b2]
         assert grad_check(loss, inputs, h=1e-5) < 1e-6
+
+    def test_the_untaped_layer_equals_the_taped_forward_and_records_no_node(self):
+        batch, values, h, layer, _ = self.random_inputs(4)
+        taped = apply_gin_layer(layer, h, batch.adj.assemble(values))
+        frozen = GinLayerParams(*(Tensor(t.data) for t in layer.named("l").values()))
+        out = apply_gin_layer(frozen, Tensor(h.data), batch.adj.assemble(values.data))
+        assert taped.requires_grad
+        assert same_bits(out.data, taped.data)
+        assert not out.requires_grad and out._prev == () and out._backward is None
 
     def test_states_that_do_not_match_the_adjacency_are_rejected(self, triangle):
         adj = build_graph_batch([triangle]).adj.assemble(np.ones(3))
@@ -262,6 +267,7 @@ def reference_batch(graphs, masks=None):
     return {
         "x": np.concatenate(xs) if xs else np.zeros((0, 1)),
         "node_graph": np.concatenate(node_graph) if node_graph else np.zeros(0),
+        "pool": np.equal.outer(np.arange(len(graphs)), np.concatenate(node_graph or [[]])),
         "adjacency": scipy.linalg.block_diag(*blocks) if blocks else np.zeros((0, 0)),
         "edges": np.array(edges).reshape(-1, 2),
         "edge_graph": np.concatenate(edge_graph) if edge_graph else np.zeros(0),
@@ -277,6 +283,7 @@ class TestBuildGraphBatch:
         ref = reference_batch(graphs, masks)
         got = {name: getattr(batch, name, None) for name in ref}
         got["edges"] = batch.adj.edges
+        got["pool"] = batch.pool.toarray()
         got["adjacency"] = batch.adj.assemble(batch.default_values).csr.toarray()
         for name, want in ref.items():
             assert got[name].shape == want.shape, name
@@ -317,6 +324,16 @@ class TestBuildGraphBatch:
     def test_empty_list(self):
         self.assert_matches_reference([])
         self.assert_matches_reference([], [])
+
+    def test_pooling_adds_each_graphs_rows_in_the_order_segment_sum_pins(self, mixed):
+        graphs = mixed[:2] + [make_graph(0, [], x=np.zeros((0, 3)))] + mixed[2:]
+        batch = build_graph_batch(graphs)
+        rng = np.random.default_rng(5)
+        # rows of widely varying magnitude, so any change of summation order shows
+        h = rng.standard_normal((len(batch.x), 4)) * 10.0 ** rng.uniform(-8, 8, (len(batch.x), 4))
+        h[[0, 5, 9]] = -0.0
+        want = segment_sum(h, batch.node_graph, len(graphs)).data
+        assert same_bits(batch.pool @ h, want)
 
     def test_feature_width_mismatch_names_the_graph(self, triangle, single_edge):
         wide = make_graph(2, [(0, 1)], x=np.ones((2, 3)))

@@ -300,6 +300,19 @@ class TestEdgeMask:
         with pytest.raises(ValueError, match="budget"):
             EdgeMask(soft=np.ones(3), hard=np.ones(3), budget=2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0, 0.5])
+    def test_rejects_any_value_but_zero_and_one_as_not_binary(self, bad):
+        with pytest.raises(ValueError, match="hard mask must be binary"):
+            EdgeMask(soft=np.ones(4), hard=np.array([1.0, 0.0, bad, 1.0]), budget=2)
+
+    def test_accepts_negative_zero_as_a_zero_bit(self):
+        mask = EdgeMask(soft=np.ones(3), hard=np.array([1.0, -0.0, 1.0]), budget=2)
+        assert mask.budget == 2
+
+    def test_a_budget_mismatch_names_the_count_and_the_budget(self):
+        with pytest.raises(ValueError, match="hard mask sums to 2, budget is 3"):
+            EdgeMask(soft=np.ones(3), hard=np.array([1.0, 0.0, 1.0]), budget=3)
+
     def test_feature_spec_validation(self):
         with pytest.raises(ValueError):
             FeatureSpec("bogus")

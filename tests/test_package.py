@@ -24,6 +24,10 @@ UNCALLED_EXPORTS = {
     "softmax_cross_entropy": "test oracle for cross_entropy_mean",
     "matmul": "test oracle for linear; perfbench/tracing.py patches it by name",
     "spmm": "test oracle for the fused GIN layer; perfbench/tracing.py patches it by name",
+    "relu": "test oracle; patched by name by perfbench",
+    "gather_rows": "test oracle; patched by name by perfbench",
+    "concat_cols": "test oracle; patched by name by perfbench",
+    "segment_sum": "test oracle; patched by name by perfbench",
     "save_params": "checkpoints for the planned run records and CLI",
     "load_params": "checkpoints for the planned run records and CLI",
     "policy_edge_deleted": "ED baseline for the planned bag classifier",
