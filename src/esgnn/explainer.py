@@ -3,11 +3,12 @@
 A small MLP maps concatenated endpoint embeddings [z_i ; z_j] to one logit
 per undirected edge.  The MLP is one taped op, from the gather of both
 endpoints to the reshape of the logits, and untaped it keeps nothing for a
-backward.  Soft weights come from a binary-concrete relaxation
-(logistic noise, temperature tau); the classifier only ever sees hard binary
-masks, obtained either by thresholding or by an exact top-K budget, with a
-straight-through estimator carrying gradients back to the logits.  The
-sparsity penalty acts on the hard bits, i.e. it counts selected edges.
+backward.  Soft weights come from a binary-concrete relaxation (logistic
+noise, temperature tau), all drawn by ``concrete_sample``; the classifier
+only ever sees hard binary masks, obtained either by thresholding or by an
+exact top-K budget, with a straight-through estimator carrying gradients
+back to the logits.  The sparsity penalty acts on the hard bits, i.e. it
+counts selected edges.
 A bag's JSON packs and unpacks the bits of all its masks in one array pass.
 """
 
@@ -24,6 +25,7 @@ from .autodiff import (
     Tensor,
     cross_entropy_mean,
     custom_primitive,
+    reshape,
     sigmoid,
     sum_all,
 )
@@ -174,29 +176,23 @@ def edge_logits(Z: Tensor | np.ndarray, edges: np.ndarray, params: ExplainerPara
     return custom_primitive(logits, (Z, w1, b1, w2, b2), _bp)
 
 
-def _logistic_noise(seeds, n: int, noise_scale: float) -> np.ndarray:
-    """(len(seeds), n) scaled Logistic(0, 1) draws, row t from its own generator
-    ``default_rng(seeds[t])``; noise_scale = 0 draws nothing and gives zeros."""
-    if not math.isfinite(noise_scale):
-        raise ValueError(f"noise_scale {noise_scale} must be finite")
-    if noise_scale < 0:
-        raise ValueError(f"noise_scale {noise_scale} must be >= 0")
-    if noise_scale == 0.0:
-        return np.zeros((len(seeds), n))
-    u = np.stack([np.random.default_rng(seed).random(n) for seed in seeds])
-    u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    return noise_scale * (np.log(u) - np.log1p(-u))
+def concrete_sample(omega: Tensor | np.ndarray, tau: float, noise_scale: float, seeds) -> Tensor:
+    """(len(seeds), E) binary-concrete soft weights over the E logits ``omega``.
 
-
-def concrete_sample(omega: Tensor | np.ndarray, tau: float, noise_scale: float, seed) -> Tensor:
-    """Binary-concrete soft weights: sigmoid((omega + noise_scale * logistic) / tau).
-
-    noise_scale = 0 gives the deterministic map sigmoid(omega / tau).
+    Row t is sigmoid((omega + noise_scale * logistic) / tau), its Logistic(0, 1)
+    draws from ``default_rng(seeds[t])``.  noise_scale = 0 draws nothing and
+    gives the deterministic map sigmoid(omega / tau) in every row.
     """
     if not tau > 0:  # NaN too
         raise ValueError(f"temperature {tau} must be positive")
+    if not (math.isfinite(noise_scale) and noise_scale >= 0):
+        raise ValueError(f"noise_scale {noise_scale} must be finite and >= 0")
     omega = omega if isinstance(omega, Tensor) else Tensor(omega)
-    (noise,) = _logistic_noise([seed], omega.data.shape[0], noise_scale)
+    noise = np.zeros((len(seeds), omega.data.shape[0]))
+    if noise_scale != 0.0:
+        u = np.stack([np.random.default_rng(seed).random(noise.shape[1]) for seed in seeds])
+        u = np.clip(u, 1e-12, 1.0 - 1e-12)
+        noise = noise_scale * (np.log(u) - np.log1p(-u))
     return sigmoid((omega + Tensor(noise)) * (1.0 / tau))
 
 
@@ -254,19 +250,18 @@ def train_explainer(
         losses, fractions = [], []
         for bi, start in enumerate(range(0, len(order), cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
-            chunk = [graphs[i] for i in idx]
-            batch = build_graph_batch(chunk)
+            batch = build_graph_batch([graphs[i] for i in idx])
             z = Tensor(np.concatenate([z_cache[i] for i in idx]))
 
             omega = edge_logits(z, batch.adj.edges, params)
-            s = concrete_sample(omega, tau, cfg.noise_scale, [seed, 2, epoch, bi])
+            s = reshape(concrete_sample(omega, tau, cfg.noise_scale, [[seed, 2, epoch, bi]]), -1)
             e = hard_threshold(s, THRESHOLD)
 
             logits, _ = backbone_forward_batch(batch, frozen, mask_values=e)
             ce = cross_entropy_mean(logits, targets[idx])
-            # mean over graphs of (selected edges / graph edges)
-            edge_counts = np.array([g.num_edges for g in chunk], dtype=np.float64)
-            weight = 1.0 / (edge_counts[batch.edge_graph] * len(chunk))
+            # mean over graphs of (selected edges / graph edges); an edgeless graph has no term
+            counts = np.diff(batch.edge_offsets)
+            weight = 1.0 / (np.repeat(counts, counts) * len(idx))
             loss = ce + sum_all(e * Tensor(weight)) * cfg.lam
             if not np.isfinite(loss.data):
                 raise TrainingError(f"non-finite explainer loss at epoch {epoch}")
@@ -314,8 +309,7 @@ def generate_bag_noise(
         raise ValueError(f"bag size {m} must be >= 1")
     omega = edge_scores(g, backbone, params)
     seeds = [mask_seed(seed, t) for t in range(m)]
-    noise = _logistic_noise(seeds, g.num_edges, noise_scale)
-    s = sigmoid((Tensor(omega) + Tensor(noise)) * (1.0 / BAG_TAU))
+    s = concrete_sample(omega, BAG_TAU, noise_scale, seeds)
     hard = hard_threshold(s, THRESHOLD).data
     masks = tuple(EdgeMask(soft=s.data[t], hard=hard[t], seed=seeds[t]) for t in range(m))
     return SubgraphBag(base=g, masks=masks, policy_tag="EXPLAIN_NOISE")
@@ -331,7 +325,7 @@ def generate_bag_topk(
     if g.num_edges == 0:
         raise PolicyError("top-K bags need at least one edge")
     omega = edge_scores(g, backbone, params)
-    s = concrete_sample(omega, BAG_TAU, 0.0, 0)
+    (s,) = concrete_sample(omega, BAG_TAU, 0.0, [0]).data
     budgets = [max(1, math.ceil(f * g.num_edges)) for f in DEFAULT_FRACTIONS]
     return SubgraphBag(base=g, masks=tuple(topk_binarize(s, budgets)), policy_tag="EXPLAIN_TOPK")
 
@@ -354,8 +348,9 @@ def bag_to_json(bag: SubgraphBag, graph_id: int) -> dict:
 def bag_from_json(doc: dict, base: Graph) -> SubgraphBag:
     """The bag ``bag_to_json`` wrote for ``base``.
 
-    Every mask's bits are checked for their byte length before any is
-    unpacked; an error names the graph and the first bad mask.
+    Every mask's bits are decoded strictly, so a character outside the
+    base64 alphabet is an error, and checked for their byte length before
+    any is unpacked; an error names the graph and the first bad mask.
     """
     graph_id = doc.get("graph_id")
     for key in ("policy", "masks"):
@@ -371,7 +366,10 @@ def bag_from_json(doc: dict, base: Graph) -> SubgraphBag:
     for k, entry in enumerate(entries):
         if "bits" not in entry:
             raise ValueError(f"graph {graph_id}: mask {k} has no 'bits'")
-        raw = base64.b64decode(entry["bits"])
+        try:
+            raw = base64.b64decode(entry["bits"], validate=True)
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"graph {graph_id}: mask {k} bits are not base64: {err}") from None
         if len(raw) != nbytes:
             raise ValueError(
                 f"graph {graph_id}: mask {k} has {len(raw)} bytes of bits,"

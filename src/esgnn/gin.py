@@ -13,10 +13,10 @@ assembled once per forward and shared by all layers and their backward.
 A layer applies its ReLU in place.  When no input requires a gradient, as
 in ``frozen_forward``, the tape drops the layer's backward closure, so the
 layer keeps nothing and records no node.  Graphs are trained in
-block-diagonal minibatches.  Each graph's node rows are contiguous, so the batch builds
-its (graphs x nodes) sum-pooling CSR from the node offsets once, and a
-forward pools with one product.  Adam updates all parameters in one flat
-vector step (``optim``).
+block-diagonal minibatches whose node and edge offsets are the only record
+of which rows and edges belong to which graph; a batch builds its sum-pooling
+CSR from the node offsets once, and a forward pools with one product.  Adam
+updates all parameters in one flat vector step (``optim``).
 
 ``train_backbone``'s per-epoch ``train_acc`` is the running minibatch
 accuracy: the share of training graphs that their minibatch's logits, taken
@@ -28,7 +28,6 @@ parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 import scipy.sparse
@@ -177,10 +176,10 @@ class GraphBatch:
     """
 
     x: np.ndarray
-    node_graph: np.ndarray  # node row -> graph index
+    node_offsets: np.ndarray  # (graphs + 1,) first node row of each graph, then len(x)
     pool: scipy.sparse.csr_matrix  # (graphs, nodes) ones; row g sums graph g's rows in order
     adj: SparseMatrix  # the symmetric adjacency over adj.edges, (E, 2) batch node ids, i < j
-    edge_graph: np.ndarray  # undirected edge -> graph index
+    edge_offsets: np.ndarray  # (graphs + 1,) first edge of each graph, then adj.num_edges
     labels: np.ndarray
     default_values: np.ndarray  # per-undirected-edge weights from masks (or ones)
 
@@ -204,11 +203,10 @@ def build_graph_batch(
         edge_arrays.append(g.edges)
         num_nodes.append(g.num_nodes)
         num_edges.append(g.num_edges)
-    n = np.array(num_nodes, dtype=np.intp)
-    m = np.array(num_edges, dtype=np.intp)
-    offsets = np.cumsum(n) - n
+    node_offsets = np.cumsum([0, *num_nodes], dtype=np.intp)
+    edge_offsets = np.cumsum([0, *num_edges], dtype=np.intp)
     edges = np.concatenate(edge_arrays or [np.zeros((0, 2), dtype=np.intp)])
-    edges += np.repeat(offsets, m)[:, None]
+    edges += np.repeat(node_offsets[:-1], num_edges)[:, None]
     # a fresh copy, so zeroing deleted nodes below never writes to g.x
     x = np.concatenate(xs or [np.zeros((0, width))], dtype=np.float64)
 
@@ -227,22 +225,21 @@ def build_graph_batch(
                         f"mask zeroes nodes {mask.zeroed_nodes} outside 0..{g.num_nodes - 1}"
                         f" in graph {gi}"
                     )
-                x[offsets[gi] + zeroed] = 0.0
+                x[node_offsets[gi] + zeroed] = 0.0
         values = np.concatenate([mask.hard for mask in masks] or [np.zeros(0)], dtype=np.float64)
 
-    graph_index = np.arange(len(graphs), dtype=np.intp)
     # each graph's rows are contiguous, so row g of the pooling operator lists
-    # rows offsets[g]..offsets[g + 1] - 1 in order, as segment_sum's would
-    indptr = np.append(offsets, len(x)).astype(np.int32)
+    # rows node_offsets[g]..node_offsets[g + 1] - 1 in order, as segment_sum's would
     pool = scipy.sparse.csr_matrix(
-        (np.ones(len(x)), np.arange(len(x), dtype=np.int32), indptr), shape=(len(graphs), len(x))
+        (np.ones(len(x)), np.arange(len(x), dtype=np.int32), node_offsets.astype(np.int32)),
+        shape=(len(graphs), len(x)),
     )
     return GraphBatch(
         x=x,
-        node_graph=np.repeat(graph_index, n),
+        node_offsets=node_offsets,
         pool=pool,
         adj=SparseMatrix(len(x), edges),
-        edge_graph=np.repeat(graph_index, m),
+        edge_offsets=edge_offsets,
         labels=np.array([g.y for g in graphs], dtype=np.intp),
         default_values=values,
     )
@@ -308,8 +305,9 @@ def backbone_forward_batch(
     h = Tensor(batch.x)
     for layer in params.layers:
         h = apply_gin_layer(layer, h, adj)
-    node_graph = batch.node_graph
-    pooled = custom_primitive(batch.pool @ h.data, (h,), lambda grad: (grad[node_graph],))
+    pooled = custom_primitive(
+        batch.pool @ h.data, (h,), lambda g: (np.repeat(g, np.diff(batch.node_offsets), 0),)
+    )
     return linear(pooled, params.head_w, params.head_b), h
 
 
@@ -330,10 +328,10 @@ def frozen_forward(
     frozen = params.frozen()
     logits, states = [], []
     for start in range(0, len(graphs), FORWARD_CHUNK):
-        chunk = graphs[start : start + FORWARD_CHUNK]
-        out, h = backbone_forward_batch(build_graph_batch(chunk), frozen)
+        batch = build_graph_batch(graphs[start : start + FORWARD_CHUNK])
+        out, h = backbone_forward_batch(batch, frozen)
         logits.append(out.data)
-        bounds = list(accumulate((g.num_nodes for g in chunk), initial=0))
+        bounds = batch.node_offsets.tolist()
         states.extend(h.data[a:b] for a, b in zip(bounds, bounds[1:]))
     return np.concatenate(logits or [np.zeros((0, params.num_classes))]), states
 

@@ -110,6 +110,29 @@ class TestTraining:
         for a, b in zip(steps, steps[1:]):
             assert not all(np.array_equal(a[k], b[k]) for k in a)
 
+    def test_sparsity_weights_are_one_over_edges_times_graphs_beside_an_edgeless_graph(
+        self, graphs, backbone, monkeypatch
+    ):
+        batches, weights = [], []
+        build = explainer.build_graph_batch
+
+        def build_spy(chunk, masks=None):
+            batches.append(chunk)
+            return build(chunk, masks)
+
+        def sum_spy(x):
+            weights.append(x._prev[1].data)  # x = e * Tensor(weight)
+            return sum_all(x)
+
+        monkeypatch.setattr(explainer, "build_graph_batch", build_spy)
+        monkeypatch.setattr(explainer, "sum_all", sum_spy)
+        cfg = ExplainerConfig(epochs=1, batch_size=3)
+        with np.errstate(divide="raise", invalid="raise"):
+            train_explainer([graphs[0], make_graph(3, []), graphs[1]], backbone, cfg)
+        ((chunk,), (weight,)) = batches, weights
+        want = [np.full(g.num_edges, 1.0 / (g.num_edges * 3)) for g in chunk if g.num_edges]
+        assert same_bits(weight, np.concatenate(want))
+
     def test_edgeless_graphs_leave_the_explainer_at_its_init(self, backbone):
         cfg = ExplainerConfig(epochs=2, batch_size=1)
         params, history = train_explainer([make_graph(3, []), make_graph(1, [])], backbone, cfg)
@@ -148,12 +171,21 @@ class TestNoiseScaleIsChecked:
 
     def test_by_concrete_sample(self, noise_scale):
         with pytest.raises(ValueError, match=f"noise_scale {noise_scale} must be"):
-            concrete_sample(np.zeros(3), 1.0, noise_scale, 0)
+            concrete_sample(np.zeros(3), 1.0, noise_scale, [0])
 
 
 def test_concrete_sample_rejects_a_nan_temperature():
     with pytest.raises(ValueError, match="temperature nan must be positive"):
-        concrete_sample(np.zeros(3), float("nan"), 1.0, 0)
+        concrete_sample(np.zeros(3), float("nan"), 1.0, [0])
+
+
+def test_concrete_sample_draws_one_row_per_seed_from_that_seed_alone():
+    omega = np.linspace(-2.0, 2.0, 5)
+    rows = concrete_sample(omega, 0.5, 1.0, [3, [4, 1], 3]).data
+    assert rows.shape == (3, 5)
+    for seed, row in zip([3, [4, 1], 3], rows):
+        assert same_bits(row, concrete_sample(omega, 0.5, 1.0, [seed]).data[0])
+    assert same_bits(rows[0], rows[2]) and not np.array_equal(rows[0], rows[1])
 
 
 class TestTauSchedule:
@@ -185,7 +217,7 @@ class TestBags:
         assert bag.policy_tag == "EXPLAIN_NOISE"
         for t, mask in enumerate(bag.masks):
             assert mask.seed == mask_seed(11, t)
-            soft = concrete_sample(omega, 1.0, 1.0, mask.seed).data
+            (soft,) = concrete_sample(omega, 1.0, 1.0, [mask.seed]).data
             assert np.array_equal(mask.soft, soft)
             assert np.array_equal(mask.hard, (soft > 0.5).astype(np.float64))
         assert len({m.hard.tobytes() for m in bag.masks}) > 1
@@ -252,6 +284,13 @@ class TestBagJson:
         doc = bag_to_json(policy_edge_deleted(triangle), 6)
         del doc[key]
         with pytest.raises(ValueError, match=f"graph 6: bag document has no '{key}'"):
+            bag_from_json(doc, triangle)
+
+    @pytest.mark.parametrize("bits", ["Y!A==", "a", 5])
+    def test_rejects_bits_that_are_not_strict_base64_naming_graph_and_mask(self, triangle, bits):
+        doc = bag_to_json(policy_edge_deleted(triangle), 9)
+        doc["masks"][1]["bits"] = bits
+        with pytest.raises(ValueError, match="graph 9: mask 1 bits are not base64"):
             bag_from_json(doc, triangle)
 
     def test_rejects_a_mask_without_bits_naming_graph_and_mask(self, triangle):
@@ -349,7 +388,7 @@ class TestTopK:
 def test_noise_free_bags_threshold_the_plain_scores(graphs, backbone, params):
     g = graphs[1]
     bag = generate_bag_noise(g, backbone, params, m=3, noise_scale=0.0, seed=2)
-    soft = concrete_sample(edge_scores(g, backbone, params), 1.0, 0.0, 0).data
+    (soft,) = concrete_sample(edge_scores(g, backbone, params), 1.0, 0.0, [0]).data
     assert [m.seed for m in bag.masks] == [mask_seed(2, t) for t in range(3)]
     for mask in bag.masks:
         assert np.array_equal(mask.soft, soft)

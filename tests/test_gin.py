@@ -12,7 +12,6 @@ from esgnn.autodiff import (
     Tensor,
     add,
     cross_entropy_mean,
-    grad_check,
     linear,
     mul,
     relu,
@@ -35,6 +34,7 @@ from esgnn.gin import (
 )
 from esgnn.graphs import EdgeMask, policy_node_deleted
 from tests.conftest import make_graph, same_bits
+from tests.oracles import grad_check
 
 
 def identity_layer(dim):
@@ -246,7 +246,8 @@ def reference_batch(graphs, masks=None):
     The weighted adjacency is the block diagonal of each graph's dense
     symmetric one.
     """
-    xs, node_graph, edges, edge_graph, values, blocks = [], [], [], [], [], []
+    xs, node_graph, edges, values, blocks = [], [], [], [], []
+    node_offsets, edge_offsets = [0], [0]
     offset = 0
     for gi, g in enumerate(graphs):
         x = np.array(g.x, dtype=np.float64)
@@ -262,15 +263,16 @@ def reference_batch(graphs, masks=None):
             edges.append((i + offset, j + offset))
             block[i, j] = block[j, i] = w
         blocks.append(block)
-        edge_graph.append(np.full(g.num_edges, gi))
         offset += g.num_nodes
+        node_offsets.append(offset)
+        edge_offsets.append(len(edges))
     return {
         "x": np.concatenate(xs) if xs else np.zeros((0, 1)),
-        "node_graph": np.concatenate(node_graph) if node_graph else np.zeros(0),
+        "node_offsets": np.array(node_offsets),
         "pool": np.equal.outer(np.arange(len(graphs)), np.concatenate(node_graph or [[]])),
         "adjacency": scipy.linalg.block_diag(*blocks) if blocks else np.zeros((0, 0)),
         "edges": np.array(edges).reshape(-1, 2),
-        "edge_graph": np.concatenate(edge_graph) if edge_graph else np.zeros(0),
+        "edge_offsets": np.array(edge_offsets),
         "default_values": np.concatenate(values) if values else np.zeros(0),
         "labels": np.array([g.y for g in graphs]),
     }
@@ -332,8 +334,22 @@ class TestBuildGraphBatch:
         # rows of widely varying magnitude, so any change of summation order shows
         h = rng.standard_normal((len(batch.x), 4)) * 10.0 ** rng.uniform(-8, 8, (len(batch.x), 4))
         h[[0, 5, 9]] = -0.0
-        want = segment_sum(h, batch.node_graph, len(graphs)).data
+        node_graph = np.repeat(np.arange(len(graphs)), [g.num_nodes for g in graphs])
+        want = segment_sum(h, node_graph, len(graphs)).data
         assert same_bits(batch.pool @ h, want)
+
+    def test_pooling_backward_sends_each_graphs_gradient_to_its_own_rows(self, mixed):
+        graphs = mixed[:2] + [make_graph(0, [], x=np.zeros((0, 3)))] + mixed[2:]
+        params = init_backbone(np.random.default_rng(6), 3, 2, hidden=4, num_layers=2)
+        batch = build_graph_batch(graphs)
+        logits, h = backbone_forward_batch(batch, params)
+        cross_entropy_mean(logits, batch.labels).backward()
+        pooled = {k: t.grad.copy() for k, t in params.named().items()}
+        # the same states pooled by the segment_sum oracle, whose backward is grad[node_graph]
+        node_graph = np.repeat(np.arange(len(graphs)), [g.num_nodes for g in graphs])
+        oracle = linear(segment_sum(h, node_graph, len(graphs)), params.head_w, params.head_b)
+        cross_entropy_mean(oracle, batch.labels).backward()
+        assert all(same_bits(t.grad, pooled[k]) for k, t in params.named().items())
 
     def test_feature_width_mismatch_names_the_graph(self, triangle, single_edge):
         wide = make_graph(2, [(0, 1)], x=np.ones((2, 3)))
@@ -453,6 +469,24 @@ class TestFrozenForward:
             (single,) = frozen_forward([g], params)[1]
             assert z.shape == (g.num_nodes, 8) and np.array_equal(z, single)
         assert logits.argmax(axis=1).tolist() == [predict(g, params).label for g in graphs]
+
+    def test_chunks_with_a_zero_node_and_an_edgeless_graph_split_at_the_batch_offsets(
+        self, monkeypatch
+    ):
+        graphs = list(generate_ba2motifs(4, seed=1).graphs)
+        graphs[1:1] = [make_graph(0, [], x=np.zeros((0, 1))), make_graph(3, [])]
+        params = init_backbone(np.random.default_rng(2), 1, 2, hidden=8, num_layers=2)
+        monkeypatch.setattr(gin, "FORWARD_CHUNK", 4)  # two chunks: 4 graphs, then 2
+        _, states = frozen_forward(graphs, params)
+        assert [z.shape for z in states] == [(g.num_nodes, 8) for g in graphs]
+        for start in (0, 4):
+            batch = build_graph_batch(graphs[start : start + 4])
+            _, h = backbone_forward_batch(batch, params.frozen())
+            bounds = batch.node_offsets
+            for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
+                assert same_bits(states[start + k], h.data[a:b])
+        for g, z in zip(graphs, states):
+            assert same_bits(z, frozen_forward([g], params)[1][0])
 
     def test_empty_list(self):
         params = init_backbone(np.random.default_rng(0), 1, 3)
