@@ -5,6 +5,8 @@
 It hashes the dtype, shape and bytes of every array of:
 - ``train_backbone`` parameters and history (60 BA-2Motifs graphs, 3 epochs);
 - ``frozen_forward`` logits and node states of those graphs;
+- ``evaluate_accuracy`` over those graphs and ``predict``'s probabilities for
+  each of them;
 - ``train_explainer`` parameters and history;
 - a top-K bag and a noise bag (m=10) of every graph: soft weights, hard bits,
   budgets, seeds and bag JSON;
@@ -46,6 +48,9 @@ def main() -> None:
     backbone, history = gin.train_backbone(graphs, 2, cfg)
     feed_run(backbone, history)
     feed_forward(graphs, backbone)
+    digest.update(repr(gin.evaluate_accuracy(graphs, backbone)).encode())
+    for g in graphs:
+        feed(gin.predict(g, backbone).probs)
     ecfg = explainer.ExplainerConfig(epochs=3, batch_size=16)
     params, history = explainer.train_explainer(graphs, backbone, ecfg, seed=0)
     feed_run(params, history)

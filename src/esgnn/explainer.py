@@ -133,8 +133,6 @@ def edge_logits(Z: Tensor | np.ndarray, edges: np.ndarray, params: ExplainerPara
     must have the shapes ``init_explainer`` gives them.
     """
     Z = Z if isinstance(Z, Tensor) else Tensor(Z)
-    if edges.size == 0:
-        return Tensor(np.zeros(0))
     w1, b1, w2, b2 = params.w1, params.b1, params.w2, params.b2
     if Z.data.ndim != 2 or w1.data.ndim != 2 or 2 * Z.data.shape[1] != w1.data.shape[0]:
         raise DimensionError(f"edge MLP: states {Z.data.shape} vs weight {w1.data.shape}")
@@ -190,8 +188,9 @@ def concrete_sample(omega: Tensor | np.ndarray, tau: float, noise_scale: float, 
     omega = omega if isinstance(omega, Tensor) else Tensor(omega)
     noise = np.zeros((len(seeds), omega.data.shape[0]))
     if noise_scale != 0.0:
-        u = np.stack([np.random.default_rng(seed).random(noise.shape[1]) for seed in seeds])
-        u = np.clip(u, 1e-12, 1.0 - 1e-12)
+        for row, seed in zip(noise, seeds):
+            row[:] = np.random.default_rng(seed).random(noise.shape[1])
+        u = np.clip(noise, 1e-12, 1.0 - 1e-12)
         noise = noise_scale * (np.log(u) - np.log1p(-u))
     return sigmoid((omega + Tensor(noise)) * (1.0 / tau))
 
@@ -239,8 +238,7 @@ def train_explainer(
         raise ValueError("empty training set")
     frozen = backbone.frozen()
     params = init_explainer(np.random.default_rng(seed), hidden=backbone.hidden)
-    named = params.named()
-    state = AdamState()
+    state = AdamState(params.named())
     logits, z_cache = frozen_forward(graphs, backbone)
     targets = logits.argmax(axis=1)
     history: list[dict] = []
@@ -264,11 +262,11 @@ def train_explainer(
             weight = 1.0 / (np.repeat(counts, counts) * len(idx))
             loss = ce + sum_all(e * Tensor(weight)) * cfg.lam
             if not np.isfinite(loss.data):
-                raise TrainingError(f"non-finite explainer loss at epoch {epoch}")
+                raise TrainingError(f"non-finite explainer loss at epoch {epoch}, batch {bi}")
             losses.append(loss.item())
             if batch.adj.num_edges:
                 loss.backward()
-                step_from_gradients(named, state, cfg.lr)
+                step_from_gradients(state, cfg.lr)
                 fractions.append(float(e.data.mean()))
         history.append(
             {

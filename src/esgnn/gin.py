@@ -107,12 +107,24 @@ def init_gin_layer(rng: np.random.Generator, in_dim: int, hidden: int) -> GinLay
 
 @dataclass
 class BackboneParams:
+    """GIN layers and a linear head; every size is read off the arrays."""
+
     layers: list[GinLayerParams]
     head_w: Tensor
     head_b: Tensor
-    in_dim: int
-    hidden: int
-    num_classes: int
+
+    @property
+    def in_dim(self) -> int:
+        """Feature width of layer 0's input; ``hidden`` with no layers."""
+        return self.layers[0].w1.data.shape[0] if self.layers else self.hidden
+
+    @property
+    def hidden(self) -> int:
+        return self.head_w.data.shape[0]
+
+    @property
+    def num_classes(self) -> int:
+        return self.head_w.data.shape[1]
 
     def named(self, prefix: str = "") -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -130,9 +142,6 @@ class BackboneParams:
             ],
             head_w=wrap(self.head_w),
             head_b=wrap(self.head_b),
-            in_dim=self.in_dim,
-            hidden=self.hidden,
-            num_classes=self.num_classes,
         )
 
     def copy(self) -> "BackboneParams":
@@ -161,9 +170,6 @@ def init_backbone(
         layers=layers,
         head_w=Tensor(glorot(rng, hidden, num_classes), requires_grad=True),
         head_b=Tensor(np.zeros(num_classes), requires_grad=True),
-        in_dim=in_dim,
-        hidden=hidden,
-        num_classes=num_classes,
     )
 
 
@@ -414,22 +420,21 @@ def train_backbone(
     params = init_backbone(
         rng, graphs[0].x.shape[1], num_classes, hidden=cfg.hidden, num_layers=cfg.num_layers
     )
-    named = params.named()
-    state = AdamState()
+    state = AdamState(params.named())
     history: list[dict] = []
     for epoch in range(cfg.epochs):
         order = np.random.default_rng([cfg.seed, epoch]).permutation(len(graphs))
         losses, hits = [], 0
-        for start in range(0, len(order), cfg.batch_size):
+        for bi, start in enumerate(range(0, len(order), cfg.batch_size)):
             chunk = [graphs[i] for i in order[start : start + cfg.batch_size]]
             batch = build_graph_batch(chunk)
             logits, _ = backbone_forward_batch(batch, params)
             loss = cross_entropy_mean(logits, batch.labels)
             if not np.isfinite(loss.data):
-                raise TrainingError(f"non-finite loss at epoch {epoch}")
+                raise TrainingError(f"non-finite loss at epoch {epoch}, batch {bi}")
             hits += int((logits.data.argmax(axis=1) == batch.labels).sum())
             loss.backward()
-            step_from_gradients(named, state, cfg.lr)
+            step_from_gradients(state, cfg.lr)
             losses.append(loss.item())
         entry = {"epoch": epoch, "loss": float(np.mean(losses)), "train_acc": hits / len(graphs)}
         for name, subset in (eval_sets or {}).items():

@@ -1,10 +1,11 @@
 """Adam optimizer over flat name -> Tensor parameter maps.
 
-The moments of all parameters live in two flat arrays, laid out in the
-order of the map's first step; ``AdamState.m[name]`` and ``.v[name]`` are
-views into them.  One step concatenates the gradients, checks them once for
-non-finite values, updates the moments and computes the whole update in
-one pass of vector operations, then subtracts each parameter's slice.
+An ``AdamState`` is bound to one map at construction.  The moments of all
+its parameters live in two flat arrays, laid out in the map's order;
+``AdamState.m[name]`` and ``.v[name]`` are views into them.  One step
+concatenates the gradients, checks them once for non-finite values,
+updates the moments and computes the whole update in one pass of vector
+operations, then subtracts each parameter's slice.
 """
 
 from __future__ import annotations
@@ -26,52 +27,30 @@ class TrainingError(RuntimeError):
 
 
 class AdamState:
-    """First/second moment estimates plus the shared step counter.
+    """The parameter map, its first/second moment estimates and the step counter.
 
-    The first step fixes the parameter names, their order and their shapes;
-    a later map that differs is rejected, naming the parameter.
+    The state keeps its own copy of the map, so adding or removing a key of
+    the caller's dict later changes nothing that it steps.
     """
 
-    def __init__(self):
+    def __init__(self, params: dict[str, Tensor]):
+        self.params = dict(params)
         self.step = 0
+        sizes = [p.data.size for p in self.params.values()]
+        ends = np.cumsum(sizes, dtype=np.intp).tolist()
+        self._bounds = [(end - size, end) for size, end in zip(sizes, ends)]
+        self._m_flat = np.zeros(sum(sizes))
+        self._v_flat = np.zeros(sum(sizes))
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
-        self._layout: tuple[tuple[str, tuple[int, ...]], ...] | None = None
-        self._bounds: list[tuple[int, int]] = []
-        self._m_flat = np.zeros(0)
-        self._v_flat = np.zeros(0)
-
-    def _check_layout(self, params: dict[str, Tensor]) -> None:
-        layout = tuple((name, p.data.shape) for name, p in params.items())
-        if self._layout is None:
-            self._layout = layout
-            sizes = [int(np.prod(shape)) for _, shape in layout]
-            ends = np.cumsum(sizes, dtype=np.intp).tolist()
-            self._bounds = [(end - size, end) for size, end in zip(sizes, ends)]
-            self._m_flat = np.zeros(sum(sizes))
-            self._v_flat = np.zeros(sum(sizes))
-            for (name, shape), (a, b) in zip(layout, self._bounds):
-                self.m[name] = self._m_flat[a:b].reshape(shape)
-                self.v[name] = self._v_flat[a:b].reshape(shape)
-        elif layout != self._layout:
-            raise ValueError(_layout_mismatch(self._layout, layout))
+        for (name, p), (a, b) in zip(self.params.items(), self._bounds):
+            self.m[name] = self._m_flat[a:b].reshape(p.data.shape)
+            self.v[name] = self._v_flat[a:b].reshape(p.data.shape)
 
 
-def _layout_mismatch(first, now) -> str:
-    """Name the first parameter whose name, position or shape moved."""
-    for k, ((name0, shape0), (name, shape)) in enumerate(zip(first, now)):
-        if name != name0:
-            return f"parameter '{name}' at position {k} was '{name0}' at the first Adam step"
-        if shape != shape0:
-            return f"parameter '{name}' has shape {shape}, its Adam moments have {shape0}"
-    if len(now) > len(first):
-        return f"parameter '{now[len(first)][0]}' was not in the map of the first Adam step"
-    return f"parameter '{first[len(now)][0]}' of the first Adam step is missing"
-
-
-def step_from_gradients(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam step, in place on params, from their ``.grad``."""
-    state._check_layout(params)
+def step_from_gradients(state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam step, in place on the state's params, from their ``.grad``."""
+    params = state.params
     g = np.concatenate([np.ravel(p.grad) for p in params.values()] or [np.zeros(0)])
     if g.dtype != np.float64 or g.size != state._m_flat.size:
         for name, p in params.items():

@@ -39,6 +39,7 @@ from esgnn.graphs import (
     policy_node_deleted,
     sample_bag,
 )
+from esgnn.optim import TrainingError
 from tests.conftest import make_graph, same_bits
 
 
@@ -98,9 +99,9 @@ class TestTraining:
         steps = []
         step = explainer.step_from_gradients
 
-        def spy(named, state, lr):
-            steps.append({k: t.grad.copy() for k, t in named.items()})
-            step(named, state, lr)
+        def spy(state, lr):
+            steps.append({k: t.grad.copy() for k, t in state.params.items()})
+            step(state, lr)
 
         monkeypatch.setattr(explainer, "step_from_gradients", spy)
         edgeless = [make_graph(3, []), make_graph(2, [])]
@@ -132,6 +133,11 @@ class TestTraining:
         ((chunk,), (weight,)) = batches, weights
         want = [np.full(g.num_edges, 1.0 / (g.num_edges * 3)) for g in chunk if g.num_edges]
         assert same_bits(weight, np.concatenate(want))
+
+    def test_a_non_finite_loss_names_the_epoch_and_the_batch(self, graphs, backbone):
+        backbone.layers[0].b1.data[0] = np.nan
+        with pytest.raises(TrainingError, match="explainer loss at epoch 0, batch 0$"):
+            train_explainer(graphs, backbone, ExplainerConfig(epochs=1, batch_size=4))
 
     def test_edgeless_graphs_leave_the_explainer_at_its_init(self, backbone):
         cfg = ExplainerConfig(epochs=2, batch_size=1)
@@ -186,6 +192,8 @@ def test_concrete_sample_draws_one_row_per_seed_from_that_seed_alone():
     for seed, row in zip([3, [4, 1], 3], rows):
         assert same_bits(row, concrete_sample(omega, 0.5, 1.0, [seed]).data[0])
     assert same_bits(rows[0], rows[2]) and not np.array_equal(rows[0], rows[1])
+    for noise_scale in (0.0, 1.0):
+        assert concrete_sample(omega, 0.5, noise_scale, []).data.shape == (0, 5)
 
 
 class TestTauSchedule:
@@ -433,6 +441,16 @@ class TestFusedEdgeMlp:
         assert out._backward(np.ones(len(edges)))[0] is not None
         frozen_z = edge_logits(Tensor(Z.data), edges, params)
         assert frozen_z._backward(np.ones(len(edges)))[0] is None
+
+    def test_an_edgeless_graph_gets_no_logits_one_node_and_zero_gradients(self):
+        Z = Tensor(np.ones((3, 8)), requires_grad=True)
+        params = init_explainer(np.random.default_rng(0), hidden=8)
+        out = edge_logits(Z, make_graph(3, []).edges, params)
+        assert out.data.shape == (0,)
+        assert out._prev == (Z, params.w1, params.b1, params.w2, params.b2)
+        sum_all(out).backward()
+        for t in (Z, params.w1, params.b1, params.w2, params.b2):
+            assert same_bits(t.grad, np.zeros(t.data.shape))
 
     def test_untaped_it_equals_the_taped_forward_and_records_no_node(self):
         Z, edges, params, _ = self.random_inputs(1)

@@ -1,3 +1,4 @@
+import dataclasses
 import weakref
 from collections import Counter
 
@@ -33,6 +34,7 @@ from esgnn.gin import (
     train_backbone,
 )
 from esgnn.graphs import EdgeMask, policy_node_deleted
+from esgnn.optim import TrainingError
 from tests.conftest import make_graph, same_bits
 from tests.oracles import grad_check
 
@@ -233,6 +235,20 @@ class TestBackboneForward:
 
     def test_wl_oracle_separates_where_it_should(self, path4, star_k13):
         assert wl_fingerprint(path4) != wl_fingerprint(star_k13)
+
+    def test_sizes_are_read_off_the_arrays_of_the_params_their_copy_and_their_view(
+        self, triangle
+    ):
+        params = init_backbone(np.random.default_rng(0), 3, 5, hidden=8, num_layers=2)
+        for p in (params, params.copy(), params.frozen()):
+            assert (p.in_dim, p.hidden, p.num_classes) == (3, 8, 5)
+            with pytest.raises(ValueError, match="feature dim 1 vs layer-0 input 3"):
+                single_graph_logits(triangle, p)
+        assert sorted(f.name for f in dataclasses.fields(params)) == ["head_b", "head_w", "layers"]
+        with pytest.raises(AttributeError):
+            params.hidden = 4
+        no_layers = init_backbone(np.random.default_rng(0), 3, 5, hidden=8, num_layers=0)
+        assert (no_layers.in_dim, no_layers.hidden, no_layers.num_classes) == (8, 8, 5)
 
     def test_feature_dim_mismatch_raises(self, triangle):
         params = init_backbone(np.random.default_rng(0), 4, 2)
@@ -560,6 +576,23 @@ class TestTraining:
         graphs = [make_graph(3, [(0, 1)], y=1), make_graph(2, [(0, 1)], y=2)]
         with pytest.raises(ValueError, match="graph 1 has label 2 outside 0..1"):
             train_backbone(graphs, 2, TrainConfig(epochs=1))
+
+    def test_a_non_finite_loss_names_the_epoch_and_the_batch(self, monkeypatch):
+        graphs = list(generate_ba2motifs(12, seed=0).graphs)
+        forward, calls = gin.backbone_forward_batch, []
+
+        def nan_on_second_batch(batch, params, mask_values=None):
+            logits, h = forward(batch, params, mask_values)
+            calls.append(len(batch.labels))
+            if len(calls) == 2:
+                logits.data[:] = np.nan
+            return logits, h
+
+        monkeypatch.setattr(gin, "backbone_forward_batch", nan_on_second_batch)
+        cfg = TrainConfig(epochs=2, batch_size=4, hidden=8, num_layers=2)
+        with pytest.raises(TrainingError, match="non-finite loss at epoch 0, batch 1$"):
+            train_backbone(graphs, 2, cfg)
+        assert calls == [4, 4]
 
     def test_deterministic_under_seed(self):
         ds = generate_ba2motifs(10, seed=0)
