@@ -11,18 +11,25 @@ It hashes the dtype, shape and bytes of every array of:
 - a top-K bag and a noise bag (m=10) of every graph: soft weights, hard bits,
   budgets, seeds and bag JSON;
 - ``frozen_forward`` and ``train_explainer`` over 21 graphs that include a
-  zero-node graph and an edgeless graph.
+  zero-node graph and an edgeless graph;
+- ``write_tud_dataset``'s files, byte for byte, and every field of what
+  ``load_tud_dataset`` returns under each feature spec, for the 60 graphs
+  (with motifs), a copy with drawn node labels, a copy without node labels
+  and an edgeless dataset.
 Run it on two trees; equal digests mean equal outputs.
 """
 
+import dataclasses
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
-from esgnn import explainer, gin
+from esgnn import explainer, gin, tud
 from esgnn.ba2motifs import generate_ba2motifs
-from esgnn.graphs import Graph
+from esgnn.graphs import FeatureSpec, Graph, GraphDataset
 
 
 def main() -> None:
@@ -71,6 +78,37 @@ def main() -> None:
     feed_forward(mixed, backbone)
     ecfg = explainer.ExplainerConfig(epochs=2, batch_size=8)
     feed_run(*explainer.train_explainer(mixed, backbone, ecfg, seed=3))
+
+    def feed_dataset(ds) -> None:
+        digest.update(repr((ds.name, ds.num_classes, ds.feature_spec)).encode())
+        for g in ds.graphs:
+            feed(g.edges)
+            feed(g.x)
+            motif = g.ground_truth_motif_edges
+            motif = None if motif is None else sorted(motif)
+            digest.update(repr((g.num_nodes, g.y, g.node_labels, motif)).encode())
+
+    rng = np.random.default_rng(0)
+    labelled = [
+        dataclasses.replace(g, node_labels=tuple(rng.integers(-1, 3, g.num_nodes).tolist()))
+        for g in graphs
+    ]
+    unlabelled = [dataclasses.replace(g, node_labels=None) for g in graphs]
+    no_edges = [Graph(n, [], np.ones((n, 1)), k % 2) for k, n in enumerate([0, 3, 1, 5])]
+    sets = {"BA": graphs, "LABELLED": labelled, "PLAIN": unlabelled, "EDGELESS": no_edges}
+    for name, members in sets.items():
+        ds = GraphDataset(
+            graphs=tuple(members), num_classes=2, name=name, feature_spec=FeatureSpec("constant")
+        )
+        specs = [None, FeatureSpec("degree", cap=3), FeatureSpec("constant")]
+        if members[0].node_labels is not None:
+            specs.append(FeatureSpec("node_labels"))
+        with tempfile.TemporaryDirectory() as tmp:
+            tud.write_tud_dataset(ds, tmp)
+            for path in sorted(Path(tmp).iterdir()):
+                digest.update(path.name.encode() + path.read_bytes())
+            for spec in specs:
+                feed_dataset(tud.load_tud_dataset(tmp, name, spec))
     print(digest.hexdigest())
 
 

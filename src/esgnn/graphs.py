@@ -63,7 +63,8 @@ class Graph:
 
     ``edges`` takes any (E, 2) sequence of pairs and holds it as one
     read-only (E, 2) intp array; a read-only intp array is kept as it is,
-    so ``dataclasses.replace`` shares it.
+    so ``dataclasses.replace`` shares it.  An empty
+    ``ground_truth_motif_edges`` is held as None.
     """
 
     num_nodes: int
@@ -115,7 +116,10 @@ class Graph:
         if self.node_labels is not None and len(self.node_labels) != self.num_nodes:
             raise ValueError(f"{len(self.node_labels)} node labels for {self.num_nodes} nodes")
         motif = self.ground_truth_motif_edges
-        if motif:
+        if motif is not None and not motif:
+            # an empty motif set is no motif, so both forms compare equal
+            object.__setattr__(self, "ground_truth_motif_edges", None)
+        elif motif:
             for k in (min(motif), max(motif)):
                 if not 0 <= k < len(edges):
                     raise ValueError(f"motif edge index {k} outside 0..{len(edges) - 1}")

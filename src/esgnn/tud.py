@@ -11,18 +11,22 @@ Files for dataset NAME inside a directory:
 Each integer file is read in one pass by numpy's C reader (``np.loadtxt``),
 but only when every byte of it is a digit, comma, plus, minus, space, tab,
 CR or LF: the C reader strips other whitespace (form feed, for one) inside a
-field, where Python's line splitting breaks the line.  A file that fails this
-byte guard, that the C reader rejects or warns about, or whose column count
-is off is scanned line by line instead.  That scan is the only code that
-words a malformed line, and it alone counts physical lines: blank lines are
-skipped but counted, so every line number in an error is the file's own.
-Errors found after parsing rescan the file for their line number.  The
-indicator need not be contiguous: a graph's local node ids follow its nodes'
-global order.
+field, where Python's line splitting breaks the line.  This byte guard reads
+the file in fixed-size blocks.  A file that fails it, that the C reader
+rejects or warns about, or whose column count is off is scanned line by line
+instead.  That scan is the only code that words a malformed line, and it
+alone counts physical lines: blank lines are skipped but counted, so every
+line number in an error is the file's own.  Errors found after parsing
+rescan the file for their line number.  The indicator need not be
+contiguous: a graph's local node ids follow its nodes' global order.
 
 Pairing rule for NAME_A.txt: every directed row (i, j) appears exactly once,
 and so does its reverse (j, i).  Each such pair is one undirected edge, and
-both of its nodes belong to the same graph.
+both of its nodes belong to the same graph.  The load decides the rule with
+aggregate checks (the id range, one sorted key array per direction, the
+graphs of each pair) over rows parsed as int32 while the ids fit; the per-row
+pass that finds the first bad row runs only to word an error.  The writer streams each file graph by graph, so neither
+pass holds more than a small multiple of the edge rows.
 """
 
 from __future__ import annotations
@@ -30,8 +34,9 @@ from __future__ import annotations
 import json
 import warnings
 from array import array
-from itertools import pairwise
+from itertools import accumulate, pairwise
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -52,14 +57,28 @@ class FormatError(ValueError):
 _NUMERIC_BYTES = b"0123456789,+- \t\r\n"
 
 
-def _read_rows(path: Path, width: int) -> np.ndarray:
-    """The non-blank lines of `path` as an (R, width) int64 array of
-    comma-separated integers."""
-    if not path.read_bytes().translate(None, _NUMERIC_BYTES):
+# the byte guard reads a file in blocks of this size
+_GUARD_BLOCK = 1 << 20
+
+
+def _numeric_only(path: Path) -> bool:
+    """Whether every byte of `path` is one of _NUMERIC_BYTES."""
+    with open(path, "rb") as f:
+        while block := f.read(_GUARD_BLOCK):
+            if block.translate(None, _NUMERIC_BYTES):
+                return False
+    return True
+
+
+def _read_rows(path: Path, width: int, dtype=np.int64) -> np.ndarray:
+    """The non-blank lines of `path` as an (R, width) array of comma-separated
+    integers: of `dtype` from the C reader, or int64 from the line scan, which
+    also reads a file with a value that does not fit `dtype`."""
+    if _numeric_only(path):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # loadtxt only warns on a file without rows
-                rows = np.loadtxt(path, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
+                rows = np.loadtxt(path, delimiter=",", dtype=dtype, comments=None, ndmin=2)
         except (ValueError, OverflowError, Warning):
             pass
         else:
@@ -98,6 +117,37 @@ def _scan_rows(path: Path, width: int) -> tuple[np.ndarray, array]:
 def _pair_edges(path: Path, graph_of: np.ndarray) -> np.ndarray:
     """The undirected edges of `path` under the pairing rule, as an (E, 2)
     array of 0-based global node ids (i, j) with i < j, in file order."""
+    # int32 rows halve every per-row array; a larger id is out of range anyway
+    rows = _read_rows(path, 2, np.int32)
+    n, num_rows = len(graph_of), len(rows)
+    if num_rows and (rows.min() < 1 or rows.max() > n):
+        _pairing_error(path, graph_of)
+    # every row has its reverse and none repeats exactly when there is no
+    # self-loop, half the rows have i < j, and the sorted keys (i, j) of those
+    # equal the sorted keys (j, i) of the i > j rows without a repeat
+    flipped = rows[rows[:, 0] > rows[:, 1]]
+    backward = flipped[:, 1].astype(np.int64) * (n + 1) + flipped[:, 0]
+    del flipped
+    backward.sort()
+    pairs = rows[rows[:, 0] < rows[:, 1]]
+    del rows
+    forward = pairs[:, 0].astype(np.int64) * (n + 1) + pairs[:, 1]
+    forward.sort()
+    paired = (
+        2 * len(pairs) == num_rows
+        and np.array_equal(forward, backward)
+        and bool((forward[1:] > forward[:-1]).all())
+    )
+    del forward, backward
+    pairs -= 1
+    if not (paired and np.array_equal(graph_of[pairs[:, 0]], graph_of[pairs[:, 1]])):
+        _pairing_error(path, graph_of)
+    return pairs
+
+
+def _pairing_error(path: Path, graph_of: np.ndarray) -> NoReturn:
+    """Raise the FormatError for the first row of `path` that breaks the
+    pairing rule, with its line; per-row arrays are built only here."""
     rows = _read_rows(path, 2)
     n = len(graph_of)
     bad = np.flatnonzero(((rows < 1) | (rows > n)).any(axis=1))
@@ -127,14 +177,11 @@ def _pair_edges(path: Path, graph_of: np.ndarray) -> np.ndarray:
             f" {_line_of(path, first)} instead of reversing it"
         )
     # keys and reverse keys are now each duplicate-free and equally many, so
-    # every row has its reverse exactly when both sort to the same array
+    # the rows that break the rule are those whose reverse key is missing
     reverse = j * n + i
-    if not np.array_equal(np.sort(reverse), ordered):
-        found = np.searchsorted(ordered, reverse)
-        r = np.flatnonzero(ordered[np.minimum(found, len(key) - 1)] != reverse)[0]
-        line = _line_of(path, r)
-        raise FormatError(f"{path.name}:{line}: edge without its reverse-direction row")
-    return rows[i < j] - 1
+    found = np.searchsorted(ordered, reverse)
+    r = np.flatnonzero(ordered[np.minimum(found, len(key) - 1)] != reverse)[0]
+    raise FormatError(f"{path.name}:{_line_of(path, r)}: edge without its reverse-direction row")
 
 
 def load_tud_dataset(
@@ -156,12 +203,11 @@ def load_tud_dataset(
         if not p.exists():
             raise IngestionError(f"missing mandatory file {p.name} in {root}")
 
-    indicator = _read_rows(paths["indicator"], 1)[:, 0]
+    graph_of = _read_rows(paths["indicator"], 1)[:, 0] - 1
     graph_labels = _read_rows(paths["labels"], 1)[:, 0]
-    num_graphs, num_nodes = len(graph_labels), len(indicator)
-    if num_nodes and (indicator.min() < 1 or indicator.max() > num_graphs):
+    num_graphs, num_nodes = len(graph_labels), len(graph_of)
+    if num_nodes and (graph_of.min() < 0 or graph_of.max() >= num_graphs):
         raise FormatError(f"{paths['indicator'].name}: graph id outside 1..{num_graphs}")
-    graph_of = indicator - 1
     # by_graph lists the nodes graph by graph, each graph's in global order
     by_graph = np.argsort(graph_of, kind="stable")
     nodes_per_graph = np.bincount(graph_of, minlength=num_graphs)
@@ -170,9 +216,13 @@ def load_tud_dataset(
     local[by_graph] = np.arange(num_nodes) - np.repeat(node_at[:-1], nodes_per_graph)
 
     pairs = _pair_edges(paths["A"], graph_of)
+    degrees = np.bincount(pairs.reshape(-1), minlength=num_nodes)
     edge_graph = graph_of[pairs[:, 0]]
     edges = local[pairs]
+    del pairs, graph_of, local
+    edge_at = np.concatenate(([0], np.cumsum(np.bincount(edge_graph, minlength=num_graphs))))
     edges = edges[np.lexsort((edges[:, 1], edges[:, 0], edge_graph))].astype(np.intp, copy=False)
+    del edge_graph
     # each graph's edges are a read-only view of this array, which Graph keeps as it is
     edges.flags.writeable = False
 
@@ -203,7 +253,6 @@ def load_tud_dataset(
             )
 
     classes, y = np.unique(graph_labels, return_inverse=True)
-    degrees = np.bincount(pairs.reshape(-1), minlength=num_nodes)
     if feature_spec is None:
         if node_labels is not None:
             feature_spec = FeatureSpec("node_labels")
@@ -220,13 +269,12 @@ def load_tud_dataset(
             width = len(distinct)
         else:
             column, width = np.minimum(degrees, feature_spec.cap), feature_spec.cap + 1
+        # one block, filled in graph order
         x = np.zeros((num_nodes, width))
-        x[np.arange(num_nodes), column] = 1.0
-    x = x[by_graph]
+        x[np.arange(num_nodes), column[by_graph]] = 1.0
     if node_labels is not None:
         node_labels = node_labels[by_graph].tolist()
 
-    edge_at = np.concatenate(([0], np.cumsum(np.bincount(edge_graph, minlength=num_graphs))))
     graphs = []
     bounds = zip(pairwise(node_at.tolist()), pairwise(edge_at.tolist()))
     for gid, ((n0, n1), (e0, e1)) in enumerate(bounds):
@@ -251,31 +299,46 @@ def load_tud_dataset(
     )
 
 
+def _write_lines(path: Path, chunks) -> None:
+    """Write the text `chunks` to `path` one after another; a file that gets
+    no line holds a single newline."""
+    with open(path, "w") as f:
+        f.writelines(chunks)
+        if not f.tell():
+            f.write("\n")
+
+
+def _edge_rows(edges: np.ndarray) -> str:
+    """The lines "i, j" and "j, i" of each row (i, j) of `edges`."""
+    values = np.concatenate((edges, edges[:, ::-1]), axis=1).ravel().tolist()
+    return ("{}, {}\n" * (2 * len(edges))).format(*values)
+
+
 def write_tud_dataset(ds: GraphDataset, root_dir: str | Path) -> None:
-    """Emit a dataset in TU format (edges duplicated in both directions)."""
+    """Emit a dataset in TU format (edges duplicated in both directions),
+    one graph at a time.  Either every graph has node labels or none has."""
+    labelled = [g.node_labels is not None for g in ds.graphs]
+    if any(labelled) and not all(labelled):
+        raise ValueError(
+            f"graph {labelled.index(False) + 1} has no node labels, but graph"
+            f" {labelled.index(True) + 1} has them"
+        )
     root = Path(root_dir)
     root.mkdir(parents=True, exist_ok=True)
-    a_lines, ind_lines, lab_lines, nl_lines = [], [], [], []
-    has_node_labels = all(g.node_labels is not None for g in ds.graphs)
-    offset = 0
-    for gid, g in enumerate(ds.graphs, start=1):
-        ind_lines.extend([str(gid)] * g.num_nodes)
-        for i, j in (g.edges + (offset + 1)).tolist():
-            a_lines.append(f"{i}, {j}")
-            a_lines.append(f"{j}, {i}")
-        lab_lines.append(str(g.y))
-        if has_node_labels:
-            nl_lines.extend(str(lab) for lab in g.node_labels)
-        offset += g.num_nodes
-
-    (root / f"{ds.name}_A.txt").write_text("\n".join(a_lines) + "\n")
-    (root / f"{ds.name}_graph_indicator.txt").write_text("\n".join(ind_lines) + "\n")
-    (root / f"{ds.name}_graph_labels.txt").write_text("\n".join(lab_lines) + "\n")
-    if has_node_labels:
-        (root / f"{ds.name}_node_labels.txt").write_text("\n".join(nl_lines) + "\n")
+    firsts = accumulate((g.num_nodes for g in ds.graphs), initial=1)
+    _write_lines(
+        root / f"{ds.name}_A.txt", (_edge_rows(g.edges + k) for g, k in zip(ds.graphs, firsts))
+    )
+    _write_lines(
+        root / f"{ds.name}_graph_indicator.txt",
+        (f"{gid}\n" * g.num_nodes for gid, g in enumerate(ds.graphs, start=1)),
+    )
+    _write_lines(root / f"{ds.name}_graph_labels.txt", (f"{g.y}\n" for g in ds.graphs))
+    if all(labelled):
+        _write_lines(
+            root / f"{ds.name}_node_labels.txt",
+            ("".join(f"{lab}\n" for lab in g.node_labels) for g in ds.graphs),
+        )
     if any(g.ground_truth_motif_edges for g in ds.graphs):
-        motif = [
-            sorted(g.ground_truth_motif_edges) if g.ground_truth_motif_edges else []
-            for g in ds.graphs
-        ]
+        motif = [sorted(g.ground_truth_motif_edges or ()) for g in ds.graphs]
         (root / f"{ds.name}_motif_edges.json").write_text(json.dumps(motif))

@@ -114,6 +114,12 @@ class TestGraphInvariants:
                     ground_truth_motif_edges=frozenset({0, 5}),
                 )
 
+    def test_an_empty_motif_set_is_stored_as_none(self):
+        plain = Graph(num_nodes=2, edges=((0, 1),), x=constant_features(2), y=0)
+        empty = dataclasses.replace(plain, ground_truth_motif_edges=frozenset())
+        assert empty.ground_truth_motif_edges is None
+        assert empty == plain
+
 
 class TestEdgeArray:
     def test_is_the_read_only_edges_array(self, path4):

@@ -1,9 +1,12 @@
 import dataclasses
+import json
 import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -208,6 +211,27 @@ class TestBoundary:
         with pytest.raises(FormatError, match=re.escape(message)):
             load_with(tmp_path, **{"A.txt": text})
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # the range check covers every row before any other check
+            ("1, 2\n2, 1\n1, 4\n4, 1\n2, 9\n", "FIX_A.txt:5: node id outside 1..5"),
+            ("1, 2\n2, 1\n2, 3\n1, 2\n", "FIX_A.txt:4: edge (1, 2) repeats line 1"),
+            ("1, 2\n2, 3\n2, 1\n1, 2\n", "FIX_A.txt:4: edge (1, 2) repeats line 1"),
+            ("1, 2\n2, 1\n3, 3\n1, 2\n", "FIX_A.txt:3: self-loop at node 3"),
+            ("1, 2\n1, 2\n3, 3\n", "FIX_A.txt:3: self-loop at node 3"),
+        ],
+    )
+    def test_a_file_with_two_faults_reports_the_first_check_that_fails(
+        self, tmp_path, text, message
+    ):
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_with(tmp_path, **{"A.txt": text})
+
+    def test_a_node_id_beyond_32_bits_names_its_line(self, tmp_path):
+        with pytest.raises(FormatError, match=re.escape("FIX_A.txt:3: node id outside 1..5")):
+            load_with(tmp_path, **{"A.txt": f"1, 2\n2, 1\n3, {2**40}\n{2**40}, 3\n"})
+
     def test_blank_lines_are_skipped(self, tmp_path):
         ds = load_with(
             tmp_path,
@@ -332,6 +356,20 @@ def test_a_line_break_beside_a_comma_is_not_read_as_padding(tmp_path, odd):
         tud._read_rows(path, 2)
 
 
+def test_an_odd_byte_past_the_first_guard_block_sends_the_file_to_the_line_scan(
+    tmp_path, monkeypatch
+):
+    clean = "1, 2\n" * (tud._GUARD_BLOCK // 5 + 1)  # more than one block
+    path = tmp_path / "X_A.txt"
+    path.write_bytes(f"{clean}3,\x0c4\n".encode())  # the C reader reads "3,\f4" as (3, 4)
+    scanned, scan = [], tud._scan_rows
+    monkeypatch.setattr(tud, "_scan_rows", lambda p, w: scanned.append(p.name) or scan(p, w))
+    line = clean.count("\n") + 1
+    with pytest.raises(FormatError, match=re.escape(f"X_A.txt:{line}: expected integers")):
+        tud._read_rows(path, 2)
+    assert scanned == ["X_A.txt"]
+
+
 def read_or_error(read, path, width):
     try:
         rows = read(path, width)
@@ -351,10 +389,76 @@ def test_one_pass_read_matches_the_line_scan(width, data):
         assert read_or_error(tud._read_rows, path, width) == scanned
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_an_int32_read_holds_the_int64_values(data):
+    """Values beyond 32 bits send the read to the line scan, which gives int64."""
+    text = data.draw(integer_files(2))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "X_A.txt"
+        path.write_bytes(text.encode())
+        wide = read_or_error(tud._read_rows, path, 2)
+        narrow = read_or_error(lambda p, w: tud._read_rows(p, w, np.int32), path, 2)
+    if isinstance(wide, str):
+        assert narrow == wide
+    else:
+        assert narrow[1] in (np.int32, np.int64)
+        assert (narrow[0], narrow[2]) == (wide[0], wide[2])
+
+
+@st.composite
+def edge_files(draw):
+    """(graph_of, rows): up to six nodes in up to three graphs, and the rows of
+    some edges in both directions, shuffled, then some rows dropped, repeated
+    or added (ids 0 and n + 1 included)."""
+    n = draw(st.integers(1, 6))
+    graph_of = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    edges = draw(st.sets(st.tuples(st.integers(1, n), st.integers(1, n))))
+    rows = [r for i, j in edges if i < j for r in ((i, j), (j, i))]
+    rows = draw(st.permutations(rows))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(rows)))
+        fault = draw(st.sampled_from(["drop", "repeat", "add"]))
+        if fault == "drop" and at < len(rows):
+            del rows[at]
+        elif fault == "repeat" and at < len(rows):
+            rows.insert(draw(st.integers(0, len(rows))), rows[at])
+        elif fault == "add":
+            rows.insert(at, draw(st.tuples(st.integers(0, n + 1), st.integers(0, n + 1))))
+    return np.array(graph_of), rows
+
+
+def follows_the_pairing_rule(graph_of, rows):
+    n = len(graph_of)
+    if not all(1 <= v <= n for row in rows for v in row):
+        return False
+    return (
+        len(set(rows)) == len(rows)
+        and all(i != j and graph_of[i - 1] == graph_of[j - 1] for i, j in rows)
+        and all((j, i) in set(rows) for i, j in rows)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=edge_files())
+def test_the_aggregate_checks_accept_exactly_the_files_that_follow_the_pairing_rule(case):
+    graph_of, rows = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "X_A.txt"
+        path.write_text("".join(f"{i}, {j}\n" for i, j in rows))
+        if follows_the_pairing_rule(graph_of, rows):
+            pairs = tud._pair_edges(path, graph_of)
+            assert pairs.tolist() == [[i - 1, j - 1] for i, j in rows if i < j]
+        else:
+            with pytest.raises(FormatError):
+                tud._pair_edges(path, graph_of)
+
+
 @st.composite
 def datasets(draw):
-    """Up to five graphs of 0-6 nodes, some edgeless, with optional node labels and motifs."""
-    with_node_labels = draw(st.booleans())
+    """Up to five graphs of 0-6 nodes, some edgeless, with node labels on all,
+    none or each drawn graph, and optional, possibly empty, motifs."""
+    presence = draw(st.sampled_from(["all", "none", "each"]))
     graphs = []
     for _ in range(draw(st.integers(1, 5))):
         n = draw(st.integers(0, 6))
@@ -362,8 +466,9 @@ def datasets(draw):
         keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
         edges = tuple(e for e, k in zip(pairs, keep) if k)
         motif = None
-        if edges and draw(st.booleans()):
-            motif = frozenset(draw(st.sets(st.integers(0, len(edges) - 1), min_size=1)))
+        if draw(st.booleans()):
+            motif = draw(st.frozensets(st.integers(0, len(edges) - 1))) if edges else frozenset()
+        labelled = presence == "all" or (presence == "each" and draw(st.booleans()))
         labels = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
         graphs.append(
             Graph(
@@ -371,7 +476,7 @@ def datasets(draw):
                 edges=edges,
                 x=constant_features(n),
                 y=draw(st.integers(0, 2)),
-                node_labels=tuple(draw(labels)) if with_node_labels else None,
+                node_labels=tuple(draw(labels)) if labelled else None,
                 ground_truth_motif_edges=motif,
             )
         )
@@ -425,7 +530,15 @@ def test_round_trip_with_a_shuffled_indicator(ds, cap, data):
     total = sum(g.num_nodes for g in ds.graphs)
     order = data.draw(st.permutations(range(total)))
     row_order = data.draw(st.permutations(range(2 * sum(g.num_edges for g in ds.graphs))))
-    with_node_labels = ds.graphs[0].node_labels is not None
+    labelled = [g.node_labels is not None for g in ds.graphs]
+    if any(labelled) and not all(labelled):
+        with tempfile.TemporaryDirectory() as tmp:
+            message = f"graph {labelled.index(False) + 1} has no node labels"
+            with pytest.raises(ValueError, match=message):
+                write_tud_dataset(ds, tmp)
+            assert list(Path(tmp).iterdir()) == []
+        return
+    with_node_labels = all(labelled)
     degrees = [sum(v in e for e in g.edges) for g in ds.graphs for v in range(g.num_nodes)]
     if with_node_labels:
         default = FeatureSpec("node_labels")
@@ -450,3 +563,95 @@ def test_round_trip_with_a_shuffled_indicator(ds, cap, data):
                 assert g2.y == classes.index(g1.y)
                 want = expected_x(g1, spec, distinct_labels)
                 assert g2.x.shape == want.shape and np.array_equal(g2.x, want)
+
+
+def joined_files(ds):
+    """The files of `ds` as a writer that joins every line of a file builds them."""
+    a_lines, ind_lines, lab_lines, nl_lines = [], [], [], []
+    offset = 0
+    for gid, g in enumerate(ds.graphs, start=1):
+        ind_lines += [str(gid)] * g.num_nodes
+        for i, j in (g.edges + (offset + 1)).tolist():
+            a_lines += [f"{i}, {j}", f"{j}, {i}"]
+        lab_lines.append(str(g.y))
+        nl_lines += [str(label) for label in g.node_labels or ()]
+        offset += g.num_nodes
+    lines = {"A.txt": a_lines, "graph_indicator.txt": ind_lines, "graph_labels.txt": lab_lines}
+    if all(g.node_labels is not None for g in ds.graphs):
+        lines["node_labels.txt"] = nl_lines
+    files = {f"{ds.name}_{k}": ("\n".join(v) + "\n").encode() for k, v in lines.items()}
+    if any(g.ground_truth_motif_edges for g in ds.graphs):
+        motifs = [sorted(g.ground_truth_motif_edges or ()) for g in ds.graphs]
+        files[f"{ds.name}_motif_edges.json"] = json.dumps(motifs).encode()
+    return files
+
+
+@settings(max_examples=60, deadline=None)
+@given(ds=datasets())
+def test_the_streamed_files_are_the_joined_lines(ds):
+    labelled = {g.node_labels is not None for g in ds.graphs}
+    if len(labelled) > 1:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        write_tud_dataset(ds, tmp)
+        assert {p.name: p.read_bytes() for p in Path(tmp).iterdir()} == joined_files(ds)
+
+
+def test_an_edgeless_dataset_writes_one_newline_per_empty_file(tmp_path):
+    ds = GraphDataset(
+        graphs=(
+            Graph(0, (), np.zeros((0, 1)), 0, node_labels=()),
+            Graph(2, (), np.ones((2, 1)), 1, node_labels=(4, 5)),
+        ),
+        num_classes=2,
+        name="E",
+        feature_spec=FeatureSpec("constant"),
+    )
+    write_tud_dataset(ds, tmp_path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {
+        "E_A.txt": b"\n",
+        "E_graph_indicator.txt": b"2\n2\n",
+        "E_graph_labels.txt": b"0\n1\n",
+        "E_node_labels.txt": b"4\n5\n",
+    }
+
+
+@pytest.fixture(scope="module")
+def ba_dataset():
+    """300 Barabasi-Albert graphs of 100-300 nodes, built as the infer_large
+    benchmark builds its 1000."""
+    rng = np.random.default_rng(0)
+    graphs = []
+    for i in range(300):
+        n = int(rng.integers(100, 301))
+        nxg = nx.barabasi_albert_graph(n, 2, seed=int(rng.integers(0, 2**31 - 1)))
+        edges = tuple(sorted((min(a, b), max(a, b)) for a, b in nxg.edges()))
+        graphs.append(Graph(num_nodes=n, edges=edges, x=constant_features(n), y=i % 2))
+    return GraphDataset(
+        graphs=tuple(graphs), num_classes=2, name="BA", feature_spec=FeatureSpec("constant")
+    )
+
+
+def traced_peak(call):
+    """The peak memory that tracemalloc traces while `call()` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBound:
+    """Each pass holds a small multiple of the edge rows: the writer less than
+    the edge file, the loader its result plus a few per-row arrays."""
+
+    def test_the_writer_holds_less_than_the_edge_file(self, ba_dataset, tmp_path):
+        peak = traced_peak(lambda: write_tud_dataset(ba_dataset, tmp_path))
+        assert peak < (tmp_path / "BA_A.txt").stat().st_size
+
+    def test_the_loader_holds_a_few_copies_of_the_edge_file(self, ba_dataset, tmp_path):
+        write_tud_dataset(ba_dataset, tmp_path)
+        spec = FeatureSpec("degree", cap=10)
+        peak = traced_peak(lambda: load_tud_dataset(tmp_path, "BA", spec))
+        assert peak < 4.5 * (tmp_path / "BA_A.txt").stat().st_size
