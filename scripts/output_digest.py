@@ -15,7 +15,9 @@ It hashes the dtype, shape and bytes of every array of:
 - ``write_tud_dataset``'s files, byte for byte, and every field of what
   ``load_tud_dataset`` returns under each feature spec, for the 60 graphs
   (with motifs), a copy with drawn node labels, a copy without node labels
-  and an edgeless dataset.
+  and an edgeless dataset;
+- every field of every graph of ``generate_ba2motifs(1200, s)`` for s = 0, 1
+  and 2, the datasets the benchmark trains on.
 Run it on two trees; equal digests mean equal outputs.
 """
 
@@ -109,6 +111,8 @@ def main() -> None:
                 digest.update(path.name.encode() + path.read_bytes())
             for spec in specs:
                 feed_dataset(tud.load_tud_dataset(tmp, name, spec))
+    for s in (0, 1, 2):
+        feed_dataset(generate_ba2motifs(1200, seed=s))
     print(digest.hexdigest())
 
 

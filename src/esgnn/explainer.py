@@ -30,7 +30,15 @@ from .autodiff import (
     sum_all,
 )
 from .gin import BackboneParams, backbone_forward_batch, build_graph_batch, frozen_forward, glorot
-from .graphs import POLICY_TAGS, EdgeMask, Graph, PolicyError, SubgraphBag
+from .graphs import (
+    POLICY_TAGS,
+    EdgeMask,
+    Graph,
+    PolicyError,
+    SubgraphBag,
+    _check_count,
+    _is_int,
+)
 from .optim import AdamState, TrainingError, step_from_gradients
 
 __all__ = [
@@ -106,11 +114,11 @@ class ExplainerConfig:
             raise ValueError(
                 f"tau_start {self.tau_start} and tau_end {self.tau_end} must be positive"
             )
-        for name in ("lam", "noise_scale", "lr", "epochs"):
+        for name in ("lam", "noise_scale", "lr"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} {getattr(self, name)} must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size {self.batch_size} must be >= 1")
+        _check_count("epochs", self.epochs, 0)
+        _check_count("batch_size", self.batch_size, 1)
 
     def tau_at(self, epoch: int) -> float:
         if self.epochs <= 1:
@@ -303,8 +311,7 @@ def generate_bag_noise(
     Mask t draws its uniforms from ``mask_seed(seed, t)``; the noise, the
     sigmoid and the threshold then run once over the stacked (m, E) draws.
     """
-    if m < 1:
-        raise ValueError(f"bag size {m} must be >= 1")
+    _check_count("bag size", m, 1)
     omega = edge_scores(g, backbone, params)
     seeds = [mask_seed(seed, t) for t in range(m)]
     s = concrete_sample(omega, BAG_TAU, noise_scale, seeds)
@@ -346,9 +353,12 @@ def bag_to_json(bag: SubgraphBag, graph_id: int) -> dict:
 def bag_from_json(doc: dict, base: Graph) -> SubgraphBag:
     """The bag ``bag_to_json`` wrote for ``base``.
 
-    Every mask's bits are decoded strictly, so a character outside the
-    base64 alphabet is an error, and checked for their byte length before
-    any is unpacked; an error names the graph and the first bad mask.
+    ``masks`` must be a list of objects.  Every mask's bits must be a string,
+    decoded strictly, so a character outside the base64 alphabet is an
+    error, and checked for their byte length before any is unpacked.  ``K``
+    and ``seed`` must be integers or null and ``zeroed_nodes`` a list of
+    node ids; a bool counts as no integer.  Each mask is checked in full
+    before the next, so an error names the graph and the first bad mask.
     """
     graph_id = doc.get("graph_id")
     for key in ("policy", "masks"):
@@ -357,33 +367,55 @@ def bag_from_json(doc: dict, base: Graph) -> SubgraphBag:
     if doc["policy"] not in POLICY_TAGS:
         raise ValueError(f"graph {graph_id}: unknown bag policy {doc['policy']!r}")
     entries = doc["masks"]
+    if not isinstance(entries, list):
+        kind = type(entries).__name__
+        raise ValueError(f"graph {graph_id}: bag document's 'masks' is {kind}, expected a list")
     if not entries:
         raise ValueError(f"graph {graph_id}: bag document lists no masks")
     nbytes = (base.num_edges + 7) // 8
-    raws = []
+    raws, zeroed_sets = [], []
     for k, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            kind = type(entry).__name__
+            raise ValueError(f"graph {graph_id}: mask {k} is {kind}, expected an object")
         if "bits" not in entry:
             raise ValueError(f"graph {graph_id}: mask {k} has no 'bits'")
+        bits = entry["bits"]
+        if not isinstance(bits, str):
+            kind = type(bits).__name__
+            raise ValueError(f"graph {graph_id}: mask {k} bits are not base64: {kind}, not a str")
         try:
-            raw = base64.b64decode(entry["bits"], validate=True)
-        except (TypeError, ValueError) as err:
+            raw = base64.b64decode(bits, validate=True)
+        except ValueError as err:
             raise ValueError(f"graph {graph_id}: mask {k} bits are not base64: {err}") from None
         if len(raw) != nbytes:
             raise ValueError(
                 f"graph {graph_id}: mask {k} has {len(raw)} bytes of bits,"
                 f" expected {nbytes} for {base.num_edges} edges"
             )
-        raws.append(raw)
-    packed = np.frombuffer(b"".join(raws), dtype=np.uint8).reshape(len(raws), nbytes)
-    hard = np.unpackbits(packed, axis=1, count=base.num_edges).astype(np.float64)
-    soft = hard.copy()
-    masks = []
-    for k, entry in enumerate(entries):
-        zeroed = tuple(int(v) for v in entry.get("zeroed_nodes", ()))
+        for key in ("K", "seed"):
+            value = entry.get(key)
+            if value is not None and not _is_int(value):
+                raise ValueError(
+                    f"graph {graph_id}: mask {k} {key} {value!r} must be an integer or null"
+                )
+        zeroed = entry.get("zeroed_nodes", [])
+        if not (isinstance(zeroed, list) and all(_is_int(v) for v in zeroed)):
+            raise ValueError(
+                f"graph {graph_id}: mask {k} zeroed_nodes {zeroed!r} must be a list of integers"
+            )
+        zeroed = tuple(int(v) for v in zeroed)
         if any(not 0 <= v < base.num_nodes for v in zeroed):
             raise ValueError(
                 f"graph {graph_id}: mask {k} zeroes nodes {zeroed} outside 0..{base.num_nodes - 1}"
             )
+        raws.append(raw)
+        zeroed_sets.append(zeroed)
+    packed = np.frombuffer(b"".join(raws), dtype=np.uint8).reshape(len(raws), nbytes)
+    hard = np.unpackbits(packed, axis=1, count=base.num_edges).astype(np.float64)
+    soft = hard.copy()
+    masks = []
+    for k, (entry, zeroed) in enumerate(zip(entries, zeroed_sets)):
         try:
             mask = EdgeMask(
                 soft=soft[k],

@@ -41,7 +41,7 @@ from .autodiff import (
     custom_primitive,
     linear,
 )
-from .graphs import EdgeMask, Graph
+from .graphs import EdgeMask, Graph, _check_count
 from .optim import AdamState, TrainingError, step_from_gradients
 
 __all__ = [
@@ -388,13 +388,12 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("batch_size", "hidden", "num_layers"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} {getattr(self, name)} must be >= 1")
+            _check_count(name, getattr(self, name), 1)
+        _check_count("epochs", self.epochs, 0)
         if not np.isfinite(self.lr):
             raise ValueError(f"lr {self.lr} must be finite")
-        for name in ("epochs", "lr"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} {getattr(self, name)} must be >= 0")
+        if self.lr < 0:
+            raise ValueError(f"lr {self.lr} must be >= 0")
 
 
 def train_backbone(

@@ -12,6 +12,7 @@ edges, so matrix shapes never change across a bag.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,19 @@ POLICY_TAGS = ("ED", "ND", "EXPLAIN_NOISE", "EXPLAIN_TOPK")
 
 class PolicyError(ValueError):
     """A subgraph policy was applied to a graph it cannot handle."""
+
+
+def _is_int(value) -> bool:
+    """True for Python and numpy integers; a bool counts as none."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_count(name: str, value, minimum: int) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer >= ``minimum``."""
+    if not _is_int(value):
+        raise ValueError(f"{name} {value!r} must be an integer")
+    if value < minimum:
+        raise ValueError(f"{name} {value} must be >= {minimum}")
 
 
 @dataclass(frozen=True)

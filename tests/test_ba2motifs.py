@@ -1,9 +1,12 @@
 from collections import Counter
 
+import networkx as nx
 import numpy as np
 import pytest
 
-from esgnn.ba2motifs import BASE_NODES, MOTIF_NODES, generate_ba2motifs
+from esgnn.ba2motifs import BASE_NODES, MOTIF_NODES, _ba_tree, generate_ba2motifs
+from tests.conftest import same_bits
+from tests.oracles import generate_ba2motifs_networkx
 
 
 def motif_oracle_is_five_cycle(g) -> bool:
@@ -81,6 +84,12 @@ class TestGenerator:
             generate_ba2motifs(-4, seed=0)
         with pytest.raises(ValueError):
             generate_ba2motifs(5, seed=0)
+        for count in (4.0, True, "4"):
+            with pytest.raises(ValueError, match=f"n_graphs {count!r} must be an integer"):
+                generate_ba2motifs(count, seed=0)
+
+    def test_a_numpy_count_is_a_count(self):
+        assert generate_ba2motifs(np.int64(4), seed=0).graphs == generate_ba2motifs(4, 0).graphs
 
     def test_base_is_connected_tree_plus_motif(self):
         ds = generate_ba2motifs(20, seed=4)
@@ -90,3 +99,24 @@ class TestGenerator:
             ]
             assert len(base_edges) == BASE_NODES - 1  # preferential-attachment tree
             assert all(i < BASE_NODES and j < BASE_NODES for i, j in base_edges)
+
+
+class TestSameGraphsAsNetworkx:
+    @pytest.mark.parametrize(
+        "n, seeds", [(20, range(500)), (2, range(3)), (3, range(10)), (60, range(10))]
+    )
+    def test_base_tree_draws_what_barabasi_albert_graph_draws(self, n, seeds):
+        for s in seeds:
+            assert sorted(_ba_tree(n, s)) == sorted(nx.barabasi_albert_graph(n, 1, seed=s).edges())
+
+    @pytest.mark.parametrize("n_graphs, seed", [(200, 0), (200, 1), (50, 7)])
+    def test_dataset_equals_the_networkx_reference_field_by_field(self, n_graphs, seed):
+        ds, ref = generate_ba2motifs(n_graphs, seed), generate_ba2motifs_networkx(n_graphs, seed)
+        assert ds.name == ref.name == "BA-2Motifs"
+        assert (ds.num_classes, ds.feature_spec) == (ref.num_classes, ref.feature_spec)
+        assert len(ds) == len(ref) == n_graphs
+        for g, h in zip(ds.graphs, ref.graphs):
+            assert same_bits(g.edges, h.edges)
+            assert same_bits(g.x, h.x)
+            assert (g.num_nodes, g.y, g.node_labels) == (h.num_nodes, h.y, h.node_labels)
+            assert g.ground_truth_motif_edges == h.ground_truth_motif_edges

@@ -161,6 +161,9 @@ class TestTraining:
         {"lr": -1.0},
         *({name: float("nan")} for name in ("lr", "tau_start", "tau_end", "lam", "noise_scale")),
         {"lam": float("inf")},
+        {"epochs": 2.5},
+        {"batch_size": 4.0},
+        {"batch_size": True},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -178,6 +181,14 @@ class TestNoiseScaleIsChecked:
     def test_by_concrete_sample(self, noise_scale):
         with pytest.raises(ValueError, match=f"noise_scale {noise_scale} must be"):
             concrete_sample(np.zeros(3), 1.0, noise_scale, [0])
+
+
+@pytest.mark.parametrize("m", [0, -1, 2.5, True])
+def test_generate_bag_noise_rejects_a_bag_size_that_is_no_positive_integer(
+    graphs, backbone, params, m
+):
+    with pytest.raises(ValueError, match=f"bag size {m!r} must be"):
+        generate_bag_noise(graphs[0], backbone, params, m=m, noise_scale=1.0, seed=0)
 
 
 def test_concrete_sample_rejects_a_nan_temperature():
@@ -294,11 +305,55 @@ class TestBagJson:
         with pytest.raises(ValueError, match=f"graph 6: bag document has no '{key}'"):
             bag_from_json(doc, triangle)
 
-    @pytest.mark.parametrize("bits", ["Y!A==", "a", 5])
+    @pytest.mark.parametrize("bits", ["Y!A==", "a", 5, None, ["wA=="], b"wA=="])
     def test_rejects_bits_that_are_not_strict_base64_naming_graph_and_mask(self, triangle, bits):
         doc = bag_to_json(policy_edge_deleted(triangle), 9)
         doc["masks"][1]["bits"] = bits
         with pytest.raises(ValueError, match="graph 9: mask 1 bits are not base64"):
+            bag_from_json(doc, triangle)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("K", 2.0, "mask 1 K 2.0 must be an integer or null"),
+            ("K", "2", "mask 1 K '2' must be an integer or null"),
+            ("K", True, "mask 1 K True must be an integer or null"),
+            ("seed", "7", "mask 1 seed '7' must be an integer or null"),
+            ("seed", 7.0, "mask 1 seed 7.0 must be an integer or null"),
+            ("seed", False, "mask 1 seed False must be an integer or null"),
+            ("zeroed_nodes", [1.5], r"mask 1 zeroed_nodes \[1.5\] must be a list of integers"),
+            ("zeroed_nodes", ["2"], r"mask 1 zeroed_nodes \['2'\] must be a list of integers"),
+            ("zeroed_nodes", [True], r"mask 1 zeroed_nodes \[True\] must be a list of integers"),
+            ("zeroed_nodes", "12", "mask 1 zeroed_nodes '12' must be a list of integers"),
+            ("zeroed_nodes", None, "mask 1 zeroed_nodes None must be a list of integers"),
+        ],
+    )
+    def test_rejects_a_mask_field_of_the_wrong_type_naming_graph_and_mask(
+        self, triangle, key, value, message
+    ):
+        doc = bag_to_json(policy_edge_deleted(triangle), 9)
+        for entry in doc["masks"]:
+            entry["K"] = 2  # every ED mask keeps two of three edges
+        doc["masks"][1][key] = value
+        doc["masks"][2]["bits"] = "AAAA"  # a later bad mask is not the one named
+        with pytest.raises(ValueError, match=f"graph 9: {message}$"):
+            bag_from_json(doc, triangle)
+
+    @pytest.mark.parametrize(
+        "masks, message",
+        [
+            ({"bits": "wA=="}, "bag document's 'masks' is dict, expected a list"),
+            ("wA==", "bag document's 'masks' is str, expected a list"),
+            (["wA=="], "mask 0 is str, expected an object"),
+            ([{"bits": "wA=="}, None], "mask 1 is NoneType, expected an object"),
+        ],
+    )
+    def test_rejects_masks_that_are_not_a_list_of_objects_naming_the_graph(
+        self, triangle, masks, message
+    ):
+        doc = bag_to_json(policy_edge_deleted(triangle), 3)
+        doc["masks"] = masks
+        with pytest.raises(ValueError, match=f"graph 3: {message}$"):
             bag_from_json(doc, triangle)
 
     def test_rejects_a_mask_without_bits_naming_graph_and_mask(self, triangle):

@@ -565,12 +565,26 @@ class TestTraining:
             {"lr": -1.0},
             {"lr": float("nan")},
             {"lr": float("inf")},
+            {"epochs": 2.5},
+            {"batch_size": 4.0},
+            {"hidden": 8.0},
+            {"num_layers": True},
+            {"epochs": "3"},
         ],
     )
     def test_config_rejects_bad_values_naming_the_field(self, kwargs):
         (field,) = kwargs
         with pytest.raises(ValueError, match=field):
             TrainConfig(**kwargs)
+
+    def test_numpy_integer_counts_train_like_python_ints(self):
+        graphs = list(generate_ba2motifs(8, seed=0).graphs)
+        counts = {"epochs": 2, "batch_size": 4, "hidden": 8, "num_layers": 2}
+        p1, h1 = train_backbone(graphs, 2, TrainConfig(**counts))
+        p2, h2 = train_backbone(graphs, 2, TrainConfig(**{k: np.int64(v) for k, v in counts.items()}))
+        assert h1 == h2
+        for name, t in p1.named().items():
+            assert same_bits(t.data, p2.named()[name].data)
 
     def test_a_label_outside_the_classes_names_the_graph_and_label(self):
         graphs = [make_graph(3, [(0, 1)], y=1), make_graph(2, [(0, 1)], y=2)]

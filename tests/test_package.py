@@ -1,8 +1,9 @@
-"""Every exported name resolves and has a caller; every console script resolves;
-the pytest configuration survives a failing property test."""
+"""Every exported name resolves and has a caller; no module imports networkx; every
+console script resolves; the pytest configuration survives a failing property test."""
 
 import ast
 import importlib
+import os
 import pkgutil
 import subprocess
 import sys
@@ -42,6 +43,20 @@ def test_every_name_in_all_resolves(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def test_no_module_imports_networkx():
+    # a fresh interpreter, since this one's tests and oracles import networkx
+    code = f"import sys\nfor m in {MODULES!r}:\n    __import__(m)\nprint('networkx' in sys.modules)"
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False"]
 
 
 def referenced_names(path: Path) -> set[str]:
