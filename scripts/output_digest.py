@@ -8,8 +8,11 @@ It hashes the dtype, shape and bytes of every array of:
 - ``evaluate_accuracy`` over those graphs and ``predict``'s probabilities for
   each of them;
 - ``train_explainer`` parameters and history;
-- a top-K bag and a noise bag (m=10) of every graph: soft weights, hard bits,
-  budgets, seeds and bag JSON;
+- ``edge_scores`` of every graph;
+- a top-K bag, a noise bag (m=10), an edge-deleted and a node-deleted bag of
+  every graph, and of each the bag that ``bag_from_json`` reads back from its
+  JSON: soft weights, hard bits, budgets, seeds, zeroed nodes, policy and
+  bag JSON (with a node-deleted bag of an edgeless graph);
 - ``frozen_forward`` and ``train_explainer`` over 21 graphs that include a
   zero-node graph and an edgeless graph;
 - ``write_tud_dataset``'s files, byte for byte, and every field of what
@@ -31,7 +34,13 @@ import numpy as np
 
 from esgnn import explainer, gin, tud
 from esgnn.ba2motifs import generate_ba2motifs
-from esgnn.graphs import FeatureSpec, Graph, GraphDataset
+from esgnn.graphs import (
+    FeatureSpec,
+    Graph,
+    GraphDataset,
+    policy_edge_deleted,
+    policy_node_deleted,
+)
 
 
 def main() -> None:
@@ -63,19 +72,35 @@ def main() -> None:
     ecfg = explainer.ExplainerConfig(epochs=3, batch_size=16)
     params, history = explainer.train_explainer(graphs, backbone, ecfg, seed=0)
     feed_run(params, history)
+
+    def feed_bag(bag, graph_id) -> None:
+        digest.update(bag.policy_tag.encode())
+        for m in bag.masks:
+            feed(m.soft)
+            feed(m.hard)
+            digest.update(repr((m.budget, m.seed, m.zeroed_nodes)).encode())
+        doc = explainer.bag_to_json(bag, graph_id)
+        digest.update(json.dumps(doc, sort_keys=True).encode())
+        loaded = explainer.bag_from_json(json.loads(json.dumps(doc)), bag.base)
+        digest.update(loaded.policy_tag.encode())
+        for m in loaded.masks:
+            feed(m.soft)
+            feed(m.hard)
+            digest.update(repr((m.budget, m.seed, m.zeroed_nodes)).encode())
+
     for gi, g in enumerate(graphs):
+        feed(explainer.edge_scores(g, backbone, params))
         for bag in (
             explainer.generate_bag_topk(g, backbone, params),
             explainer.generate_bag_noise(g, backbone, params, 10, 1.0, gi),
+            policy_edge_deleted(g),
+            policy_node_deleted(g),
         ):
-            for m in bag.masks:
-                feed(m.soft)
-                feed(m.hard)
-                digest.update(repr((m.budget, m.seed)).encode())
-            digest.update(json.dumps(explainer.bag_to_json(bag, gi), sort_keys=True).encode())
+            feed_bag(bag, gi)
 
     zero_nodes = Graph(0, [], np.zeros((0, 1)), 0)
     edgeless = Graph(3, [], np.ones((3, 1)), 1)
+    feed_bag(policy_node_deleted(edgeless), len(graphs))
     mixed = graphs[:5] + [zero_nodes] + graphs[5:9] + [edgeless] + graphs[9:20]
     feed_forward(mixed, backbone)
     ecfg = explainer.ExplainerConfig(epochs=2, batch_size=8)

@@ -247,12 +247,17 @@ def relu(x) -> Tensor:
 
 
 def sigmoid(x) -> Tensor:
+    """Overflow-free sigmoid: 1 / (1 + e) where x >= 0, else e / (1 + e).
+
+    e = exp(-|x|) over the whole array, with no boolean gather or scatter.
+    The exponent is picked by the same comparison (-x where x >= 0, else x)
+    rather than taken as -|x|, so a NaN keeps its sign bit.
+    """
     x = _lift(x)
-    data = np.empty_like(x.data)
     pos = x.data >= 0
-    data[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
-    ex = np.exp(x.data[~pos])
-    data[~pos] = ex / (1.0 + ex)
+    e = np.exp(np.where(pos, -x.data, x.data))
+    denom = 1.0 + e
+    data = np.where(pos, 1.0 / denom, e / denom)
     return _record(data, (x,), lambda grad: (grad * data * (1.0 - data),))
 
 

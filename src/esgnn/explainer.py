@@ -9,7 +9,11 @@ only ever sees hard binary masks, obtained either by thresholding or by an
 exact top-K budget, with a straight-through estimator carrying gradients
 back to the logits.  The sparsity penalty acts on the hard bits, i.e. it
 counts selected edges.
-A bag's JSON packs and unpacks the bits of all its masks in one array pass.
+``edge_scores`` runs only the backbone's layers (``gin.node_states``) on its
+one graph, with no pooling or head, then the edge MLP.  Every bag's masks
+are built from its (m, E) soft and hard blocks by ``EdgeMask.block``, which
+checks all rows in one pass, and a bag's JSON packs and unpacks the bits of
+all its masks in one array pass.
 """
 
 from __future__ import annotations
@@ -29,7 +33,14 @@ from .autodiff import (
     sigmoid,
     sum_all,
 )
-from .gin import BackboneParams, backbone_forward_batch, build_graph_batch, frozen_forward, glorot
+from .gin import (
+    BackboneParams,
+    backbone_forward_batch,
+    build_graph_batch,
+    frozen_forward,
+    glorot,
+    node_states,
+)
 from .graphs import (
     POLICY_TAGS,
     EdgeMask,
@@ -209,7 +220,7 @@ def hard_threshold(s: Tensor, threshold: float) -> Tensor:
     return custom_primitive(bits, [s], lambda g: [g])
 
 
-def topk_binarize(s: Tensor | np.ndarray, budgets: list[int]) -> list[EdgeMask]:
+def topk_binarize(s: Tensor | np.ndarray, budgets: list[int]) -> tuple[EdgeMask, ...]:
     """One EdgeMask per budget k keeping exactly the k largest soft weights.
 
     All budgets come from one stable sort, so the masks are nested.  Edges
@@ -225,7 +236,7 @@ def topk_binarize(s: Tensor | np.ndarray, budgets: list[int]) -> list[EdgeMask]:
     rank = np.empty(soft.size, dtype=np.intp)
     rank[np.argsort(-soft, kind="stable")] = np.arange(soft.size)
     hard = (rank < np.array(budgets, dtype=np.intp)[:, None]).astype(np.float64)
-    return [EdgeMask(soft=soft.copy(), hard=bits, budget=k) for k, bits in zip(budgets, hard)]
+    return EdgeMask.block(np.tile(soft, (len(budgets), 1)), hard, budgets=budgets)
 
 
 def train_explainer(
@@ -293,8 +304,12 @@ def mask_seed(*parts: int) -> int:
 
 
 def edge_scores(g: Graph, backbone: BackboneParams, params: ExplainerParams) -> np.ndarray:
-    """Raw per-edge logits omega for one graph (no gradients, no tape)."""
-    _, (z,) = frozen_forward([g], backbone)
+    """Raw per-edge logits omega for one graph (no gradients, no tape).
+
+    Runs only the backbone's layers, with no readout: the node states equal
+    those ``frozen_forward`` returns for the graph, bit for bit.
+    """
+    z = node_states(build_graph_batch([g]), backbone.frozen())
     return edge_logits(z, g.edges, params.frozen()).data
 
 
@@ -316,7 +331,7 @@ def generate_bag_noise(
     seeds = [mask_seed(seed, t) for t in range(m)]
     s = concrete_sample(omega, BAG_TAU, noise_scale, seeds)
     hard = hard_threshold(s, THRESHOLD).data
-    masks = tuple(EdgeMask(soft=s.data[t], hard=hard[t], seed=seeds[t]) for t in range(m))
+    masks = EdgeMask.block(s.data, hard, seeds=seeds)
     return SubgraphBag(base=g, masks=masks, policy_tag="EXPLAIN_NOISE")
 
 
@@ -332,7 +347,7 @@ def generate_bag_topk(
     omega = edge_scores(g, backbone, params)
     (s,) = concrete_sample(omega, BAG_TAU, 0.0, [0]).data
     budgets = [max(1, math.ceil(f * g.num_edges)) for f in DEFAULT_FRACTIONS]
-    return SubgraphBag(base=g, masks=tuple(topk_binarize(s, budgets)), policy_tag="EXPLAIN_TOPK")
+    return SubgraphBag(base=g, masks=topk_binarize(s, budgets), policy_tag="EXPLAIN_TOPK")
 
 
 def bag_to_json(bag: SubgraphBag, graph_id: int) -> dict:
@@ -357,8 +372,9 @@ def bag_from_json(doc: dict, base: Graph) -> SubgraphBag:
     decoded strictly, so a character outside the base64 alphabet is an
     error, and checked for their byte length before any is unpacked.  ``K``
     and ``seed`` must be integers or null and ``zeroed_nodes`` a list of
-    node ids; a bool counts as no integer.  Each mask is checked in full
-    before the next, so an error names the graph and the first bad mask.
+    node ids; a bool counts as no integer.  These checks run mask by mask,
+    and the unpacked bits of all masks are then checked as one block, so an
+    error names the graph and the first bad mask.
     """
     graph_id = doc.get("graph_id")
     for key in ("policy", "masks"):
@@ -413,18 +429,14 @@ def bag_from_json(doc: dict, base: Graph) -> SubgraphBag:
         zeroed_sets.append(zeroed)
     packed = np.frombuffer(b"".join(raws), dtype=np.uint8).reshape(len(raws), nbytes)
     hard = np.unpackbits(packed, axis=1, count=base.num_edges).astype(np.float64)
-    soft = hard.copy()
-    masks = []
-    for k, (entry, zeroed) in enumerate(zip(entries, zeroed_sets)):
-        try:
-            mask = EdgeMask(
-                soft=soft[k],
-                hard=hard[k],
-                budget=entry.get("K"),
-                seed=entry.get("seed"),
-                zeroed_nodes=zeroed,
-            )
-        except ValueError as err:
-            raise ValueError(f"graph {graph_id}: mask {k}: {err}") from err
-        masks.append(mask)
-    return SubgraphBag(base=base, masks=tuple(masks), policy_tag=doc["policy"])
+    try:
+        masks = EdgeMask.block(
+            hard.copy(),
+            hard,
+            budgets=[entry.get("K") for entry in entries],
+            seeds=[entry.get("seed") for entry in entries],
+            zeroed_nodes=zeroed_sets,
+        )
+    except ValueError as err:
+        raise ValueError(f"graph {graph_id}: {err}") from err
+    return SubgraphBag(base=base, masks=masks, policy_tag=doc["policy"])

@@ -14,9 +14,12 @@ A layer applies its ReLU in place.  When no input requires a gradient, as
 in ``frozen_forward``, the tape drops the layer's backward closure, so the
 layer keeps nothing and records no node.  Graphs are trained in
 block-diagonal minibatches whose node and edge offsets are the only record
-of which rows and edges belong to which graph; a batch builds its sum-pooling
-CSR from the node offsets once, and a forward pools with one product.  Adam
-updates all parameters in one flat vector step (``optim``).
+of which rows and edges belong to which graph.  ``node_states`` runs the
+layers, the one layer loop of the package; ``backbone_forward_batch`` adds
+the readout, pooling with one product by the batch's sum-pooling CSR, which
+the batch builds from its node offsets on first use, so a caller that needs
+only node states (edge scoring) never builds it.  Adam updates all
+parameters in one flat vector step (``optim``).
 
 ``train_backbone``'s per-epoch ``train_acc`` is the running minibatch
 accuracy: the share of training graphs that their minibatch's logits, taken
@@ -28,6 +31,7 @@ parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -58,6 +62,7 @@ __all__ = [
     "glorot",
     "init_backbone",
     "init_gin_layer",
+    "node_states",
     "predict",
     "softmax",
     "train_backbone",
@@ -183,11 +188,25 @@ class GraphBatch:
 
     x: np.ndarray
     node_offsets: np.ndarray  # (graphs + 1,) first node row of each graph, then len(x)
-    pool: scipy.sparse.csr_matrix  # (graphs, nodes) ones; row g sums graph g's rows in order
     adj: SparseMatrix  # the symmetric adjacency over adj.edges, (E, 2) batch node ids, i < j
     edge_offsets: np.ndarray  # (graphs + 1,) first edge of each graph, then adj.num_edges
     labels: np.ndarray
     default_values: np.ndarray  # per-undirected-edge weights from masks (or ones)
+
+    @cached_property
+    def pool(self) -> scipy.sparse.csr_matrix:
+        """(graphs, nodes) ones; row g sums graph g's rows in order.
+
+        Built on first use, so a batch that is never pooled (``node_states``
+        alone) never builds it.  Each graph's rows are contiguous, so row g
+        lists rows node_offsets[g]..node_offsets[g + 1] - 1 in order, as
+        segment_sum's would.
+        """
+        n = len(self.x)
+        return scipy.sparse.csr_matrix(
+            (np.ones(n), np.arange(n, dtype=np.int32), self.node_offsets.astype(np.int32)),
+            shape=(len(self.labels), n),
+        )
 
 
 def build_graph_batch(
@@ -234,16 +253,9 @@ def build_graph_batch(
                 x[node_offsets[gi] + zeroed] = 0.0
         values = np.concatenate([mask.hard for mask in masks] or [np.zeros(0)], dtype=np.float64)
 
-    # each graph's rows are contiguous, so row g of the pooling operator lists
-    # rows node_offsets[g]..node_offsets[g + 1] - 1 in order, as segment_sum's would
-    pool = scipy.sparse.csr_matrix(
-        (np.ones(len(x)), np.arange(len(x), dtype=np.int32), node_offsets.astype(np.int32)),
-        shape=(len(graphs), len(x)),
-    )
     return GraphBatch(
         x=x,
         node_offsets=node_offsets,
-        pool=pool,
         adj=SparseMatrix(len(x), edges),
         edge_offsets=edge_offsets,
         labels=np.array([g.y for g in graphs], dtype=np.intp),
@@ -294,16 +306,17 @@ def apply_gin_layer(layer: GinLayerParams, h: Tensor, adj: WeightedSparse) -> Te
     return custom_primitive(out, (weights, h, eps, w1, b1, w2, b2), _bp)
 
 
-def backbone_forward_batch(
+def node_states(
     batch: GraphBatch,
     params: BackboneParams,
     mask_values: Tensor | None = None,
-) -> tuple[Tensor, Tensor]:
-    """Forward over a batch; returns (logits, last-layer node states).
+) -> Tensor:
+    """Last-layer node states of a batch: every GIN layer, no readout.
 
-    mask_values, when given, is a per-undirected-edge weight tensor that
-    overrides the batch defaults; gradients flow through it into the mask
-    machinery.
+    The one layer loop: ``backbone_forward_batch`` pools and classifies what
+    it returns, and ``explainer.edge_scores`` reads it alone.  mask_values,
+    when given, is a per-undirected-edge weight tensor that overrides the
+    batch defaults; gradients flow through it into the mask machinery.
     """
     if batch.x.shape[1] != params.in_dim:
         raise ValueError(f"feature dim {batch.x.shape[1]} vs layer-0 input {params.in_dim}")
@@ -311,6 +324,20 @@ def backbone_forward_batch(
     h = Tensor(batch.x)
     for layer in params.layers:
         h = apply_gin_layer(layer, h, adj)
+    return h
+
+
+def backbone_forward_batch(
+    batch: GraphBatch,
+    params: BackboneParams,
+    mask_values: Tensor | None = None,
+) -> tuple[Tensor, Tensor]:
+    """Forward over a batch; returns (logits, last-layer node states).
+
+    The states come from ``node_states`` (mask_values as there); each
+    graph's are summed by ``batch.pool`` and fed to the linear head.
+    """
+    h = node_states(batch, params, mask_values)
     pooled = custom_primitive(
         batch.pool @ h.data, (h,), lambda g: (np.repeat(g, np.diff(batch.node_offsets), 0),)
     )

@@ -6,7 +6,9 @@ format of the package.  Batches concatenate these arrays, and only
 ``autodiff.SparseMatrix`` expands them into directed entries.  Every
 subgraph view is an edge mask with one weight per row of that array.  Node
 deletion keeps the node slot and zeroes its feature row plus incident
-edges, so matrix shapes never change across a bag.
+edges, so matrix shapes never change across a bag.  A bag's masks are built
+from (m, E) soft and hard blocks by ``EdgeMask.block``, which checks every
+row against the one-mask rules in one pass.
 """
 
 from __future__ import annotations
@@ -67,8 +69,10 @@ class FeatureSpec:
     def __post_init__(self):
         if self.kind not in ("node_labels", "degree", "constant"):
             raise ValueError(f"unknown feature kind '{self.kind}'")
-        if self.kind == "degree" and (self.cap is None or self.cap < 1):
-            raise ValueError("degree features need cap >= 1")
+        if self.kind == "degree":
+            if self.cap is None or (_is_int(self.cap) and self.cap < 1):
+                raise ValueError("degree features need cap >= 1")
+            _check_count("cap", self.cap, 1)
 
 
 @dataclass(frozen=True)
@@ -184,12 +188,41 @@ class GraphDataset:
         return np.array([g.y for g in self.graphs], dtype=np.intp)
 
 
+def _mask_fault(soft: np.ndarray, hard: np.ndarray, budgets) -> tuple[int, str] | None:
+    """The first row of an (m, E) soft/hard block that breaks a mask rule, and why.
+
+    Each row's soft weights must be finite, its hard bits 0 or 1 (-0.0 is a
+    zero, NaN neither), and a row with a budget must keep exactly that many
+    bits.  ``budgets`` is None or holds one budget, or None, per row.  A row
+    is reported with the first rule it breaks, in that order.
+    """
+    finite = np.isfinite(soft).all(axis=1)
+    ones = np.count_nonzero(hard == 1.0, axis=1)
+    # binary exactly when every nonzero entry (NaN included) is a one
+    binary = ones == np.count_nonzero(hard, axis=1)
+    ok = finite & binary
+    if budgets is not None:
+        budgeted = np.array([b is not None for b in budgets], dtype=bool)
+        # object entries compare as Python numbers, so no budget can overflow
+        kept = ones == np.array([0 if b is None else b for b in budgets], dtype=object)
+        ok &= ~budgeted | kept
+    if ok.all():
+        return None
+    k = int(np.argmin(ok))
+    if not finite[k]:
+        return k, f"non-finite soft weight at edge {np.flatnonzero(~np.isfinite(soft[k]))[0]}"
+    if not binary[k]:
+        return k, "hard mask must be binary"
+    return k, f"hard mask sums to {ones[k]}, budget is {budgets[k]}"
+
+
 @dataclass(frozen=True)
 class EdgeMask:
     """Per-undirected-edge selection: soft weights plus hard bits.
 
     ``zeroed_nodes`` flags feature rows to blank at encoding time (node
-    deletion); index removal never happens.
+    deletion); index removal never happens.  ``EdgeMask.block`` builds a
+    bag's masks from (m, E) blocks, checked with the same rules in one pass.
     """
 
     soft: np.ndarray
@@ -205,15 +238,48 @@ class EdgeMask:
             )
         if self.hard.shape != self.soft.shape:
             raise ValueError("soft and hard mask lengths differ")
-        if not np.isfinite(self.soft).all():
-            bad = np.flatnonzero(~np.isfinite(self.soft))[0]
-            raise ValueError(f"non-finite soft weight at edge {bad}")
-        # binary exactly when every nonzero entry (NaN included) is a one
-        ones = np.count_nonzero(self.hard == 1.0)
-        if ones != np.count_nonzero(self.hard):
-            raise ValueError("hard mask must be binary")
-        if self.budget is not None and ones != self.budget:
-            raise ValueError(f"hard mask sums to {ones}, budget is {self.budget}")
+        fault = _mask_fault(self.soft[None], self.hard[None], (self.budget,))
+        if fault is not None:
+            raise ValueError(fault[1])
+
+    @classmethod
+    def block(
+        cls, soft: np.ndarray, hard: np.ndarray, budgets=None, seeds=None, zeroed_nodes=None
+    ) -> tuple["EdgeMask", ...]:
+        """One mask per row of the (m, E) ``soft`` and ``hard`` blocks.
+
+        Mask k holds row k of both blocks (views, not copies) and entry k of
+        each of ``budgets``, ``seeds`` and ``zeroed_nodes`` that is given.
+        All rows are checked against ``__post_init__``'s rules in one pass;
+        the first bad row raises that rule's message, prefixed "mask k: ".
+        """
+        if soft.ndim != 2 or hard.ndim != 2:
+            raise ValueError(
+                f"soft block has shape {soft.shape} and hard {hard.shape}, expected 2-D"
+            )
+        if hard.shape != soft.shape:
+            raise ValueError(f"soft block has shape {soft.shape} and hard {hard.shape}")
+        m = len(soft)
+        fields = {"budgets": budgets, "seeds": seeds, "zeroed_nodes": zeroed_nodes}
+        for name, values in fields.items():
+            if values is not None and len(values) != m:
+                raise ValueError(f"{len(values)} {name} for {m} masks")
+        fault = _mask_fault(soft, hard, budgets)
+        if fault is not None:
+            raise ValueError(f"mask {fault[0]}: {fault[1]}")
+        masks = []
+        for k in range(m):
+            # the rows are checked above, so __init__ and its per-row check are skipped
+            mask = object.__new__(cls)
+            mask.__dict__.update(
+                soft=soft[k],
+                hard=hard[k],
+                budget=None if budgets is None else budgets[k],
+                seed=None if seeds is None else seeds[k],
+                zeroed_nodes=() if zeroed_nodes is None else zeroed_nodes[k],
+            )
+            masks.append(mask)
+        return tuple(masks)
 
     @property
     def num_edges(self) -> int:
@@ -250,24 +316,20 @@ def policy_edge_deleted(g: Graph) -> SubgraphBag:
     """One subgraph per edge, each dropping exactly that edge."""
     if g.num_edges == 0:
         raise PolicyError("edge-deleted policy needs at least one edge")
-    masks = []
-    for k in range(g.num_edges):
-        hard = np.ones(g.num_edges)
-        hard[k] = 0.0
-        masks.append(EdgeMask(soft=hard.copy(), hard=hard))
-    return SubgraphBag(base=g, masks=tuple(masks), policy_tag="ED")
+    hard = 1.0 - np.eye(g.num_edges)
+    return SubgraphBag(base=g, masks=EdgeMask.block(hard.copy(), hard), policy_tag="ED")
 
 
 def policy_node_deleted(g: Graph) -> SubgraphBag:
     """One subgraph per node, dropping its incident edges and feature row."""
     if g.num_nodes < 1:
         raise PolicyError("node-deleted policy needs at least one node")
-    masks = []
-    for v in range(g.num_nodes):
-        hard = np.ones(g.num_edges)
-        hard[(g.edges == v).any(axis=1)] = 0.0
-        masks.append(EdgeMask(soft=hard.copy(), hard=hard, zeroed_nodes=(v,)))
-    return SubgraphBag(base=g, masks=tuple(masks), policy_tag="ND")
+    # column k of the (nodes, E) incidence block is zero at both ends of edge k
+    hard = np.ones((g.num_nodes, g.num_edges))
+    hard[g.edges.T, np.arange(g.num_edges)] = 0.0
+    zeroed = [(v,) for v in range(g.num_nodes)]
+    masks = EdgeMask.block(hard.copy(), hard, zeroed_nodes=zeroed)
+    return SubgraphBag(base=g, masks=masks, policy_tag="ND")
 
 
 def sample_bag(bag: SubgraphBag, fraction: float, seed) -> SubgraphBag:

@@ -2,7 +2,11 @@
 
 ``grad_check`` compares an op's analytic gradients with central
 differences, ``softmax_cross_entropy`` is the one-row loss that
-``cross_entropy_mean`` must agree with, and ``generate_ba2motifs_networkx``
+``cross_entropy_mean`` must agree with, ``masked_sigmoid`` is the sigmoid
+that evaluates each branch only on its own entries, which ``sigmoid`` must
+match bit for bit, ``policy_edge_deleted_loop`` and
+``policy_node_deleted_loop`` build the ED and ND bags one checked mask at a
+time, as the block-built policies must, and ``generate_ba2motifs_networkx``
 is the BA-2Motifs generator built on ``networkx.barabasi_albert_graph`` that
 ``generate_ba2motifs`` must reproduce graph for graph.
 """
@@ -10,9 +14,17 @@ is the BA-2Motifs generator built on ``networkx.barabasi_albert_graph`` that
 import networkx as nx
 import numpy as np
 
-from esgnn.autodiff import DimensionError, Tensor, _log_softmax, custom_primitive
+from esgnn.autodiff import DimensionError, Tensor, _log_softmax, _record, custom_primitive
 from esgnn.ba2motifs import _CYCLE, _HOUSE, BASE_NODES, MOTIF_NODES
-from esgnn.graphs import FeatureSpec, Graph, GraphDataset, constant_features
+from esgnn.graphs import (
+    EdgeMask,
+    FeatureSpec,
+    Graph,
+    GraphDataset,
+    PolicyError,
+    SubgraphBag,
+    constant_features,
+)
 
 
 def softmax_cross_entropy(logits, target: int) -> Tensor:
@@ -32,6 +44,41 @@ def softmax_cross_entropy(logits, target: int) -> Tensor:
         return (g * grad,)
 
     return custom_primitive(data, (logits,), _bp)
+
+
+def masked_sigmoid(x) -> Tensor:
+    """Sigmoid with a boolean gather and scatter per branch: exp(-x) on x >= 0, exp(x) elsewhere."""
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    data = np.empty_like(x.data)
+    pos = x.data >= 0
+    data[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
+    ex = np.exp(x.data[~pos])
+    data[~pos] = ex / (1.0 + ex)
+    return _record(data, (x,), lambda grad: (grad * data * (1.0 - data),))
+
+
+def policy_edge_deleted_loop(g: Graph) -> SubgraphBag:
+    """One subgraph per edge, each dropping exactly that edge."""
+    if g.num_edges == 0:
+        raise PolicyError("edge-deleted policy needs at least one edge")
+    masks = []
+    for k in range(g.num_edges):
+        hard = np.ones(g.num_edges)
+        hard[k] = 0.0
+        masks.append(EdgeMask(soft=hard.copy(), hard=hard))
+    return SubgraphBag(base=g, masks=tuple(masks), policy_tag="ED")
+
+
+def policy_node_deleted_loop(g: Graph) -> SubgraphBag:
+    """One subgraph per node, dropping its incident edges and feature row."""
+    if g.num_nodes < 1:
+        raise PolicyError("node-deleted policy needs at least one node")
+    masks = []
+    for v in range(g.num_nodes):
+        hard = np.ones(g.num_edges)
+        hard[(g.edges == v).any(axis=1)] = 0.0
+        masks.append(EdgeMask(soft=hard.copy(), hard=hard, zeroed_nodes=(v,)))
+    return SubgraphBag(base=g, masks=tuple(masks), policy_tag="ND")
 
 
 def grad_check(f, params, h: float = 1e-5) -> float:

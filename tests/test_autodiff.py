@@ -27,7 +27,8 @@ from esgnn.autodiff import (
     spmm,
     sum_all,
 )
-from tests.oracles import grad_check, softmax_cross_entropy
+from tests.conftest import same_bits
+from tests.oracles import grad_check, masked_sigmoid, softmax_cross_entropy
 
 
 def rand_param(rng, *shape):
@@ -35,6 +36,45 @@ def rand_param(rng, *shape):
     # keep relu inputs away from the kink so finite differences are valid
     t.data[np.abs(t.data) < 1e-3] += 0.01
     return t
+
+
+def sigmoid_and_gradient(op, x, upstream):
+    """op(x)'s output and the gradient of <op(x), upstream> with respect to x."""
+    x = Tensor(x, requires_grad=True)
+    out = op(x)
+    sum_all(mul(out, upstream)).backward()
+    return out.data, x.grad
+
+
+class TestSigmoidMatchesTheMaskedOracle:
+    EDGES = [
+        0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 709.0, -709.0, 745.0, -745.0,
+        710.0, -710.0, 746.0, -746.0, 5e-324, -5e-324, 1e-300, -1e-300, 36.8, -36.8,
+    ]
+
+    @staticmethod
+    def assert_same(x, upstream):
+        got = sigmoid_and_gradient(sigmoid, x, upstream)
+        want = sigmoid_and_gradient(masked_sigmoid, x, upstream)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+    def test_edge_values_give_the_same_bits_forward_and_backward(self):
+        x = np.array(self.EDGES)
+        # a NaN with a payload, both signs: its sign bit must survive too
+        payload = np.array([0x7FF8000000000123], dtype=np.uint64).view(np.float64)
+        x = np.concatenate([x, payload, -payload])
+        assert np.signbit(x[4]) != np.signbit(x[5])
+        self.assert_same(x, np.linspace(-2.0, 2.0, x.size))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_blocks_give_the_same_bits_forward_and_backward(self, seed):
+        rng = np.random.default_rng(seed)
+        m, e = rng.integers(1, 12), rng.integers(1, 400)
+        # magnitudes from 1e-8 to 1e3, so both branches and both tails are hit
+        x = rng.standard_normal((m, e)) * 10.0 ** rng.uniform(-8, 3, (m, e))
+        picked = rng.random((m, e)) < 0.05
+        x[picked] = rng.choice(self.EDGES, size=int(picked.sum()))
+        self.assert_same(x, rng.standard_normal((m, e)))
 
 
 class TestLinear:

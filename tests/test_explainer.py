@@ -395,7 +395,7 @@ class TestBagJson:
 class TestFrozenForwards:
     @pytest.fixture
     def spies(self, monkeypatch):
-        """Record requires_grad of every backbone and edge-MLP output."""
+        """Record requires_grad of every backbone, layer-loop and edge-MLP output."""
         taped = []
 
         def spy(fn):
@@ -410,6 +410,8 @@ class TestFrozenForwards:
         monkeypatch.setattr(
             explainer, "backbone_forward_batch", spy(explainer.backbone_forward_batch)
         )
+        monkeypatch.setattr(gin, "node_states", spy(gin.node_states))
+        monkeypatch.setattr(explainer, "node_states", spy(explainer.node_states))
         monkeypatch.setattr(explainer, "edge_logits", spy(explainer.edge_logits))
         return taped
 
@@ -425,15 +427,32 @@ class TestFrozenForwards:
         edge_scores(graphs[0], backbone, params)
         gin.evaluate_accuracy(graphs, backbone)
         gin.predict(graphs[0], backbone)
-        assert len(spies) == 4 and not any(spies)
+        # edge_scores runs the layers and the edge MLP; evaluate_accuracy and
+        # predict each run one forward, which runs the layers
+        assert len(spies) == 6 and not any(spies)
         for t in tensors:
             assert t.requires_grad
             assert np.array_equal(t.grad, np.full(t.data.shape, 7.0))
 
 
+def test_edge_scores_read_the_frozen_forwards_states_and_build_no_pool(
+    graphs, backbone, params, monkeypatch
+):
+    def no_pool(batch):
+        raise AssertionError("edge_scores pooled its batch")
+
+    states = gin.frozen_forward(graphs, backbone)[1]
+    want = [edge_logits(z, g.edges, params).data for g, z in zip(graphs, states)]
+    monkeypatch.setattr(gin.GraphBatch, "pool", property(no_pool))
+    for g, scores in zip(graphs, want):
+        assert same_bits(edge_scores(g, backbone, params), scores)
+
+
 class TestTopK:
     def test_equal_scores_rank_in_edge_order_and_budgets_nest(self):
-        masks = explainer.topk_binarize(np.array([0.5, 0.7, 0.5, 0.7, 0.1]), [1, 2, 3, 5])
+        soft = np.array([0.5, 0.7, 0.5, 0.7, 0.1])
+        masks = explainer.topk_binarize(soft, [1, 2, 3, 5])
+        assert all(same_bits(m.soft, soft) and not np.shares_memory(m.soft, soft) for m in masks)
         assert [m.hard.tolist() for m in masks] == [
             [0.0, 1.0, 0.0, 0.0, 0.0],
             [0.0, 1.0, 0.0, 1.0, 0.0],

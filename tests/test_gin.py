@@ -30,6 +30,7 @@ from esgnn.gin import (
     evaluate_accuracy,
     frozen_forward,
     init_backbone,
+    node_states,
     predict,
     train_backbone,
 )
@@ -503,6 +504,21 @@ class TestFrozenForward:
                 assert same_bits(states[start + k], h.data[a:b])
         for g, z in zip(graphs, states):
             assert same_bits(z, frozen_forward([g], params)[1][0])
+
+    def test_node_states_are_the_forwards_states_without_its_pool(self):
+        graphs = list(generate_ba2motifs(6, seed=4).graphs) + [make_graph(3, [])]
+        params = init_backbone(np.random.default_rng(5), 1, 2, hidden=8, num_layers=3)
+        batch = build_graph_batch(graphs)
+        h = node_states(batch, params.frozen())
+        assert "pool" not in vars(batch)  # built on first use, and node_states never uses it
+        _, want = backbone_forward_batch(batch, params.frozen())
+        assert "pool" in vars(batch) and same_bits(h.data, want.data)
+        assert not h.requires_grad and h._prev == ()
+
+    def test_a_batch_builds_its_pool_once(self, triangle, cycle6):
+        batch = build_graph_batch([triangle, cycle6])
+        assert batch.pool is batch.pool
+        assert batch.pool.shape == (2, 9) and batch.pool.indices.dtype == np.int32
 
     def test_empty_list(self):
         params = init_backbone(np.random.default_rng(0), 1, 3)

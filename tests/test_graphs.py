@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from esgnn.graphs import (
     sample_bag,
 )
 from esgnn.tud import load_tud_dataset, write_tud_dataset
-from tests.conftest import make_graph
+from tests.conftest import make_graph, same_bits
+from tests.oracles import policy_edge_deleted_loop, policy_node_deleted_loop
 
 
 def degree_features(g, cap, root):
@@ -324,6 +326,100 @@ class TestEdgeMask:
             FeatureSpec("bogus")
         with pytest.raises(ValueError):
             FeatureSpec("degree")
+        for cap in (2.5, 0.5, True, False, np.float64(3.0), "3"):
+            with pytest.raises(ValueError, match=re.escape(f"cap {cap!r} must be an integer")):
+                FeatureSpec("degree", cap=cap)
+        for cap in (0, -2):
+            with pytest.raises(ValueError, match="degree features need cap >= 1"):
+                FeatureSpec("degree", cap=cap)
+        assert FeatureSpec("degree", cap=np.int64(3)).cap == 3
+
+
+class TestEdgeMaskBlock:
+    def test_rows_become_masks_holding_views_and_their_own_fields(self):
+        soft = np.array([[0.2, 0.7, 0.9], [0.1, 0.4, 0.8]])
+        hard = np.array([[0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+        masks = EdgeMask.block(soft, hard, budgets=[2, None], seeds=[5, 6], zeroed_nodes=[(), (1,)])
+        assert [(m.budget, m.seed, m.zeroed_nodes) for m in masks] == [(2, 5, ()), (None, 6, (1,))]
+        for k, m in enumerate(masks):
+            assert np.shares_memory(m.soft, soft[k]) and same_bits(m.soft, soft[k])
+            assert np.shares_memory(m.hard, hard[k]) and same_bits(m.hard, hard[k])
+        plain = EdgeMask.block(soft, hard)
+        assert [(m.budget, m.seed, m.zeroed_nodes) for m in plain] == [(None, None, ())] * 2
+
+    @pytest.mark.parametrize(
+        "row, soft, hard, budget, message",
+        [
+            (1, [0.5, np.nan, np.inf], [1.0, 0.0, 1.0], None, "non-finite soft weight at edge 1"),
+            (2, [0.5, 0.5, 0.5], [1.0, 0.5, 1.0], None, "hard mask must be binary"),
+            (0, [0.5, 0.5, 0.5], [1.0, np.nan, 1.0], 2, "hard mask must be binary"),
+            (1, [0.5, 0.5, 0.5], [1.0, -0.0, 1.0], 3, "hard mask sums to 2, budget is 3"),
+            # a row breaking two rules reports the first
+            (2, [np.inf, 0.5, 0.5], [2.0, 0.0, 1.0], 1, "non-finite soft weight at edge 0"),
+        ],
+    )
+    def test_each_rule_names_the_first_bad_row_with_its_single_mask_message(
+        self, row, soft, hard, budget, message
+    ):
+        soft_block, hard_block = np.full((4, 3), 0.5), np.ones((4, 3))
+        soft_block[row], hard_block[row] = soft, hard
+        hard_block[3, 0] = 2.0  # a later bad row is never reported
+        budgets = [None] * 4
+        budgets[row] = budget
+        with pytest.raises(ValueError, match=rf"^mask {row}: {message}$"):
+            EdgeMask.block(soft_block, hard_block, budgets=budgets)
+        # the one-row check raises the same message without the index
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            EdgeMask(soft=np.array(soft), hard=np.array(hard), budget=budget)
+
+    def test_a_budget_of_every_integer_size_is_compared_exactly(self):
+        hard = np.ones((3, 2))
+        with pytest.raises(ValueError, match=rf"^mask 2: hard mask sums to 2, budget is {2**70}$"):
+            EdgeMask.block(hard.copy(), hard, budgets=[2, np.int64(2), 2**70])
+        with pytest.raises(ValueError, match="^mask 0: hard mask sums to 2, budget is -1$"):
+            EdgeMask.block(hard.copy(), hard, budgets=[-1, None, None])
+
+    def test_rejects_blocks_of_the_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"shape \(3,\) and hard \(3,\), expected 2-D"):
+            EdgeMask.block(np.ones(3), np.ones(3))
+        with pytest.raises(ValueError, match=r"soft block has shape \(2, 3\) and hard \(2, 4\)$"):
+            EdgeMask.block(np.ones((2, 3)), np.ones((2, 4)))
+
+    @pytest.mark.parametrize("field", ["budgets", "seeds", "zeroed_nodes"])
+    def test_rejects_per_row_fields_of_another_length(self, field):
+        with pytest.raises(ValueError, match=f"3 {field} for 2 masks"):
+            EdgeMask.block(np.ones((2, 4)), np.ones((2, 4)), **{field: [None] * 3})
+
+    def test_an_empty_block_gives_no_masks(self):
+        assert EdgeMask.block(np.zeros((0, 3)), np.zeros((0, 3)), budgets=[]) == ()
+
+
+def assert_same_bags(got, want):
+    assert (got.base, got.policy_tag, len(got)) == (want.base, want.policy_tag, len(want))
+    for a, b in zip(got.masks, want.masks):
+        assert same_bits(a.soft, b.soft) and same_bits(a.hard, b.hard)
+        assert (a.budget, a.seed, a.zeroed_nodes) == (b.budget, b.seed, b.zeroed_nodes)
+
+
+BAG_GRAPHS = [
+    make_graph(2, [(0, 1)]),
+    make_graph(4, [(0, 1), (0, 2), (0, 3)]),
+    make_graph(6, [(i, (i + 1) % 6) for i in range(6)]),
+    make_graph(7, [(0, 1), (1, 2), (4, 5)]),  # isolated nodes 3 and 6
+    make_graph(9, [(i, j) for i in range(9) for j in range(i + 1, 9) if (i * j) % 3 != 1]),
+]
+
+
+@pytest.mark.parametrize("g", BAG_GRAPHS)
+def test_block_built_policies_equal_the_per_mask_loops(g):
+    assert_same_bags(policy_edge_deleted(g), policy_edge_deleted_loop(g))
+    assert_same_bags(policy_node_deleted(g), policy_node_deleted_loop(g))
+
+
+def test_node_deletion_of_an_edgeless_graph_zeroes_each_node_in_turn():
+    g = make_graph(3, [])
+    assert_same_bags(policy_node_deleted(g), policy_node_deleted_loop(g))
+    assert [m.zeroed_nodes for m in policy_node_deleted(g).masks] == [(0,), (1,), (2,)]
 
 
 @settings(max_examples=30, deadline=None)
