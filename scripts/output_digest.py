@@ -8,7 +8,8 @@ It hashes the dtype, shape and bytes of every array of:
 - ``evaluate_accuracy`` over those graphs and ``predict``'s probabilities for
   each of them;
 - ``train_explainer`` parameters and history;
-- ``edge_scores`` of every graph;
+- ``edge_scores`` of every graph, and of each again once its
+  ``Graph.adjacency`` is built;
 - a top-K bag, a noise bag (m=10), an edge-deleted and a node-deleted bag of
   every graph, and of each the bag that ``bag_from_json`` reads back from its
   JSON: soft weights, hard bits, budgets, seeds, zeroed nodes, policy and
@@ -97,6 +98,8 @@ def main() -> None:
             policy_node_deleted(g),
         ):
             feed_bag(bag, gi)
+    for g in graphs:
+        feed(explainer.edge_scores(g, backbone, params))
 
     zero_nodes = Graph(0, [], np.zeros((0, 1)), 0)
     edgeless = Graph(3, [], np.ones((3, 1)), 1)

@@ -9,11 +9,12 @@ only ever sees hard binary masks, obtained either by thresholding or by an
 exact top-K budget, with a straight-through estimator carrying gradients
 back to the logits.  The sparsity penalty acts on the hard bits, i.e. it
 counts selected edges.
-``edge_scores`` runs only the backbone's layers (``gin.node_states``) on its
-one graph, with no pooling or head, then the edge MLP.  Every bag's masks
-are built from its (m, E) soft and hard blocks by ``EdgeMask.block``, which
-checks all rows in one pass, and a bag's JSON packs and unpacks the bits of
-all its masks in one array pass.
+``edge_scores`` runs only the backbone's layers (``gin.layer_states``) on
+its one graph's own cached ``Graph.adjacency``, with no batch, pooling or
+head, then the edge MLP.  Every bag's masks are built from its (m, E) soft
+and hard blocks by ``EdgeMask.block``, which checks all rows in one pass,
+and a bag's JSON packs and unpacks the bits of all its masks in one array
+pass.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .gin import (
     build_graph_batch,
     frozen_forward,
     glorot,
-    node_states,
+    layer_states,
 )
 from .graphs import (
     POLICY_TAGS,
@@ -253,6 +254,7 @@ def train_explainer(
     no gradient and takes no optimizer step.  Deterministic for a fixed
     (cfg, seed).
     """
+    _check_count("seed", seed, 0)
     if not graphs:
         raise ValueError("empty training set")
     frozen = backbone.frozen()
@@ -306,10 +308,12 @@ def mask_seed(*parts: int) -> int:
 def edge_scores(g: Graph, backbone: BackboneParams, params: ExplainerParams) -> np.ndarray:
     """Raw per-edge logits omega for one graph (no gradients, no tape).
 
-    Runs only the backbone's layers, with no readout: the node states equal
-    those ``frozen_forward`` returns for the graph, bit for bit.
+    Runs only the backbone's layers, with no readout, on the graph's own
+    ``Graph.adjacency``; after a graph's first call, no batch or CSR is
+    built.  The node states equal those ``frozen_forward`` returns for the
+    graph, bit for bit.
     """
-    z = node_states(build_graph_batch([g]), backbone.frozen())
+    z = layer_states(g.x, g.adjacency, backbone.frozen())
     return edge_logits(z, g.edges, params.frozen()).data
 
 
@@ -327,6 +331,7 @@ def generate_bag_noise(
     sigmoid and the threshold then run once over the stacked (m, E) draws.
     """
     _check_count("bag size", m, 1)
+    _check_count("seed", seed, 0)
     omega = edge_scores(g, backbone, params)
     seeds = [mask_seed(seed, t) for t in range(m)]
     s = concrete_sample(omega, BAG_TAU, noise_scale, seeds)

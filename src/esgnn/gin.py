@@ -14,12 +14,14 @@ A layer applies its ReLU in place.  When no input requires a gradient, as
 in ``frozen_forward``, the tape drops the layer's backward closure, so the
 layer keeps nothing and records no node.  Graphs are trained in
 block-diagonal minibatches whose node and edge offsets are the only record
-of which rows and edges belong to which graph.  ``node_states`` runs the
-layers, the one layer loop of the package; ``backbone_forward_batch`` adds
-the readout, pooling with one product by the batch's sum-pooling CSR, which
-the batch builds from its node offsets on first use, so a caller that needs
-only node states (edge scoring) never builds it.  Adam updates all
-parameters in one flat vector step (``optim``).
+of which rows and edges belong to which graph.  ``layer_states`` is the one
+layer loop of the package: it runs every layer over features and an
+assembled adjacency.  ``node_states`` assembles a batch's adjacency and runs
+it; ``explainer.edge_scores`` runs it on one graph's cached
+``Graph.adjacency``, with no batch.  ``backbone_forward_batch`` adds the
+readout to ``node_states``, pooling with one product by the batch's
+sum-pooling CSR, which the batch builds from its node offsets on first use.
+Adam updates all parameters in one flat vector step (``optim``).
 
 ``train_backbone``'s per-epoch ``train_acc`` is the running minibatch
 accuracy: the share of training graphs that their minibatch's logits, taken
@@ -62,6 +64,7 @@ __all__ = [
     "glorot",
     "init_backbone",
     "init_gin_layer",
+    "layer_states",
     "node_states",
     "predict",
     "softmax",
@@ -306,6 +309,20 @@ def apply_gin_layer(layer: GinLayerParams, h: Tensor, adj: WeightedSparse) -> Te
     return custom_primitive(out, (weights, h, eps, w1, b1, w2, b2), _bp)
 
 
+def layer_states(x: np.ndarray, adj: WeightedSparse, params: BackboneParams) -> Tensor:
+    """Last-layer node states of features ``x`` over ``adj``: every GIN layer.
+
+    The one layer loop of the package.  ``node_states`` runs it on a batch;
+    ``explainer.edge_scores`` runs it on one graph's ``Graph.adjacency``.
+    """
+    if x.shape[1] != params.in_dim:
+        raise ValueError(f"feature dim {x.shape[1]} vs layer-0 input {params.in_dim}")
+    h = Tensor(x)
+    for layer in params.layers:
+        h = apply_gin_layer(layer, h, adj)
+    return h
+
+
 def node_states(
     batch: GraphBatch,
     params: BackboneParams,
@@ -313,18 +330,14 @@ def node_states(
 ) -> Tensor:
     """Last-layer node states of a batch: every GIN layer, no readout.
 
-    The one layer loop: ``backbone_forward_batch`` pools and classifies what
-    it returns, and ``explainer.edge_scores`` reads it alone.  mask_values,
-    when given, is a per-undirected-edge weight tensor that overrides the
-    batch defaults; gradients flow through it into the mask machinery.
+    Assembles the batch adjacency and runs ``layer_states`` over it;
+    ``backbone_forward_batch`` pools and classifies what it returns.
+    mask_values, when given, is a per-undirected-edge weight tensor that
+    overrides the batch defaults; gradients flow through it into the mask
+    machinery.
     """
-    if batch.x.shape[1] != params.in_dim:
-        raise ValueError(f"feature dim {batch.x.shape[1]} vs layer-0 input {params.in_dim}")
     adj = batch.adj.assemble(batch.default_values if mask_values is None else mask_values)
-    h = Tensor(batch.x)
-    for layer in params.layers:
-        h = apply_gin_layer(layer, h, adj)
-    return h
+    return layer_states(batch.x, adj, params)
 
 
 def backbone_forward_batch(
@@ -417,6 +430,7 @@ class TrainConfig:
         for name in ("batch_size", "hidden", "num_layers"):
             _check_count(name, getattr(self, name), 1)
         _check_count("epochs", self.epochs, 0)
+        _check_count("seed", self.seed, 0)
         if not np.isfinite(self.lr):
             raise ValueError(f"lr {self.lr} must be finite")
         if self.lr < 0:

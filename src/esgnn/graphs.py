@@ -3,7 +3,9 @@
 Graphs are immutable once built.  Their undirected edges are one read-only
 (E, 2) intp array of canonically ordered pairs (i, j), i < j: the one edge
 format of the package.  Batches concatenate these arrays, and only
-``autodiff.SparseMatrix`` expands them into directed entries.  Every
+``autodiff.SparseMatrix`` expands them into directed entries.  A graph
+builds its own unit-weight adjacency, ``Graph.adjacency``, on first use and
+keeps it, read-only, for one-graph forwards such as edge scoring.  Every
 subgraph view is an edge mask with one weight per row of that array.  Node
 deletion keeps the node slot and zeroes its feature row plus incident
 edges, so matrix shapes never change across a bag.  A bag's masks are built
@@ -16,8 +18,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from .autodiff import SparseMatrix, WeightedSparse
 
 __all__ = [
     "EdgeMask",
@@ -156,6 +161,18 @@ class Graph:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def adjacency(self) -> WeightedSparse:
+        """The unit-weight symmetric adjacency, built on first use and kept.
+
+        The graph is immutable, so its CSR is too: its arrays are read-only.
+        ``dataclasses.replace`` builds a new graph, which builds its own.
+        """
+        adj = SparseMatrix(self.num_nodes, self.edges).assemble(np.ones(self.num_edges))
+        for a in (adj.weights.data, adj.csr.data, adj.csr.indices, adj.csr.indptr):
+            a.flags.writeable = False
+        return adj
 
     def edge_array(self) -> np.ndarray:
         """``edges``, the read-only (E, 2) intp array (empty -> shape (0, 2))."""

@@ -1,11 +1,12 @@
 import base64
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from esgnn import explainer, gin
+from esgnn import autodiff, explainer, gin
 from esgnn.autodiff import (
     DimensionError,
     Tensor,
@@ -410,8 +411,8 @@ class TestFrozenForwards:
         monkeypatch.setattr(
             explainer, "backbone_forward_batch", spy(explainer.backbone_forward_batch)
         )
-        monkeypatch.setattr(gin, "node_states", spy(gin.node_states))
-        monkeypatch.setattr(explainer, "node_states", spy(explainer.node_states))
+        monkeypatch.setattr(gin, "layer_states", spy(gin.layer_states))
+        monkeypatch.setattr(explainer, "layer_states", spy(explainer.layer_states))
         monkeypatch.setattr(explainer, "edge_logits", spy(explainer.edge_logits))
         return taped
 
@@ -446,6 +447,55 @@ def test_edge_scores_read_the_frozen_forwards_states_and_build_no_pool(
     monkeypatch.setattr(gin.GraphBatch, "pool", property(no_pool))
     for g, scores in zip(graphs, want):
         assert same_bits(edge_scores(g, backbone, params), scores)
+
+
+def test_warm_edge_scores_build_no_batch_and_no_adjacency(graphs, backbone, params, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built on a warm adjacency")
+
+    g = graphs[3]
+    g.adjacency
+    want = edge_scores(g, backbone, params)
+    monkeypatch.setattr(gin, "build_graph_batch", refuse)
+    monkeypatch.setattr(explainer, "build_graph_batch", refuse)
+    monkeypatch.setattr(autodiff.SparseMatrix, "__init__", refuse)
+    monkeypatch.setattr(autodiff.SparseMatrix, "assemble", refuse)
+    for _ in range(2):
+        assert same_bits(edge_scores(g, backbone, params), want)
+
+
+def test_integer_features_score_like_their_float_copy(graphs, backbone, params):
+    g = graphs[2]
+    degree = np.bincount(g.edges.ravel(), minlength=g.num_nodes)[:, None]
+    as_int = dataclasses.replace(g, x=degree)
+    as_float = dataclasses.replace(g, x=degree.astype(np.float64))
+    assert as_int.x.dtype == np.int64
+    want = edge_scores(as_float, backbone, params)
+    assert same_bits(edge_scores(as_int, backbone, params), want)
+    (z,) = gin.frozen_forward([as_int], backbone)[1]
+    assert same_bits(edge_logits(z, g.edges, params).data, want)
+
+
+def test_edge_scores_name_a_feature_width_mismatch(triangle, params):
+    backbone = gin.init_backbone(np.random.default_rng(0), 3, 2, hidden=8, num_layers=2)
+    with pytest.raises(ValueError, match="feature dim 1 vs layer-0 input 3"):
+        edge_scores(triangle, backbone, params)
+
+
+def test_edge_scores_of_a_zero_node_graph_are_empty(backbone, params):
+    scores = edge_scores(make_graph(0, []), backbone, params)
+    assert scores.shape == (0,) and scores.dtype == np.float64
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.5, True])
+class TestSeedIsChecked:
+    def test_by_train_explainer(self, graphs, backbone, seed):
+        with pytest.raises(ValueError, match=f"^seed {seed!r} must be"):
+            train_explainer(graphs, backbone, ExplainerConfig(epochs=1), seed=seed)
+
+    def test_by_generate_bag_noise(self, graphs, backbone, params, seed):
+        with pytest.raises(ValueError, match=f"^seed {seed!r} must be"):
+            generate_bag_noise(graphs[0], backbone, params, m=2, noise_scale=1.0, seed=seed)
 
 
 class TestTopK:

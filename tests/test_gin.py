@@ -593,6 +593,11 @@ class TestTraining:
         with pytest.raises(ValueError, match=field):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.5, True])
+    def test_config_rejects_a_seed_that_is_no_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match=f"^seed {seed!r} must be"):
+            TrainConfig(seed=seed)
+
     def test_numpy_integer_counts_train_like_python_ints(self):
         graphs = list(generate_ba2motifs(8, seed=0).graphs)
         counts = {"epochs": 2, "batch_size": 4, "hidden": 8, "num_layers": 2}

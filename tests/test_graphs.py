@@ -7,7 +7,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esgnn.autodiff import Tensor
+from esgnn.autodiff import SparseMatrix, Tensor
 from esgnn.gin import GinLayerParams, apply_gin_layer, build_graph_batch
 from esgnn.graphs import (
     EdgeMask,
@@ -163,6 +163,47 @@ class TestEdgeArray:
     def test_no_edges_give_a_0_by_2_array(self, empty):
         g = Graph(num_nodes=2, edges=empty, x=constant_features(2), y=0)
         assert g.edges.shape == (0, 2) and g.edges.dtype == np.intp and g.num_edges == 0
+
+
+class TestAdjacency:
+    def test_is_built_on_first_use_and_kept(self, cycle6):
+        assert "adjacency" not in vars(cycle6)
+        adj = cycle6.adjacency
+        assert cycle6.adjacency is adj and adj.pattern.edges is cycle6.edges
+        assert not adj.weights.requires_grad
+
+    def test_its_csr_arrays_are_read_only(self, cycle6):
+        csr = cycle6.adjacency.csr
+        assert not any(a.flags.writeable for a in (csr.data, csr.indices, csr.indptr))
+        with pytest.raises(ValueError, match="read-only"):
+            csr.data[0] = 2.0
+
+    @pytest.mark.parametrize(
+        "n, edges",
+        [(6, [(i, (i + 1) % 6) for i in range(6)]), (5, [(0, 4), (1, 3), (3, 4)]), (0, []), (3, [])],
+    )
+    def test_equals_a_fresh_unit_assembly_bit_for_bit(self, n, edges):
+        g = make_graph(n, edges)
+        want = SparseMatrix(n, g.edges).assemble(np.ones(g.num_edges)).csr
+        got = g.adjacency.csr
+        assert got.shape == (n, n)
+        for name in ("indptr", "indices", "data"):
+            assert same_bits(getattr(got, name), getattr(want, name))
+
+    def test_replace_builds_a_new_adjacency(self, path4):
+        adj = path4.adjacency
+        same = dataclasses.replace(path4)
+        assert "adjacency" not in vars(same) and same.adjacency is not adj
+        assert same_bits(same.adjacency.csr.data, adj.csr.data)
+        fewer = dataclasses.replace(path4, edges=((0, 1),))
+        assert fewer.adjacency.csr.nnz == 2 and adj.csr.nnz == 6
+
+    def test_equality_ignores_it_and_builds_none(self, path4):
+        path4.adjacency
+        cold = make_graph(4, [(0, 1), (1, 2), (2, 3)])
+        assert path4 == cold and cold == path4
+        assert path4 != make_graph(4, [(0, 1), (1, 2)])
+        assert "adjacency" not in vars(cold)
 
 
 class TestEdgeDeletedPolicy:
