@@ -11,9 +11,11 @@ It hashes the dtype, shape and bytes of every array of:
 - ``edge_scores`` of every graph, and of each again once its
   ``Graph.adjacency`` is built;
 - a top-K bag, a noise bag (m=10), an edge-deleted and a node-deleted bag of
-  every graph, and of each the bag that ``bag_from_json`` reads back from its
-  JSON: soft weights, hard bits, budgets, seeds, zeroed nodes, policy and
-  bag JSON (with a node-deleted bag of an edgeless graph);
+  every graph, ``sample_bag`` of its edge-deleted and node-deleted bags
+  (fraction 0.3, the graph's index as seed), and of each the bag that
+  ``bag_from_json`` reads back from its JSON: soft weights, hard bits,
+  budgets, seeds, zeroed nodes, policy and bag JSON (with a node-deleted bag
+  of an edgeless graph);
 - ``frozen_forward`` and ``train_explainer`` over 21 graphs that include a
   zero-node graph and an edgeless graph;
 - ``write_tud_dataset``'s files, byte for byte, and every field of what
@@ -41,6 +43,7 @@ from esgnn.graphs import (
     GraphDataset,
     policy_edge_deleted,
     policy_node_deleted,
+    sample_bag,
 )
 
 
@@ -91,11 +94,14 @@ def main() -> None:
 
     for gi, g in enumerate(graphs):
         feed(explainer.edge_scores(g, backbone, params))
+        edge_deleted, node_deleted = policy_edge_deleted(g), policy_node_deleted(g)
         for bag in (
             explainer.generate_bag_topk(g, backbone, params),
             explainer.generate_bag_noise(g, backbone, params, 10, 1.0, gi),
-            policy_edge_deleted(g),
-            policy_node_deleted(g),
+            edge_deleted,
+            node_deleted,
+            sample_bag(edge_deleted, 0.3, gi),
+            sample_bag(node_deleted, 0.3, gi),
         ):
             feed_bag(bag, gi)
     for g in graphs:

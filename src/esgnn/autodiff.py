@@ -18,14 +18,14 @@ is acyclic: it is freed by reference counting as soon as the last reference
 to its output (typically the loss) goes, without the cyclic collector.
 An op whose inputs all have ``requires_grad=False`` records nothing.
 
-Graph adjacencies are :class:`SparseMatrix` objects: symmetric operators
-over an (E, 2) array of undirected edges.  The directed entries exist only
-inside them, in the CSR template.  ``assemble`` takes one weight tensor
-with a value per undirected edge, records no tape node, and builds the CSR
-that every layer shares.  An op that applies it takes that weight tensor as
-its input and returns its gradient per edge through
-``SparseMatrix.weight_grad``.  Because the operator is symmetric, the
-backward multiplies by the same CSR and no transpose is made.
+Graph adjacencies are symmetric operators over an (E, 2) array of
+undirected edges.  :func:`assemble` takes one weight tensor with a value per
+undirected edge, records no tape node, and returns a :class:`WeightedSparse`
+whose CSR every layer of one forward shares; the directed entries exist only
+inside that CSR.  An op that applies it takes the weight tensor as its input
+and returns its gradient per edge through ``WeightedSparse.weight_grad``.
+Because the operator is symmetric, the backward multiplies by the same CSR
+and no transpose is made.
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ import scipy.sparse
 __all__ = [
     "DimensionError",
     "Tensor",
-    "SparseMatrix",
     "WeightedSparse",
     "add",
+    "assemble",
     "concat_cols",
     "cross_entropy_mean",
     "custom_primitive",
@@ -334,58 +334,18 @@ def sum_all(x) -> Tensor:
     return _record(data, (x,), lambda grad: (np.broadcast_to(grad, x.data.shape),))
 
 
-class SparseMatrix:
+class WeightedSparse(NamedTuple):
     """The symmetric n x n adjacency of undirected edges, weighted per edge.
 
-    Edge k = (i, j) of the (E, 2) ``edges`` array, i != j, stands for the two
-    directed entries (i, j) and (j, i); they exist only in the CSR template
-    built here, where each entry records the edge it came from.
-    ``assemble`` takes one weight per undirected edge and gives both of its
-    entries that weight; ``weight_grad`` maps a product's gradient back to
-    one value per edge.
+    Edge k = (i, j) of the (E, 2) intp ``edges``, i != j, stands for the two
+    directed entries (i, j) and (j, i) of ``csr``, both weighted
+    ``weights[k]``; n is ``csr.shape[0]``.  Built by ``assemble``; the CSR
+    holds the weights as they were at assembly.
     """
 
-    __slots__ = ("n", "edges", "_entry_edge", "_indices", "_indptr")
-
-    def __init__(self, n: int, edges):
-        edges = np.asarray(edges, dtype=np.intp)
-        if edges.ndim != 2 or edges.shape[1] != 2:
-            raise DimensionError(f"sparse edges: shape {edges.shape}, expected (E, 2)")
-        if edges.size and (edges.min() < 0 or edges.max() >= n):
-            raise DimensionError(f"sparse edge endpoint out of range for {n} nodes")
-        if (edges[:, 0] == edges[:, 1]).any():
-            raise DimensionError("sparse edges: a self-loop has no symmetric pair of entries")
-        self.n = n
-        self.edges = edges
-        # entry 2k is (i, j) and 2k + 1 is (j, i); a stable sort of the flat
-        # index puts them in row-major order, as lexsort((cols, rows)) would
-        rows, cols = edges.reshape(-1), edges[:, ::-1].reshape(-1)
-        perm = np.argsort(rows * n + cols, kind="stable")
-        self._entry_edge = perm // 2
-        self._indices = cols[perm].astype(np.int32, copy=False)
-        counts = np.bincount(rows, minlength=n)
-        self._indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
-
-    def assemble(self, weights) -> "WeightedSparse":
-        """The adjacency with these per-edge weights, as one CSR.
-
-        Records no tape node: the ops that apply the CSR take ``weights``
-        as their input and return its gradient through ``weight_grad``.
-        """
-        weights = _lift(weights)
-        if weights.data.shape != (self.num_edges,):
-            raise DimensionError(
-                f"assemble: weights {weights.data.shape} vs {self.num_edges} edges"
-            )
-        csr = scipy.sparse.csr_matrix(
-            (weights.data[self._entry_edge], self._indices, self._indptr),
-            shape=(self.n, self.n),
-        )
-        return WeightedSparse(self, weights, csr)
+    edges: np.ndarray
+    weights: Tensor
+    csr: scipy.sparse.csr_matrix
 
     def weight_grad(self, g: np.ndarray, x: np.ndarray) -> np.ndarray:
         """d<g, A x>/d w_k = g_i . x_j + g_j . x_i for each edge k = (i, j)."""
@@ -393,16 +353,35 @@ class SparseMatrix:
         return (g[i] * x[j]).sum(axis=1) + (g[j] * x[i]).sum(axis=1)
 
 
-class WeightedSparse(NamedTuple):
-    """An adjacency, its per-edge weights and their CSR, from ``assemble``.
+def assemble(n: int, edges, weights) -> WeightedSparse:
+    """The n x n adjacency of the (E, 2) undirected ``edges``, one CSR.
 
-    Assemble once per forward and hand the result to every ``spmm`` that
-    applies it.  The CSR holds the weights as they were at assembly.
+    Each edge gives both of its directed entries its weight.  Records no
+    tape node: the ops that apply the CSR take ``weights`` as their input
+    and return its gradient through ``WeightedSparse.weight_grad``.
+    Assemble once per forward and hand the result to every op that
+    applies it.
     """
-
-    pattern: SparseMatrix
-    weights: Tensor
-    csr: scipy.sparse.csr_matrix
+    edges = np.asarray(edges, dtype=np.intp)
+    if edges.ndim != 2 or edges.shape[1] != 2:
+        raise DimensionError(f"sparse edges: shape {edges.shape}, expected (E, 2)")
+    if edges.size and (edges.min() < 0 or edges.max() >= n):
+        raise DimensionError(f"sparse edge endpoint out of range for {n} nodes")
+    if (edges[:, 0] == edges[:, 1]).any():
+        raise DimensionError("sparse edges: a self-loop has no symmetric pair of entries")
+    weights = _lift(weights)
+    if weights.data.shape != (len(edges),):
+        raise DimensionError(f"assemble: weights {weights.data.shape} vs {len(edges)} edges")
+    # entry 2k is (i, j) and 2k + 1 is (j, i); a stable sort of the flat
+    # index puts them in row-major order, as lexsort((cols, rows)) would
+    rows, cols = edges.reshape(-1), edges[:, ::-1].reshape(-1)
+    perm = np.argsort(rows * n + cols, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    csr = scipy.sparse.csr_matrix(
+        (weights.data[perm // 2], cols[perm].astype(np.int32), indptr.astype(np.int32)),
+        shape=(n, n),
+    )
+    return WeightedSparse(edges, weights, csr)
 
 
 def spmm(adj: WeightedSparse, x) -> Tensor:
@@ -413,14 +392,14 @@ def spmm(adj: WeightedSparse, x) -> Tensor:
     the columns of its transpose.
     """
     x = _lift(x)
-    pattern, weights = adj.pattern, adj.weights
-    if x.data.ndim != 2 or x.data.shape[0] != pattern.n:
-        raise DimensionError(f"spmm: operand {x.data.shape} vs {pattern.n}x{pattern.n}")
+    weights, n = adj.weights, adj.csr.shape[0]
+    if x.data.ndim != 2 or x.data.shape[0] != n:
+        raise DimensionError(f"spmm: operand {x.data.shape} vs {n}x{n}")
     data = adj.csr @ x.data
 
     def _bp(grad):
         return (
-            pattern.weight_grad(grad, x.data) if weights.requires_grad else None,
+            adj.weight_grad(grad, x.data) if weights.requires_grad else None,
             adj.csr @ grad if x.requires_grad else None,
         )
 

@@ -50,6 +50,7 @@ def _ba_tree(n: int, seed: int) -> list[tuple[int, int]]:
 def generate_ba2motifs(n_graphs: int, seed: int) -> GraphDataset:
     """Build a balanced dataset of n_graphs motif-labelled graphs."""
     _check_count("n_graphs", n_graphs, 1)
+    _check_count("seed", seed, 0)
     if n_graphs % 2 != 0:
         raise ValueError(f"n_graphs must be even for balanced classes, got {n_graphs}")
     rng = np.random.default_rng(seed)

@@ -11,10 +11,12 @@ back to the logits.  The sparsity penalty acts on the hard bits, i.e. it
 counts selected edges.
 ``edge_scores`` runs only the backbone's layers (``gin.layer_states``) on
 its one graph's own cached ``Graph.adjacency``, with no batch, pooling or
-head, then the edge MLP.  Every bag's masks are built from its (m, E) soft
-and hard blocks by ``EdgeMask.block``, which checks all rows in one pass,
-and a bag's JSON packs and unpacks the bits of all its masks in one array
-pass.
+head, then the edge MLP.  ``train_explainer`` scores a batch's ``edges``
+on the node states one ``frozen_forward`` returned, and feeds the hard bits
+to the batch forward as its edge weights.  Every bag's masks are built from
+its (m, E) soft and hard blocks by ``EdgeMask.block``, which checks all
+rows in one pass, and a bag's JSON packs and unpacks the bits of all its
+masks in one array pass.
 """
 
 from __future__ import annotations
@@ -272,7 +274,7 @@ def train_explainer(
             batch = build_graph_batch([graphs[i] for i in idx])
             z = Tensor(np.concatenate([z_cache[i] for i in idx]))
 
-            omega = edge_logits(z, batch.adj.edges, params)
+            omega = edge_logits(z, batch.edges, params)
             s = reshape(concrete_sample(omega, tau, cfg.noise_scale, [[seed, 2, epoch, bi]]), -1)
             e = hard_threshold(s, THRESHOLD)
 
@@ -285,7 +287,7 @@ def train_explainer(
             if not np.isfinite(loss.data):
                 raise TrainingError(f"non-finite explainer loss at epoch {epoch}, batch {bi}")
             losses.append(loss.item())
-            if batch.adj.num_edges:
+            if len(batch.edges):
                 loss.backward()
                 step_from_gradients(state, cfg.lr)
                 fractions.append(float(e.data.mean()))
@@ -356,14 +358,18 @@ def generate_bag_topk(
 
 
 def bag_to_json(bag: SubgraphBag, graph_id: int) -> dict:
-    """Each mask's hard bits packed big-endian into bytes, base64-encoded."""
+    """Each mask's hard bits packed big-endian into bytes, base64-encoded.
+
+    Budgets, seeds and zeroed nodes are written as Python ints, so a mask
+    built with numpy integers gives a document ``json.dumps`` accepts.
+    """
     packed = np.packbits(np.array([m.hard for m in bag.masks], dtype=np.uint8), axis=1)
     masks = [
         {
             "bits": base64.b64encode(row.tobytes()).decode("ascii"),
-            "K": m.budget,
-            "seed": m.seed,
-            "zeroed_nodes": list(m.zeroed_nodes),
+            "K": None if m.budget is None else int(m.budget),
+            "seed": None if m.seed is None else int(m.seed),
+            "zeroed_nodes": [int(v) for v in m.zeroed_nodes],
         }
         for m, row in zip(bag.masks, packed)
     ]

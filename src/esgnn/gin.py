@@ -6,22 +6,21 @@ edge); eps is a learnable scalar per layer.  A layer is one taped op: its
 backward returns the gradients of the edge weights, H, eps and the MLP's
 two weights and biases at once, bit-identical to the same layer composed
 of ``spmm``, ``mul``, ``add``, ``linear`` and ``relu``.  A batch holds its
-edges once, as the (E, 2) undirected pairs ``batch.adj.edges``, and no
-code here indexes directed entries: the edge-weight gradient comes from
-``SparseMatrix.weight_grad``, one value per undirected edge.  A_mask is
-assembled once per forward and shared by all layers and their backward.
-A layer applies its ReLU in place.  When no input requires a gradient, as
-in ``frozen_forward``, the tape drops the layer's backward closure, so the
+edges once, as the (E, 2) undirected pairs ``batch.edges``, and no code
+here indexes directed entries: the edge-weight gradient comes from
+``WeightedSparse.weight_grad``, one value per undirected edge.  A layer
+applies its ReLU in place.  When no input requires a gradient, as in
+``frozen_forward``, the tape drops the layer's backward closure, so the
 layer keeps nothing and records no node.  Graphs are trained in
 block-diagonal minibatches whose node and edge offsets are the only record
 of which rows and edges belong to which graph.  ``layer_states`` is the one
 layer loop of the package: it runs every layer over features and an
-assembled adjacency.  ``node_states`` assembles a batch's adjacency and runs
-it; ``explainer.edge_scores`` runs it on one graph's cached
-``Graph.adjacency``, with no batch.  ``backbone_forward_batch`` adds the
-readout to ``node_states``, pooling with one product by the batch's
-sum-pooling CSR, which the batch builds from its node offsets on first use.
-Adam updates all parameters in one flat vector step (``optim``).
+assembled adjacency.  ``backbone_forward_batch`` assembles A_mask once, in
+the forward that uses it, shares it with every layer and their backward,
+and pools each graph's states with one product by a sum-pooling CSR built
+from the node offsets; ``explainer.edge_scores`` runs ``layer_states`` on
+one graph's cached ``Graph.adjacency``, with no batch.  Adam updates all
+parameters in one flat vector step (``optim``).
 
 ``train_backbone``'s per-epoch ``train_acc`` is the running minibatch
 accuracy: the share of training graphs that their minibatch's logits, taken
@@ -33,16 +32,15 @@ parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse
 
 from .autodiff import (
     DimensionError,
-    SparseMatrix,
     Tensor,
     WeightedSparse,
+    assemble,
     cross_entropy_mean,
     custom_primitive,
     linear,
@@ -65,7 +63,6 @@ __all__ = [
     "init_backbone",
     "init_gin_layer",
     "layer_states",
-    "node_states",
     "predict",
     "softmax",
     "train_backbone",
@@ -186,30 +183,15 @@ class GraphBatch:
     """Block-diagonal concatenation of graphs (and optionally their masks).
 
     Its sizes are ``len(labels)`` graphs, ``len(x)`` nodes and
-    ``adj.num_edges`` undirected edges.
+    ``len(edges)`` undirected edges.
     """
 
     x: np.ndarray
     node_offsets: np.ndarray  # (graphs + 1,) first node row of each graph, then len(x)
-    adj: SparseMatrix  # the symmetric adjacency over adj.edges, (E, 2) batch node ids, i < j
-    edge_offsets: np.ndarray  # (graphs + 1,) first edge of each graph, then adj.num_edges
+    edges: np.ndarray  # (E, 2) intp batch node ids, i < j, each graph's in its own order
+    edge_offsets: np.ndarray  # (graphs + 1,) first edge of each graph, then len(edges)
     labels: np.ndarray
     default_values: np.ndarray  # per-undirected-edge weights from masks (or ones)
-
-    @cached_property
-    def pool(self) -> scipy.sparse.csr_matrix:
-        """(graphs, nodes) ones; row g sums graph g's rows in order.
-
-        Built on first use, so a batch that is never pooled (``node_states``
-        alone) never builds it.  Each graph's rows are contiguous, so row g
-        lists rows node_offsets[g]..node_offsets[g + 1] - 1 in order, as
-        segment_sum's would.
-        """
-        n = len(self.x)
-        return scipy.sparse.csr_matrix(
-            (np.ones(n), np.arange(n, dtype=np.int32), self.node_offsets.astype(np.int32)),
-            shape=(len(self.labels), n),
-        )
 
 
 def build_graph_batch(
@@ -259,7 +241,7 @@ def build_graph_batch(
     return GraphBatch(
         x=x,
         node_offsets=node_offsets,
-        adj=SparseMatrix(len(x), edges),
+        edges=edges,
         edge_offsets=edge_offsets,
         labels=np.array([g.y for g in graphs], dtype=np.intp),
         default_values=values,
@@ -277,10 +259,10 @@ def apply_gin_layer(layer: GinLayerParams, h: Tensor, adj: WeightedSparse) -> Te
     arithmetic as the composed ``spmm``/``mul``/``add``/``linear``/``relu``
     ops, so the two agree bit for bit.
     """
-    pattern, weights = adj.pattern, adj.weights
+    weights, n = adj.weights, adj.csr.shape[0]
     eps, w1, b1, w2, b2 = layer.eps, layer.w1, layer.b1, layer.w2, layer.b2
-    if h.data.ndim != 2 or h.data.shape[0] != pattern.n:
-        raise DimensionError(f"GIN layer: states {h.data.shape} vs {pattern.n} nodes")
+    if h.data.ndim != 2 or h.data.shape[0] != n:
+        raise DimensionError(f"GIN layer: states {h.data.shape} vs {n} nodes")
     if h.data.shape[1] != w1.data.shape[0]:
         raise DimensionError(f"GIN layer: states {h.data.shape} vs weight {w1.data.shape}")
     scale = eps.data + 1.0
@@ -297,7 +279,7 @@ def apply_gin_layer(layer: GinLayerParams, h: Tensor, adj: WeightedSparse) -> Te
         ga = (grad @ w2.data.T) * (r > 0)
         gz = ga @ w1.data.T if needs_gz else None
         return (
-            pattern.weight_grad(gz, h.data) if weights.requires_grad else None,
+            adj.weight_grad(gz, h.data) if weights.requires_grad else None,
             gz * scale + adj.csr @ gz if h.requires_grad else None,
             (gz * h.data).sum(axis=0).sum(axis=0) if eps.requires_grad else None,
             z.T @ ga if w1.requires_grad else None,
@@ -312,8 +294,9 @@ def apply_gin_layer(layer: GinLayerParams, h: Tensor, adj: WeightedSparse) -> Te
 def layer_states(x: np.ndarray, adj: WeightedSparse, params: BackboneParams) -> Tensor:
     """Last-layer node states of features ``x`` over ``adj``: every GIN layer.
 
-    The one layer loop of the package.  ``node_states`` runs it on a batch;
-    ``explainer.edge_scores`` runs it on one graph's ``Graph.adjacency``.
+    The one layer loop of the package.  ``backbone_forward_batch`` runs it
+    on a batch; ``explainer.edge_scores`` runs it on one graph's
+    ``Graph.adjacency``.
     """
     if x.shape[1] != params.in_dim:
         raise ValueError(f"feature dim {x.shape[1]} vs layer-0 input {params.in_dim}")
@@ -323,23 +306,6 @@ def layer_states(x: np.ndarray, adj: WeightedSparse, params: BackboneParams) -> 
     return h
 
 
-def node_states(
-    batch: GraphBatch,
-    params: BackboneParams,
-    mask_values: Tensor | None = None,
-) -> Tensor:
-    """Last-layer node states of a batch: every GIN layer, no readout.
-
-    Assembles the batch adjacency and runs ``layer_states`` over it;
-    ``backbone_forward_batch`` pools and classifies what it returns.
-    mask_values, when given, is a per-undirected-edge weight tensor that
-    overrides the batch defaults; gradients flow through it into the mask
-    machinery.
-    """
-    adj = batch.adj.assemble(batch.default_values if mask_values is None else mask_values)
-    return layer_states(batch.x, adj, params)
-
-
 def backbone_forward_batch(
     batch: GraphBatch,
     params: BackboneParams,
@@ -347,12 +313,23 @@ def backbone_forward_batch(
 ) -> tuple[Tensor, Tensor]:
     """Forward over a batch; returns (logits, last-layer node states).
 
-    The states come from ``node_states`` (mask_values as there); each
-    graph's are summed by ``batch.pool`` and fed to the linear head.
+    Assembles the batch adjacency once and runs ``layer_states`` over it.
+    mask_values, when given, is a per-undirected-edge weight tensor that
+    overrides the batch defaults; gradients flow through it into the mask
+    machinery.  Each graph's states are then summed by one product with a
+    (graphs, nodes) CSR of ones, whose row g lists rows node_offsets[g] to
+    node_offsets[g + 1] - 1 in order, as segment_sum's would, and fed to
+    the linear head.
     """
-    h = node_states(batch, params, mask_values)
+    n = len(batch.x)
+    weights = batch.default_values if mask_values is None else mask_values
+    h = layer_states(batch.x, assemble(n, batch.edges, weights), params)
+    pool = scipy.sparse.csr_matrix(
+        (np.ones(n), np.arange(n, dtype=np.int32), batch.node_offsets.astype(np.int32)),
+        shape=(len(batch.labels), n),
+    )
     pooled = custom_primitive(
-        batch.pool @ h.data, (h,), lambda g: (np.repeat(g, np.diff(batch.node_offsets), 0),)
+        pool @ h.data, (h,), lambda g: (np.repeat(g, np.diff(batch.node_offsets), 0),)
     )
     return linear(pooled, params.head_w, params.head_b), h
 

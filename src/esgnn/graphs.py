@@ -2,15 +2,17 @@
 
 Graphs are immutable once built.  Their undirected edges are one read-only
 (E, 2) intp array of canonically ordered pairs (i, j), i < j: the one edge
-format of the package.  Batches concatenate these arrays, and only
-``autodiff.SparseMatrix`` expands them into directed entries.  A graph
+format of the package.  Batches concatenate these arrays, and only the CSR
+that ``autodiff.assemble`` builds holds them as directed entries.  A graph
 builds its own unit-weight adjacency, ``Graph.adjacency``, on first use and
 keeps it, read-only, for one-graph forwards such as edge scoring.  Every
 subgraph view is an edge mask with one weight per row of that array.  Node
 deletion keeps the node slot and zeroes its feature row plus incident
 edges, so matrix shapes never change across a bag.  A bag's masks are built
 from (m, E) soft and hard blocks by ``EdgeMask.block``, which checks every
-row against the one-mask rules in one pass.
+row against the one-mask rules in one pass.  A mask's budget and seed are
+integers or None, and its zeroed nodes integers, so every mask a bag's JSON
+can hold round-trips.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .autodiff import SparseMatrix, WeightedSparse
+from .autodiff import WeightedSparse, assemble
 
 __all__ = [
     "EdgeMask",
@@ -49,7 +51,11 @@ class PolicyError(ValueError):
 
 def _is_int(value) -> bool:
     """True for Python and numpy integers; a bool counts as none."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # the exact-type test first: masks check every budget and seed, and the
+    # abstract-class isinstance costs several times more
+    return type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )
 
 
 def _check_count(name: str, value, minimum: int) -> None:
@@ -167,9 +173,11 @@ class Graph:
         """The unit-weight symmetric adjacency, built on first use and kept.
 
         The graph is immutable, so its CSR is too: its arrays are read-only.
+        It shares the graph's ``edges``, so it keeps the unit weights and
+        the CSR, 32 bytes per edge, plus the CSR's row pointers.
         ``dataclasses.replace`` builds a new graph, which builds its own.
         """
-        adj = SparseMatrix(self.num_nodes, self.edges).assemble(np.ones(self.num_edges))
+        adj = assemble(self.num_nodes, self.edges, np.ones(self.num_edges))
         for a in (adj.weights.data, adj.csr.data, adj.csr.indices, adj.csr.indptr):
             a.flags.writeable = False
         return adj
@@ -233,6 +241,24 @@ def _mask_fault(soft: np.ndarray, hard: np.ndarray, budgets) -> tuple[int, str] 
     return k, f"hard mask sums to {ones[k]}, budget is {budgets[k]}"
 
 
+def _field_fault(budgets, seeds, zeroed_nodes) -> tuple[int, str] | None:
+    """The first mask whose budget, seed or zeroed nodes no mask may hold, and why.
+
+    Each argument is None or holds one entry per mask.  Budgets and seeds
+    must be integers or None, and every zeroed node an integer; a bool
+    counts as no integer.  Budgets are checked first, then seeds, then
+    zeroed nodes.
+    """
+    for name, values in (("budget", budgets), ("seed", seeds)):
+        for k, value in enumerate(values or ()):
+            if value is not None and not _is_int(value):
+                return k, f"{name} {value!r} must be an integer or None"
+    for k, nodes in enumerate(zeroed_nodes or ()):
+        if not all(map(_is_int, nodes)):
+            return k, f"zeroed_nodes {nodes!r} must be integers"
+    return None
+
+
 @dataclass(frozen=True)
 class EdgeMask:
     """Per-undirected-edge selection: soft weights plus hard bits.
@@ -255,7 +281,9 @@ class EdgeMask:
             )
         if self.hard.shape != self.soft.shape:
             raise ValueError("soft and hard mask lengths differ")
-        fault = _mask_fault(self.soft[None], self.hard[None], (self.budget,))
+        budget = (self.budget,)
+        fault = _field_fault(budget, (self.seed,), (self.zeroed_nodes,))
+        fault = fault or _mask_fault(self.soft[None], self.hard[None], budget)
         if fault is not None:
             raise ValueError(fault[1])
 
@@ -267,8 +295,9 @@ class EdgeMask:
 
         Mask k holds row k of both blocks (views, not copies) and entry k of
         each of ``budgets``, ``seeds`` and ``zeroed_nodes`` that is given.
-        All rows are checked against ``__post_init__``'s rules in one pass;
-        the first bad row raises that rule's message, prefixed "mask k: ".
+        All rows are checked against ``__post_init__``'s rules, the soft and
+        hard rows in one pass; the first fault found raises that rule's
+        message, prefixed "mask k: ".
         """
         if soft.ndim != 2 or hard.ndim != 2:
             raise ValueError(
@@ -281,7 +310,7 @@ class EdgeMask:
         for name, values in fields.items():
             if values is not None and len(values) != m:
                 raise ValueError(f"{len(values)} {name} for {m} masks")
-        fault = _mask_fault(soft, hard, budgets)
+        fault = _field_fault(budgets, seeds, zeroed_nodes) or _mask_fault(soft, hard, budgets)
         if fault is not None:
             raise ValueError(f"mask {fault[0]}: {fault[1]}")
         masks = []
@@ -301,11 +330,6 @@ class EdgeMask:
     @property
     def num_edges(self) -> int:
         return self.soft.shape[0]
-
-    @staticmethod
-    def full(num_edges: int) -> "EdgeMask":
-        ones = np.ones(num_edges)
-        return EdgeMask(soft=ones.copy(), hard=ones)
 
 
 @dataclass(frozen=True)
@@ -349,8 +373,9 @@ def policy_node_deleted(g: Graph) -> SubgraphBag:
     return SubgraphBag(base=g, masks=masks, policy_tag="ND")
 
 
-def sample_bag(bag: SubgraphBag, fraction: float, seed) -> SubgraphBag:
+def sample_bag(bag: SubgraphBag, fraction: float, seed: int) -> SubgraphBag:
     """Keep ceil(fraction * m) masks, sampled uniformly without replacement."""
+    _check_count("seed", seed, 0)
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction {fraction} outside (0, 1]")
     m = len(bag.masks)

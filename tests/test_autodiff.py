@@ -11,9 +11,9 @@ import scipy.sparse
 from esgnn import autodiff as ad
 from esgnn.autodiff import (
     DimensionError,
-    SparseMatrix,
     Tensor,
     add,
+    assemble,
     concat_cols,
     cross_entropy_mean,
     custom_primitive,
@@ -116,32 +116,40 @@ class TestLinear:
 class TestSpmm:
     def test_identity_operator(self):
         # a perfect matching swaps each pair, so applying it twice is the identity
-        m = SparseMatrix(4, [[0, 1], [2, 3]])
+        adj = assemble(4, [[0, 1], [2, 3]], np.ones(2))
         x = Tensor(np.arange(8.0).reshape(4, 2))
-        adj = m.assemble(np.ones(2))
         assert np.array_equal(spmm(adj, spmm(adj, x)).data, x.data)
 
     def test_single_edge_swaps_neighbors(self):
-        m = SparseMatrix(2, [[0, 1]])
-        out = spmm(m.assemble(np.ones(1)), [[1.0], [2.0]])
+        out = spmm(assemble(2, [[0, 1]], np.ones(1)), [[1.0], [2.0]])
         assert np.array_equal(out.data, [[2.0], [1.0]])
 
     def test_triangle_degrees(self):
-        m = SparseMatrix(3, [[0, 1], [0, 2], [1, 2]])
-        out = spmm(m.assemble(np.ones(3)), np.ones((3, 1)))
+        out = spmm(assemble(3, [[0, 1], [0, 2], [1, 2]], np.ones(3)), np.ones((3, 1)))
         assert np.array_equal(out.data, [[2.0], [2.0], [2.0]])
 
     def test_index_out_of_range(self):
-        with pytest.raises(DimensionError):
-            SparseMatrix(2, [[0, 2]])
+        with pytest.raises(DimensionError, match="out of range for 2 nodes"):
+            assemble(2, [[0, 2]], np.ones(1))
+        with pytest.raises(DimensionError, match="out of range for 2 nodes"):
+            assemble(2, [[-1, 1]], np.ones(1))
 
     def test_rejects_self_loops_and_ragged_edges(self):
         with pytest.raises(DimensionError, match="self-loop"):
-            SparseMatrix(3, [[0, 1], [2, 2]])
+            assemble(3, [[0, 1], [2, 2]], np.ones(2))
         with pytest.raises(DimensionError, match=r"\(E, 2\)"):
-            SparseMatrix(3, [0, 1, 2])
+            assemble(3, [0, 1, 2], np.ones(3))
         with pytest.raises(DimensionError, match="2 edges"):
-            SparseMatrix(3, [[0, 1], [1, 2]]).assemble(np.ones(4))
+            assemble(3, [[0, 1], [1, 2]], np.ones(4))
+        with pytest.raises(DimensionError, match=r"weights \(2, 1\) vs 2 edges"):
+            assemble(3, [[0, 1], [1, 2]], np.ones((2, 1)))
+
+    def test_the_edge_checks_come_before_the_weight_check(self):
+        # a bad edge array is named as such whatever the weights' length
+        with pytest.raises(DimensionError, match="self-loop"):
+            assemble(3, [[0, 1], [2, 2]], np.ones(5))
+        with pytest.raises(DimensionError, match="out of range"):
+            assemble(2, [[0, 2]], np.ones(5))
 
     def test_csr_order_is_the_stable_row_major_order(self):
         # scipy's COO -> CSR of both directions of every edge: rows in order,
@@ -154,7 +162,7 @@ class TestSpmm:
         edges[flip] = edges[flip, ::-1]
         edges = edges[rng.permutation(len(edges))]
         w = rng.standard_normal(len(edges))
-        got = SparseMatrix(n, edges).assemble(w).csr
+        got = assemble(n, edges, w).csr
         rows = np.concatenate([edges[:, 0], edges[:, 1]])
         cols = np.concatenate([edges[:, 1], edges[:, 0]])
         want = scipy.sparse.coo_matrix((np.concatenate([w, w]), (rows, cols)), shape=(n, n)).tocsr()
@@ -174,7 +182,7 @@ class TestSpmm:
         entries = (g[rows] * x[cols]).sum(axis=1)
         want = np.zeros(len(edges))
         np.add.at(want, np.repeat(np.arange(len(edges)), 2), entries)
-        got = SparseMatrix(n, edges).weight_grad(g, x)
+        got = assemble(n, edges, np.ones(len(edges))).weight_grad(g, x)
         assert got.shape == (len(edges),) and got.tobytes() == want.tobytes()
 
     def test_each_edge_weights_both_of_its_entries(self):
@@ -182,7 +190,7 @@ class TestSpmm:
         expected = np.zeros((4, 4))
         for (i, j), wk in zip(edges, w):
             expected[i, j] = expected[j, i] = wk
-        dense = SparseMatrix(4, edges).assemble(np.array(w)).csr.toarray()
+        dense = assemble(4, edges, np.array(w)).csr.toarray()
         assert np.array_equal(dense, expected)
 
     def test_csr_is_symmetric_and_backward_reuses_it_bit_for_bit(self):
@@ -197,7 +205,7 @@ class TestSpmm:
         w = Tensor(w0, requires_grad=True)
         x = Tensor(rng.standard_normal((n, 5)), requires_grad=True)
         g = rng.standard_normal((n, 5))
-        adj = SparseMatrix(n, edges).assemble(w)
+        adj = assemble(n, edges, w)
         assert adj.csr.toarray().tobytes() == adj.csr.T.toarray().tobytes()
         sum_all(mul(spmm(adj, x), g)).backward()
         expected = np.zeros((n, 5))
@@ -206,15 +214,14 @@ class TestSpmm:
 
     def test_gradients_wrt_values_and_input(self):
         rng = np.random.default_rng(1)
-        m = SparseMatrix(3, [[0, 1], [1, 2], [0, 2]])
+        edges = [[0, 1], [1, 2], [0, 2]]
         w = rand_param(rng, 3)
         x = rand_param(rng, 3, 2)
-        err = grad_check(lambda: sum_all(relu(spmm(m.assemble(w), x))), [w, x], h=1e-5)
+        err = grad_check(lambda: sum_all(relu(spmm(assemble(3, edges, w), x))), [w, x], h=1e-5)
         assert err < 1e-5
 
     def test_empty_pattern(self):
-        m = SparseMatrix(3, np.zeros((0, 2)))
-        out = spmm(m.assemble(np.zeros(0)), np.ones((3, 2)))
+        out = spmm(assemble(3, np.zeros((0, 2)), np.zeros(0)), np.ones((3, 2)))
         assert np.array_equal(out.data, np.zeros((3, 2)))
 
 
@@ -415,7 +422,7 @@ class TestTapeMechanics:
 
     def test_all_primitives_pass_grad_check_at_random_points(self):
         rng = np.random.default_rng(10)
-        m = SparseMatrix(3, [[0, 1], [1, 2]])
+        edges = [[0, 1], [1, 2]]
         for trial in range(10):
             w1 = rand_param(rng, 3, 3)
             b1 = rand_param(rng, 3)
@@ -424,7 +431,7 @@ class TestTapeMechanics:
 
             def f():
                 h = relu(linear(x, w1, b1))
-                h = spmm(m.assemble(v), h)
+                h = spmm(assemble(3, edges, v), h)
                 h = sigmoid(h)
                 pooled = segment_sum(h, [0, 0, 1], 2)
                 return cross_entropy_mean(pooled, [0, 2])

@@ -40,6 +40,11 @@ class TestGenerator:
         assert (labels == 1).sum() == 500
         assert all(g.num_nodes == 25 for g in ds.graphs)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_the_seed_is_checked_by_name(self, seed):
+        with pytest.raises(ValueError, match=rf"^seed {seed!r} must be"):
+            generate_ba2motifs(2, seed)
+
     def test_two_graphs_one_per_class(self):
         ds = generate_ba2motifs(2, seed=3)
         assert sorted(ds.labels().tolist()) == [0, 1]

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import esgnn.graphs
 from esgnn import autodiff, explainer, gin
 from esgnn.autodiff import (
     DimensionError,
@@ -281,6 +282,24 @@ class TestBagJson:
         ):
             self.assert_same(bag, self.round_trip(bag))
 
+    def test_numpy_integer_fields_give_a_document_that_json_accepts(self, triangle):
+        hard = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+        masks = EdgeMask.block(
+            hard.copy(),
+            hard,
+            budgets=[np.int64(2), np.int32(1)],
+            seeds=[np.uint64(2**63), None],
+            zeroed_nodes=[(np.int64(2),), ()],
+        )
+        bag = SubgraphBag(triangle, masks, "ND")
+        written = bag_to_json(bag, 3)["masks"]
+        assert [(m["K"], m["seed"], m["zeroed_nodes"]) for m in written] == [
+            (2, 2**63, [2]),
+            (1, None, []),
+        ]
+        assert all(type(v) is int for m in written for v in (m["K"], *m["zeroed_nodes"]))
+        self.assert_same(bag, self.round_trip(bag))
+
     def test_rejects_unknown_policy(self, triangle):
         doc = bag_to_json(policy_edge_deleted(triangle), 4)
         doc["policy"] = "BOGUS"
@@ -436,15 +455,17 @@ class TestFrozenForwards:
             assert np.array_equal(t.grad, np.full(t.data.shape, 7.0))
 
 
-def test_edge_scores_read_the_frozen_forwards_states_and_build_no_pool(
+def test_edge_scores_read_the_frozen_forwards_states_and_build_no_batch(
     graphs, backbone, params, monkeypatch
 ):
-    def no_pool(batch):
-        raise AssertionError("edge_scores pooled its batch")
+    def refuse(*args, **kwargs):
+        raise AssertionError("edge_scores built a batch")
 
     states = gin.frozen_forward(graphs, backbone)[1]
     want = [edge_logits(z, g.edges, params).data for g, z in zip(graphs, states)]
-    monkeypatch.setattr(gin.GraphBatch, "pool", property(no_pool))
+    assert not any("adjacency" in vars(g) for g in graphs)
+    monkeypatch.setattr(gin, "build_graph_batch", refuse)
+    monkeypatch.setattr(explainer, "build_graph_batch", refuse)
     for g, scores in zip(graphs, want):
         assert same_bits(edge_scores(g, backbone, params), scores)
 
@@ -458,8 +479,9 @@ def test_warm_edge_scores_build_no_batch_and_no_adjacency(graphs, backbone, para
     want = edge_scores(g, backbone, params)
     monkeypatch.setattr(gin, "build_graph_batch", refuse)
     monkeypatch.setattr(explainer, "build_graph_batch", refuse)
-    monkeypatch.setattr(autodiff.SparseMatrix, "__init__", refuse)
-    monkeypatch.setattr(autodiff.SparseMatrix, "assemble", refuse)
+    # every namespace that holds assemble
+    for module in (autodiff, gin, esgnn.graphs):
+        monkeypatch.setattr(module, "assemble", refuse)
     for _ in range(2):
         assert same_bits(edge_scores(g, backbone, params), want)
 
@@ -510,6 +532,11 @@ class TestTopK:
             [1.0, 1.0, 1.0, 1.0, 1.0],
         ]
         assert [m.budget for m in masks] == [1, 2, 3, 5]
+
+    @pytest.mark.parametrize("budget", [True, 2.0, 1.5])
+    def test_a_budget_that_is_no_integer_is_rejected_by_its_mask(self, budget):
+        with pytest.raises(ValueError, match=rf"^mask 1: budget {budget!r} must be an integer"):
+            explainer.topk_binarize(np.ones(3), [1, budget])
 
     @pytest.mark.parametrize("budget", [0, 4])
     def test_a_budget_outside_the_edges_is_rejected(self, budget):

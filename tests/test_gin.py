@@ -7,11 +7,12 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from esgnn import explainer, gin
+import esgnn.graphs
+from esgnn import autodiff, explainer, gin
 from esgnn.autodiff import (
-    SparseMatrix,
     Tensor,
     add,
+    assemble,
     cross_entropy_mean,
     linear,
     mul,
@@ -30,7 +31,6 @@ from esgnn.gin import (
     evaluate_accuracy,
     frozen_forward,
     init_backbone,
-    node_states,
     predict,
     train_backbone,
 )
@@ -79,34 +79,39 @@ def wl_fingerprint(g, rounds=10):
     return fingerprint
 
 
+def batch_adjacency(batch, weights):
+    """The batch's adjacency with these per-edge weights, as its forward assembles it."""
+    return assemble(len(batch.x), batch.edges, weights)
+
+
 class TestGinLayer:
     def test_edgeless_identity_mlp_is_identity(self):
         g = make_graph(2, [], x=[[1.0], [2.0]])
         batch = build_graph_batch([g])
-        h = apply_gin_layer(identity_layer(1), Tensor(batch.x), batch.adj.assemble(np.zeros(0)))
+        h = apply_gin_layer(identity_layer(1), Tensor(batch.x), batch_adjacency(batch, np.zeros(0)))
         assert np.array_equal(h.data, [[1.0], [2.0]])
 
     def test_single_edge_neighbor_sum(self):
         g = make_graph(2, [(0, 1)], x=[[1.0], [0.0]])
         batch = build_graph_batch([g])
-        adj = batch.adj.assemble(batch.default_values)
+        adj = batch_adjacency(batch, batch.default_values)
         h = apply_gin_layer(identity_layer(1), Tensor(batch.x), adj)
         assert np.array_equal(h.data, [[1.0], [1.0]])
 
     def test_masked_edge_touches_exactly_its_endpoints_pre_mlp(self, triangle):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((3, 2))
-        adj = build_graph_batch([triangle]).adj
-        full = spmm(adj.assemble(np.ones(adj.num_edges)), x).data
+        edges = build_graph_batch([triangle]).edges
+        full = spmm(assemble(3, edges, np.ones(len(edges))), x).data
         masked_bits = np.array([0.0, 1.0, 1.0])  # drop edge 0 = (0, 1)
-        masked = spmm(adj.assemble(masked_bits), x).data
+        masked = spmm(assemble(3, edges, masked_bits), x).data
         diff_rows = np.where(np.any(full != masked, axis=1))[0]
         assert diff_rows.tolist() == [0, 1]
 
     def test_mask_of_all_ones_is_bit_identical_to_no_mask(self, cycle6):
         params = init_backbone(np.random.default_rng(1), 1, 2, hidden=8, num_layers=2)
         plain = single_graph_logits(cycle6, params)
-        full_mask = EdgeMask.full(cycle6.num_edges)
+        full_mask = EdgeMask(soft=np.ones(cycle6.num_edges), hard=np.ones(cycle6.num_edges))
         masked = single_graph_logits(cycle6, params, full_mask)
         assert np.array_equal(plain, masked)
 
@@ -123,7 +128,7 @@ class TestFusedGinLayer:
         rng = np.random.default_rng(seed)
         graphs = list(generate_ba2motifs(num_graphs, seed=seed).graphs)
         batch = build_graph_batch(graphs)
-        values = Tensor(rng.random(batch.adj.num_edges), requires_grad=True)
+        values = Tensor(rng.random(len(batch.edges)), requires_grad=True)
         h = Tensor(rng.standard_normal((len(batch.x), 3)), requires_grad=True)
         layer = gin.init_gin_layer(rng, 3, hidden)
         layer.eps.data[...] = 0.37
@@ -136,7 +141,7 @@ class TestFusedGinLayer:
         batch, values, h, layer, upstream = self.random_inputs(seed)
         results = []
         for apply in (apply_gin_layer, composed_gin_layer):
-            adj = batch.adj.assemble(values)
+            adj = batch_adjacency(batch, values)
             out = apply(layer, h, adj)
             sum_all(mul(out, upstream)).backward()
             inputs = (adj.weights, values, h, layer.eps, layer.w1, layer.b1, layer.w2, layer.b2)
@@ -148,7 +153,7 @@ class TestFusedGinLayer:
     def test_taped_inputs_get_gradients_and_frozen_ones_none(self):
         batch, values, h, layer, upstream = self.random_inputs(2)
         frozen_h = Tensor(h.data)
-        adj = batch.adj.assemble(batch.default_values)
+        adj = batch_adjacency(batch, batch.default_values)
         out = apply_gin_layer(layer, frozen_h, adj)
         assert out._prev[:2] == (adj.weights, frozen_h)
         grads = out._backward(upstream)
@@ -159,7 +164,7 @@ class TestFusedGinLayer:
         batch, values, h, layer, upstream = self.random_inputs(3, num_graphs=2, hidden=3)
 
         def loss():
-            out = apply_gin_layer(layer, h, batch.adj.assemble(values))
+            out = apply_gin_layer(layer, h, batch_adjacency(batch, values))
             return sum_all(mul(out, upstream))
 
         inputs = [values, h, layer.eps, layer.w1, layer.b1, layer.w2, layer.b2]
@@ -167,15 +172,15 @@ class TestFusedGinLayer:
 
     def test_the_untaped_layer_equals_the_taped_forward_and_records_no_node(self):
         batch, values, h, layer, _ = self.random_inputs(4)
-        taped = apply_gin_layer(layer, h, batch.adj.assemble(values))
+        taped = apply_gin_layer(layer, h, batch_adjacency(batch, values))
         frozen = GinLayerParams(*(Tensor(t.data) for t in layer.named("l").values()))
-        out = apply_gin_layer(frozen, Tensor(h.data), batch.adj.assemble(values.data))
+        out = apply_gin_layer(frozen, Tensor(h.data), batch_adjacency(batch, values.data))
         assert taped.requires_grad
         assert same_bits(out.data, taped.data)
         assert not out.requires_grad and out._prev == () and out._backward is None
 
     def test_states_that_do_not_match_the_adjacency_are_rejected(self, triangle):
-        adj = build_graph_batch([triangle]).adj.assemble(np.ones(3))
+        adj = assemble(3, build_graph_batch([triangle]).edges, np.ones(3))
         layer = identity_layer(2)
         with pytest.raises(ValueError, match="3 nodes"):
             apply_gin_layer(layer, Tensor(np.ones((4, 2))), adj)
@@ -263,7 +268,7 @@ def reference_batch(graphs, masks=None):
     The weighted adjacency is the block diagonal of each graph's dense
     symmetric one.
     """
-    xs, node_graph, edges, values, blocks = [], [], [], [], []
+    xs, edges, values, blocks = [], [], [], []
     node_offsets, edge_offsets = [0], [0]
     offset = 0
     for gi, g in enumerate(graphs):
@@ -274,7 +279,6 @@ def reference_batch(graphs, masks=None):
             x[list(masks[gi].zeroed_nodes)] = 0.0
             values.append(masks[gi].hard)
         xs.append(x)
-        node_graph.append(np.full(g.num_nodes, gi))
         block = np.zeros((g.num_nodes, g.num_nodes))
         for (i, j), w in zip(g.edges, values[-1]):
             edges.append((i + offset, j + offset))
@@ -286,7 +290,6 @@ def reference_batch(graphs, masks=None):
     return {
         "x": np.concatenate(xs) if xs else np.zeros((0, 1)),
         "node_offsets": np.array(node_offsets),
-        "pool": np.equal.outer(np.arange(len(graphs)), np.concatenate(node_graph or [[]])),
         "adjacency": scipy.linalg.block_diag(*blocks) if blocks else np.zeros((0, 0)),
         "edges": np.array(edges).reshape(-1, 2),
         "edge_offsets": np.array(edge_offsets),
@@ -301,9 +304,8 @@ class TestBuildGraphBatch:
         batch = build_graph_batch(graphs, masks)
         ref = reference_batch(graphs, masks)
         got = {name: getattr(batch, name, None) for name in ref}
-        got["edges"] = batch.adj.edges
-        got["pool"] = batch.pool.toarray()
-        got["adjacency"] = batch.adj.assemble(batch.default_values).csr.toarray()
+        got["adjacency"] = batch_adjacency(batch, batch.default_values).csr.toarray()
+        assert batch.edges.dtype == np.intp
         for name, want in ref.items():
             assert got[name].shape == want.shape, name
             assert np.array_equal(got[name], want), name
@@ -344,16 +346,25 @@ class TestBuildGraphBatch:
         self.assert_matches_reference([])
         self.assert_matches_reference([], [])
 
-    def test_pooling_adds_each_graphs_rows_in_the_order_segment_sum_pins(self, mixed):
+    def test_pooling_adds_each_graphs_rows_in_the_order_segment_sum_pins(
+        self, mixed, monkeypatch
+    ):
         graphs = mixed[:2] + [make_graph(0, [], x=np.zeros((0, 3)))] + mixed[2:]
-        batch = build_graph_batch(graphs)
+        sizes = [g.num_nodes for g in graphs]
         rng = np.random.default_rng(5)
         # rows of widely varying magnitude, so any change of summation order shows
-        h = rng.standard_normal((len(batch.x), 4)) * 10.0 ** rng.uniform(-8, 8, (len(batch.x), 4))
+        h = rng.standard_normal((sum(sizes), 4)) * 10.0 ** rng.uniform(-8, 8, (sum(sizes), 4))
         h[[0, 5, 9]] = -0.0
-        node_graph = np.repeat(np.arange(len(graphs)), [g.num_nodes for g in graphs])
+        # with no layers the node states are the features, and the head reads the pooled rows
+        bounds = np.cumsum([0, *sizes])
+        graphs = [dataclasses.replace(g, x=h[a:b]) for g, a, b in zip(graphs, bounds, bounds[1:])]
+        heads = []
+        monkeypatch.setattr(gin, "linear", lambda x, w, b: heads.append(x) or linear(x, w, b))
+        params = init_backbone(np.random.default_rng(6), 4, 2, hidden=4, num_layers=0)
+        backbone_forward_batch(build_graph_batch(graphs), params)
+        node_graph = np.repeat(np.arange(len(graphs)), sizes)
         want = segment_sum(h, node_graph, len(graphs)).data
-        assert same_bits(batch.pool @ h, want)
+        assert len(heads) == 1 and same_bits(heads[0].data, want)
 
     def test_pooling_backward_sends_each_graphs_gradient_to_its_own_rows(self, mixed):
         graphs = mixed[:2] + [make_graph(0, [], x=np.zeros((0, 3)))] + mixed[2:]
@@ -374,10 +385,10 @@ class TestBuildGraphBatch:
             build_graph_batch([triangle, single_edge, wide])
 
     def test_zeroed_node_outside_its_graph_is_rejected(self, triangle, single_edge):
-        mask = EdgeMask.full(single_edge.num_edges)
-        bad = EdgeMask(soft=mask.soft, hard=mask.hard, zeroed_nodes=(2,))
+        ones = np.ones(3)
+        bad = EdgeMask(soft=ones[:1], hard=ones[:1], zeroed_nodes=(2,))
         with pytest.raises(ValueError, match="graph 1"):
-            build_graph_batch([triangle, single_edge], [EdgeMask.full(3), bad])
+            build_graph_batch([triangle, single_edge], [EdgeMask(soft=ones, hard=ones), bad])
 
 
 class TestEndToEndGradient:
@@ -398,7 +409,7 @@ class TestEndToEndGradient:
 def test_a_masked_forward_tapes_the_mask_as_each_layers_input_and_no_gather(triangle, cycle6):
     batch = build_graph_batch([triangle, cycle6])
     params = init_backbone(np.random.default_rng(0), 1, 2, hidden=8, num_layers=3).frozen()
-    mask = Tensor(np.random.default_rng(1).random(batch.adj.num_edges), requires_grad=True)
+    mask = Tensor(np.random.default_rng(1).random(len(batch.edges)), requires_grad=True)
     logits, _ = backbone_forward_batch(batch, params, mask_values=mask)
     tape = [node for node in logits._toposort() if node._backward is not None]
     assert not any("gather_rows" in node._backward.__qualname__ for node in tape)
@@ -419,7 +430,10 @@ class TestOneAdjacencyPerForward:
 
             return counted
 
-        monkeypatch.setattr(SparseMatrix, "assemble", spy("assemble", SparseMatrix.assemble))
+        # every namespace that holds assemble, so a call through any of them counts
+        counted = spy("assemble", autodiff.assemble)
+        for module in (autodiff, gin, esgnn.graphs):
+            monkeypatch.setattr(module, "assemble", counted)
         monkeypatch.setattr(
             scipy.sparse.csr_matrix, "transpose", spy("transpose", scipy.sparse.csr_matrix.transpose)
         )
@@ -504,21 +518,6 @@ class TestFrozenForward:
                 assert same_bits(states[start + k], h.data[a:b])
         for g, z in zip(graphs, states):
             assert same_bits(z, frozen_forward([g], params)[1][0])
-
-    def test_node_states_are_the_forwards_states_without_its_pool(self):
-        graphs = list(generate_ba2motifs(6, seed=4).graphs) + [make_graph(3, [])]
-        params = init_backbone(np.random.default_rng(5), 1, 2, hidden=8, num_layers=3)
-        batch = build_graph_batch(graphs)
-        h = node_states(batch, params.frozen())
-        assert "pool" not in vars(batch)  # built on first use, and node_states never uses it
-        _, want = backbone_forward_batch(batch, params.frozen())
-        assert "pool" in vars(batch) and same_bits(h.data, want.data)
-        assert not h.requires_grad and h._prev == ()
-
-    def test_a_batch_builds_its_pool_once(self, triangle, cycle6):
-        batch = build_graph_batch([triangle, cycle6])
-        assert batch.pool is batch.pool
-        assert batch.pool.shape == (2, 9) and batch.pool.indices.dtype == np.int32
 
     def test_empty_list(self):
         params = init_backbone(np.random.default_rng(0), 1, 3)

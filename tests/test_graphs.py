@@ -7,7 +7,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esgnn.autodiff import SparseMatrix, Tensor
+from esgnn.autodiff import Tensor, assemble
 from esgnn.gin import GinLayerParams, apply_gin_layer, build_graph_batch
 from esgnn.graphs import (
     EdgeMask,
@@ -165,11 +165,49 @@ class TestEdgeArray:
         assert g.edges.shape == (0, 2) and g.edges.dtype == np.intp and g.num_edges == 0
 
 
+def kept_arrays(obj) -> list[np.ndarray]:
+    """The distinct arrays that own the memory of every array reachable from ``obj``
+    through tuples, lists, dicts and object attributes."""
+    owners, seen, stack = {}, set(), [obj]
+    while stack:
+        o = stack.pop()
+        if id(o) in seen or isinstance(o, type):
+            continue
+        seen.add(id(o))
+        if isinstance(o, np.ndarray):
+            while isinstance(o.base, np.ndarray):
+                o = o.base
+            owners[id(o)] = o
+        elif isinstance(o, (tuple, list)):
+            stack.extend(o)
+        elif isinstance(o, dict):
+            stack.extend(o.values())
+        else:
+            slots = [n for c in type(o).__mro__ for n in getattr(c, "__slots__", ())]
+            stack.extend(getattr(o, n) for n in slots if hasattr(o, n))
+            stack.extend(getattr(o, "__dict__", {}).values())
+    return list(owners.values())
+
+
 class TestAdjacency:
+    def test_keeps_32_bytes_per_edge_plus_its_row_pointers(self):
+        # unit weights (8 bytes per edge), and the CSR's values and int32
+        # columns (16 and 8: two directed entries per edge); the edges are
+        # the graph's own array, and no per-entry permutation is kept
+        rng = np.random.default_rng(0)
+        n = 200
+        pairs = rng.integers(0, n, (900, 2))
+        g = make_graph(n, np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1), axis=0))
+        adj = g.adjacency
+        extra = [a for a in kept_arrays(adj) if not np.shares_memory(a, g.edges)]
+        kept = sum(a.nbytes for a in extra) - adj.csr.indptr.nbytes
+        assert adj.csr.indptr.nbytes == 4 * (n + 1)
+        assert kept <= 32 * g.num_edges, f"{kept / g.num_edges:.1f} bytes per edge"
+
     def test_is_built_on_first_use_and_kept(self, cycle6):
         assert "adjacency" not in vars(cycle6)
         adj = cycle6.adjacency
-        assert cycle6.adjacency is adj and adj.pattern.edges is cycle6.edges
+        assert cycle6.adjacency is adj and adj.edges is cycle6.edges
         assert not adj.weights.requires_grad
 
     def test_its_csr_arrays_are_read_only(self, cycle6):
@@ -184,7 +222,7 @@ class TestAdjacency:
     )
     def test_equals_a_fresh_unit_assembly_bit_for_bit(self, n, edges):
         g = make_graph(n, edges)
-        want = SparseMatrix(n, g.edges).assemble(np.ones(g.num_edges)).csr
+        want = assemble(n, g.edges, np.ones(g.num_edges)).csr
         got = g.adjacency.csr
         assert got.shape == (n, n)
         for name in ("indptr", "indices", "data"):
@@ -273,6 +311,13 @@ class TestSampleBag:
         b = sample_bag(bag, 0.5, seed=42)
         assert all(np.array_equal(x.hard, y.hard) for x, y in zip(a.masks, b.masks))
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    @pytest.mark.parametrize("fraction", [0.5, 1.0])
+    def test_the_seed_is_checked_by_name(self, cycle6, seed, fraction):
+        # also when the fraction keeps every mask and no draw is made
+        with pytest.raises(ValueError, match=rf"^seed {seed!r} must be"):
+            sample_bag(policy_edge_deleted(cycle6), fraction, seed=seed)
+
     def test_fraction_bounds(self, triangle):
         bag = policy_edge_deleted(triangle)
         with pytest.raises(ValueError):
@@ -300,12 +345,11 @@ class TestDegreeFeatures:
 class TestConnectivityOperators:
     def test_adjacency_pattern_is_symmetric(self, path4, triangle):
         # the CSR equals scipy's COO -> CSR of both directions of every edge
-        adj = build_graph_batch([path4, triangle]).adj
-        edges = adj.edges
+        edges = build_graph_batch([path4, triangle]).edges
         rows = np.concatenate([edges[:, 0], edges[:, 1]])
         cols = np.concatenate([edges[:, 1], edges[:, 0]])
         want = scipy.sparse.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(7, 7)).tocsr()
-        got = adj.assemble(np.ones(adj.num_edges)).csr
+        got = assemble(7, edges, np.ones(len(edges))).csr
         assert got.indptr.tolist() == want.indptr.tolist()
         assert got.indices.tolist() == want.indices.tolist()
         assert got.data.tolist() == want.data.tolist()
@@ -319,7 +363,7 @@ class TestConnectivityOperators:
         eye, zero = np.eye(2), np.zeros(2)
         layer = GinLayerParams(Tensor(eye), Tensor(zero), Tensor(eye), Tensor(zero), Tensor(eps))
         batch = build_graph_batch([triangle])
-        adj = batch.adj.assemble(np.ones(batch.adj.num_edges))
+        adj = assemble(3, batch.edges, np.ones(len(batch.edges)))
         combined = apply_gin_layer(layer, Tensor(h), adj).data
         dense = np.zeros((3, 3))
         for i, j in triangle.edges:
@@ -361,6 +405,25 @@ class TestEdgeMask:
     def test_a_budget_mismatch_names_the_count_and_the_budget(self):
         with pytest.raises(ValueError, match="hard mask sums to 2, budget is 3"):
             EdgeMask(soft=np.ones(3), hard=np.array([1.0, 0.0, 1.0]), budget=3)
+
+    @pytest.mark.parametrize("field", ["budget", "seed"])
+    @pytest.mark.parametrize("bad", [True, False, 2.0, 1.5, np.float64(2.0), "2"])
+    def test_a_budget_or_seed_that_is_no_integer_is_rejected_by_name(self, field, bad):
+        # a budget of 2.0 or True would match the two kept bits, and bag_from_json
+        # would then refuse the mask that bag_to_json wrote
+        message = rf"^{field} {re.escape(repr(bad))} must be an integer or None$"
+        with pytest.raises(ValueError, match=message):
+            EdgeMask(soft=np.ones(2), hard=np.ones(2), **{field: bad})
+
+    @pytest.mark.parametrize("bad", [(1.0,), (True,), (0, 1.5), (np.float64(1.0),)])
+    def test_a_zeroed_node_that_is_no_integer_is_rejected(self, bad):
+        with pytest.raises(ValueError, match=rf"^zeroed_nodes {re.escape(repr(bad))} must be"):
+            EdgeMask(soft=np.ones(2), hard=np.ones(2), zeroed_nodes=bad)
+
+    def test_numpy_integer_fields_are_kept_as_given(self):
+        fields = {"budget": np.int64(2), "seed": np.uint64(2**63), "zeroed_nodes": (np.int32(1),)}
+        mask = EdgeMask(soft=np.ones(2), hard=np.ones(2), **fields)
+        assert (mask.budget, mask.seed, mask.zeroed_nodes) == (2, 2**63, (1,))
 
     def test_feature_spec_validation(self):
         with pytest.raises(ValueError):
@@ -430,6 +493,19 @@ class TestEdgeMaskBlock:
     def test_rejects_per_row_fields_of_another_length(self, field):
         with pytest.raises(ValueError, match=f"3 {field} for 2 masks"):
             EdgeMask.block(np.ones((2, 4)), np.ones((2, 4)), **{field: [None] * 3})
+
+    @pytest.mark.parametrize(
+        "field, values, message",
+        [
+            ("budgets", [2, True], "mask 1: budget True must be an integer or None"),
+            ("budgets", [2.0, 2], "mask 0: budget 2.0 must be an integer or None"),
+            ("seeds", [None, 1.5], "mask 1: seed 1.5 must be an integer or None"),
+            ("zeroed_nodes", [(), (0.0,)], r"mask 1: zeroed_nodes \(0.0,\) must be integers"),
+        ],
+    )
+    def test_a_field_that_is_no_integer_names_its_mask(self, field, values, message):
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            EdgeMask.block(np.ones((2, 2)), np.ones((2, 2)), **{field: values})
 
     def test_an_empty_block_gives_no_masks(self):
         assert EdgeMask.block(np.zeros((0, 3)), np.zeros((0, 3)), budgets=[]) == ()
