@@ -23,7 +23,11 @@ It hashes the dtype, shape and bytes of every array of:
   (with motifs), a copy with drawn node labels, a copy without node labels
   and an edgeless dataset;
 - every field of every graph of ``generate_ba2motifs(1200, s)`` for s = 0, 1
-  and 2, the datasets the benchmark trains on.
+  and 2, the datasets the benchmark trains on;
+- ``frozen_forward`` logits and node states of 64 random graphs of 100-300
+  nodes with degree features (cap 10), under a fresh 32-wide, 4-layer
+  backbone, and ``evaluate_accuracy`` over each 32-graph half: batches of
+  thousands of nodes, whose GIN layers run in several row blocks.
 Run it on two trees; equal digests mean equal outputs.
 """
 
@@ -147,6 +151,21 @@ def main() -> None:
                 feed_dataset(tud.load_tud_dataset(tmp, name, spec))
     for s in (0, 1, 2):
         feed_dataset(generate_ba2motifs(1200, seed=s))
+
+    rng = np.random.default_rng(1)
+    large = []
+    for k in range(64):
+        n = int(rng.integers(100, 301))
+        # a random tree (each node joins an earlier one) and n random pairs on top
+        tree = np.stack([rng.integers(0, np.arange(1, n)), np.arange(1, n)], axis=1)
+        pairs = np.sort(np.concatenate([tree, rng.integers(0, n, (n, 2))]), axis=1)
+        edges = np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)
+        degree = np.minimum(np.bincount(edges.reshape(-1), minlength=n), 10)
+        large.append(Graph(n, edges, np.eye(11)[degree], k % 2))
+    wide = gin.init_backbone(np.random.default_rng(2), 11, 2)
+    feed_forward(large, wide)
+    for start in (0, 32):
+        digest.update(repr(gin.evaluate_accuracy(large[start : start + 32], wide)).encode())
     print(digest.hexdigest())
 
 

@@ -356,7 +356,8 @@ class WeightedSparse(NamedTuple):
 def assemble(n: int, edges, weights) -> WeightedSparse:
     """The n x n adjacency of the (E, 2) undirected ``edges``, one CSR.
 
-    Each edge gives both of its directed entries its weight.  Records no
+    Each edge gives both of its directed entries its weight.  A pair given
+    twice, in either orientation, is rejected, naming the pair.  Records no
     tape node: the ops that apply the CSR take ``weights`` as their input
     and return its gradient through ``WeightedSparse.weight_grad``.
     Assemble once per forward and hand the result to every op that
@@ -369,13 +370,20 @@ def assemble(n: int, edges, weights) -> WeightedSparse:
         raise DimensionError(f"sparse edge endpoint out of range for {n} nodes")
     if (edges[:, 0] == edges[:, 1]).any():
         raise DimensionError("sparse edges: a self-loop has no symmetric pair of entries")
+    # entry 2k is (i, j) and 2k + 1 is (j, i); sorting the flat index puts
+    # them in row-major order.  The keys are distinct once a repeated pair
+    # is rejected, so any sort gives the one permutation a stable sort would.
+    rows, cols = edges.reshape(-1), edges[:, ::-1].reshape(-1)
+    keys = rows * n + cols
+    perm = np.argsort(keys)
+    ordered = keys[perm]
+    repeated = ordered[1:] == ordered[:-1]
+    if repeated.any():
+        i, j = divmod(int(ordered[repeated.argmax()]), n)
+        raise DimensionError(f"sparse edges: the pair ({i}, {j}) is given twice")
     weights = _lift(weights)
     if weights.data.shape != (len(edges),):
         raise DimensionError(f"assemble: weights {weights.data.shape} vs {len(edges)} edges")
-    # entry 2k is (i, j) and 2k + 1 is (j, i); a stable sort of the flat
-    # index puts them in row-major order, as lexsort((cols, rows)) would
-    rows, cols = edges.reshape(-1), edges[:, ::-1].reshape(-1)
-    perm = np.argsort(rows * n + cols, kind="stable")
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
     csr = scipy.sparse.csr_matrix(
         (weights.data[perm // 2], cols[perm].astype(np.int32), indptr.astype(np.int32)),

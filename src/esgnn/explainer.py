@@ -360,9 +360,11 @@ def generate_bag_topk(
 def bag_to_json(bag: SubgraphBag, graph_id: int) -> dict:
     """Each mask's hard bits packed big-endian into bytes, base64-encoded.
 
-    Budgets, seeds and zeroed nodes are written as Python ints, so a mask
-    built with numpy integers gives a document ``json.dumps`` accepts.
+    ``graph_id`` must be an integer >= 0.  It, the budgets, seeds and zeroed
+    nodes are written as Python ints, so numpy integers give a document
+    ``json.dumps`` accepts.
     """
+    _check_count("graph_id", graph_id, 0)
     packed = np.packbits(np.array([m.hard for m in bag.masks], dtype=np.uint8), axis=1)
     masks = [
         {
@@ -373,7 +375,7 @@ def bag_to_json(bag: SubgraphBag, graph_id: int) -> dict:
         }
         for m, row in zip(bag.masks, packed)
     ]
-    return {"graph_id": graph_id, "policy": bag.policy_tag, "masks": masks}
+    return {"graph_id": int(graph_id), "policy": bag.policy_tag, "masks": masks}
 
 
 def bag_from_json(doc: dict, base: Graph) -> SubgraphBag:

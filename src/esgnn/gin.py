@@ -8,8 +8,11 @@ two weights and biases at once, bit-identical to the same layer composed
 of ``spmm``, ``mul``, ``add``, ``linear`` and ``relu``.  A batch holds its
 edges once, as the (E, 2) undirected pairs ``batch.edges``, and no code
 here indexes directed entries: the edge-weight gradient comes from
-``WeightedSparse.weight_grad``, one value per undirected edge.  A layer
-applies its ReLU in place.  When no input requires a gradient, as in
+``WeightedSparse.weight_grad``, one value per undirected edge.  After the
+sparse product A H, a layer runs its dense half, the scale-add, the MLP and
+its in-place ReLU, in blocks of ``ROW_BLOCK`` node rows, so a large batch's
+operands stay in cache; its backward is not blocked and works on the whole
+arrays.  When no input requires a gradient, as in
 ``frozen_forward``, the tape drops the layer's backward closure, so the
 layer keeps nothing and records no node.  Graphs are trained in
 block-diagonal minibatches whose node and edge offsets are the only record
@@ -248,11 +251,35 @@ def build_graph_batch(
     )
 
 
+def _dense_half(h, z, scale, layer, r=None, out=None):
+    """Rows of a GIN layer after the sparse product: ``z += h * scale``, then the MLP.
+
+    ``z`` holds those rows of A h and is updated in place.  The hidden
+    activations and the output go to ``r`` and ``out``, or to new arrays
+    when they are None; returns both.
+    """
+    z += h * scale
+    r = np.matmul(z, layer.w1.data, out=r)
+    r += layer.b1.data
+    np.maximum(r, 0.0, out=r)
+    out = np.matmul(r, layer.w2.data, out=out)
+    out += layer.b2.data
+    return r, out
+
+
 def apply_gin_layer(layer: GinLayerParams, h: Tensor, adj: WeightedSparse) -> Tensor:
     """MLP((1 + eps) * h + A h) as one taped op over the layer's seven inputs.
 
-    The forward applies the ReLU in place.  The backward closure keeps the
-    MLP input ``z`` and the hidden activations ``r``; when no input requires
+    The forward computes ``z = A h`` once, then adds ``(1 + eps) * h``, runs
+    the MLP and applies its ReLU in place, writing ``z``, the hidden
+    activations ``r`` and the output one block of ``ROW_BLOCK`` rows at a
+    time.  Addition commutes exactly, so the rows of a block equal those of
+    a one-block run bit for bit wherever BLAS gives a row the same sums
+    whatever the row count, as OpenBLAS's matrix product does for output
+    widths that are multiples of 8; a last block never holds one row alone,
+    which BLAS would multiply on its matrix-vector path.  The backward is
+    not blocked: its closure keeps the whole MLP input ``z`` and hidden
+    activations ``r``; when no input requires
     a gradient the tape drops it, so an untaped layer keeps nothing and
     records no node.  The backward returns the gradients of the edge
     weights, ``h``, ``eps``, ``w1``, ``b1``, ``w2`` and ``b2`` with the same
@@ -266,12 +293,17 @@ def apply_gin_layer(layer: GinLayerParams, h: Tensor, adj: WeightedSparse) -> Te
     if h.data.shape[1] != w1.data.shape[0]:
         raise DimensionError(f"GIN layer: states {h.data.shape} vs weight {w1.data.shape}")
     scale = eps.data + 1.0
-    z = h.data * scale + adj.csr @ h.data
-    r = z @ w1.data
-    r += b1.data
-    np.maximum(r, 0.0, out=r)
-    out = r @ w2.data
-    out += b2.data
+    z = adj.csr @ h.data
+    if n <= ROW_BLOCK + 1:
+        r, out = _dense_half(h.data, z, scale, layer)  # one block: no views
+    else:
+        r = np.empty((n, w1.data.shape[1]))
+        out = np.empty((n, w2.data.shape[1]))
+        # the last block takes a lone leftover row, which BLAS would multiply
+        # on its matrix-vector path, whose sums can differ in the last bits
+        starts = range(0, n - 1, ROW_BLOCK)
+        for a, b in zip(starts, [*starts[1:], n]):
+            _dense_half(h.data[a:b], z[a:b], scale, layer, r[a:b], out[a:b])
     needs_gz = weights.requires_grad or h.requires_grad or eps.requires_grad
 
     def _bp(grad):
@@ -336,6 +368,9 @@ def backbone_forward_batch(
 
 # graphs per untaped forward; bounds the activations one forward holds
 FORWARD_CHUNK = 256
+# node rows per block of a GIN layer's dense half: a block's (512, 32)
+# float64 operands stay in cache; 512 was faster than 256, 1024 and 2048
+ROW_BLOCK = 512
 
 
 def frozen_forward(

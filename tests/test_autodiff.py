@@ -2,6 +2,7 @@ import ast
 import gc
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -144,12 +145,26 @@ class TestSpmm:
         with pytest.raises(DimensionError, match=r"weights \(2, 1\) vs 2 edges"):
             assemble(3, [[0, 1], [1, 2]], np.ones((2, 1)))
 
+    @pytest.mark.parametrize(
+        "n, edges, pair",
+        [
+            (2, [[0, 1], [0, 1]], "(0, 1)"),
+            (2, [[0, 1], [1, 0]], "(0, 1)"),
+            (5, [[4, 3], [1, 2], [3, 4]], "(3, 4)"),
+        ],
+    )
+    def test_a_repeated_pair_in_either_orientation_is_rejected_naming_it(self, n, edges, pair):
+        with pytest.raises(DimensionError, match=re.escape(f"pair {pair} is given twice")):
+            assemble(n, edges, np.ones(len(edges)))
+
     def test_the_edge_checks_come_before_the_weight_check(self):
         # a bad edge array is named as such whatever the weights' length
         with pytest.raises(DimensionError, match="self-loop"):
             assemble(3, [[0, 1], [2, 2]], np.ones(5))
         with pytest.raises(DimensionError, match="out of range"):
             assemble(2, [[0, 2]], np.ones(5))
+        with pytest.raises(DimensionError, match="given twice"):
+            assemble(2, [[0, 1], [1, 0]], np.ones(5))
 
     def test_csr_order_is_the_stable_row_major_order(self):
         # scipy's COO -> CSR of both directions of every edge: rows in order,

@@ -300,6 +300,21 @@ class TestBagJson:
         assert all(type(v) is int for m in written for v in (m["K"], *m["zeroed_nodes"]))
         self.assert_same(bag, self.round_trip(bag))
 
+    @pytest.mark.parametrize("graph_id", [np.int64(4), np.uint8(4), np.int32(4)])
+    def test_a_numpy_integer_graph_id_is_written_as_an_int(self, triangle, graph_id):
+        bag = policy_edge_deleted(triangle)
+        doc = json.loads(json.dumps(bag_to_json(bag, graph_id)))
+        assert doc["graph_id"] == 4 and type(bag_to_json(bag, graph_id)["graph_id"]) is int
+        self.assert_same(bag, bag_from_json(doc, triangle))
+
+    @pytest.mark.parametrize(
+        "graph_id, message",
+        [(True, "must be an integer"), (4.0, "must be an integer"), (-1, "must be >= 0")],
+    )
+    def test_rejects_a_graph_id_that_is_no_non_negative_integer(self, triangle, graph_id, message):
+        with pytest.raises(ValueError, match=f"graph_id .*{message}"):
+            bag_to_json(policy_edge_deleted(triangle), graph_id)
+
     def test_rejects_unknown_policy(self, triangle):
         doc = bag_to_json(policy_edge_deleted(triangle), 4)
         doc["policy"] = "BOGUS"

@@ -187,6 +187,35 @@ class TestFusedGinLayer:
         with pytest.raises(ValueError, match="weight"):
             apply_gin_layer(layer, Tensor(np.ones((3, 1))), adj)
 
+    # 0 nodes, fewer than a block, 3 whole blocks, and 3 blocks with a
+    # leftover of 1 (taken into the last block), 2 and 6 rows; width 8, for
+    # which OpenBLAS gives a row the same sums whatever the row count
+    @pytest.mark.parametrize("n", [0, 5, 21, 22, 23, 27])
+    def test_row_blocks_give_the_output_and_all_seven_gradients_of_one_block(
+        self, monkeypatch, n
+    ):
+        rng = np.random.default_rng(n)
+        pairs = rng.integers(0, max(n, 1), (3 * n, 2))
+        edges = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1), axis=0)
+        values = Tensor(rng.random(len(edges)), requires_grad=True)
+        h = Tensor(rng.standard_normal((n, 3)), requires_grad=True)
+        layer = gin.init_gin_layer(rng, 3, 8)
+        layer.eps.data[...] = 0.37
+        layer.b1.data[:] = rng.standard_normal(8) * 0.1
+        upstream = rng.standard_normal((n, 8))
+        results = []
+        for row_block in (gin.ROW_BLOCK, 7):
+            monkeypatch.setattr(gin, "ROW_BLOCK", row_block)
+            for t in (values, h, *layer.named("l").values()):
+                t.grad = None
+            out = apply_gin_layer(layer, h, assemble(n, edges, values))
+            sum_all(mul(out, upstream)).backward()
+            inputs = (values, h, layer.eps, layer.w1, layer.b1, layer.w2, layer.b2)
+            results.append([out.data] + [t.grad.copy() for t in inputs])
+        one_block, blocked = results
+        assert one_block[0].shape == (n, 8)
+        assert all(same_bits(a, b) for a, b in zip(one_block, blocked))
+
     def test_training_runs_equal_those_of_the_composed_layer(self, monkeypatch):
         graphs = list(generate_ba2motifs(40, seed=4).graphs)
         cfg = TrainConfig(epochs=2, seed=3, batch_size=16, hidden=8, num_layers=3)
@@ -500,6 +529,16 @@ class TestFrozenForward:
             (single,) = frozen_forward([g], params)[1]
             assert z.shape == (g.num_nodes, 8) and np.array_equal(z, single)
         assert logits.argmax(axis=1).tolist() == [predict(g, params).label for g in graphs]
+
+    @pytest.mark.parametrize("num_graphs", [41, 45])
+    def test_a_batch_of_several_row_blocks_gives_the_one_graph_states(self, num_graphs):
+        # 25-node graphs: 1025 rows are two blocks and a leftover row, 1125 three blocks
+        graphs = list(generate_ba2motifs(46, seed=5).graphs)[:num_graphs]
+        assert sum(g.num_nodes for g in graphs) > 2 * gin.ROW_BLOCK
+        params = init_backbone(np.random.default_rng(4), 1, 2, hidden=8, num_layers=3)
+        _, states = frozen_forward(graphs, params)
+        for g, z in zip(graphs, states):
+            assert same_bits(z, frozen_forward([g], params)[1][0])
 
     def test_chunks_with_a_zero_node_and_an_edgeless_graph_split_at_the_batch_offsets(
         self, monkeypatch
