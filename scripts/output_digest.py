@@ -27,7 +27,13 @@ It hashes the dtype, shape and bytes of every array of:
 - ``frozen_forward`` logits and node states of 64 random graphs of 100-300
   nodes with degree features (cap 10), under a fresh 32-wide, 4-layer
   backbone, and ``evaluate_accuracy`` over each 32-graph half: batches of
-  thousands of nodes, whose GIN layers run in several row blocks.
+  thousands of nodes, whose GIN layers run in several row blocks;
+- one taped ``apply_gin_layer`` (11 -> 32, random eps and biases) over the
+  first 32 of those graphs, which span more than two row blocks: its output
+  and the gradients of its seven inputs;
+- ``assemble``'s ``indptr``, ``indices`` and ``data`` for random simple
+  graphs of 40 and 3000 nodes, each edge flipped at random and the edges
+  shuffled, with 0.0, -0.0, NaN and +-inf among the weights.
 Run it on two trees; equal digests mean equal outputs.
 """
 
@@ -40,6 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from esgnn import explainer, gin, tud
+from esgnn.autodiff import Tensor, assemble, mul, sum_all
 from esgnn.ba2motifs import generate_ba2motifs
 from esgnn.graphs import (
     FeatureSpec,
@@ -166,6 +173,34 @@ def main() -> None:
     feed_forward(large, wide)
     for start in (0, 32):
         digest.update(repr(gin.evaluate_accuracy(large[start : start + 32], wide)).encode())
+
+    rng = np.random.default_rng(3)
+    batch = gin.build_graph_batch(large[:32])
+    values = Tensor(rng.random(len(batch.edges)), requires_grad=True)
+    h = Tensor(rng.standard_normal((len(batch.x), 11)), requires_grad=True)
+    layer = gin.init_gin_layer(rng, 11, 32)
+    layer.eps.data[...] = 0.37
+    layer.b1.data[:] = rng.standard_normal(32) * 0.1
+    layer.b2.data[:] = rng.standard_normal(32) * 0.1
+    out = gin.apply_gin_layer(layer, h, assemble(len(batch.x), batch.edges, values))
+    sum_all(mul(out, rng.standard_normal(out.data.shape))).backward()
+    feed(out.data)
+    for t in (values, h, layer.eps, layer.w1, layer.b1, layer.w2, layer.b2):
+        feed(t.grad)
+
+    for n, draws in ((40, 300), (3000, 9000)):
+        pairs = rng.integers(0, n, (draws, 2))
+        edges = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1), axis=0)
+        flip = rng.random(len(edges)) < 0.5
+        edges[flip] = edges[flip, ::-1]
+        edges = edges[rng.permutation(len(edges))]
+        w = rng.standard_normal(len(edges))
+        special = rng.permutation(len(edges))[:50].reshape(5, 10)
+        for value, picks in zip((0.0, -0.0, np.nan, np.inf, -np.inf), special):
+            w[picks] = value
+        csr = assemble(n, edges, w).csr
+        for a in (csr.indptr, csr.indices, csr.data):
+            feed(a)
     print(digest.hexdigest())
 
 

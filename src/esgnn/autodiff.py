@@ -357,26 +357,35 @@ def assemble(n: int, edges, weights) -> WeightedSparse:
     """The n x n adjacency of the (E, 2) undirected ``edges``, one CSR.
 
     Each edge gives both of its directed entries its weight.  A pair given
-    twice, in either orientation, is rejected, naming the pair.  Records no
-    tape node: the ops that apply the CSR take ``weights`` as their input
-    and return its gradient through ``WeightedSparse.weight_grad``.
-    Assemble once per forward and hand the result to every op that
-    applies it.
+    twice, in either orientation, is rejected, naming the pair.  So is an n
+    of 2**31 or more, which the CSR's int32 indices cannot hold, and a size
+    whose packed sort key would overflow int64, before anything n-sized is
+    allocated.  Records no tape node: the ops that apply the CSR take
+    ``weights`` as their input and return its gradient through
+    ``WeightedSparse.weight_grad``.  Assemble once per forward and hand the
+    result to every op that applies it.
     """
     edges = np.asarray(edges, dtype=np.intp)
     if edges.ndim != 2 or edges.shape[1] != 2:
         raise DimensionError(f"sparse edges: shape {edges.shape}, expected (E, 2)")
+    # entry 2k is (i, j) and 2k + 1 is (j, i); its flat index i * n + j goes
+    # in the high bits of an int64 and k's entry number in the low ``bits``
+    bits = (2 * len(edges)).bit_length()
+    if n >= 2**31 or int(n) ** 2 << bits >= 2**63:
+        raise DimensionError(
+            f"assemble: {n} nodes and {len(edges)} edges do not fit the int32 CSR"
+            f" indices (n < 2**31) and the int64 sort key (n * n * 2**{bits} < 2**63)"
+        )
     if edges.size and (edges.min() < 0 or edges.max() >= n):
         raise DimensionError(f"sparse edge endpoint out of range for {n} nodes")
     if (edges[:, 0] == edges[:, 1]).any():
         raise DimensionError("sparse edges: a self-loop has no symmetric pair of entries")
-    # entry 2k is (i, j) and 2k + 1 is (j, i); sorting the flat index puts
-    # them in row-major order.  The keys are distinct once a repeated pair
-    # is rejected, so any sort gives the one permutation a stable sort would.
+    # the packed values are distinct, so one plain sort puts the entries in
+    # row-major order with ties kept in entry order, as a stable argsort of
+    # the flat index would
     rows, cols = edges.reshape(-1), edges[:, ::-1].reshape(-1)
-    keys = rows * n + cols
-    perm = np.argsort(keys)
-    ordered = keys[perm]
+    packed = np.sort(((rows * n + cols) << bits) | np.arange(len(rows)))
+    perm, ordered = packed & ((1 << bits) - 1), packed >> bits
     repeated = ordered[1:] == ordered[:-1]
     if repeated.any():
         i, j = divmod(int(ordered[repeated.argmax()]), n)

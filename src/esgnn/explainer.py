@@ -145,10 +145,11 @@ def edge_logits(Z: Tensor | np.ndarray, edges: np.ndarray, params: ExplainerPara
     """One logit per undirected edge from [z_i ; z_j] on the canonical i < j pair.
 
     One taped op over ``Z``, ``w1``, ``b1``, ``w2`` and ``b2``: the forward
-    gathers both endpoints' rows, concatenates them and applies the MLP,
-    with its ReLU in place.  The backward closure keeps the concatenated
-    pairs and the hidden activations; when no input requires a gradient the
-    tape drops it, so an untaped call keeps nothing and records no node.
+    gathers both endpoints' rows in one gather, which lays them out as the
+    concatenated pairs, and applies the MLP, with its ReLU in place.  The
+    backward closure keeps the concatenated pairs and the hidden
+    activations; when no input requires a gradient the tape drops it, so an
+    untaped call keeps nothing and records no node.
     The backward returns the five gradients with the same arithmetic as the
     composed ``gather_rows``/``concat_cols``/``linear``/``relu``/``linear``/
     ``reshape`` ops, so the two agree bit for bit.  The weights and biases
@@ -164,7 +165,8 @@ def edge_logits(Z: Tensor | np.ndarray, edges: np.ndarray, params: ExplainerPara
             f"edge MLP: weight {w1.data.shape} with bias {b1.data.shape},"
             f" weight {w2.data.shape} with bias {b2.data.shape}"
         )
-    pair = np.concatenate([Z.data[edges[:, 0]], Z.data[edges[:, 1]]], axis=1)
+    # row k is [z_i ; z_j] for edge k = (i, j): both ends in one gather
+    pair = Z.data[edges].reshape(len(edges), w1.data.shape[0])
     h = pair @ w1.data
     h += b1.data
     np.maximum(h, 0.0, out=h)
@@ -312,8 +314,10 @@ def edge_scores(g: Graph, backbone: BackboneParams, params: ExplainerParams) -> 
 
     Runs only the backbone's layers, with no readout, on the graph's own
     ``Graph.adjacency``; after a graph's first call, no batch or CSR is
-    built.  The node states equal those ``frozen_forward`` returns for the
-    graph, bit for bit.
+    built.  The node states equal those of ``frozen_forward([g])`` bit for
+    bit, and those of a batched ``frozen_forward`` call under the condition
+    that it names: a hidden width that is a multiple of 8 and a graph of at
+    least 2 nodes.
     """
     z = layer_states(g.x, g.adjacency, backbone.frozen())
     return edge_logits(z, g.edges, params.frozen()).data

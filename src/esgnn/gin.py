@@ -12,13 +12,13 @@ here indexes directed entries: the edge-weight gradient comes from
 sparse product A H, a layer runs its dense half, the scale-add, the MLP and
 its in-place ReLU, in blocks of ``ROW_BLOCK`` node rows, so a large batch's
 operands stay in cache; its backward is not blocked and works on the whole
-arrays.  When no input requires a gradient, as in
-``frozen_forward``, the tape drops the layer's backward closure, so the
-layer keeps nothing and records no node.  Graphs are trained in
-block-diagonal minibatches whose node and edge offsets are the only record
-of which rows and edges belong to which graph.  ``layer_states`` is the one
-layer loop of the package: it runs every layer over features and an
-assembled adjacency.  ``backbone_forward_batch`` assembles A_mask once, in
+arrays.  When no input requires a gradient, as in ``frozen_forward``, the
+tape drops the layer's backward closure, so the layer keeps nothing and
+records no node, and a blocked layer writes its output over A H.  Graphs
+are trained in block-diagonal minibatches whose node and edge offsets are
+the only record of which rows and edges belong to which graph.
+``layer_states`` is the one layer loop of the package: it runs every layer
+over features and an assembled adjacency.  ``backbone_forward_batch`` assembles A_mask once, in
 the forward that uses it, shares it with every layer and their backward,
 and pools each graph's states with one product by a sum-pooling CSR built
 from the node offsets; ``explainer.edge_scores`` runs ``layer_states`` on
@@ -219,7 +219,8 @@ def build_graph_batch(
     node_offsets = np.cumsum([0, *num_nodes], dtype=np.intp)
     edge_offsets = np.cumsum([0, *num_edges], dtype=np.intp)
     edges = np.concatenate(edge_arrays or [np.zeros((0, 2), dtype=np.intp)])
-    edges += np.repeat(node_offsets[:-1], num_edges)[:, None]
+    # both ends of graph gi's edges move by its first node row, as one (E, 2) add
+    edges += np.repeat(node_offsets[:-1], 2 * np.diff(edge_offsets)).reshape(-1, 2)
     # a fresh copy, so zeroing deleted nodes below never writes to g.x
     x = np.concatenate(xs or [np.zeros((0, width))], dtype=np.float64)
 
@@ -251,19 +252,35 @@ def build_graph_batch(
     )
 
 
-def _dense_half(h, z, scale, layer, r=None, out=None):
+def _add_bias(a, bias):
+    """``a += bias`` on every row; a 2-D ``bias`` is a tile of equal bias rows.
+
+    numpy adds a 1-D bias with one short inner loop per row.  A tile is
+    added one tile of rows at a time, each a single contiguous add of two
+    arrays of the same shape; the sums are the same.
+    """
+    if bias.ndim == 1:
+        a += bias
+        return
+    for start in range(0, len(a), len(bias)):
+        rows = a[start : start + len(bias)]
+        rows += bias[: len(rows)]
+
+
+def _dense_half(h, z, scale, layer, biases, r=None, out=None):
     """Rows of a GIN layer after the sparse product: ``z += h * scale``, then the MLP.
 
-    ``z`` holds those rows of A h and is updated in place.  The hidden
-    activations and the output go to ``r`` and ``out``, or to new arrays
-    when they are None; returns both.
+    ``z`` holds those rows of A h and is updated in place.  ``biases`` are
+    the layer's two biases as vectors or as tiles (``_add_bias``).  The
+    hidden activations and the output go to ``r`` and ``out``, or to new
+    arrays when they are None; returns both.
     """
     z += h * scale
     r = np.matmul(z, layer.w1.data, out=r)
-    r += layer.b1.data
+    _add_bias(r, biases[0])
     np.maximum(r, 0.0, out=r)
     out = np.matmul(r, layer.w2.data, out=out)
-    out += layer.b2.data
+    _add_bias(out, biases[1])
     return r, out
 
 
@@ -277,11 +294,13 @@ def apply_gin_layer(layer: GinLayerParams, h: Tensor, adj: WeightedSparse) -> Te
     a one-block run bit for bit wherever BLAS gives a row the same sums
     whatever the row count, as OpenBLAS's matrix product does for output
     widths that are multiples of 8; a last block never holds one row alone,
-    which BLAS would multiply on its matrix-vector path.  The backward is
-    not blocked: its closure keeps the whole MLP input ``z`` and hidden
-    activations ``r``; when no input requires
-    a gradient the tape drops it, so an untaped layer keeps nothing and
-    records no node.  The backward returns the gradients of the edge
+    which BLAS would multiply on its matrix-vector path.  A batch of at
+    least ``2 * ROW_BLOCK`` rows adds the biases from tiles (``_add_bias``).
+    The backward is not blocked: its closure keeps the whole MLP input ``z``
+    and hidden activations ``r``.  When no input requires a gradient the
+    tape drops it, so an untaped layer keeps nothing and records no node;
+    a blocked one then holds ``r`` one block at a time and writes its
+    output over ``z``.  The backward returns the gradients of the edge
     weights, ``h``, ``eps``, ``w1``, ``b1``, ``w2`` and ``b2`` with the same
     arithmetic as the composed ``spmm``/``mul``/``add``/``linear``/``relu``
     ops, so the two agree bit for bit.
@@ -294,16 +313,29 @@ def apply_gin_layer(layer: GinLayerParams, h: Tensor, adj: WeightedSparse) -> Te
         raise DimensionError(f"GIN layer: states {h.data.shape} vs weight {w1.data.shape}")
     scale = eps.data + 1.0
     z = adj.csr @ h.data
+    biases = b1.data, b2.data
     if n <= ROW_BLOCK + 1:
-        r, out = _dense_half(h.data, z, scale, layer)  # one block: no views
+        r, out = _dense_half(h.data, z, scale, layer, biases)  # one block: no views
     else:
-        r = np.empty((n, w1.data.shape[1]))
-        out = np.empty((n, w2.data.shape[1]))
+        # an untaped layer has no backward to keep r and z for: r goes
+        # through one block's scratch, and the output overwrites z's rows
+        # once they are used, when the widths allow
+        taped = any(t.requires_grad for t in (weights, h, eps, w1, b1, w2, b2))
+        r = np.empty((n if taped else ROW_BLOCK + 1, w1.data.shape[1]))
+        if not taped and z.shape[1] == w2.data.shape[1]:
+            out = z
+        else:
+            out = np.empty((n, w2.data.shape[1]))
+        if n >= 2 * ROW_BLOCK:
+            # tiles of half a block (64 KiB at width 32) pay for their
+            # making once a batch spans two whole blocks
+            biases = tuple(np.tile(b, ((ROW_BLOCK + 1) // 2, 1)) for b in biases)
         # the last block takes a lone leftover row, which BLAS would multiply
         # on its matrix-vector path, whose sums can differ in the last bits
         starts = range(0, n - 1, ROW_BLOCK)
         for a, b in zip(starts, [*starts[1:], n]):
-            _dense_half(h.data[a:b], z[a:b], scale, layer, r[a:b], out[a:b])
+            rows = r[a:b] if taped else r[: b - a]
+            _dense_half(h.data[a:b], z[a:b], scale, layer, biases, rows, out[a:b])
     needs_gz = weights.requires_grad or h.requires_grad or eps.requires_grad
 
     def _bp(grad):
@@ -380,8 +412,12 @@ def frozen_forward(
 
     Runs ``FORWARD_CHUNK`` graphs per block-diagonal forward through
     ``params.frozen()``, so no tape is built and no ``.grad`` is touched.
-    Node states equal those of a one-graph call bit for bit; logits may
-    differ from it in the last digits.
+    A graph's node states equal those of a one-graph call bit for bit when
+    the hidden width is a multiple of 8 and the graph has at least 2 nodes:
+    OpenBLAS then gives each row the same sums whatever the row count.  A
+    one-node graph alone is multiplied on BLAS's matrix-vector path, whose
+    sums can differ in the last bits.  Logits may differ from a one-graph
+    call in the last digits.
     """
     frozen = params.frozen()
     logits, states = [], []

@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,22 @@ def sigmoid_and_gradient(op, x, upstream):
     out = op(x)
     sum_all(mul(out, upstream)).backward()
     return out.data, x.grad
+
+
+def shuffled_edges(rng, n, draws):
+    """A random simple graph's edges, each flipped at random, in a random order."""
+    pairs = rng.integers(0, n, (draws, 2))
+    edges = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1), axis=0)
+    flip = rng.random(len(edges)) < 0.5
+    edges[flip] = edges[flip, ::-1]
+    return edges[rng.permutation(len(edges))]
+
+
+def coo_to_csr(n, edges, w):
+    """scipy's COO -> CSR of both directed entries of every edge: the order oracle."""
+    rows = np.concatenate([edges[:, 0], edges[:, 1]])
+    cols = np.concatenate([edges[:, 1], edges[:, 0]])
+    return scipy.sparse.coo_matrix((np.concatenate([w, w]), (rows, cols)), shape=(n, n)).tocsr()
 
 
 class TestSigmoidMatchesTheMaskedOracle:
@@ -170,20 +187,48 @@ class TestSpmm:
         # scipy's COO -> CSR of both directions of every edge: rows in order,
         # columns sorted within a row; edges in either orientation
         rng = np.random.default_rng(2)
-        n = 40
-        pairs = rng.integers(0, n, (300, 2))
-        edges = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1), axis=0)
-        flip = rng.random(len(edges)) < 0.5
-        edges[flip] = edges[flip, ::-1]
-        edges = edges[rng.permutation(len(edges))]
+        edges = shuffled_edges(rng, 40, 300)
         w = rng.standard_normal(len(edges))
-        got = assemble(n, edges, w).csr
-        rows = np.concatenate([edges[:, 0], edges[:, 1]])
-        cols = np.concatenate([edges[:, 1], edges[:, 0]])
-        want = scipy.sparse.coo_matrix((np.concatenate([w, w]), (rows, cols)), shape=(n, n)).tocsr()
+        got, want = assemble(40, edges, w).csr, coo_to_csr(40, edges, w)
         assert got.indptr.tolist() == want.indptr.tolist()
         assert got.indices.tolist() == want.indices.tolist()
         assert got.data.tobytes() == want.data.tobytes()
+
+    @pytest.mark.parametrize("n, draws", [(40, 300), (3000, 9000)])
+    def test_the_packed_sort_keeps_scipys_order_and_every_weight_byte(self, n, draws):
+        rng = np.random.default_rng(n)
+        edges = shuffled_edges(rng, n, draws)
+        w = rng.standard_normal(len(edges))
+        special = rng.permutation(len(edges))[:50].reshape(5, 10)
+        for value, picks in zip((0.0, -0.0, np.nan, np.inf, -np.inf), special):
+            w[picks] = value
+        got, want = assemble(n, edges, w).csr, coo_to_csr(n, edges, w)
+        assert same_bits(got.indptr, want.indptr) and same_bits(got.indices, want.indices)
+        assert same_bits(got.data, want.data)
+
+    # ids above 2**16, whose flat index i * n + j needs more than 32 bits
+    @pytest.mark.parametrize(
+        "edges",
+        [[[3, 70000], [3, 70000]], [[3, 70000], [70000, 3]], [[70000, 3], [5, 6], [3, 70000]]],
+    )
+    def test_a_repeated_pair_of_high_ids_is_named_in_either_orientation(self, edges):
+        with pytest.raises(DimensionError, match=re.escape("pair (3, 70000) is given twice")):
+            assemble(70001, edges, np.ones(len(edges)))
+
+    # n past the CSR's int32 indices, and n = 2**30 with 2 edges, whose
+    # packed key n * n * 2**3 reaches 2**63
+    @pytest.mark.parametrize("n, edges", [(2**31, [[0, 1]]), (2**40, [[0, 1]]), (2**30, [[0, 1], [1, 2]])])
+    def test_a_size_past_the_csr_indices_or_the_sort_key_is_rejected_before_allocating(
+        self, n, edges
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionError, match=f"{n} nodes and {len(edges)} edges"):
+                assemble(n, edges, np.ones(len(edges)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_weight_grad_sums_the_two_directed_entries_of_each_edge_bit_for_bit(self):
         # the directed-entry formula: entry 2k is (i, j), entry 2k + 1 is (j, i)

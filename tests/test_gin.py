@@ -187,34 +187,58 @@ class TestFusedGinLayer:
         with pytest.raises(ValueError, match="weight"):
             apply_gin_layer(layer, Tensor(np.ones((3, 1))), adj)
 
-    # 0 nodes, fewer than a block, 3 whole blocks, and 3 blocks with a
-    # leftover of 1 (taken into the last block), 2 and 6 rows; width 8, for
-    # which OpenBLAS gives a row the same sums whatever the row count
-    @pytest.mark.parametrize("n", [0, 5, 21, 22, 23, 27])
-    def test_row_blocks_give_the_output_and_all_seven_gradients_of_one_block(
-        self, monkeypatch, n
-    ):
+    @staticmethod
+    def random_layer(n, in_dim=3):
+        """A random simple graph on n nodes, states and a width-8 layer with nonzero biases."""
         rng = np.random.default_rng(n)
         pairs = rng.integers(0, max(n, 1), (3 * n, 2))
         edges = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1), axis=0)
         values = Tensor(rng.random(len(edges)), requires_grad=True)
-        h = Tensor(rng.standard_normal((n, 3)), requires_grad=True)
-        layer = gin.init_gin_layer(rng, 3, 8)
+        h = Tensor(rng.standard_normal((n, in_dim)), requires_grad=True)
+        layer = gin.init_gin_layer(rng, in_dim, 8)
         layer.eps.data[...] = 0.37
         layer.b1.data[:] = rng.standard_normal(8) * 0.1
-        upstream = rng.standard_normal((n, 8))
-        results = []
-        for row_block in (gin.ROW_BLOCK, 7):
-            monkeypatch.setattr(gin, "ROW_BLOCK", row_block)
-            for t in (values, h, *layer.named("l").values()):
-                t.grad = None
-            out = apply_gin_layer(layer, h, assemble(n, edges, values))
-            sum_all(mul(out, upstream)).backward()
-            inputs = (values, h, layer.eps, layer.w1, layer.b1, layer.w2, layer.b2)
-            results.append([out.data] + [t.grad.copy() for t in inputs])
-        one_block, blocked = results
-        assert one_block[0].shape == (n, 8)
-        assert all(same_bits(a, b) for a, b in zip(one_block, blocked))
+        layer.b2.data[:] = rng.standard_normal(8) * 0.1
+        return edges, values, h, layer, rng.standard_normal((n, 8))
+
+    # blocks of 7 rows, and bias tiles of 4 rows from 14 rows on: 0 nodes,
+    # fewer than a block (5), 1 whole block (9), 2 (14), 2 and a lone
+    # leftover row taken into the last block (15), 3 (21), and 3 and a
+    # leftover of 1, 2 and 6 rows; width 8, for which OpenBLAS gives a row
+    # the same sums whatever the row count.  An input width of 8 lets an
+    # untaped layer write its output over A h.
+    @pytest.mark.parametrize("n", [0, 5, 9, 14, 15, 21, 22, 23, 27])
+    def test_row_blocks_give_the_output_and_all_seven_gradients_of_one_block(
+        self, monkeypatch, n
+    ):
+        add_bias, bias_dims = gin._add_bias, []
+
+        def spy(a, bias):
+            bias_dims.append(bias.ndim)
+            add_bias(a, bias)
+
+        monkeypatch.setattr(gin, "_add_bias", spy)
+        row_blocks = (gin.ROW_BLOCK, 7)
+        for in_dim in (3, 8):
+            edges, values, h, layer, upstream = self.random_layer(n, in_dim)
+            frozen = GinLayerParams(*(Tensor(t.data) for t in layer.named("l").values()))
+            results = []
+            for row_block in row_blocks:
+                monkeypatch.setattr(gin, "ROW_BLOCK", row_block)
+                bias_dims.clear()
+                for t in (values, h, *layer.named("l").values()):
+                    t.grad = None
+                out = apply_gin_layer(layer, h, assemble(n, edges, values))
+                sum_all(mul(out, upstream)).backward()
+                inputs = (values, h, layer.eps, layer.w1, layer.b1, layer.w2, layer.b2)
+                untaped = apply_gin_layer(frozen, Tensor(h.data), assemble(n, edges, values.data))
+                assert not np.shares_memory(untaped.data, h.data)
+                results.append([out.data, untaped.data] + [t.grad.copy() for t in inputs])
+            one_block, blocked = results
+            assert set(bias_dims) == ({2} if n >= 14 else {1})
+            assert one_block[0].shape == (n, 8)
+            assert all(same_bits(a, one_block[0]) for a in (one_block[1], *blocked[:2]))
+            assert all(same_bits(a, b) for a, b in zip(one_block[2:], blocked[2:]))
 
     def test_training_runs_equal_those_of_the_composed_layer(self, monkeypatch):
         graphs = list(generate_ba2motifs(40, seed=4).graphs)
@@ -536,6 +560,20 @@ class TestFrozenForward:
         graphs = list(generate_ba2motifs(46, seed=5).graphs)[:num_graphs]
         assert sum(g.num_nodes for g in graphs) > 2 * gin.ROW_BLOCK
         params = init_backbone(np.random.default_rng(4), 1, 2, hidden=8, num_layers=3)
+        _, states = frozen_forward(graphs, params)
+        for g, z in zip(graphs, states):
+            assert same_bits(z, frozen_forward([g], params)[1][0])
+
+    def test_at_width_32_a_batch_of_two_whole_blocks_gives_the_one_graph_states(self):
+        # the promised case: a hidden width that is a multiple of 8 and
+        # graphs of at least 2 nodes; 46 graphs of 25 nodes are 1150 rows
+        graphs = list(generate_ba2motifs(46, seed=6).graphs)
+        assert sum(g.num_nodes for g in graphs) >= 2 * gin.ROW_BLOCK
+        params = init_backbone(np.random.default_rng(5), 1, 2, hidden=32)
+        rng = np.random.default_rng(6)
+        for layer in params.layers:
+            layer.b1.data[:] = rng.standard_normal(32) * 0.1
+            layer.b2.data[:] = rng.standard_normal(32) * 0.1
         _, states = frozen_forward(graphs, params)
         for g, z in zip(graphs, states):
             assert same_bits(z, frozen_forward([g], params)[1][0])
