@@ -34,6 +34,9 @@ It hashes the dtype, shape and bytes of every array of:
 - ``assemble``'s ``indptr``, ``indices`` and ``data`` for random simple
   graphs of 40 and 3000 nodes, each edge flipped at random and the edges
   shuffled, with 0.0, -0.0, NaN and +-inf among the weights.
+Features hash with their dtype: those that ``load_tud_dataset``,
+``generate_ba2motifs`` and ``constant_features`` build are uint8, so a tree
+that built them as float64 prints another digest for the same values.
 Run it on two trees; equal digests mean equal outputs.
 """
 

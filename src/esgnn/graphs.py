@@ -92,8 +92,11 @@ class Graph:
 
     ``edges`` takes any (E, 2) sequence of pairs and holds it as one
     read-only (E, 2) intp array; a read-only intp array is kept as it is,
-    so ``dataclasses.replace`` shares it.  An empty
-    ``ground_truth_motif_edges`` is held as None.
+    so ``dataclasses.replace`` shares it.  ``x`` is a (num_nodes, F) array
+    of any real dtype (bool, integer or float), kept as it is: the loaders
+    here build 0/1 features as uint8, one byte per entry, and the batch
+    copy that ``gin.build_graph_batch`` makes widens them to float64.  An
+    empty ``ground_truth_motif_edges`` is held as None.
     """
 
     num_nodes: int
@@ -135,11 +138,16 @@ class Graph:
                         f"edge ({a}, {b}) outside 0..{self.num_nodes - 1} or not canonical"
                     )
                 raise ValueError(f"duplicate edge ({a}, {b})")
+        if self.x.dtype.kind not in "biuf":
+            raise ValueError(
+                f"feature matrix has dtype {self.x.dtype}, expected bool, integer or real float"
+            )
         if self.x.ndim != 2:
             raise ValueError(f"feature matrix has shape {self.x.shape}, expected 2-D")
         if self.x.shape[0] != self.num_nodes:
             raise ValueError(f"feature matrix has {self.x.shape[0]} rows for {self.num_nodes} nodes")
-        if not np.isfinite(self.x).all():
+        # only a float entry can be non-finite
+        if self.x.dtype.kind == "f" and not np.isfinite(self.x).all():
             bad = np.flatnonzero(~np.isfinite(self.x).all(axis=1))[0]
             raise ValueError(f"non-finite feature at node {bad}")
         if self.node_labels is not None and len(self.node_labels) != self.num_nodes:
@@ -173,11 +181,12 @@ class Graph:
         """The unit-weight symmetric adjacency, built on first use and kept.
 
         The graph is immutable, so its CSR is too: its arrays are read-only.
-        It shares the graph's ``edges``, so it keeps the unit weights and
-        the CSR, 32 bytes per edge, plus the CSR's row pointers.
+        It shares the graph's ``edges``, and its unit weights are one
+        float64 broadcast to E entries (no op reads them untaped), so it
+        keeps the CSR, 24 bytes per edge, plus the CSR's row pointers.
         ``dataclasses.replace`` builds a new graph, which builds its own.
         """
-        adj = assemble(self.num_nodes, self.edges, np.ones(self.num_edges))
+        adj = assemble(self.num_nodes, self.edges, np.broadcast_to(1.0, (self.num_edges,)))
         for a in (adj.weights.data, adj.csr.data, adj.csr.indices, adj.csr.indptr):
             a.flags.writeable = False
         return adj
@@ -392,4 +401,5 @@ def sample_bag(bag: SubgraphBag, fraction: float, seed: int) -> SubgraphBag:
 
 
 def constant_features(num_nodes: int) -> np.ndarray:
-    return np.ones((num_nodes, 1))
+    """One all-ones uint8 column: one byte per node."""
+    return np.ones((num_nodes, 1), dtype=np.uint8)

@@ -27,6 +27,11 @@ aggregate checks (the id range, one sorted key array per direction, the
 graphs of each pair) over rows parsed as int32 while the ids fit; the per-row
 pass that finds the first bad row runs only to word an error.  The writer streams each file graph by graph, so neither
 pass holds more than a small multiple of the edge rows.
+
+Node features (node-label or degree one-hot, or one constant column) are
+built as one uint8 block of 0s and 1s, one byte per entry: float64 appears
+only where arithmetic starts, in ``gin.build_graph_batch``'s batch copy and
+``gin.layer_states``.
 """
 
 from __future__ import annotations
@@ -191,7 +196,9 @@ def load_tud_dataset(
 
     With feature_spec=None, node-label one-hot features are used when the
     node-label file exists, otherwise degree one-hot capped at the maximum
-    observed degree.
+    observed degree.  Every feature matrix, one-hot or constant, is a uint8
+    array of 0s and 1s, one byte per entry; each graph's ``x`` is a view of
+    rows of one dataset-wide block.
     """
     root = Path(root_dir)
     paths = {
@@ -260,7 +267,7 @@ def load_tud_dataset(
             feature_spec = FeatureSpec("degree", cap=max(1, int(degrees.max(initial=0))))
 
     if feature_spec.kind == "constant":
-        x = np.ones((num_nodes, 1))
+        x = np.ones((num_nodes, 1), dtype=np.uint8)
     else:
         if feature_spec.kind == "node_labels":
             if node_labels is None:
@@ -269,9 +276,9 @@ def load_tud_dataset(
             width = len(distinct)
         else:
             column, width = np.minimum(degrees, feature_spec.cap), feature_spec.cap + 1
-        # one block, filled in graph order
-        x = np.zeros((num_nodes, width))
-        x[np.arange(num_nodes), column[by_graph]] = 1.0
+        # one uint8 block, filled in graph order
+        x = np.zeros((num_nodes, width), dtype=np.uint8)
+        x[np.arange(num_nodes), column[by_graph]] = 1
     if node_labels is not None:
         node_labels = node_labels[by_graph].tolist()
 

@@ -100,6 +100,25 @@ class TestGraphInvariants:
             with pytest.raises(ValueError, match="non-finite feature at node 2"):
                 Graph(num_nodes=4, edges=edges, x=x, y=0)
 
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.ones((3, 1), dtype=np.complex128),
+            np.full((3, 1), "1"),
+            np.ones((3, 1), dtype=object),
+        ],
+    )
+    def test_rejects_features_of_a_non_real_dtype_naming_it(self, x):
+        message = f"feature matrix has dtype {x.dtype}, expected bool, integer or real float"
+        for edges in tuple_and_array(((0, 1),)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                Graph(num_nodes=3, edges=edges, x=x, y=0)
+
+    @pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int64, np.float32, np.float64])
+    def test_keeps_features_of_a_real_dtype_as_they_are(self, dtype):
+        x = np.ones((3, 2), dtype=dtype)
+        assert Graph(num_nodes=3, edges=((0, 1),), x=x, y=0).x is x
+
     def test_rejects_node_labels_of_the_wrong_length(self):
         for edges in tuple_and_array(((0, 1),)):
             with pytest.raises(ValueError, match="3 node labels for 2 nodes"):
@@ -190,10 +209,10 @@ def kept_arrays(obj) -> list[np.ndarray]:
 
 
 class TestAdjacency:
-    def test_keeps_32_bytes_per_edge_plus_its_row_pointers(self):
-        # unit weights (8 bytes per edge), and the CSR's values and int32
-        # columns (16 and 8: two directed entries per edge); the edges are
-        # the graph's own array, and no per-entry permutation is kept
+    def test_keeps_24_bytes_per_edge_plus_its_row_pointers(self):
+        # the CSR's values and int32 columns (16 and 8: two directed entries
+        # per edge), and the one float64 that the unit weights broadcast; the
+        # edges are the graph's own array, and no per-entry permutation is kept
         rng = np.random.default_rng(0)
         n = 200
         pairs = rng.integers(0, n, (900, 2))
@@ -202,7 +221,8 @@ class TestAdjacency:
         extra = [a for a in kept_arrays(adj) if not np.shares_memory(a, g.edges)]
         kept = sum(a.nbytes for a in extra) - adj.csr.indptr.nbytes
         assert adj.csr.indptr.nbytes == 4 * (n + 1)
-        assert kept <= 32 * g.num_edges, f"{kept / g.num_edges:.1f} bytes per edge"
+        assert kept <= 24 * g.num_edges + 8, f"{kept / g.num_edges:.1f} bytes per edge"
+        assert same_bits(adj.weights.data, np.ones(g.num_edges))
 
     def test_is_built_on_first_use_and_kept(self, cycle6):
         assert "adjacency" not in vars(cycle6)
@@ -575,4 +595,4 @@ def test_degrees_match_an_edge_loop(n, edges, tmp_path):
         expected[j] += 1
     cap = max(1, n)  # no degree reaches the cap
     got = degree_features(g, cap, tmp_path)
-    assert got.dtype == np.float64 and np.array_equal(got, np.eye(cap + 1)[expected])
+    assert got.dtype == np.uint8 and np.array_equal(got, np.eye(cap + 1)[expected])

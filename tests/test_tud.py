@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esgnn import tud
+from esgnn import explainer, gin, tud
 from esgnn.ba2motifs import generate_ba2motifs
-from esgnn.graphs import FeatureSpec, Graph, GraphDataset, constant_features
+from esgnn.graphs import FeatureSpec, Graph, GraphDataset, constant_features, policy_node_deleted
 from esgnn.tud import FormatError, IngestionError, load_tud_dataset, write_tud_dataset
+from tests.conftest import same_bits
 
 
 def write_fixture(root, name="FIX", node_labels=True):
@@ -98,6 +99,51 @@ class TestLoader:
         ds = load_tud_dataset(write_fixture(tmp_path), "FIX", FeatureSpec("constant"))
         assert ds.feature_dim == 1
         assert np.array_equal(ds.graphs[0].x, np.ones((3, 1)))
+
+
+class TestUint8Features:
+    """Every feature matrix the package builds holds 0s and 1s as uint8."""
+
+    @pytest.mark.parametrize(
+        "spec", [FeatureSpec("node_labels"), FeatureSpec("degree", cap=1), FeatureSpec("constant")]
+    )
+    def test_loaded_features_take_one_byte_per_entry(self, tmp_path, spec):
+        ds = load_tud_dataset(write_fixture(tmp_path), "FIX", spec)
+        width = ds.feature_dim
+        for g in ds.graphs:
+            assert g.x.dtype == np.uint8 and g.x.nbytes == g.num_nodes * width
+            assert np.isin(g.x, (0, 1)).all() and (g.x.sum(axis=1) == 1).all()
+        # the graphs' rows are views of one block, itself one byte per entry
+        (block,) = {id(g.x.base): g.x.base for g in ds.graphs}.values()
+        assert block.dtype == np.uint8 and block.nbytes == 5 * width
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_constant_features_take_one_byte_per_node(self, n):
+        x = constant_features(n)
+        assert x.dtype == np.uint8 and x.nbytes == n and (x == 1).all()
+
+    def test_give_the_outputs_of_float64_features_bit_for_bit(self, tmp_path):
+        write_tud_dataset(generate_ba2motifs(24, seed=0), tmp_path)
+        ds = load_tud_dataset(tmp_path, "BA-2Motifs", FeatureSpec("degree", cap=4))
+        graphs = list(ds.graphs)
+        wide = [dataclasses.replace(g, x=g.x.astype(np.float64)) for g in graphs]
+        rng = np.random.default_rng(0)
+        backbone = gin.init_backbone(rng, ds.feature_dim, ds.num_classes)
+        params = explainer.init_explainer(rng, hidden=backbone.hidden)
+        (logits, states), (wide_logits, wide_states) = (
+            gin.frozen_forward(gs, backbone) for gs in (graphs, wide)
+        )
+        assert same_bits(logits, wide_logits)
+        assert all(same_bits(a, b) for a, b in zip(states, wide_states, strict=True))
+        assert gin.evaluate_accuracy(graphs, backbone) == gin.evaluate_accuracy(wide, backbone)
+        for g, w in zip(graphs, wide):
+            scores = (explainer.edge_scores(h, backbone, params) for h in (g, w))
+            assert same_bits(*scores)
+        # node deletion zeroes rows of the float64 batch copy, not of g.x
+        masks = list(policy_node_deleted(graphs[0]).masks)
+        batch = gin.build_graph_batch(graphs[:1] * len(masks), masks)
+        assert same_bits(batch.x, gin.build_graph_batch(wide[:1] * len(masks), masks).x)
+        assert graphs[0].x.dtype == np.uint8 and (graphs[0].x.sum(axis=1) == 1).all()
 
 
 class TestRoundTrip:
