@@ -28,6 +28,8 @@ It hashes the dtype, shape and bytes of every array of:
   nodes with degree features (cap 10), under a fresh 32-wide, 4-layer
   backbone, and ``evaluate_accuracy`` over each 32-graph half: batches of
   thousands of nodes, whose GIN layers run in several row blocks;
+- ``frozen_forward`` of the first 3 and the first 4 of those graphs (559
+  and 764 nodes): batches between one and two row blocks;
 - one taped ``apply_gin_layer`` (11 -> 32, random eps and biases) over the
   first 32 of those graphs, which span more than two row blocks: its output
   and the gradients of its seven inputs;
@@ -176,6 +178,8 @@ def main() -> None:
     feed_forward(large, wide)
     for start in (0, 32):
         digest.update(repr(gin.evaluate_accuracy(large[start : start + 32], wide)).encode())
+    for count in (3, 4):
+        feed_forward(large[:count], wide)
 
     rng = np.random.default_rng(3)
     batch = gin.build_graph_batch(large[:32])

@@ -1,14 +1,14 @@
 """Learned hard edge-mask explanations over a frozen classifier.
 
 A small MLP maps concatenated endpoint embeddings [z_i ; z_j] to one logit
-per undirected edge.  The MLP is one taped op, from the gather of both
-endpoints to the reshape of the logits, and untaped it keeps nothing for a
-backward.  Soft weights come from a binary-concrete relaxation (logistic
-noise, temperature tau), all drawn by ``concrete_sample``; the classifier
-only ever sees hard binary masks, obtained either by thresholding or by an
-exact top-K budget, with a straight-through estimator carrying gradients
-back to the logits.  The sparsity penalty acts on the hard bits, i.e. it
-counts selected edges.
+per undirected edge: one taped op, from the gather of both endpoints to the
+logits, on the GIN layer's MLP kernel (``gin._mlp``, ``gin._mlp_grads``).
+Soft weights come from a binary-concrete relaxation (logistic noise,
+temperature tau), all drawn by ``concrete_sample``; the classifier only
+ever sees hard binary masks, obtained either by thresholding or by an exact
+top-K budget, with a straight-through estimator carrying gradients back to
+the logits.  The sparsity penalty acts on the hard bits, i.e. it counts
+selected edges.
 ``edge_scores`` runs only the backbone's layers (``gin.layer_states``) on
 its one graph's own cached ``Graph.adjacency``, with no batch, pooling or
 head, then the edge MLP.  ``train_explainer`` scores a batch's ``edges``
@@ -38,6 +38,8 @@ from .autodiff import (
 )
 from .gin import (
     BackboneParams,
+    _mlp,
+    _mlp_grads,
     backbone_forward_batch,
     build_graph_batch,
     frozen_forward,
@@ -146,14 +148,12 @@ def edge_logits(Z: Tensor | np.ndarray, edges: np.ndarray, params: ExplainerPara
 
     One taped op over ``Z``, ``w1``, ``b1``, ``w2`` and ``b2``: the forward
     gathers both endpoints' rows in one gather, which lays them out as the
-    concatenated pairs, and applies the MLP, with its ReLU in place.  The
-    backward closure keeps the concatenated pairs and the hidden
-    activations; when no input requires a gradient the tape drops it, so an
-    untaped call keeps nothing and records no node.
-    The backward returns the five gradients with the same arithmetic as the
-    composed ``gather_rows``/``concat_cols``/``linear``/``relu``/``linear``/
-    ``reshape`` ops, so the two agree bit for bit.  The weights and biases
-    must have the shapes ``init_explainer`` gives them.
+    concatenated pairs, and runs ``gin._mlp`` on them in one call; untaped
+    it keeps nothing and records no node.  The backward is ``gin._mlp_grads``,
+    which scatters the pairs' gradient onto both endpoints, with the same
+    arithmetic as the composed ``gather_rows``/``concat_cols``/``linear``/
+    ``relu``/``linear``/``reshape`` ops, so the two agree bit for bit.  The
+    weights and biases must have the shapes ``init_explainer`` gives them.
     """
     Z = Z if isinstance(Z, Tensor) else Tensor(Z)
     w1, b1, w2, b2 = params.w1, params.b1, params.w2, params.b2
@@ -167,33 +167,22 @@ def edge_logits(Z: Tensor | np.ndarray, edges: np.ndarray, params: ExplainerPara
         )
     # row k is [z_i ; z_j] for edge k = (i, j): both ends in one gather
     pair = Z.data[edges].reshape(len(edges), w1.data.shape[0])
-    h = pair @ w1.data
-    h += b1.data
-    np.maximum(h, 0.0, out=h)
-    out = h @ w2.data
-    out += b2.data
+    h, out = _mlp(pair, w1.data, w2.data, (b1.data, b2.data))
     logits = out.reshape(len(edges))
+
+    def _z_grad(gpair):
+        if gpair is None:
+            return (None,)
+        split = Z.data.shape[1]
+        # each end's rows are summed apart and then added, as the two gathers' are
+        gi, gj = np.zeros_like(Z.data), np.zeros_like(Z.data)
+        np.add.at(gi, edges[:, 0], gpair[:, :split])
+        np.add.at(gj, edges[:, 1], gpair[:, split:])
+        return (gi + gj,)
 
     def _bp(grad):
         grad = grad.reshape(out.shape)
-        # h > 0 exactly where the pre-activation was > 0 (NaN in neither)
-        gh = (grad @ w2.data.T) * (h > 0)
-        gz = None
-        if Z.requires_grad:
-            gpair = gh @ w1.data.T
-            split = Z.data.shape[1]
-            # each end's rows are summed apart and then added, as the two gathers' are
-            gi, gj = np.zeros_like(Z.data), np.zeros_like(Z.data)
-            np.add.at(gi, edges[:, 0], gpair[:, :split])
-            np.add.at(gj, edges[:, 1], gpair[:, split:])
-            gz = gi + gj
-        return (
-            gz,
-            pair.T @ gh if w1.requires_grad else None,
-            gh.sum(axis=0) if b1.requires_grad else None,
-            h.T @ grad if w2.requires_grad else None,
-            grad.sum(axis=0) if b2.requires_grad else None,
-        )
+        return _mlp_grads(grad, pair, h, w1, b1, w2, b2, Z.requires_grad, _z_grad)
 
     return custom_primitive(logits, (Z, w1, b1, w2, b2), _bp)
 
@@ -385,14 +374,17 @@ def bag_to_json(bag: SubgraphBag, graph_id: int) -> dict:
 def bag_from_json(doc: dict, base: Graph) -> SubgraphBag:
     """The bag ``bag_to_json`` wrote for ``base``.
 
-    ``masks`` must be a list of objects.  Every mask's bits must be a string,
-    decoded strictly, so a character outside the base64 alphabet is an
-    error, and checked for their byte length before any is unpacked.  ``K``
-    and ``seed`` must be integers or null and ``zeroed_nodes`` a list of
-    node ids; a bool counts as no integer.  These checks run mask by mask,
-    and the unpacked bits of all masks are then checked as one block, so an
-    error names the graph and the first bad mask.
+    ``doc`` must be an object and its ``masks`` a list of objects.  Every
+    mask's bits must be a string, decoded strictly, so a character outside
+    the base64 alphabet is an error, and checked for their byte length
+    before any is unpacked.  ``K`` and ``seed`` must be integers or null and
+    ``zeroed_nodes`` a list of node ids; a bool counts as no integer.  These
+    checks run mask by mask, and the unpacked bits of all masks are then
+    checked as one block, so an error names the graph and the first bad
+    mask.
     """
+    if not isinstance(doc, dict):
+        raise ValueError(f"bag document is {type(doc).__name__}, expected an object")
     graph_id = doc.get("graph_id")
     for key in ("policy", "masks"):
         if key not in doc:

@@ -9,21 +9,19 @@ of ``spmm``, ``mul``, ``add``, ``linear`` and ``relu``.  A batch holds its
 edges once, as the (E, 2) undirected pairs ``batch.edges``, and no code
 here indexes directed entries: the edge-weight gradient comes from
 ``WeightedSparse.weight_grad``, one value per undirected edge.  After the
-sparse product A H, a layer runs its dense half, the scale-add, the MLP and
-its in-place ReLU, in blocks of ``ROW_BLOCK`` node rows, so a large batch's
-operands stay in cache; its backward is not blocked and works on the whole
-arrays.  When no input requires a gradient, as in ``frozen_forward``, the
-tape drops the layer's backward closure, so the layer keeps nothing and
-records no node, and a blocked layer writes its output over A H.  Graphs
-are trained in block-diagonal minibatches whose node and edge offsets are
-the only record of which rows and edges belong to which graph.
+sparse product A H and the scale-add, a layer runs ``_mlp``, the package's
+one two-layer ReLU MLP, and takes its backward from ``_mlp_grads``; only an
+untaped layer of more than ``ROW_BLOCK + 1`` rows, as in ``frozen_forward``,
+runs it in row blocks.  An untaped layer keeps nothing and records no node.
+Graphs are trained in block-diagonal minibatches whose node and edge
+offsets are the only record of which rows and edges belong to which graph.
 ``layer_states`` is the one layer loop of the package: it runs every layer
-over features and an assembled adjacency.  ``backbone_forward_batch`` assembles A_mask once, in
-the forward that uses it, shares it with every layer and their backward,
-and pools each graph's states with one product by a sum-pooling CSR built
-from the node offsets; ``explainer.edge_scores`` runs ``layer_states`` on
-one graph's cached ``Graph.adjacency``, with no batch.  Adam updates all
-parameters in one flat vector step (``optim``).
+over features and an assembled adjacency.  ``backbone_forward_batch``
+assembles A_mask once, in the forward that uses it, shares it with every
+layer and their backward, and pools each graph's states with one product by
+a sum-pooling CSR built from the node offsets; ``explainer.edge_scores``
+runs ``layer_states`` on one graph's cached ``Graph.adjacency``, with no
+batch.  Adam updates all parameters in one flat vector step (``optim``).
 
 ``train_backbone``'s per-epoch ``train_acc`` is the running minibatch
 accuracy: the share of training graphs that their minibatch's logits, taken
@@ -267,43 +265,59 @@ def _add_bias(a, bias):
         rows += bias[: len(rows)]
 
 
-def _dense_half(h, z, scale, layer, biases, r=None, out=None):
-    """Rows of a GIN layer after the sparse product: ``z += h * scale``, then the MLP.
+def _mlp(x, w1, w2, biases, r=None, out=None):
+    """``relu(x @ w1 + b1) @ w2 + b2``, the one MLP forward (GIN layer, edge scorer).
 
-    ``z`` holds those rows of A h and is updated in place.  ``biases`` are
-    the layer's two biases as vectors or as tiles (``_add_bias``).  The
-    hidden activations and the output go to ``r`` and ``out``, or to new
-    arrays when they are None; returns both.
+    ``biases`` are b1 and b2 as vectors or tiles (``_add_bias``).  Returns the
+    hidden activations and the output, written to ``r`` and ``out`` if given.
     """
-    z += h * scale
-    r = np.matmul(z, layer.w1.data, out=r)
+    r = np.matmul(x, w1, out=r)
     _add_bias(r, biases[0])
     np.maximum(r, 0.0, out=r)
-    out = np.matmul(r, layer.w2.data, out=out)
+    out = np.matmul(r, w2, out=out)
     _add_bias(out, biases[1])
     return r, out
+
+
+def _mlp_grads(grad, x, r, w1, b1, w2, b2, needs_gx, x_grads):
+    """The one MLP backward: the gradients behind x, then those of w1, b1, w2 and b2.
+
+    They are those of the composed ``linear``/``relu`` ops.  ``x`` and ``r``
+    are the forward's input and hidden activations.  ``x_grads`` maps the
+    gradient of x, None unless ``needs_gx``, to the tuple of gradients of
+    the inputs x was computed from; the weights' and biases' follow, each
+    None unless its Tensor requires one.
+    """
+    # r > 0 exactly where the pre-activation was > 0 (NaN in neither)
+    ga = (grad @ w2.data.T) * (r > 0)
+    gx = ga @ w1.data.T if needs_gx else None
+    # the inputs' gradients come first, while ga and gx live: made after the
+    # weights', they left the heap so that train_backbone's untaped held-out
+    # forward between epochs ran about 20% slower
+    return (
+        *x_grads(gx),
+        x.T @ ga if w1.requires_grad else None,
+        ga.sum(axis=0) if b1.requires_grad else None,
+        r.T @ grad if w2.requires_grad else None,
+        grad.sum(axis=0) if b2.requires_grad else None,
+    )
 
 
 def apply_gin_layer(layer: GinLayerParams, h: Tensor, adj: WeightedSparse) -> Tensor:
     """MLP((1 + eps) * h + A h) as one taped op over the layer's seven inputs.
 
-    The forward computes ``z = A h`` once, then adds ``(1 + eps) * h``, runs
-    the MLP and applies its ReLU in place, writing ``z``, the hidden
-    activations ``r`` and the output one block of ``ROW_BLOCK`` rows at a
-    time.  Addition commutes exactly, so the rows of a block equal those of
-    a one-block run bit for bit wherever BLAS gives a row the same sums
-    whatever the row count, as OpenBLAS's matrix product does for output
-    widths that are multiples of 8; a last block never holds one row alone,
-    which BLAS would multiply on its matrix-vector path.  A batch of at
-    least ``2 * ROW_BLOCK`` rows adds the biases from tiles (``_add_bias``).
-    The backward is not blocked: its closure keeps the whole MLP input ``z``
-    and hidden activations ``r``.  When no input requires a gradient the
-    tape drops it, so an untaped layer keeps nothing and records no node;
-    a blocked one then holds ``r`` one block at a time and writes its
-    output over ``z``.  The backward returns the gradients of the edge
-    weights, ``h``, ``eps``, ``w1``, ``b1``, ``w2`` and ``b2`` with the same
-    arithmetic as the composed ``spmm``/``mul``/``add``/``linear``/``relu``
-    ops, so the two agree bit for bit.
+    The forward adds ``(1 + eps) * h`` to ``z = A h`` and runs ``_mlp`` on
+    it: in one call when the layer is taped or has at most ``ROW_BLOCK + 1``
+    rows, else in blocks of ``ROW_BLOCK`` rows that stay in cache, with one
+    block's scratch for the hidden activations, the output written over
+    ``z`` when the widths match and the biases added from tiles.  Addition
+    commutes exactly, so a block's rows equal those of one call bit for bit
+    wherever BLAS gives a row the same sums whatever the row count, as
+    OpenBLAS does for output widths that are multiples of 8.  Untaped, the
+    layer keeps nothing and records no node.  The backward is
+    ``_mlp_grads``, which maps the gradient of ``z`` to those of the edge
+    weights, ``h`` and ``eps``; all seven are bit for bit those of the
+    composed ``spmm``/``mul``/``add``/``linear``/``relu`` ops.
     """
     weights, n = adj.weights, adj.csr.shape[0]
     eps, w1, b1, w2, b2 = layer.eps, layer.w1, layer.b1, layer.w2, layer.b2
@@ -313,44 +327,32 @@ def apply_gin_layer(layer: GinLayerParams, h: Tensor, adj: WeightedSparse) -> Te
         raise DimensionError(f"GIN layer: states {h.data.shape} vs weight {w1.data.shape}")
     scale = eps.data + 1.0
     z = adj.csr @ h.data
-    biases = b1.data, b2.data
-    if n <= ROW_BLOCK + 1:
-        r, out = _dense_half(h.data, z, scale, layer, biases)  # one block: no views
+    taped = any(t.requires_grad for t in (weights, h, eps, w1, b1, w2, b2))
+    if taped or n <= ROW_BLOCK + 1:
+        z += h.data * scale
+        r, out = _mlp(z, w1.data, w2.data, (b1.data, b2.data))
     else:
-        # an untaped layer has no backward to keep r and z for: r goes
-        # through one block's scratch, and the output overwrites z's rows
-        # once they are used, when the widths allow
-        taped = any(t.requires_grad for t in (weights, h, eps, w1, b1, w2, b2))
-        r = np.empty((n if taped else ROW_BLOCK + 1, w1.data.shape[1]))
-        if not taped and z.shape[1] == w2.data.shape[1]:
-            out = z
-        else:
-            out = np.empty((n, w2.data.shape[1]))
-        if n >= 2 * ROW_BLOCK:
-            # tiles of half a block (64 KiB at width 32) pay for their
-            # making once a batch spans two whole blocks
-            biases = tuple(np.tile(b, ((ROW_BLOCK + 1) // 2, 1)) for b in biases)
+        # untaped: no backward keeps r or z
+        r = np.empty((ROW_BLOCK + 1, w1.data.shape[1]))
+        out = z if z.shape[1] == w2.data.shape[1] else np.empty((n, w2.data.shape[1]))
+        biases = tuple(np.tile(b.data, ((ROW_BLOCK + 1) // 2, 1)) for b in (b1, b2))
         # the last block takes a lone leftover row, which BLAS would multiply
         # on its matrix-vector path, whose sums can differ in the last bits
         starts = range(0, n - 1, ROW_BLOCK)
         for a, b in zip(starts, [*starts[1:], n]):
-            rows = r[a:b] if taped else r[: b - a]
-            _dense_half(h.data[a:b], z[a:b], scale, layer, biases, rows, out[a:b])
+            z[a:b] += h.data[a:b] * scale
+            _mlp(z[a:b], w1.data, w2.data, biases, r[: b - a], out[a:b])
     needs_gz = weights.requires_grad or h.requires_grad or eps.requires_grad
 
-    def _bp(grad):
-        # r > 0 exactly where the pre-activation was > 0 (NaN in neither)
-        ga = (grad @ w2.data.T) * (r > 0)
-        gz = ga @ w1.data.T if needs_gz else None
+    def _input_grads(gz):
         return (
             adj.weight_grad(gz, h.data) if weights.requires_grad else None,
             gz * scale + adj.csr @ gz if h.requires_grad else None,
             (gz * h.data).sum(axis=0).sum(axis=0) if eps.requires_grad else None,
-            z.T @ ga if w1.requires_grad else None,
-            ga.sum(axis=0) if b1.requires_grad else None,
-            r.T @ grad if w2.requires_grad else None,
-            grad.sum(axis=0) if b2.requires_grad else None,
         )
+
+    def _bp(grad):
+        return _mlp_grads(grad, z, r, w1, b1, w2, b2, needs_gz, _input_grads)
 
     return custom_primitive(out, (weights, h, eps, w1, b1, w2, b2), _bp)
 
@@ -501,6 +503,7 @@ def train_backbone(
     """
     if not graphs:
         raise ValueError("empty training set")
+    _check_count("num_classes", num_classes, 1)
     for i, g in enumerate(graphs):
         if not 0 <= g.y < num_classes:
             raise ValueError(f"graph {i} has label {g.y} outside 0..{num_classes - 1}")

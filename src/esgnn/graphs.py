@@ -96,7 +96,8 @@ class Graph:
     of any real dtype (bool, integer or float), kept as it is: the loaders
     here build 0/1 features as uint8, one byte per entry, and the batch
     copy that ``gin.build_graph_batch`` makes widens them to float64.  An
-    empty ``ground_truth_motif_edges`` is held as None.
+    empty ``ground_truth_motif_edges`` is held as None.  ``num_nodes`` and
+    the label ``y`` must be integers >= 0; a bool counts as none.
     """
 
     num_nodes: int
@@ -107,6 +108,8 @@ class Graph:
     ground_truth_motif_edges: frozenset[int] | None = None
 
     def __post_init__(self):
+        _check_count("num_nodes", self.num_nodes, 0)
+        _check_count("y", self.y, 0)
         edges = self.edges
         if not (
             isinstance(edges, np.ndarray) and edges.dtype == np.intp and not edges.flags.writeable
@@ -204,6 +207,7 @@ class GraphDataset:
     feature_spec: FeatureSpec
 
     def __post_init__(self):
+        _check_count("num_classes", self.num_classes, 0)
         dims = {g.x.shape[1] for g in self.graphs}
         if len(dims) > 1:
             raise ValueError(f"inconsistent feature dimensions {sorted(dims)}")

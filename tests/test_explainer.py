@@ -391,6 +391,12 @@ class TestBagJson:
         with pytest.raises(ValueError, match=f"graph 3: {message}$"):
             bag_from_json(doc, triangle)
 
+    @pytest.mark.parametrize("doc", [[], ["masks"], "{}", None, 3])
+    def test_rejects_a_document_that_is_not_an_object_naming_its_type(self, triangle, doc):
+        message = f"^bag document is {type(doc).__name__}, expected an object$"
+        with pytest.raises(ValueError, match=message):
+            bag_from_json(doc, triangle)
+
     def test_rejects_a_mask_without_bits_naming_graph_and_mask(self, triangle):
         doc = bag_to_json(policy_edge_deleted(triangle), 8)
         del doc["masks"][2]["bits"]

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import weakref
 from collections import Counter
 
@@ -201,13 +202,14 @@ class TestFusedGinLayer:
         layer.b2.data[:] = rng.standard_normal(8) * 0.1
         return edges, values, h, layer, rng.standard_normal((n, 8))
 
-    # blocks of 7 rows, and bias tiles of 4 rows from 14 rows on: 0 nodes,
-    # fewer than a block (5), 1 whole block (9), 2 (14), 2 and a lone
-    # leftover row taken into the last block (15), 3 (21), and 3 and a
-    # leftover of 1, 2 and 6 rows; width 8, for which OpenBLAS gives a row
-    # the same sums whatever the row count.  An input width of 8 lets an
-    # untaped layer write its output over A h.
-    @pytest.mark.parametrize("n", [0, 5, 9, 14, 15, 21, 22, 23, 27])
+    # blocks of 7 rows, and bias tiles of 4 rows in every blocked layer: 0
+    # nodes, fewer than a block (5), 1 whole block and a lone leftover row
+    # taken into it (8), 1 whole block and 2 rows (9), 2 (14), 2 and a lone
+    # leftover row (15), 3 (21), and 3 and a leftover of 1, 2 and 6 rows;
+    # width 8, for which OpenBLAS gives a row the same sums whatever the row
+    # count.  Only the untaped layer runs in blocks; an input width of 8
+    # lets it write its output over A h.
+    @pytest.mark.parametrize("n", [0, 5, 8, 9, 14, 15, 21, 22, 23, 27])
     def test_row_blocks_give_the_output_and_all_seven_gradients_of_one_block(
         self, monkeypatch, n
     ):
@@ -230,15 +232,43 @@ class TestFusedGinLayer:
                     t.grad = None
                 out = apply_gin_layer(layer, h, assemble(n, edges, values))
                 sum_all(mul(out, upstream)).backward()
+                taped_bias_dims = set(bias_dims)
+                bias_dims.clear()
                 inputs = (values, h, layer.eps, layer.w1, layer.b1, layer.w2, layer.b2)
                 untaped = apply_gin_layer(frozen, Tensor(h.data), assemble(n, edges, values.data))
                 assert not np.shares_memory(untaped.data, h.data)
                 results.append([out.data, untaped.data] + [t.grad.copy() for t in inputs])
+                # tiles exactly when the layer is untaped and has more than ROW_BLOCK + 1 rows
+                assert taped_bias_dims == {1}
+                assert set(bias_dims) == ({2} if n > row_block + 1 else {1})
             one_block, blocked = results
-            assert set(bias_dims) == ({2} if n >= 14 else {1})
             assert one_block[0].shape == (n, 8)
             assert all(same_bits(a, one_block[0]) for a in (one_block[1], *blocked[:2]))
             assert all(same_bits(a, b) for a, b in zip(one_block[2:], blocked[2:]))
+
+    # with ROW_BLOCK 7, 22 rows are 3 blocks; a layer taped through its edge
+    # weights alone is train_explainer's, through all seven train_backbone's
+    @pytest.mark.parametrize(
+        "taped, rows", [("all", [22]), ("weights", [22]), ("none", [7, 7, 8])]
+    )
+    def test_only_an_untaped_layer_above_one_block_runs_in_blocks(self, monkeypatch, taped, rows):
+        mlp, calls = gin._mlp, []
+
+        def spy(x, *args):
+            calls.append(len(x))
+            return mlp(x, *args)
+
+        monkeypatch.setattr(gin, "_mlp", spy)
+        monkeypatch.setattr(gin, "ROW_BLOCK", 7)
+        edges, values, h, layer, _ = self.random_layer(22, 8)
+        if taped != "all":
+            layer = GinLayerParams(*(Tensor(t.data) for t in layer.named("l").values()))
+            h = Tensor(h.data)
+        if taped == "none":
+            values = Tensor(values.data)
+        out = apply_gin_layer(layer, h, assemble(22, edges, values))
+        assert out.requires_grad == (taped != "none")
+        assert calls == rows
 
     def test_training_runs_equal_those_of_the_composed_layer(self, monkeypatch):
         graphs = list(generate_ba2motifs(40, seed=4).graphs)
@@ -687,6 +717,23 @@ class TestTraining:
         graphs = [make_graph(3, [(0, 1)], y=1), make_graph(2, [(0, 1)], y=2)]
         with pytest.raises(ValueError, match="graph 1 has label 2 outside 0..1"):
             train_backbone(graphs, 2, TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize(
+        "num_classes, message",
+        [
+            (2.5, "must be an integer"),
+            (np.float64(2.0), "must be an integer"),
+            (True, "must be an integer"),
+            (0, "must be >= 1"),
+        ],
+    )
+    def test_a_class_count_that_is_no_positive_integer_is_rejected_by_name(
+        self, num_classes, message
+    ):
+        graphs = [make_graph(3, [(0, 1)], y=1), make_graph(2, [(0, 1)], y=0)]
+        message = f"^num_classes {re.escape(repr(num_classes))} {message}$"
+        with pytest.raises(ValueError, match=message):
+            train_backbone(graphs, num_classes, TrainConfig(epochs=1))
 
     def test_a_non_finite_loss_names_the_epoch_and_the_batch(self, monkeypatch):
         graphs = list(generate_ba2motifs(12, seed=0).graphs)

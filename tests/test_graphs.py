@@ -119,6 +119,40 @@ class TestGraphInvariants:
         x = np.ones((3, 2), dtype=dtype)
         assert Graph(num_nodes=3, edges=((0, 1),), x=x, y=0).x is x
 
+    @pytest.mark.parametrize(
+        "field, bad, message",
+        [
+            ("num_nodes", True, "must be an integer"),
+            ("num_nodes", 2.0, "must be an integer"),
+            ("num_nodes", -1, "must be >= 0"),
+            ("y", 0.5, "must be an integer"),
+            ("y", True, "must be an integer"),
+            ("y", "1", "must be an integer"),
+            ("y", -1, "must be >= 0"),
+        ],
+    )
+    def test_rejects_a_node_count_or_label_that_is_no_non_negative_integer_by_name(
+        self, field, bad, message
+    ):
+        fields = {"num_nodes": 2, "edges": ((0, 1),), "x": constant_features(2), "y": 0}
+        with pytest.raises(ValueError, match=f"^{field} {re.escape(repr(bad))} {message}$"):
+            Graph(**{**fields, field: bad})
+
+    def test_accepts_a_numpy_integer_node_count_and_label(self):
+        g = Graph(num_nodes=np.int64(2), edges=((0, 1),), x=constant_features(2), y=np.uint8(1))
+        assert (g.num_nodes, g.y) == (2, 1)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(2.5, "must be an integer"), (True, "must be an integer"), (-1, "must be >= 0")],
+    )
+    def test_a_dataset_rejects_a_class_count_that_is_no_non_negative_integer(self, bad, message):
+        g = Graph(num_nodes=2, edges=((0, 1),), x=constant_features(2), y=0)
+        with pytest.raises(ValueError, match=f"^num_classes {re.escape(repr(bad))} {message}$"):
+            GraphDataset(
+                graphs=(g,), num_classes=bad, name="G", feature_spec=FeatureSpec("constant")
+            )
+
     def test_rejects_node_labels_of_the_wrong_length(self):
         for edges in tuple_and_array(((0, 1),)):
             with pytest.raises(ValueError, match="3 node labels for 2 nodes"):
