@@ -33,6 +33,16 @@ It hashes the dtype, shape and bytes of every array of:
 - one taped ``apply_gin_layer`` (11 -> 32, random eps and biases) over the
   first 32 of those graphs, which span more than two row blocks: its output
   and the gradients of its seven inputs;
+- batch forwards of graphs whose CSR is concatenated from each graph's
+  sorted entries: 16 of the 60 graphs with node-deleted and noise masks
+  through ``build_graph_batch(graphs, masks)``, and 8 of the large graphs
+  with their edge rows shuffled out of key order, unmasked and with
+  node-deleted masks: logits and node states;
+- a taped ``mask_values`` forward over the 21 graphs with a zero-node and an
+  edgeless graph, and over the 8 shuffled and 4 more large graphs: logits,
+  node states and the gradients of the mask values and of every parameter,
+  then ``edge_logits`` over those states (the trained explainer, and a
+  fresh 32-wide one for the large graphs) and its gradient onto them;
 - ``assemble``'s ``indptr``, ``indices`` and ``data`` for random simple
   graphs of 40 and 3000 nodes, each edge flipped at random and the edges
   shuffled, with 0.0, -0.0, NaN and +-inf among the weights.
@@ -51,7 +61,7 @@ from pathlib import Path
 import numpy as np
 
 from esgnn import explainer, gin, tud
-from esgnn.autodiff import Tensor, assemble, mul, sum_all
+from esgnn.autodiff import Tensor, assemble, cross_entropy_mean, mul, sum_all
 from esgnn.ba2motifs import generate_ba2motifs
 from esgnn.graphs import (
     FeatureSpec,
@@ -194,6 +204,49 @@ def main() -> None:
     feed(out.data)
     for t in (values, h, layer.eps, layer.w1, layer.b1, layer.w2, layer.b2):
         feed(t.grad)
+
+    # batches whose CSR comes from each graph's sorted entries: masked with
+    # node-deleted and noise masks, with taped mask_values, and of graphs
+    # whose edges are not in key order
+    draw = np.random.default_rng(4)
+    shuffled = [
+        dataclasses.replace(g, edges=g.edges[draw.permutation(g.num_edges)]) for g in large[:8]
+    ]
+    small_masks = [
+        policy_node_deleted(g).masks[k % g.num_nodes]
+        if k % 2
+        else explainer.generate_bag_noise(g, backbone, params, 4, 1.0, k).masks[k % 4]
+        for k, g in enumerate(graphs[:16])
+    ]
+    large_masks = [policy_node_deleted(g).masks[3 * k] for k, g in enumerate(shuffled)]
+    for members, masks, model in (
+        (graphs[:16], small_masks, backbone),
+        (shuffled, None, wide),
+        (shuffled, large_masks, wide),
+    ):
+        batch = gin.build_graph_batch(members, masks)
+        logits, h = gin.backbone_forward_batch(batch, model.frozen())
+        feed(logits.data)
+        feed(h.data)
+    wide_scorer = explainer.init_explainer(np.random.default_rng(5), hidden=wide.hidden)
+    for members, model, scorer in (
+        (mixed, backbone, params),
+        (shuffled + large[8:12], wide, wide_scorer),
+    ):
+        batch = gin.build_graph_batch(members)
+        values = Tensor(draw.random(len(batch.edges)), requires_grad=True)
+        logits, h = gin.backbone_forward_batch(batch, model, mask_values=values)
+        cross_entropy_mean(logits, batch.labels).backward()
+        for a in (logits.data, h.data, values.grad):
+            feed(a)
+        for _, t in sorted(model.named().items()):
+            feed(t.grad)
+        # the edge MLP's gradient onto the node states
+        z = Tensor(h.data, requires_grad=True)
+        omega = explainer.edge_logits(z, batch.edges, scorer)
+        sum_all(mul(omega, draw.standard_normal(len(batch.edges)))).backward()
+        feed(omega.data)
+        feed(z.grad)
 
     for n, draws in ((40, 300), (3000, 9000)):
         pairs = rng.integers(0, n, (draws, 2))

@@ -19,13 +19,17 @@ to its output (typically the loss) goes, without the cyclic collector.
 An op whose inputs all have ``requires_grad=False`` records nothing.
 
 Graph adjacencies are symmetric operators over an (E, 2) array of
-undirected edges.  :func:`assemble` takes one weight tensor with a value per
-undirected edge, records no tape node, and returns a :class:`WeightedSparse`
-whose CSR every layer of one forward shares; the directed entries exist only
-inside that CSR.  An op that applies it takes the weight tensor as its input
-and returns its gradient per edge through ``WeightedSparse.weight_grad``.
-Because the operator is symmetric, the backward multiplies by the same CSR
-and no transpose is made.
+undirected edges.  Their directed entries are sorted once per graph:
+:func:`sort_entries` gives the CSR layout, each entry's int32 column and
+the edge it comes from, and :func:`concat_entries` joins the layouts of a
+batch's graphs, shifted by their offsets, with no sort.
+:func:`from_layout` puts one weight tensor with a value per undirected edge
+on a layout, records no tape node, and returns a :class:`WeightedSparse`
+whose CSR every layer of one forward shares; :func:`assemble` does both
+steps for edges that no graph holds.  An op that applies the CSR takes the
+weight tensor as its input and returns its gradient per edge through
+``WeightedSparse.weight_grad``.  Because the operator is symmetric, the
+backward multiplies by the same CSR and no transpose is made.
 """
 
 from __future__ import annotations
@@ -45,8 +49,10 @@ __all__ = [
     "add",
     "assemble",
     "concat_cols",
+    "concat_entries",
     "cross_entropy_mean",
     "custom_primitive",
+    "from_layout",
     "gather_rows",
     "linear",
     "load_params",
@@ -55,8 +61,10 @@ __all__ = [
     "relu",
     "reshape",
     "save_params",
+    "segment_matrix",
     "segment_sum",
     "sigmoid",
+    "sort_entries",
     "spmm",
     "sum_all",
 ]
@@ -315,8 +323,18 @@ def segment_sum(x, segment_ids, num_segments: int) -> Tensor:
             f"segment_sum: segment id {bad} outside 0..{num_segments - 1}"
             f" for num_segments={num_segments}"
         )
+    data = segment_matrix(segment_ids, num_segments) @ x.data
+    return _record(data, (x,), lambda grad: (grad[segment_ids],))
+
+
+def segment_matrix(segment_ids: np.ndarray, num_segments: int) -> scipy.sparse.csr_matrix:
+    """The (num_segments, rows) CSR of ones whose row s lists, in order, the rows with id s.
+
+    A product by it sums each segment's rows in their order, bit for bit as
+    ``np.add.at`` into zeros does.  The ids must lie in 0..num_segments - 1.
+    """
     counts = np.bincount(segment_ids, minlength=num_segments)
-    pool = scipy.sparse.csr_matrix(
+    return scipy.sparse.csr_matrix(
         (
             np.ones(segment_ids.size),
             np.argsort(segment_ids, kind="stable"),
@@ -324,8 +342,6 @@ def segment_sum(x, segment_ids, num_segments: int) -> Tensor:
         ),
         shape=(num_segments, segment_ids.size),
     )
-    data = pool @ x.data
-    return _record(data, (x,), lambda grad: (grad[segment_ids],))
 
 
 def sum_all(x) -> Tensor:
@@ -339,7 +355,7 @@ class WeightedSparse(NamedTuple):
 
     Edge k = (i, j) of the (E, 2) intp ``edges``, i != j, stands for the two
     directed entries (i, j) and (j, i) of ``csr``, both weighted
-    ``weights[k]``; n is ``csr.shape[0]``.  Built by ``assemble``; the CSR
+    ``weights[k]``; n is ``csr.shape[0]``.  Built by ``from_layout``; the CSR
     holds the weights as they were at assembly.
     """
 
@@ -353,17 +369,18 @@ class WeightedSparse(NamedTuple):
         return (g[i] * x[j]).sum(axis=1) + (g[j] * x[i]).sum(axis=1)
 
 
-def assemble(n: int, edges, weights) -> WeightedSparse:
-    """The n x n adjacency of the (E, 2) undirected ``edges``, one CSR.
+def sort_entries(n: int, edges) -> np.ndarray:
+    """The CSR layout of the n x n symmetric adjacency of the (E, 2) undirected ``edges``.
 
-    Each edge gives both of its directed entries its weight.  A pair given
-    twice, in either orientation, is rejected, naming the pair.  So is an n
-    of 2**31 or more, which the CSR's int32 indices cannot hold, and a size
-    whose packed sort key would overflow int64, before anything n-sized is
-    allocated.  Records no tape node: the ops that apply the CSR take
-    ``weights`` as their input and return its gradient through
-    ``WeightedSparse.weight_grad``.  Assemble once per forward and hand the
-    result to every op that applies it.
+    One int32 array of 4E values: the columns of the 2E directed entries in
+    row-major order, then the edge each entry comes from.  The row pointers
+    are the running sum of the node degrees and need no sort, so
+    ``from_layout`` counts them.  The columns are exactly the first half of
+    the array, so scipy keeps a view of them instead of a copy.  A pair
+    given twice, in either orientation, is rejected, naming the pair.  So is
+    an n of 2**31 or more, which int32 indices cannot hold, and a size whose
+    packed sort key would overflow int64, before anything n-sized is
+    allocated.
     """
     edges = np.asarray(edges, dtype=np.intp)
     if edges.ndim != 2 or edges.shape[1] != 2:
@@ -373,7 +390,7 @@ def assemble(n: int, edges, weights) -> WeightedSparse:
     bits = (2 * len(edges)).bit_length()
     if n >= 2**31 or int(n) ** 2 << bits >= 2**63:
         raise DimensionError(
-            f"assemble: {n} nodes and {len(edges)} edges do not fit the int32 CSR"
+            f"sort_entries: {n} nodes and {len(edges)} edges do not fit the int32 CSR"
             f" indices (n < 2**31) and the int64 sort key (n * n * 2**{bits} < 2**63)"
         )
     if edges.size and (edges.min() < 0 or edges.max() >= n):
@@ -390,15 +407,78 @@ def assemble(n: int, edges, weights) -> WeightedSparse:
     if repeated.any():
         i, j = divmod(int(ordered[repeated.argmax()]), n)
         raise DimensionError(f"sparse edges: the pair ({i}, {j}) is given twice")
-    weights = _lift(weights)
-    if weights.data.shape != (len(edges),):
-        raise DimensionError(f"assemble: weights {weights.data.shape} vs {len(edges)} edges")
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-    csr = scipy.sparse.csr_matrix(
-        (weights.data[perm // 2], cols[perm].astype(np.int32), indptr.astype(np.int32)),
-        shape=(n, n),
-    )
+    return np.concatenate((cols[perm], perm >> 1), dtype=np.int32)
+
+
+def concat_entries(layouts, node_offsets: np.ndarray, edge_offsets: np.ndarray) -> np.ndarray:
+    """The layout of the block-diagonal adjacency of graphs with these ``sort_entries`` layouts.
+
+    Graph g's nodes start at ``node_offsets[g]`` and its edges at
+    ``edge_offsets[g]``; both arrays end with the totals.  Its columns and
+    edge numbers move by those offsets.  The blocks are disjoint, so every
+    row keeps its columns in order and the result equals ``sort_entries`` of
+    the shifted edges.  A total node or entry count of 2**31 or more, which
+    int32 cannot hold, is rejected, naming both, before ``layouts``, any
+    iterable, is read.
+    """
+    n, m = int(node_offsets[-1]), 2 * int(edge_offsets[-1])
+    if n >= 2**31 or m >= 2**31:
+        raise DimensionError(
+            f"concat_entries: {n} nodes and {m} directed entries do not fit the"
+            f" int32 CSR indices (both must be < 2**31)"
+        )
+    layout = np.empty(2 * m, dtype=np.int32)
+    cols, edge_ids = [], []
+    for a in layouts:
+        half = len(a) // 2
+        cols.append(a[:half])
+        edge_ids.append(a[half:])
+    if cols:
+        np.concatenate(cols + edge_ids, out=layout)
+    counts = 2 * np.diff(edge_offsets)
+    layout[:m] += np.repeat(node_offsets[:-1].astype(np.int32), counts)
+    layout[m:] += np.repeat(edge_offsets[:-1].astype(np.int32), counts)
+    return layout
+
+
+def from_layout(n: int, edges, weights, layout: np.ndarray) -> WeightedSparse:
+    """The adjacency of the (E, 2) ``edges`` on their ``sort_entries`` ``layout``.
+
+    Each directed entry takes its edge's weight from ``weights``, one per
+    edge, or 1 when ``weights`` is None: unit weights, held as one float64
+    broadcast to E entries.  The row pointers are the running sum of the
+    degrees; nothing is sorted or checked, and the CSR's columns are a view
+    of the layout, not a copy.
+    """
+    half = len(layout) // 2
+    if weights is None:
+        weights = Tensor(np.broadcast_to(1.0, (len(edges),)))
+        data = np.ones(half)
+    else:
+        weights = _lift(weights)
+        if weights.data.shape != (len(edges),):
+            raise DimensionError(f"edge weights {weights.data.shape} vs {len(edges)} edges")
+        data = weights.data[layout[half:]]
+    indptr = np.empty(n + 1, dtype=np.int32)
+    indptr[0] = 0
+    np.cumsum(np.bincount(edges.reshape(-1), minlength=n), out=indptr[1:])
+    csr = scipy.sparse.csr_matrix((data, layout[:half], indptr), shape=(n, n))
     return WeightedSparse(edges, weights, csr)
+
+
+def assemble(n: int, edges, weights=None) -> WeightedSparse:
+    """The n x n adjacency of the (E, 2) undirected ``edges``, one CSR.
+
+    ``from_layout`` over ``sort_entries(n, edges)``: each edge gives both of
+    its directed entries its weight, 1 when ``weights`` is None, and the
+    edges are checked as ``sort_entries`` checks them.  Records no tape
+    node: the ops that apply the CSR take ``weights`` as their input and
+    return its gradient through ``WeightedSparse.weight_grad``.  A graph
+    sorts its entries once (``Graph.entry_layout``) and a batch concatenates
+    its graphs' layouts (``concat_entries``), so neither calls this.
+    """
+    edges = np.asarray(edges, dtype=np.intp)
+    return from_layout(n, edges, weights, sort_entries(n, edges))
 
 
 def spmm(adj: WeightedSparse, x) -> Tensor:

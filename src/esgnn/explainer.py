@@ -33,6 +33,7 @@ from .autodiff import (
     cross_entropy_mean,
     custom_primitive,
     reshape,
+    segment_matrix,
     sigmoid,
     sum_all,
 )
@@ -53,6 +54,7 @@ from .graphs import (
     PolicyError,
     SubgraphBag,
     _check_count,
+    _check_real,
     _is_int,
 )
 from .optim import AdamState, TrainingError, step_from_gradients
@@ -124,8 +126,7 @@ class ExplainerConfig:
 
     def __post_init__(self):
         for name in ("tau_start", "tau_end", "lam", "noise_scale", "lr"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} {getattr(self, name)} must be finite")
+            _check_real(name, getattr(self, name))
         if self.tau_start <= 0 or self.tau_end <= 0:
             raise ValueError(
                 f"tau_start {self.tau_start} and tau_end {self.tau_end} must be positive"
@@ -150,7 +151,8 @@ def edge_logits(Z: Tensor | np.ndarray, edges: np.ndarray, params: ExplainerPara
     gathers both endpoints' rows in one gather, which lays them out as the
     concatenated pairs, and runs ``gin._mlp`` on them in one call; untaped
     it keeps nothing and records no node.  The backward is ``gin._mlp_grads``,
-    which scatters the pairs' gradient onto both endpoints, with the same
+    which sums the pairs' gradient onto each end by one product with that
+    end's ``autodiff.segment_matrix`` and adds the two, with the same
     arithmetic as the composed ``gather_rows``/``concat_cols``/``linear``/
     ``relu``/``linear``/``reshape`` ops, so the two agree bit for bit.  The
     weights and biases must have the shapes ``init_explainer`` gives them.
@@ -173,11 +175,11 @@ def edge_logits(Z: Tensor | np.ndarray, edges: np.ndarray, params: ExplainerPara
     def _z_grad(gpair):
         if gpair is None:
             return (None,)
-        split = Z.data.shape[1]
-        # each end's rows are summed apart and then added, as the two gathers' are
-        gi, gj = np.zeros_like(Z.data), np.zeros_like(Z.data)
-        np.add.at(gi, edges[:, 0], gpair[:, :split])
-        np.add.at(gj, edges[:, 1], gpair[:, split:])
+        n, split = Z.data.shape
+        # each end's rows are summed apart, in edge order, and then added, as
+        # the two gathers' scatters are
+        gi = segment_matrix(edges[:, 0], n) @ gpair[:, :split]
+        gj = segment_matrix(edges[:, 1], n) @ gpair[:, split:]
         return (gi + gj,)
 
     def _bp(grad):

@@ -16,12 +16,14 @@ runs it in row blocks.  An untaped layer keeps nothing and records no node.
 Graphs are trained in block-diagonal minibatches whose node and edge
 offsets are the only record of which rows and edges belong to which graph.
 ``layer_states`` is the one layer loop of the package: it runs every layer
-over features and an assembled adjacency.  ``backbone_forward_batch``
-assembles A_mask once, in the forward that uses it, shares it with every
-layer and their backward, and pools each graph's states with one product by
-a sum-pooling CSR built from the node offsets; ``explainer.edge_scores``
-runs ``layer_states`` on one graph's cached ``Graph.adjacency``, with no
-batch.  Adam updates all parameters in one flat vector step (``optim``).
+over features and an assembled adjacency.  ``build_graph_batch`` joins its
+graphs' sorted CSR layouts (``Graph.entry_layout``, sorted once per graph)
+with no sort; ``backbone_forward_batch`` puts the edge weights on that
+layout once, in the forward that uses it, shares the CSR with every layer
+and their backward, and pools each graph's states with one product by a
+sum-pooling CSR built from the node offsets; ``explainer.edge_scores`` runs
+``layer_states`` on one graph's cached ``Graph.adjacency``, with no batch.
+Adam updates all parameters in one flat vector step (``optim``).
 
 ``train_backbone``'s per-epoch ``train_acc`` is the running minibatch
 accuracy: the share of training graphs that their minibatch's logits, taken
@@ -41,12 +43,13 @@ from .autodiff import (
     DimensionError,
     Tensor,
     WeightedSparse,
-    assemble,
+    concat_entries,
     cross_entropy_mean,
     custom_primitive,
+    from_layout,
     linear,
 )
-from .graphs import EdgeMask, Graph, _check_count
+from .graphs import EdgeMask, Graph, _check_count, _check_real
 from .optim import AdamState, TrainingError, step_from_gradients
 
 __all__ = [
@@ -192,7 +195,8 @@ class GraphBatch:
     edges: np.ndarray  # (E, 2) intp batch node ids, i < j, each graph's in its own order
     edge_offsets: np.ndarray  # (graphs + 1,) first edge of each graph, then len(edges)
     labels: np.ndarray
-    default_values: np.ndarray  # per-undirected-edge weights from masks (or ones)
+    default_values: np.ndarray | None  # per-undirected-edge weights from masks; None: all 1
+    entry_layout: np.ndarray  # the adjacency's CSR layout, joined from the graphs' layouts
 
 
 def build_graph_batch(
@@ -201,7 +205,12 @@ def build_graph_batch(
     """One block-diagonal batch; graph gi's nodes start at row sum(n[:gi]).
 
     Each mask sets its graph's edge weights and zeroes its ``zeroed_nodes``
-    feature rows in the batch copy of ``x``.
+    feature rows in the batch copy of ``x``; with no masks every edge weighs
+    1.  The batch's CSR layout is its graphs' ``entry_layout`` joined by
+    ``autodiff.concat_entries``: a graph sorts its entries the first time a
+    batch holds it, and never again.  A batch of 2**31 nodes or directed
+    entries or more is rejected, naming both counts, before any n-sized
+    array is made.
     """
     if masks is not None and len(masks) != len(graphs):
         raise ValueError(f"{len(masks)} masks for {len(graphs)} graphs")
@@ -216,15 +225,16 @@ def build_graph_batch(
         num_edges.append(g.num_edges)
     node_offsets = np.cumsum([0, *num_nodes], dtype=np.intp)
     edge_offsets = np.cumsum([0, *num_edges], dtype=np.intp)
+    # checks the int32 sizes before any graph sorts its entries
+    layout = concat_entries((g.entry_layout for g in graphs), node_offsets, edge_offsets)
     edges = np.concatenate(edge_arrays or [np.zeros((0, 2), dtype=np.intp)])
     # both ends of graph gi's edges move by its first node row, as one (E, 2) add
     edges += np.repeat(node_offsets[:-1], 2 * np.diff(edge_offsets)).reshape(-1, 2)
     # a fresh copy, so zeroing deleted nodes below never writes to g.x
     x = np.concatenate(xs or [np.zeros((0, width))], dtype=np.float64)
 
-    if masks is None:
-        values = np.ones(len(edges))
-    else:
+    values = None
+    if masks is not None:
         for gi, (g, mask) in enumerate(zip(graphs, masks)):
             if mask.num_edges != g.num_edges:
                 raise ValueError(
@@ -247,6 +257,7 @@ def build_graph_batch(
         edge_offsets=edge_offsets,
         labels=np.array([g.y for g in graphs], dtype=np.intp),
         default_values=values,
+        entry_layout=layout,
     )
 
 
@@ -379,7 +390,8 @@ def backbone_forward_batch(
 ) -> tuple[Tensor, Tensor]:
     """Forward over a batch; returns (logits, last-layer node states).
 
-    Assembles the batch adjacency once and runs ``layer_states`` over it.
+    Builds the batch adjacency once, from the batch's CSR layout with no
+    sort (``autodiff.from_layout``), and runs ``layer_states`` over it.
     mask_values, when given, is a per-undirected-edge weight tensor that
     overrides the batch defaults; gradients flow through it into the mask
     machinery.  Each graph's states are then summed by one product with a
@@ -389,7 +401,8 @@ def backbone_forward_batch(
     """
     n = len(batch.x)
     weights = batch.default_values if mask_values is None else mask_values
-    h = layer_states(batch.x, assemble(n, batch.edges, weights), params)
+    adj = from_layout(n, batch.edges, weights, batch.entry_layout)
+    h = layer_states(batch.x, adj, params)
     pool = scipy.sparse.csr_matrix(
         (np.ones(n), np.arange(n, dtype=np.int32), batch.node_offsets.astype(np.int32)),
         shape=(len(batch.labels), n),
@@ -481,8 +494,7 @@ class TrainConfig:
             _check_count(name, getattr(self, name), 1)
         _check_count("epochs", self.epochs, 0)
         _check_count("seed", self.seed, 0)
-        if not np.isfinite(self.lr):
-            raise ValueError(f"lr {self.lr} must be finite")
+        _check_real("lr", self.lr)
         if self.lr < 0:
             raise ValueError(f"lr {self.lr} must be >= 0")
 

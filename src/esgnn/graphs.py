@@ -2,10 +2,12 @@
 
 Graphs are immutable once built.  Their undirected edges are one read-only
 (E, 2) intp array of canonically ordered pairs (i, j), i < j: the one edge
-format of the package.  Batches concatenate these arrays, and only the CSR
-that ``autodiff.assemble`` builds holds them as directed entries.  A graph
-builds its own unit-weight adjacency, ``Graph.adjacency``, on first use and
-keeps it, read-only, for one-graph forwards such as edge scoring.  Every
+format of the package.  Batches concatenate these arrays, and only CSRs
+hold them as directed entries.  A graph sorts its directed entries once, on
+first use, into ``Graph.entry_layout``, one read-only int32 array; every
+batch CSR that holds the graph is joined from these layouts, and so is its
+own unit-weight adjacency, ``Graph.adjacency``, which it keeps, read-only,
+for one-graph forwards such as edge scoring.  Every
 subgraph view is an edge mask with one weight per row of that array.  Node
 deletion keeps the node slot and zeroes its feature row plus incident
 edges, so matrix shapes never change across a bag.  A bag's masks are built
@@ -24,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .autodiff import WeightedSparse, assemble
+from .autodiff import WeightedSparse, from_layout, sort_entries
 
 __all__ = [
     "EdgeMask",
@@ -64,6 +66,33 @@ def _check_count(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} {value!r} must be an integer")
     if value < minimum:
         raise ValueError(f"{name} {value} must be >= {minimum}")
+
+
+def _check_real(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a finite real number.
+
+    A bool counts as none, and so does a string such as "0.1".
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} {value!r} must be a real number")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} {value} must be finite")
+
+
+def _real_array(name: str, value) -> np.ndarray:
+    """``value`` as a numpy array of a real dtype (bool, integer or float), naming ``name``.
+
+    An array is kept as it is; a sequence is converted, as ``np.asarray``
+    converts it.
+    """
+    if not isinstance(value, np.ndarray):
+        try:
+            value = np.asarray(value)
+        except ValueError as err:
+            raise ValueError(f"{name} is no array: {err}") from None
+    if value.dtype.kind not in "biuf":
+        raise ValueError(f"{name} has dtype {value.dtype}, expected bool, integer or real float")
+    return value
 
 
 @dataclass(frozen=True)
@@ -141,10 +170,7 @@ class Graph:
                         f"edge ({a}, {b}) outside 0..{self.num_nodes - 1} or not canonical"
                     )
                 raise ValueError(f"duplicate edge ({a}, {b})")
-        if self.x.dtype.kind not in "biuf":
-            raise ValueError(
-                f"feature matrix has dtype {self.x.dtype}, expected bool, integer or real float"
-            )
+        object.__setattr__(self, "x", _real_array("feature matrix", self.x))
         if self.x.ndim != 2:
             raise ValueError(f"feature matrix has shape {self.x.shape}, expected 2-D")
         if self.x.shape[0] != self.num_nodes:
@@ -180,18 +206,33 @@ class Graph:
         return len(self.edges)
 
     @cached_property
+    def entry_layout(self) -> np.ndarray:
+        """The CSR layout of the graph's symmetric adjacency, sorted on first use and kept.
+
+        ``autodiff.sort_entries``'s read-only int32 array, 16 bytes per edge:
+        the column of each directed entry, then the edge it comes from.
+        ``adjacency`` and every batch (``autodiff.concat_entries``) are built
+        from it, so a graph's entries are sorted once.
+        ``dataclasses.replace`` builds a new graph, which sorts its own.
+        """
+        layout = sort_entries(self.num_nodes, self.edges)
+        layout.flags.writeable = False
+        return layout
+
+    @cached_property
     def adjacency(self) -> WeightedSparse:
         """The unit-weight symmetric adjacency, built on first use and kept.
 
         The graph is immutable, so its CSR is too: its arrays are read-only.
-        It shares the graph's ``edges``, and its unit weights are one
-        float64 broadcast to E entries (no op reads them untaped), so it
-        keeps the CSR, 24 bytes per edge, plus the CSR's row pointers.
-        ``dataclasses.replace`` builds a new graph, which builds its own.
+        Its columns are a view of ``entry_layout`` and it shares the graph's
+        ``edges``; its unit weights are one float64 broadcast to E entries
+        (no op reads them untaped), so beyond the layout it keeps the CSR's
+        values, 16 bytes per edge, and its row pointers, 4 bytes per node
+        plus 4.
         """
-        adj = assemble(self.num_nodes, self.edges, np.broadcast_to(1.0, (self.num_edges,)))
-        for a in (adj.weights.data, adj.csr.data, adj.csr.indices, adj.csr.indptr):
-            a.flags.writeable = False
+        adj = from_layout(self.num_nodes, self.edges, None, self.entry_layout)
+        adj.csr.data.flags.writeable = False
+        adj.csr.indptr.flags.writeable = False
         return adj
 
     def edge_array(self) -> np.ndarray:
@@ -288,6 +329,8 @@ class EdgeMask:
     zeroed_nodes: tuple[int, ...] = ()
 
     def __post_init__(self):
+        for name in ("soft", "hard"):
+            object.__setattr__(self, name, _real_array(f"{name} mask", getattr(self, name)))
         if self.soft.ndim != 1 or self.hard.ndim != 1:
             raise ValueError(
                 f"soft mask has shape {self.soft.shape} and hard {self.hard.shape}, expected 1-D"

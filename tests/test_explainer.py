@@ -2,6 +2,7 @@ import base64
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -166,12 +167,23 @@ class TestTraining:
         {"epochs": 2.5},
         {"batch_size": 4.0},
         {"batch_size": True},
+        {"lam": "x"},
+        {"tau_start": None},
+        {"lr": "0.1"},
+        {"noise_scale": True},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
     (field,) = kwargs
     with pytest.raises(ValueError, match=field):
         ExplainerConfig(**kwargs)
+
+
+@pytest.mark.parametrize("name", ["tau_start", "tau_end", "lam", "noise_scale", "lr"])
+@pytest.mark.parametrize("bad", ["x", None, False])
+def test_config_rejects_a_float_field_that_is_no_real_number_by_name(name, bad):
+    with pytest.raises(ValueError, match=re.escape(f"{name} {bad!r} must be a real number")):
+        ExplainerConfig(**{name: bad})
 
 
 @pytest.mark.parametrize("noise_scale", [float("nan"), float("inf"), -1.0])
@@ -500,9 +512,11 @@ def test_warm_edge_scores_build_no_batch_and_no_adjacency(graphs, backbone, para
     want = edge_scores(g, backbone, params)
     monkeypatch.setattr(gin, "build_graph_batch", refuse)
     monkeypatch.setattr(explainer, "build_graph_batch", refuse)
-    # every namespace that holds assemble
+    # every namespace that holds a function that sorts entries or builds a CSR
     for module in (autodiff, gin, esgnn.graphs):
-        monkeypatch.setattr(module, "assemble", refuse)
+        for name in ("assemble", "sort_entries", "from_layout"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
     for _ in range(2):
         assert same_bits(edge_scores(g, backbone, params), want)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -35,7 +36,7 @@ from esgnn.gin import (
     predict,
     train_backbone,
 )
-from esgnn.graphs import EdgeMask, policy_node_deleted
+from esgnn.graphs import EdgeMask, Graph, policy_node_deleted
 from esgnn.optim import TrainingError
 from tests.conftest import make_graph, same_bits
 from tests.oracles import grad_check
@@ -386,6 +387,10 @@ class TestBuildGraphBatch:
     def assert_matches_reference(graphs, masks=None):
         batch = build_graph_batch(graphs, masks)
         ref = reference_batch(graphs, masks)
+        if masks is None:
+            # an unmasked batch holds no weights: every edge weighs 1
+            assert batch.default_values is None
+            del ref["default_values"]
         got = {name: getattr(batch, name, None) for name in ref}
         got["adjacency"] = batch_adjacency(batch, batch.default_values).csr.toarray()
         assert batch.edges.dtype == np.intp
@@ -474,6 +479,99 @@ class TestBuildGraphBatch:
             build_graph_batch([triangle, single_edge], [EdgeMask(soft=ones, hard=ones), bad])
 
 
+def shuffled_graphs(seed, count=6):
+    """BA-2Motifs graphs whose canonical edges are not in increasing key order,
+    with a zero-node and an edgeless graph among them."""
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for g in generate_ba2motifs(count, seed=seed).graphs:
+        edges = g.edges[rng.permutation(g.num_edges)]
+        graphs.append(Graph(g.num_nodes, edges, g.x, g.y))
+    zero = Graph(0, [], np.zeros((0, 1), dtype=np.uint8), 1)
+    edgeless = Graph(3, [], np.ones((3, 1), dtype=np.uint8), 0)
+    return graphs[:2] + [zero] + graphs[2:4] + [edgeless] + graphs[4:]
+
+
+class TestBatchCsr:
+    """The batch CSR, concatenated from each graph's sorted layout, equals a
+    fresh ``assemble`` of the batch's edges bit for bit."""
+
+    @staticmethod
+    def assert_equals_assembly(batch, weights):
+        n = len(batch.x)
+        got = autodiff.from_layout(n, batch.edges, weights, batch.entry_layout).csr
+        want = assemble(n, batch.edges, weights).csr
+        for name in ("indptr", "indices", "data"):
+            assert same_bits(getattr(got, name), getattr(want, name)), name
+        assert same_bits(batch.entry_layout, autodiff.sort_entries(n, batch.edges))
+
+    def test_a_unit_batch(self):
+        graphs = shuffled_graphs(1)
+        assert any((np.diff(g.edges[:, 0]) < 0).any() for g in graphs)
+        batch = build_graph_batch(graphs)
+        self.assert_equals_assembly(batch, batch.default_values)
+
+    def test_a_batch_with_node_deleted_and_noise_masks(self):
+        graphs = shuffled_graphs(2)
+        rng = np.random.default_rng(3)
+        masks = []
+        for k, g in enumerate(graphs):
+            if k % 2 and g.num_nodes:
+                masks.append(policy_node_deleted(g).masks[k % g.num_nodes])
+            else:
+                hard = (rng.random(g.num_edges) > 0.5).astype(np.float64)
+                masks.append(EdgeMask(soft=rng.random(g.num_edges), hard=hard, seed=k))
+        batch = build_graph_batch(graphs, masks)
+        assert np.any(batch.x == 0.0)
+        self.assert_equals_assembly(batch, batch.default_values)
+
+    def test_taped_mask_values_give_the_assembled_outputs_and_gradients(self, monkeypatch):
+        graphs = shuffled_graphs(4)
+        batch = build_graph_batch(graphs)
+        params = init_backbone(np.random.default_rng(5), 1, 2, hidden=8, num_layers=3)
+        values = np.random.default_rng(6).random(len(batch.edges))
+        self.assert_equals_assembly(batch, values)
+
+        def run():
+            mask = Tensor(values.copy(), requires_grad=True)
+            logits, h = backbone_forward_batch(batch, params, mask_values=mask)
+            cross_entropy_mean(logits, batch.labels).backward()
+            grads = [t.grad.copy() for t in params.named().values()]
+            return [logits.data, h.data, mask.grad, *grads]
+
+        got = run()
+        monkeypatch.setattr(
+            gin, "from_layout", lambda n, edges, weights, layout: assemble(n, edges, weights)
+        )
+        want = run()
+        assert all(same_bits(a, b) for a, b in zip(got, want))
+
+    @staticmethod
+    def assert_rejected_before_allocating(graphs, message):
+        tracemalloc.start()
+        try:
+            with pytest.raises(autodiff.DimensionError, match=re.escape(message)):
+                build_graph_batch(graphs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**22
+        assert not any("entry_layout" in vars(g) for g in graphs)
+
+    def test_a_batch_of_2_to_the_31_nodes_is_rejected_naming_both_sizes(self):
+        # a broadcast feature column: no memory of that size
+        huge = Graph(2**31, [], np.broadcast_to(np.uint8(1), (2**31, 1)), 0)
+        graphs = [make_graph(2, [(0, 1)]), huge]
+        self.assert_rejected_before_allocating(graphs, f"{2**31 + 2} nodes and 2 directed entries")
+
+    def test_a_batch_of_2_to_the_31_entries_is_rejected_naming_both_sizes(self):
+        # one graph of 2**16 edges, 2**14 times over
+        i, j = np.triu_indices(400, 1)
+        g = Graph(400, np.stack([i, j], axis=1)[: 2**16], np.ones((400, 1)), 0)
+        message = f"{400 * 2**14} nodes and {2**31} directed entries"
+        self.assert_rejected_before_allocating([g] * 2**14, message)
+
+
 class TestEndToEndGradient:
     def test_classification_loss_grad_check_on_five_node_fixture(self):
         rng = np.random.default_rng(3)
@@ -500,31 +598,57 @@ def test_a_masked_forward_tapes_the_mask_as_each_layers_input_and_no_gather(tria
     assert len(layers) == 3 and all(node._prev[0] is mask for node in layers)
 
 
+def spy_on(monkeypatch, calls, owner, name):
+    """Count calls of ``owner.name`` in ``calls[name]``, then call it."""
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
 class TestOneAdjacencyPerForward:
-    def test_a_four_layer_forward_and_backward_assemble_one_csr_and_no_transpose(
+    @staticmethod
+    def spy(monkeypatch):
+        calls = Counter()
+        # every namespace that holds one of these, so a call through any of them counts
+        for module in (autodiff, gin, esgnn.graphs):
+            for name in ("assemble", "sort_entries", "concat_entries", "from_layout"):
+                if hasattr(module, name):
+                    spy_on(monkeypatch, calls, module, name)
+        for name in ("sort", "argsort", "lexsort"):
+            spy_on(monkeypatch, calls, np, name)
+        spy_on(monkeypatch, calls, scipy.sparse.csr_matrix, "transpose")
+        return calls
+
+    def test_a_four_layer_forward_and_backward_build_one_csr_and_no_transpose(
         self, monkeypatch
     ):
-        calls = Counter()
-
-        def spy(name, fn):
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return counted
-
-        # every namespace that holds assemble, so a call through any of them counts
-        counted = spy("assemble", autodiff.assemble)
-        for module in (autodiff, gin, esgnn.graphs):
-            monkeypatch.setattr(module, "assemble", counted)
-        monkeypatch.setattr(
-            scipy.sparse.csr_matrix, "transpose", spy("transpose", scipy.sparse.csr_matrix.transpose)
-        )
+        calls = self.spy(monkeypatch)
         graphs = list(generate_ba2motifs(6, seed=1).graphs)
         params = init_backbone(np.random.default_rng(0), 1, 2, hidden=8, num_layers=4)
         logits, _ = backbone_forward_batch(build_graph_batch(graphs), params)
         cross_entropy_mean(logits, [g.y for g in graphs]).backward()
-        assert (calls["assemble"], calls["transpose"]) == (1, 0)
+        # the graphs are new, so each sorts its entries once, on first use
+        assert calls == {"concat_entries": 1, "from_layout": 1, "sort_entries": 6, "sort": 6}
+
+    def test_a_forward_over_sorted_graphs_sorts_nothing_and_assembles_nothing(
+        self, monkeypatch
+    ):
+        graphs = list(generate_ba2motifs(6, seed=1).graphs)
+        for g in graphs:
+            g.entry_layout
+        calls = self.spy(monkeypatch)
+        params = init_backbone(np.random.default_rng(0), 1, 2, hidden=8, num_layers=4)
+        masks = [policy_node_deleted(g).masks[3] for g in graphs[::-1]]
+        for batch in (build_graph_batch(graphs), build_graph_batch(graphs[::-1], masks)):
+            mask_values = Tensor(np.ones(len(batch.edges)), requires_grad=True)
+            for values in (None, mask_values):
+                logits, _ = backbone_forward_batch(batch, params, mask_values=values)
+                cross_entropy_mean(logits, batch.labels).backward()
+        assert calls == {"concat_entries": 2, "from_layout": 4}
 
 
 def test_backward_zero_fills_only_the_parameters(monkeypatch):
@@ -692,12 +816,24 @@ class TestTraining:
             {"hidden": 8.0},
             {"num_layers": True},
             {"epochs": "3"},
+            {"lr": "0.1"},
+            {"lr": None},
+            {"lr": True},
         ],
     )
     def test_config_rejects_bad_values_naming_the_field(self, kwargs):
         (field,) = kwargs
         with pytest.raises(ValueError, match=field):
             TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize("lr", ["0.1", None, True, [0.1]])
+    def test_config_rejects_an_lr_that_is_no_real_number(self, lr):
+        with pytest.raises(ValueError, match=re.escape(f"lr {lr!r} must be a real number")):
+            TrainConfig(lr=lr)
+
+    @pytest.mark.parametrize("lr", [np.float32(0.01), np.float64(0.01), 1, np.int64(0)])
+    def test_config_takes_any_finite_real_lr(self, lr):
+        assert TrainConfig(lr=lr).lr == lr
 
     @pytest.mark.parametrize("seed", [-1, 1.5, 2.5, True])
     def test_config_rejects_a_seed_that_is_no_non_negative_integer(self, seed):

@@ -114,6 +114,22 @@ class TestGraphInvariants:
             with pytest.raises(ValueError, match=re.escape(message)):
                 Graph(num_nodes=3, edges=edges, x=x, y=0)
 
+    def test_converts_features_given_as_a_list(self):
+        g = Graph(num_nodes=2, edges=((0, 1),), x=[[1.0, 0.0], [0.5, 2.0]], y=0)
+        assert same_bits(g.x, np.array([[1.0, 0.0], [0.5, 2.0]]))
+
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            ([["a"], ["b"]], "feature matrix has dtype <U1"),
+            ([[1.0], [1.0, 2.0]], "feature matrix is no array"),
+            ([[None], [1.0]], "feature matrix has dtype object"),
+        ],
+    )
+    def test_rejects_a_feature_list_that_is_no_real_array_by_name(self, x, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Graph(num_nodes=2, edges=((0, 1),), x=x, y=0)
+
     @pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int64, np.float32, np.float64])
     def test_keeps_features_of_a_real_dtype_as_they_are(self, dtype):
         x = np.ones((3, 2), dtype=dtype)
@@ -243,19 +259,29 @@ def kept_arrays(obj) -> list[np.ndarray]:
 
 
 class TestAdjacency:
-    def test_keeps_24_bytes_per_edge_plus_its_row_pointers(self):
-        # the CSR's values and int32 columns (16 and 8: two directed entries
-        # per edge), and the one float64 that the unit weights broadcast; the
-        # edges are the graph's own array, and no per-entry permutation is kept
+    def test_keeps_its_layout_and_then_16_bytes_per_edge_for_its_adjacency(self):
+        # every array the graph keeps beyond its edges and features: once a
+        # batch has used it, its layout's int32 column and edge of each
+        # directed entry (8 + 8 bytes per edge); once its adjacency is built,
+        # also the CSR's values (16 bytes per edge), its int32 row pointers (4
+        # bytes per node, plus 4) and the one float64 its unit weights
+        # broadcast.  The CSR's columns are the layout's first half.
         rng = np.random.default_rng(0)
         n = 200
         pairs = rng.integers(0, n, (900, 2))
         g = make_graph(n, np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1), axis=0))
+
+        def kept_bytes():
+            own = (g.edges, g.x)
+            arrays = [a for a in kept_arrays(g) if not any(np.shares_memory(a, b) for b in own)]
+            return sum(a.nbytes for a in arrays)
+
+        assert kept_bytes() == 0
+        build_graph_batch([g, g])
+        assert kept_bytes() == 16 * g.num_edges
         adj = g.adjacency
-        extra = [a for a in kept_arrays(adj) if not np.shares_memory(a, g.edges)]
-        kept = sum(a.nbytes for a in extra) - adj.csr.indptr.nbytes
-        assert adj.csr.indptr.nbytes == 4 * (n + 1)
-        assert kept <= 24 * g.num_edges + 8, f"{kept / g.num_edges:.1f} bytes per edge"
+        assert kept_bytes() == 32 * g.num_edges + 4 * (n + 1) + 8
+        assert np.shares_memory(adj.csr.indices, g.entry_layout)
         assert same_bits(adj.weights.data, np.ones(g.num_edges))
 
     def test_is_built_on_first_use_and_kept(self, cycle6):
@@ -427,6 +453,23 @@ class TestConnectivityOperators:
 
 
 class TestEdgeMask:
+    def test_converts_masks_given_as_lists(self):
+        mask = EdgeMask(soft=[0.25, 0.75], hard=[0.0, 1.0], budget=1)
+        assert same_bits(mask.soft, np.array([0.25, 0.75]))
+        assert same_bits(mask.hard, np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize(
+        "soft, hard, message",
+        [
+            (["x", "y"], [0.0, 1.0], "soft mask has dtype <U1"),
+            ([0.5, 0.5], [0.0, [1.0]], "hard mask is no array"),
+            ([0.5, None], [0.0, 1.0], "soft mask has dtype object"),
+        ],
+    )
+    def test_rejects_a_mask_that_is_no_real_array_by_name(self, soft, hard, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            EdgeMask(soft=soft, hard=hard)
+
     def test_rejects_non_binary_hard(self):
         with pytest.raises(ValueError, match="binary"):
             EdgeMask(soft=np.array([0.5]), hard=np.array([0.5]))

@@ -30,6 +30,7 @@ UNCALLED_EXPORTS = {
     "gather_rows": "test oracle; patched by name by perfbench",
     "concat_cols": "test oracle; patched by name by perfbench",
     "segment_sum": "test oracle; patched by name by perfbench",
+    "assemble": "one-shot sort_entries + from_layout for edges outside a graph; test oracle",
     "save_params": "checkpoints for the planned run records and CLI",
     "load_params": "checkpoints for the planned run records and CLI",
     "policy_edge_deleted": "ED baseline for the planned bag classifier",
