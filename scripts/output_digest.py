@@ -45,7 +45,15 @@ It hashes the dtype, shape and bytes of every array of:
   fresh 32-wide one for the large graphs) and its gradient onto them;
 - ``assemble``'s ``indptr``, ``indices`` and ``data`` for random simple
   graphs of 40 and 3000 nodes, each edge flipped at random and the edges
-  shuffled, with 0.0, -0.0, NaN and +-inf among the weights.
+  shuffled, with 0.0, -0.0, NaN and +-inf among the weights;
+- the bag path at the benchmark's large size: ``edge_scores``, a top-K bag
+  and a noise bag (m=10) of 24 Barabasi-Albert graphs (two edges per new
+  node) of 100-300 nodes with degree features (cap 10), under the fresh
+  32-wide backbone and a fresh edge scorer, and of a one-edge graph, each
+  with its JSON and the bag read back from it;
+- ``sigmoid`` and its gradient at +-0, +-inf, NaN of either sign, the
+  largest and smallest floats of either sign, and +-745 and +-710, where
+  ``exp`` underflows and overflows.
 Features hash with their dtype: those that ``load_tud_dataset``,
 ``generate_ba2motifs`` and ``constant_features`` build are uint8, so a tree
 that built them as float64 prints another digest for the same values.
@@ -55,13 +63,14 @@ Run it on two trees; equal digests mean equal outputs.
 import dataclasses
 import hashlib
 import json
+import random
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from esgnn import explainer, gin, tud
-from esgnn.autodiff import Tensor, assemble, cross_entropy_mean, mul, sum_all
+from esgnn.autodiff import Tensor, assemble, cross_entropy_mean, mul, sigmoid, sum_all
 from esgnn.ba2motifs import generate_ba2motifs
 from esgnn.graphs import (
     FeatureSpec,
@@ -261,6 +270,38 @@ def main() -> None:
         csr = assemble(n, edges, w).csr
         for a in (csr.indptr, csr.indices, csr.data):
             feed(a)
+
+    def ba_graph(n, seed, y) -> Graph:
+        """Each new node joins two distinct nodes drawn by degree."""
+        draw = random.Random(seed)
+        edges, repeated = [(0, 1), (0, 2), (1, 2)], [0, 1, 0, 2, 1, 2]
+        for v in range(3, n):
+            targets = set()
+            while len(targets) < 2:
+                targets.add(draw.choice(repeated))
+            for t in sorted(targets):
+                edges.append((t, v))
+                repeated += [t, v]
+        degree = np.minimum(np.bincount(np.ravel(edges), minlength=n), 10)
+        return Graph(n, sorted(edges), np.eye(11, dtype=np.uint8)[degree], y)
+
+    rng = np.random.default_rng(6)
+    ba = [ba_graph(int(rng.integers(100, 301)), k, k % 2) for k in range(24)]
+    one_edge = Graph(2, [(0, 1)], np.eye(11, dtype=np.uint8)[[1, 1]], 0)
+    bag_scorer = explainer.init_explainer(np.random.default_rng(7), hidden=wide.hidden)
+    for gi, g in enumerate([*ba, one_edge]):
+        feed(explainer.edge_scores(g, wide, bag_scorer))
+        feed_bag(explainer.generate_bag_topk(g, wide, bag_scorer), gi)
+        feed_bag(explainer.generate_bag_noise(g, wide, bag_scorer, 10, 1.0, 100 + gi), gi)
+
+    big, tiny = np.finfo(np.float64).max, np.finfo(np.float64).smallest_subnormal
+    special = np.array([0.0, np.inf, np.nan, big, tiny, 745.0, 710.0, 1.0])
+    x = Tensor(np.concatenate([special, -special]), requires_grad=True)
+    with np.errstate(invalid="ignore"):
+        s = sigmoid(x)
+        sum_all(mul(s, np.arange(1.0, 17.0))).backward()
+    feed(s.data)
+    feed(x.grad)
     print(digest.hexdigest())
 
 

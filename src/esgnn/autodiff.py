@@ -259,13 +259,16 @@ def sigmoid(x) -> Tensor:
 
     e = exp(-|x|) over the whole array, with no boolean gather or scatter.
     The exponent is picked by the same comparison (-x where x >= 0, else x)
-    rather than taken as -|x|, so a NaN keeps its sign bit.
+    rather than taken as -|x|, so a NaN keeps its sign bit.  The numerator,
+    1 or e, is picked before the one division.
     """
     x = _lift(x)
     pos = x.data >= 0
-    e = np.exp(np.where(pos, -x.data, x.data))
-    denom = 1.0 + e
-    data = np.where(pos, 1.0 / denom, e / denom)
+    e = np.where(pos, -x.data, x.data)
+    np.exp(e, out=e)
+    denom = e + 1.0
+    data = np.where(pos, 1.0, e)
+    data /= denom
     return _record(data, (x,), lambda grad: (grad * data * (1.0 - data),))
 
 
@@ -332,15 +335,17 @@ def segment_matrix(segment_ids: np.ndarray, num_segments: int) -> scipy.sparse.c
 
     A product by it sums each segment's rows in their order, bit for bit as
     ``np.add.at`` into zeros does.  The ids must lie in 0..num_segments - 1.
+    Its index arrays are built as the int32 that scipy keeps for fewer than
+    2**31 rows, so the constructor neither scans nor copies them.
     """
-    counts = np.bincount(segment_ids, minlength=num_segments)
+    rows = segment_ids.size
+    index = np.int32 if rows < 2**31 else np.int64
+    indptr = np.empty(num_segments + 1, dtype=index)
+    indptr[0] = 0
+    np.cumsum(np.bincount(segment_ids, minlength=num_segments), out=indptr[1:])
     return scipy.sparse.csr_matrix(
-        (
-            np.ones(segment_ids.size),
-            np.argsort(segment_ids, kind="stable"),
-            np.concatenate(([0], np.cumsum(counts))),
-        ),
-        shape=(num_segments, segment_ids.size),
+        (np.ones(rows), np.argsort(segment_ids, kind="stable").astype(index), indptr),
+        shape=(num_segments, rows),
     )
 
 

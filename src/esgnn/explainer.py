@@ -16,7 +16,18 @@ on the node states one ``frozen_forward`` returned, and feeds the hard bits
 to the batch forward as its edge weights.  Every bag's masks are built from
 its (m, E) soft and hard blocks by ``EdgeMask.block``, which checks all
 rows in one pass, and a bag's JSON packs and unpacks the bits of all its
-masks in one array pass.
+masks in one array pass; ``bag_from_json`` checks each entry's fields
+itself and leaves ``EdgeMask.block``'s rules to the budgets alone.
+
+Where a bag op's time goes: one top-K and one m = 10 noise bag of a graph
+of 100-300 nodes, each round-tripped through JSON, took about 1.2 ms on
+one thread of a shared 2-vCPU Xeon VM (Python 3.11, numpy 2.4), timed
+per stage in a loop over 200 such graphs.  The two ``edge_scores`` calls
+take about half of it (about 35 us each of that is wrapping, dispatch and
+the frozen views; the rest is the layers' and the MLP's arithmetic), the
+ten per-mask ``mask_seed`` and ``default_rng`` draws about a sixth, which
+the recorded seeds fix, the JSON round trip about a ninth, and the noise,
+sigmoid, top-K ranking and mask checks the remaining quarter.
 """
 
 from __future__ import annotations
@@ -53,6 +64,7 @@ from .graphs import (
     Graph,
     PolicyError,
     SubgraphBag,
+    _budget_fault,
     _check_count,
     _check_real,
     _is_int,
@@ -150,12 +162,13 @@ def edge_logits(Z: Tensor | np.ndarray, edges: np.ndarray, params: ExplainerPara
     One taped op over ``Z``, ``w1``, ``b1``, ``w2`` and ``b2``: the forward
     gathers both endpoints' rows in one gather, which lays them out as the
     concatenated pairs, and runs ``gin._mlp`` on them in one call; untaped
-    it keeps nothing and records no node.  The backward is ``gin._mlp_grads``,
-    which sums the pairs' gradient onto each end by one product with that
-    end's ``autodiff.segment_matrix`` and adds the two, with the same
-    arithmetic as the composed ``gather_rows``/``concat_cols``/``linear``/
-    ``relu``/``linear``/``reshape`` ops, so the two agree bit for bit.  The
-    weights and biases must have the shapes ``init_explainer`` gives them.
+    it keeps nothing, records no node and makes no closure.  The backward
+    is ``gin._mlp_grads``, which sums the pairs' gradient onto each end by
+    one product with that end's ``autodiff.segment_matrix`` and adds the
+    two, with the same arithmetic as the composed ``gather_rows``/
+    ``concat_cols``/``linear``/``relu``/``linear``/``reshape`` ops, so the
+    two agree bit for bit.  The weights and biases must have the shapes
+    ``init_explainer`` gives them.
     """
     Z = Z if isinstance(Z, Tensor) else Tensor(Z)
     w1, b1, w2, b2 = params.w1, params.b1, params.w2, params.b2
@@ -168,9 +181,11 @@ def edge_logits(Z: Tensor | np.ndarray, edges: np.ndarray, params: ExplainerPara
             f" weight {w2.data.shape} with bias {b2.data.shape}"
         )
     # row k is [z_i ; z_j] for edge k = (i, j): both ends in one gather
-    pair = Z.data[edges].reshape(len(edges), w1.data.shape[0])
+    pair = Z.data.take(edges.reshape(-1), axis=0).reshape(len(edges), w1.data.shape[0])
     h, out = _mlp(pair, w1.data, w2.data, (b1.data, b2.data))
     logits = out.reshape(len(edges))
+    if not any(t.requires_grad for t in (Z, w1, b1, w2, b2)):
+        return Tensor(logits)
 
     def _z_grad(gpair):
         if gpair is None:
@@ -201,12 +216,19 @@ def concrete_sample(omega: Tensor | np.ndarray, tau: float, noise_scale: float, 
     if not (math.isfinite(noise_scale) and noise_scale >= 0):
         raise ValueError(f"noise_scale {noise_scale} must be finite and >= 0")
     omega = omega if isinstance(omega, Tensor) else Tensor(omega)
-    noise = np.zeros((len(seeds), omega.data.shape[0]))
-    if noise_scale != 0.0:
-        for row, seed in zip(noise, seeds):
-            row[:] = np.random.default_rng(seed).random(noise.shape[1])
-        u = np.clip(noise, 1e-12, 1.0 - 1e-12)
-        noise = noise_scale * (np.log(u) - np.log1p(-u))
+    shape = (len(seeds), omega.data.shape[0])
+    if noise_scale == 0.0:
+        noise = np.zeros(shape)
+    else:
+        # each generator writes its row of one block, and the logistic map
+        # noise_scale * (log(u) - log1p(-u)) runs in place, in that order
+        u = np.empty(shape)
+        for row, seed in zip(u, seeds):
+            np.random.default_rng(seed).random(out=row)
+        np.clip(u, 1e-12, 1.0 - 1e-12, out=u)
+        noise = np.log(u)
+        noise -= np.log1p(np.negative(u, out=u), out=u)
+        noise *= noise_scale
     return sigmoid((omega + Tensor(noise)) * (1.0 / tau))
 
 
@@ -232,7 +254,8 @@ def topk_binarize(s: Tensor | np.ndarray, budgets: list[int]) -> tuple[EdgeMask,
     rank = np.empty(soft.size, dtype=np.intp)
     rank[np.argsort(-soft, kind="stable")] = np.arange(soft.size)
     hard = (rank < np.array(budgets, dtype=np.intp)[:, None]).astype(np.float64)
-    return EdgeMask.block(np.tile(soft, (len(budgets), 1)), hard, budgets=budgets)
+    # every mask's soft row is a read-only view of one copy of the scores
+    return EdgeMask.block(np.broadcast_to(soft.copy(), hard.shape), hard, budgets=budgets)
 
 
 def train_explainer(
@@ -363,10 +386,10 @@ def bag_to_json(bag: SubgraphBag, graph_id: int) -> dict:
     packed = np.packbits(np.array([m.hard for m in bag.masks], dtype=np.uint8), axis=1)
     masks = [
         {
-            "bits": base64.b64encode(row.tobytes()).decode("ascii"),
+            "bits": base64.b64encode(row).decode("ascii"),
             "K": None if m.budget is None else int(m.budget),
             "seed": None if m.seed is None else int(m.seed),
-            "zeroed_nodes": [int(v) for v in m.zeroed_nodes],
+            "zeroed_nodes": list(map(int, m.zeroed_nodes)),
         }
         for m, row in zip(bag.masks, packed)
     ]
@@ -400,7 +423,7 @@ def bag_from_json(doc: dict, base: Graph) -> SubgraphBag:
     if not entries:
         raise ValueError(f"graph {graph_id}: bag document lists no masks")
     nbytes = (base.num_edges + 7) // 8
-    raws, zeroed_sets = [], []
+    raws, budgets, seeds, zeroed_sets = [], [], [], []
     for k, entry in enumerate(entries):
         if not isinstance(entry, dict):
             kind = type(entry).__name__
@@ -427,27 +450,25 @@ def bag_from_json(doc: dict, base: Graph) -> SubgraphBag:
                     f"graph {graph_id}: mask {k} {key} {value!r} must be an integer or null"
                 )
         zeroed = entry.get("zeroed_nodes", [])
-        if not (isinstance(zeroed, list) and all(_is_int(v) for v in zeroed)):
+        if not (isinstance(zeroed, list) and all(map(_is_int, zeroed))):
             raise ValueError(
                 f"graph {graph_id}: mask {k} zeroed_nodes {zeroed!r} must be a list of integers"
             )
-        zeroed = tuple(int(v) for v in zeroed)
-        if any(not 0 <= v < base.num_nodes for v in zeroed):
+        zeroed = tuple(map(int, zeroed))
+        if zeroed and not (min(zeroed) >= 0 and max(zeroed) < base.num_nodes):
             raise ValueError(
                 f"graph {graph_id}: mask {k} zeroes nodes {zeroed} outside 0..{base.num_nodes - 1}"
             )
         raws.append(raw)
+        budgets.append(entry.get("K"))
+        seeds.append(entry.get("seed"))
         zeroed_sets.append(zeroed)
     packed = np.frombuffer(b"".join(raws), dtype=np.uint8).reshape(len(raws), nbytes)
     hard = np.unpackbits(packed, axis=1, count=base.num_edges).astype(np.float64)
-    try:
-        masks = EdgeMask.block(
-            hard.copy(),
-            hard,
-            budgets=[entry.get("K") for entry in entries],
-            seeds=[entry.get("seed") for entry in entries],
-            zeroed_nodes=zeroed_sets,
-        )
-    except ValueError as err:
-        raise ValueError(f"graph {graph_id}: {err}") from err
+    # unpacked bits are finite and binary and the fields are checked above, so
+    # of ``EdgeMask.block``'s rules only the budgets are left to check
+    fault = _budget_fault(hard, budgets)
+    if fault is not None:
+        raise ValueError(f"graph {graph_id}: mask {fault[0]}: {fault[1]}")
+    masks = EdgeMask._from_checked(hard.copy(), hard, budgets, seeds, zeroed_sets)
     return SubgraphBag(base=base, masks=masks, policy_tag=doc["policy"])

@@ -328,7 +328,9 @@ def apply_gin_layer(layer: GinLayerParams, h: Tensor, adj: WeightedSparse) -> Te
     layer keeps nothing and records no node.  The backward is
     ``_mlp_grads``, which maps the gradient of ``z`` to those of the edge
     weights, ``h`` and ``eps``; all seven are bit for bit those of the
-    composed ``spmm``/``mul``/``add``/``linear``/``relu`` ops.
+    composed ``spmm``/``mul``/``add``/``linear``/``relu`` ops.  An untaped
+    layer returns a plain Tensor of its output: no closure is made and no
+    ``custom_primitive`` called.
     """
     weights, n = adj.weights, adj.csr.shape[0]
     eps, w1, b1, w2, b2 = layer.eps, layer.w1, layer.b1, layer.w2, layer.b2
@@ -353,6 +355,8 @@ def apply_gin_layer(layer: GinLayerParams, h: Tensor, adj: WeightedSparse) -> Te
         for a, b in zip(starts, [*starts[1:], n]):
             z[a:b] += h.data[a:b] * scale
             _mlp(z[a:b], w1.data, w2.data, biases, r[: b - a], out[a:b])
+    if not taped:
+        return Tensor(out)
     needs_gz = weights.requires_grad or h.requires_grad or eps.requires_grad
 
     def _input_grads(gz):

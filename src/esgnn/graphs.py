@@ -23,6 +23,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -275,24 +276,37 @@ def _mask_fault(soft: np.ndarray, hard: np.ndarray, budgets) -> tuple[int, str] 
     bits.  ``budgets`` is None or holds one budget, or None, per row.  A row
     is reported with the first rule it breaks, in that order.
     """
-    finite = np.isfinite(soft).all(axis=1)
-    ones = np.count_nonzero(hard == 1.0, axis=1)
-    # binary exactly when every nonzero entry (NaN included) is a one
-    binary = ones == np.count_nonzero(hard, axis=1)
-    ok = finite & binary
-    if budgets is not None:
-        budgeted = np.array([b is not None for b in budgets], dtype=bool)
-        # object entries compare as Python numbers, so no budget can overflow
-        kept = ones == np.array([0 if b is None else b for b in budgets], dtype=object)
-        ok &= ~budgeted | kept
-    if ok.all():
+    # one pass over the whole block for each of the first two rules; the
+    # rows are looked at one by one only when one of them fails
+    bad = None  # the first row that breaks the first or second rule
+    if not (np.isfinite(soft).all() and np.count_nonzero(hard == 1.0) == np.count_nonzero(hard)):
+        finite = np.isfinite(soft).all(axis=1)
+        # binary exactly when every nonzero entry (NaN included) is a one
+        binary = np.count_nonzero(hard == 1.0, axis=1) == np.count_nonzero(hard, axis=1)
+        bad = int(np.argmin(finite & binary))
+    # the rows before it are binary, so the budgets of those are checked
+    fault = _budget_fault(hard[:bad], budgets)
+    if fault is not None or bad is None:
+        return fault
+    if not finite[bad]:
+        return bad, f"non-finite soft weight at edge {np.flatnonzero(~np.isfinite(soft[bad]))[0]}"
+    return bad, "hard mask must be binary"
+
+
+def _budget_fault(hard: np.ndarray, budgets) -> tuple[int, str] | None:
+    """The first binary row of ``hard`` that keeps other than its budget of bits, and why.
+
+    ``budgets`` is None or holds one budget, or None, per row; the rows
+    must be binary, so that a row's sum is its count of ones.
+    """
+    if budgets is None:
         return None
-    k = int(np.argmin(ok))
-    if not finite[k]:
-        return k, f"non-finite soft weight at edge {np.flatnonzero(~np.isfinite(soft[k]))[0]}"
-    if not binary[k]:
-        return k, "hard mask must be binary"
-    return k, f"hard mask sums to {ones[k]}, budget is {budgets[k]}"
+    kept = hard.sum(axis=1, dtype=np.float64).astype(np.intp).tolist()
+    for k, (budget, count) in enumerate(zip(budgets, kept)):
+        # Python ints, so no budget can overflow
+        if budget is not None and budget != count:
+            return k, f"hard mask sums to {count}, budget is {budget}"
+    return None
 
 
 def _field_fault(budgets, seeds, zeroed_nodes) -> tuple[int, str] | None:
@@ -303,6 +317,12 @@ def _field_fault(budgets, seeds, zeroed_nodes) -> tuple[int, str] | None:
     counts as no integer.  Budgets are checked first, then seeds, then
     zeroed nodes.
     """
+    # Python ints and None, which bags hold, pass with one set of types per
+    # kind of field; any other type is looked for entry by entry
+    if {*map(type, budgets or ()), *map(type, seeds or ())} <= {int, type(None)} and {
+        *map(type, chain.from_iterable(zeroed_nodes or ()))
+    } <= {int}:
+        return None
     for name, values in (("budget", budgets), ("seed", seeds)):
         for k, value in enumerate(values or ()):
             if value is not None and not _is_int(value):
@@ -369,17 +389,26 @@ class EdgeMask:
         fault = _field_fault(budgets, seeds, zeroed_nodes) or _mask_fault(soft, hard, budgets)
         if fault is not None:
             raise ValueError(f"mask {fault[0]}: {fault[1]}")
+        return cls._from_checked(soft, hard, budgets, seeds, zeroed_nodes)
+
+    @classmethod
+    def _from_checked(cls, soft, hard, budgets, seeds, zeroed_nodes) -> tuple["EdgeMask", ...]:
+        """``block``'s masks from rows and fields that have been checked with its rules.
+
+        ``__init__`` and its per-row check are skipped.
+        """
+        none = repeat(None)
+        rows = zip(
+            soft,
+            hard,
+            none if budgets is None else budgets,
+            none if seeds is None else seeds,
+            repeat(()) if zeroed_nodes is None else zeroed_nodes,
+        )
         masks = []
-        for k in range(m):
-            # the rows are checked above, so __init__ and its per-row check are skipped
+        for s, h, budget, seed, zeroed in rows:
             mask = object.__new__(cls)
-            mask.__dict__.update(
-                soft=soft[k],
-                hard=hard[k],
-                budget=None if budgets is None else budgets[k],
-                seed=None if seeds is None else seeds[k],
-                zeroed_nodes=() if zeroed_nodes is None else zeroed_nodes[k],
-            )
+            mask.__dict__.update(soft=s, hard=h, budget=budget, seed=seed, zeroed_nodes=zeroed)
             masks.append(mask)
         return tuple(masks)
 
@@ -399,11 +428,10 @@ class SubgraphBag:
     def __post_init__(self):
         if not self.masks:
             raise ValueError("bag must hold at least one mask")
+        num_edges = self.base.num_edges
         for m in self.masks:
-            if m.num_edges != self.base.num_edges:
-                raise ValueError(
-                    f"mask over {m.num_edges} edges for a base graph with {self.base.num_edges}"
-                )
+            if m.num_edges != num_edges:
+                raise ValueError(f"mask over {m.num_edges} edges for a base graph with {num_edges}")
 
     def __len__(self) -> int:
         return len(self.masks)

@@ -8,8 +8,15 @@ match bit for bit, ``policy_edge_deleted_loop`` and
 ``policy_node_deleted_loop`` build the ED and ND bags one checked mask at a
 time, as the block-built policies must, and ``generate_ba2motifs_networkx``
 is the BA-2Motifs generator built on ``networkx.barabasi_albert_graph`` that
-``generate_ba2motifs`` must reproduce graph for graph.
+``generate_ba2motifs`` must reproduce graph for graph.  ``block_fault_loop``
+and ``bag_json_fault_loop`` check a bag's masks and its JSON document one
+row and one entry at a time, with plain Python values, and return the
+message that ``EdgeMask.block`` and ``explainer.bag_from_json`` must raise.
 """
+
+import base64
+import math
+import numbers
 
 import networkx as nx
 import numpy as np
@@ -17,6 +24,7 @@ import numpy as np
 from esgnn.autodiff import DimensionError, Tensor, _log_softmax, _record, custom_primitive
 from esgnn.ba2motifs import _CYCLE, _HOUSE, BASE_NODES, MOTIF_NODES
 from esgnn.graphs import (
+    POLICY_TAGS,
     EdgeMask,
     FeatureSpec,
     Graph,
@@ -153,3 +161,90 @@ def generate_ba2motifs_networkx(n_graphs: int, seed: int) -> GraphDataset:
         name="BA-2Motifs",
         feature_spec=FeatureSpec("constant"),
     )
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def block_fault_loop(soft, hard, budgets=None, seeds=None, zeroed_nodes=None) -> str | None:
+    """The message ``EdgeMask.block`` raises for these rows and fields, or None.
+
+    The fields come first, all budgets, then all seeds, then all zeroed
+    nodes; then the rows in order, each with its first broken rule: finite
+    soft weights, binary hard bits, then the budget.
+    """
+    for name, values in (("budget", budgets), ("seed", seeds)):
+        for k, value in enumerate(values or ()):
+            if value is not None and not _is_integer(value):
+                return f"mask {k}: {name} {value!r} must be an integer or None"
+    for k, nodes in enumerate(zeroed_nodes or ()):
+        if not all(_is_integer(v) for v in nodes):
+            return f"mask {k}: zeroed_nodes {nodes!r} must be integers"
+    for k, (soft_row, hard_row) in enumerate(zip(soft.tolist(), hard.tolist())):
+        for e, w in enumerate(soft_row):
+            if not math.isfinite(w):
+                return f"mask {k}: non-finite soft weight at edge {e}"
+        if not all(b == 0 or b == 1 for b in hard_row):
+            return f"mask {k}: hard mask must be binary"
+        ones = sum(b == 1 for b in hard_row)
+        budget = None if budgets is None else budgets[k]
+        if budget is not None and ones != budget:
+            return f"mask {k}: hard mask sums to {ones}, budget is {budget}"
+    return None
+
+
+def bag_json_fault_loop(doc, base: Graph) -> str | None:
+    """The message ``bag_from_json(doc, base)`` raises, or None for a valid document.
+
+    Each mask entry is checked in turn, field by field; the unpacked bits
+    of all masks are then checked with ``block_fault_loop``.
+    """
+    if not isinstance(doc, dict):
+        return f"bag document is {type(doc).__name__}, expected an object"
+    graph = f"graph {doc.get('graph_id')}"
+    for key in ("policy", "masks"):
+        if key not in doc:
+            return f"{graph}: bag document has no {key!r}"
+    if doc["policy"] not in POLICY_TAGS:
+        return f"{graph}: unknown bag policy {doc['policy']!r}"
+    entries = doc["masks"]
+    if not isinstance(entries, list):
+        return f"{graph}: bag document's 'masks' is {type(entries).__name__}, expected a list"
+    if not entries:
+        return f"{graph}: bag document lists no masks"
+    nbytes = (base.num_edges + 7) // 8
+    rows = []
+    for k, entry in enumerate(entries):
+        mask = f"{graph}: mask {k}"
+        if not isinstance(entry, dict):
+            return f"{mask} is {type(entry).__name__}, expected an object"
+        if "bits" not in entry:
+            return f"{mask} has no 'bits'"
+        if not isinstance(entry["bits"], str):
+            return f"{mask} bits are not base64: {type(entry['bits']).__name__}, not a str"
+        try:
+            raw = base64.b64decode(entry["bits"], validate=True)
+        except ValueError as err:
+            return f"{mask} bits are not base64: {err}"
+        if len(raw) != nbytes:
+            return (
+                f"{mask} has {len(raw)} bytes of bits, expected {nbytes}"
+                f" for {base.num_edges} edges"
+            )
+        for key in ("K", "seed"):
+            value = entry.get(key)
+            if value is not None and not _is_integer(value):
+                return f"{mask} {key} {value!r} must be an integer or null"
+        zeroed = entry.get("zeroed_nodes", [])
+        if not isinstance(zeroed, list) or not all(_is_integer(v) for v in zeroed):
+            return f"{mask} zeroed_nodes {zeroed!r} must be a list of integers"
+        zeroed = tuple(int(v) for v in zeroed)
+        for v in zeroed:
+            if not 0 <= v < base.num_nodes:
+                return f"{mask} zeroes nodes {zeroed} outside 0..{base.num_nodes - 1}"
+        bits = [(byte >> (7 - b)) & 1 for byte in raw for b in range(8)]
+        rows.append(bits[: base.num_edges])
+    hard = np.array(rows, dtype=np.float64).reshape(len(rows), base.num_edges)
+    fault = block_fault_loop(hard, hard, [entry.get("K") for entry in entries])
+    return None if fault is None else f"{graph}: {fault}"

@@ -1,11 +1,14 @@
 import base64
 import dataclasses
+import itertools
 import json
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import esgnn.graphs
 from esgnn import autodiff, explainer, gin
@@ -44,6 +47,7 @@ from esgnn.graphs import (
 )
 from esgnn.optim import TrainingError
 from tests.conftest import make_graph, same_bits
+from tests.oracles import bag_json_fault_loop
 
 
 @pytest.fixture
@@ -443,6 +447,80 @@ class TestBagJson:
         doc["masks"][1]["K"] = 3  # every ED mask keeps two of three edges
         with pytest.raises(ValueError, match="graph 9: mask 1: hard mask sums to 2, budget is 3"):
             bag_from_json(doc, triangle)
+
+    # the corruptions of one mask entry, each a (key, value) to set; a None
+    # key replaces the whole entry and a value of None deletes the key
+    CORRUPTIONS = [
+        ("K", True),
+        ("K", 2.0),
+        ("K", "2"),
+        ("K", 2**63),
+        ("K", -1),
+        ("seed", False),
+        ("seed", 7.0),
+        ("seed", "7"),
+        ("zeroed_nodes", [True]),
+        ("zeroed_nodes", [1.5]),
+        ("zeroed_nodes", "1"),
+        ("zeroed_nodes", None),
+        ("zeroed_nodes", [10]),
+        ("zeroed_nodes", [-1]),
+        ("zeroed_nodes", [2**63]),
+        ("bits", "AAAA"),
+        ("bits", "A!=="),
+        ("bits", 5),
+        ("bits", None),
+        (None, None),
+        (None, "wA=="),
+    ]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_round_trips_bit_for_bit_and_names_the_first_corrupt_mask(self, data):
+        m, num_edges = data.draw(st.integers(1, 6)), data.draw(st.integers(0, 40))
+        base = make_graph(10, list(itertools.combinations(range(10), 2))[:num_edges])
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        hard = (rng.random((m, num_edges)) < 0.5).astype(np.float64)
+        counts = hard.sum(axis=1).astype(int).tolist()
+        budgets = [data.draw(st.sampled_from([None, c, np.int64(c)])) for c in counts]
+        seed = st.one_of(
+            st.none(),
+            st.integers(min_value=0, max_value=2**64),
+            st.integers(min_value=2**63, max_value=2**70),
+            st.just(np.uint64(2**63)),
+        )
+        seeds = [data.draw(seed) for _ in range(m)]
+        node = st.integers(0, 9)  # the corruptions below put nodes out of range
+        zeroed = [tuple(data.draw(st.lists(node, max_size=2, unique=True))) for _ in range(m)]
+        masks = EdgeMask.block(hard.copy(), hard, budgets=budgets, seeds=seeds, zeroed_nodes=zeroed)
+        bag = SubgraphBag(base, masks, data.draw(st.sampled_from(esgnn.graphs.POLICY_TAGS)))
+        doc = json.loads(json.dumps(bag_to_json(bag, data.draw(st.integers(0, 2**64)))))
+        loaded = bag_from_json(doc, base)
+        self.assert_same(bag, loaded)
+        for a, b in zip(bag.masks, loaded.masks):
+            assert same_bits(a.soft, b.soft) and same_bits(a.hard, b.hard)
+        # the masks and corruptions come from rng, which spreads them evenly
+        for _ in range(data.draw(st.integers(1, 2))):
+            k = int(rng.integers(m))
+            key, value = self.CORRUPTIONS[rng.integers(len(self.CORRUPTIONS))]
+            entry = doc["masks"][k]
+            if key is None:
+                doc["masks"][k] = value
+            elif not isinstance(entry, dict):
+                continue
+            elif value is None:
+                entry.pop(key, None)
+            else:
+                entry[key] = value
+        expected = bag_json_fault_loop(doc, base)
+        if expected is None:  # e.g. other bits of the right length, or no zeroed_nodes
+            for entry, mask in zip(doc["masks"], bag_from_json(doc, base).masks):
+                raw = np.frombuffer(base64.b64decode(entry["bits"]), dtype=np.uint8)
+                assert mask.hard.tolist() == np.unpackbits(raw, count=num_edges).tolist()
+            return
+        with pytest.raises(ValueError) as err:
+            bag_from_json(doc, base)
+        assert str(err.value) == expected
 
 
 class TestFrozenForwards:

@@ -22,7 +22,7 @@ from esgnn.graphs import (
 )
 from esgnn.tud import load_tud_dataset, write_tud_dataset
 from tests.conftest import make_graph, same_bits
-from tests.oracles import policy_edge_deleted_loop, policy_node_deleted_loop
+from tests.oracles import block_fault_loop, policy_edge_deleted_loop, policy_node_deleted_loop
 
 
 def degree_features(g, cap, root):
@@ -673,3 +673,85 @@ def test_degrees_match_an_edge_loop(n, edges, tmp_path):
     cap = max(1, n)  # no degree reaches the cap
     got = degree_features(g, cap, tmp_path)
     assert got.dtype == np.uint8 and np.array_equal(got, np.eye(cap + 1)[expected])
+
+
+@pytest.mark.parametrize(
+    "soft, hard, message",
+    [
+        ([[0, 0], [0, 0]], [[1, 0], [0.5, 1]], "mask 0: hard mask sums to 1, budget is 2"),
+        ([[0, 0], [np.nan, 0]], [[1, 0], [1, 1]], "mask 0: hard mask sums to 1, budget is 2"),
+        ([[0, np.inf], [0, 0]], [[1, 0], [1, 1]], "mask 0: non-finite soft weight at edge 1"),
+        ([[0, 0], [0, 0]], [[1, 1], [1, 2]], "mask 1: hard mask must be binary"),
+    ],
+)
+def test_block_names_the_first_faulty_row_whichever_rule_it_breaks(soft, hard, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        EdgeMask.block(np.array(soft, dtype=float), np.array(hard, dtype=float), budgets=[2, None])
+
+
+# integers of every kind that a mask field may hold, and values it may not
+_INTEGERS = st.one_of(
+    st.integers(min_value=-3, max_value=2**64),
+    st.integers(min_value=2**63, max_value=2**70),
+    st.sampled_from([np.int64(3), np.uint64(2**63)]),
+)
+_NON_INTEGERS = [True, False, 2.0, "2", np.float64(1.0)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_block_raises_the_first_fault_that_a_row_by_row_check_finds(data):
+    m, num_edges = data.draw(st.integers(1, 6)), data.draw(st.integers(0, 40))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    hard = (rng.random((m, num_edges)) < 0.5).astype(np.float64)
+    soft = rng.random((m, num_edges))
+    counts = hard.sum(axis=1).astype(int).tolist()
+    budgets = [data.draw(st.sampled_from([None, c, np.int64(c)])) for c in counts]
+    seeds = [data.draw(st.one_of(st.none(), _INTEGERS)) for _ in range(m)]
+    zeroed = [tuple(data.draw(st.lists(_INTEGERS, max_size=2))) for _ in range(m)]
+
+    def pick(values):
+        return values[rng.integers(len(values))]
+
+    # one or two faults, each in a row and of a kind that rng spreads evenly:
+    # a budget, seed or zeroed node that is no integer, a budget the bits
+    # miss, a non-finite soft weight, a hard bit that is no 0 or 1, or a
+    # harmless -0.0 or 1.0 bit
+    for _ in range(data.draw(st.integers(1, 2))):
+        k = int(rng.integers(m))
+        kind = pick(["budget", "seed", "zeroed", "count", "soft", "hard"])
+        if kind == "budget":
+            budgets[k] = pick(_NON_INTEGERS)
+        elif kind == "seed":
+            seeds[k] = pick(_NON_INTEGERS)
+        elif kind == "zeroed":
+            zeroed[k] += (pick([*_NON_INTEGERS, None]),)
+        elif kind == "count":
+            budgets[k] = counts[k] + pick([-1, 1, 2**63, -(2**64)])
+        elif num_edges:
+            e = int(rng.integers(num_edges))
+            if kind == "soft":
+                soft[k, e] = pick([np.nan, np.inf, -np.inf])
+            else:
+                hard[k, e] = pick([0.5, 2.0, np.nan, -1.0, -0.0, 1.0])
+    fields = {
+        "budgets": budgets if data.draw(st.booleans()) else None,
+        "seeds": seeds if data.draw(st.booleans()) else None,
+        "zeroed_nodes": zeroed if data.draw(st.booleans()) else None,
+    }
+    expected = block_fault_loop(soft, hard, **fields)
+    if expected is not None:
+        with pytest.raises(ValueError) as err:
+            EdgeMask.block(soft, hard, **fields)
+        assert str(err.value) == expected
+        return
+    masks = EdgeMask.block(soft, hard, **fields)
+    for k, mask in enumerate(masks):
+        assert same_bits(mask.soft, soft[k]) and same_bits(mask.hard, hard[k])
+        for name, attr, empty in (
+            ("budgets", "budget", None),
+            ("seeds", "seed", None),
+            ("zeroed_nodes", "zeroed_nodes", ()),
+        ):
+            want = empty if fields[name] is None else fields[name][k]
+            assert getattr(mask, attr) is want
