@@ -14,7 +14,13 @@ with T the ``run_seconds`` of ``BENCHMARK.json``.
 
 The result file holds, for each workload and end-to-end metric, both sides'
 values, medians and quartiles, and the pairs the change won (better by the
-metric's direction; ties count for neither), then every run's result line.
+metric's direction; ties count for neither), and a no-regression verdict,
+then every run's result line.  The verdict reads each metric's ``bound`` in
+``BENCHMARK.json`` as a fraction of the parent's median: ``unresolved`` when
+the parent's quartile spread, over its median, is wider than the bound and
+not every run of the change is better than every run of the parent;
+otherwise ``worse`` when the change's median is worse than the parent's by
+more than the bound, and ``ok`` when it is not.
 A ``--claim W:metric`` is met when the change wins at least nine tenths of
 the pairs and its median is better than the parent's by more than the
 distance between the parent's quartiles.
@@ -97,8 +103,19 @@ def compare(runs: dict, metrics: list[dict]) -> dict:
             "change_wins": sum(sign * (b - a) > 0 for a, b in zip(parent, change)),
             "median_change": c["median"] / p["median"] - 1.0 if p["median"] else None,
             "parent_iqr": p["q3"] - p["q1"],
+            "verdict": verdict(p, c, sign, metric["bound"]),
         }
     return out
+
+
+def verdict(parent: dict, change: dict, sign: float, bound: float) -> str:
+    """``ok``, ``worse`` or ``unresolved`` for two sides' summaries, ``bound`` relative."""
+    scale = bound * abs(parent["median"])
+    parent_runs, change_runs = (sign * np.array(x["values"]) for x in (parent, change))
+    every_run_better = change_runs.min() > parent_runs.max()
+    if parent["q3"] - parent["q1"] > scale and not every_run_better:
+        return "unresolved"
+    return "worse" if sign * (parent["median"] - change["median"]) > scale else "ok"
 
 
 def claim_met(entry: dict, pairs: int) -> bool:

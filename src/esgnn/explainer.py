@@ -16,8 +16,9 @@ on the node states one ``frozen_forward`` returned, and feeds the hard bits
 to the batch forward as its edge weights.  Every bag's masks are built from
 its (m, E) soft and hard blocks by ``EdgeMask.block``, which checks all
 rows in one pass, and a bag's JSON packs and unpacks the bits of all its
-masks in one array pass; ``bag_from_json`` checks each entry's fields
-itself and leaves ``EdgeMask.block``'s rules to the budgets alone.
+masks in one array pass; ``bag_from_json`` checks the document's own
+structure entry by entry, then builds the masks through ``EdgeMask.block``
+like every other bag.
 
 Where a bag op's time goes: one top-K and one m = 10 noise bag of a graph
 of 100-300 nodes, each round-tripped through JSON, took about 1.2 ms on
@@ -64,7 +65,6 @@ from .graphs import (
     Graph,
     PolicyError,
     SubgraphBag,
-    _budget_fault,
     _check_count,
     _check_real,
     _is_int,
@@ -404,9 +404,9 @@ def bag_from_json(doc: dict, base: Graph) -> SubgraphBag:
     the base64 alphabet is an error, and checked for their byte length
     before any is unpacked.  ``K`` and ``seed`` must be integers or null and
     ``zeroed_nodes`` a list of node ids; a bool counts as no integer.  These
-    checks run mask by mask, and the unpacked bits of all masks are then
-    checked as one block, so an error names the graph and the first bad
-    mask.
+    checks run mask by mask, and ``EdgeMask.block`` then builds the masks
+    from the unpacked bits of all of them, so an error names the graph and
+    the first bad mask.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"bag document is {type(doc).__name__}, expected an object")
@@ -465,10 +465,8 @@ def bag_from_json(doc: dict, base: Graph) -> SubgraphBag:
         zeroed_sets.append(zeroed)
     packed = np.frombuffer(b"".join(raws), dtype=np.uint8).reshape(len(raws), nbytes)
     hard = np.unpackbits(packed, axis=1, count=base.num_edges).astype(np.float64)
-    # unpacked bits are finite and binary and the fields are checked above, so
-    # of ``EdgeMask.block``'s rules only the budgets are left to check
-    fault = _budget_fault(hard, budgets)
-    if fault is not None:
-        raise ValueError(f"graph {graph_id}: mask {fault[0]}: {fault[1]}")
-    masks = EdgeMask._from_checked(hard.copy(), hard, budgets, seeds, zeroed_sets)
+    try:
+        masks = EdgeMask.block(hard.copy(), hard, budgets, seeds, zeroed_sets)
+    except ValueError as err:
+        raise ValueError(f"graph {graph_id}: {err}") from None
     return SubgraphBag(base=base, masks=masks, policy_tag=doc["policy"])

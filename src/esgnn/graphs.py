@@ -12,9 +12,10 @@ subgraph view is an edge mask with one weight per row of that array.  Node
 deletion keeps the node slot and zeroes its feature row plus incident
 edges, so matrix shapes never change across a bag.  A bag's masks are built
 from (m, E) soft and hard blocks by ``EdgeMask.block``, which checks every
-row against the one-mask rules in one pass.  A mask's budget and seed are
-integers or None, and its zeroed nodes integers, so every mask a bag's JSON
-can hold round-trips.
+row in one pass against the one-mask rules of ``_mask_fault``, the only
+code that holds them.  A mask's budget and seed are integers or None, its
+zeroed nodes integers, and a bag's zeroed nodes lie in its base graph, so
+every bag that ``explainer.bag_to_json`` writes reads back.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -268,14 +269,26 @@ class GraphDataset:
         return np.array([g.y for g in self.graphs], dtype=np.intp)
 
 
-def _mask_fault(soft: np.ndarray, hard: np.ndarray, budgets) -> tuple[int, str] | None:
-    """The first row of an (m, E) soft/hard block that breaks a mask rule, and why.
+def _mask_fault(
+    soft: np.ndarray, hard: np.ndarray, budgets=None, seeds=None, zeroed_nodes=None
+) -> tuple[int, str] | None:
+    """The first mask of an (m, E) soft/hard block that breaks a mask rule, and why.
 
-    Each row's soft weights must be finite, its hard bits 0 or 1 (-0.0 is a
-    zero, NaN neither), and a row with a budget must keep exactly that many
-    bits.  ``budgets`` is None or holds one budget, or None, per row.  A row
-    is reported with the first rule it breaks, in that order.
+    ``budgets``, ``seeds`` and ``zeroed_nodes`` are each None or hold one
+    entry per row.  Every budget, then every seed, must be an integer or
+    None, and then every entry of zeroed nodes a tuple or list of integers;
+    a bool counts as no integer.  Then, row by row, the soft weights must be
+    finite, the hard bits 0 or 1 (-0.0 is a zero, NaN neither), and a row
+    with a budget must keep exactly that many bits.  A row is reported with
+    the first rule it breaks, in that order.
     """
+    for name, values in (("budget", budgets), ("seed", seeds)):
+        for k, value in enumerate(values or ()):
+            if value is not None and not _is_int(value):
+                return k, f"{name} {value!r} must be an integer or None"
+    for k, nodes in enumerate(zeroed_nodes or ()):
+        if not (isinstance(nodes, (tuple, list)) and all(map(_is_int, nodes))):
+            return k, f"zeroed_nodes {nodes!r} must be integers"
     # one pass over the whole block for each of the first two rules; the
     # rows are looked at one by one only when one of them fails
     bad = None  # the first row that breaks the first or second rule
@@ -284,53 +297,18 @@ def _mask_fault(soft: np.ndarray, hard: np.ndarray, budgets) -> tuple[int, str] 
         # binary exactly when every nonzero entry (NaN included) is a one
         binary = np.count_nonzero(hard == 1.0, axis=1) == np.count_nonzero(hard, axis=1)
         bad = int(np.argmin(finite & binary))
-    # the rows before it are binary, so the budgets of those are checked
-    fault = _budget_fault(hard[:bad], budgets)
-    if fault is not None or bad is None:
-        return fault
+    if budgets is not None:
+        # the rows before ``bad`` are binary, so a row's sum is its count of ones
+        kept = hard[:bad].sum(axis=1, dtype=np.float64).astype(np.intp).tolist()
+        for k, (budget, count) in enumerate(zip(budgets, kept)):
+            # Python ints, so no budget can overflow
+            if budget is not None and budget != count:
+                return k, f"hard mask sums to {count}, budget is {budget}"
+    if bad is None:
+        return None
     if not finite[bad]:
         return bad, f"non-finite soft weight at edge {np.flatnonzero(~np.isfinite(soft[bad]))[0]}"
     return bad, "hard mask must be binary"
-
-
-def _budget_fault(hard: np.ndarray, budgets) -> tuple[int, str] | None:
-    """The first binary row of ``hard`` that keeps other than its budget of bits, and why.
-
-    ``budgets`` is None or holds one budget, or None, per row; the rows
-    must be binary, so that a row's sum is its count of ones.
-    """
-    if budgets is None:
-        return None
-    kept = hard.sum(axis=1, dtype=np.float64).astype(np.intp).tolist()
-    for k, (budget, count) in enumerate(zip(budgets, kept)):
-        # Python ints, so no budget can overflow
-        if budget is not None and budget != count:
-            return k, f"hard mask sums to {count}, budget is {budget}"
-    return None
-
-
-def _field_fault(budgets, seeds, zeroed_nodes) -> tuple[int, str] | None:
-    """The first mask whose budget, seed or zeroed nodes no mask may hold, and why.
-
-    Each argument is None or holds one entry per mask.  Budgets and seeds
-    must be integers or None, and every zeroed node an integer; a bool
-    counts as no integer.  Budgets are checked first, then seeds, then
-    zeroed nodes.
-    """
-    # Python ints and None, which bags hold, pass with one set of types per
-    # kind of field; any other type is looked for entry by entry
-    if {*map(type, budgets or ()), *map(type, seeds or ())} <= {int, type(None)} and {
-        *map(type, chain.from_iterable(zeroed_nodes or ()))
-    } <= {int}:
-        return None
-    for name, values in (("budget", budgets), ("seed", seeds)):
-        for k, value in enumerate(values or ()):
-            if value is not None and not _is_int(value):
-                return k, f"{name} {value!r} must be an integer or None"
-    for k, nodes in enumerate(zeroed_nodes or ()):
-        if not all(map(_is_int, nodes)):
-            return k, f"zeroed_nodes {nodes!r} must be integers"
-    return None
 
 
 @dataclass(frozen=True)
@@ -357,9 +335,9 @@ class EdgeMask:
             )
         if self.hard.shape != self.soft.shape:
             raise ValueError("soft and hard mask lengths differ")
-        budget = (self.budget,)
-        fault = _field_fault(budget, (self.seed,), (self.zeroed_nodes,))
-        fault = fault or _mask_fault(self.soft[None], self.hard[None], budget)
+        fault = _mask_fault(
+            self.soft[None], self.hard[None], (self.budget,), (self.seed,), (self.zeroed_nodes,)
+        )
         if fault is not None:
             raise ValueError(fault[1])
 
@@ -386,17 +364,10 @@ class EdgeMask:
         for name, values in fields.items():
             if values is not None and len(values) != m:
                 raise ValueError(f"{len(values)} {name} for {m} masks")
-        fault = _field_fault(budgets, seeds, zeroed_nodes) or _mask_fault(soft, hard, budgets)
+        fault = _mask_fault(soft, hard, budgets, seeds, zeroed_nodes)
         if fault is not None:
             raise ValueError(f"mask {fault[0]}: {fault[1]}")
-        return cls._from_checked(soft, hard, budgets, seeds, zeroed_nodes)
-
-    @classmethod
-    def _from_checked(cls, soft, hard, budgets, seeds, zeroed_nodes) -> tuple["EdgeMask", ...]:
-        """``block``'s masks from rows and fields that have been checked with its rules.
-
-        ``__init__`` and its per-row check are skipped.
-        """
+        # every row is checked, so ``__init__`` and its one-row check are skipped
         none = repeat(None)
         rows = zip(
             soft,
@@ -419,7 +390,10 @@ class EdgeMask:
 
 @dataclass(frozen=True)
 class SubgraphBag:
-    """Ordered collection of edge-mask views over one base graph."""
+    """Ordered collection of edge-mask views over one base graph.
+
+    Every mask covers the base graph's edges and zeroes only its nodes.
+    """
 
     base: Graph
     masks: tuple[EdgeMask, ...]
@@ -428,10 +402,15 @@ class SubgraphBag:
     def __post_init__(self):
         if not self.masks:
             raise ValueError("bag must hold at least one mask")
-        num_edges = self.base.num_edges
-        for m in self.masks:
+        n, num_edges = self.base.num_nodes, self.base.num_edges
+        for k, m in enumerate(self.masks):
             if m.num_edges != num_edges:
                 raise ValueError(f"mask over {m.num_edges} edges for a base graph with {num_edges}")
+            nodes = m.zeroed_nodes
+            if nodes and not (min(nodes) >= 0 and max(nodes) < n):
+                raise ValueError(
+                    f"mask {k} zeroes nodes {tuple(map(int, nodes))} outside 0..{n - 1}"
+                )
 
     def __len__(self) -> int:
         return len(self.masks)

@@ -92,11 +92,6 @@ def _read_rows(path: Path, width: int, dtype=np.int64) -> np.ndarray:
     return _scan_rows(path, width)[0]
 
 
-def _line_of(path: Path, row: int) -> int:
-    """The 1-based physical line of edge row `row` in `path`."""
-    return _scan_rows(path, 2)[1][row]
-
-
 def _scan_rows(path: Path, width: int) -> tuple[np.ndarray, array]:
     """`_read_rows` one line at a time, plus each row's 1-based physical line
     number; raises the FormatError that names a malformed line."""
@@ -153,23 +148,23 @@ def _pair_edges(path: Path, graph_of: np.ndarray) -> np.ndarray:
 def _pairing_error(path: Path, graph_of: np.ndarray) -> NoReturn:
     """Raise the FormatError for the first row of `path` that breaks the
     pairing rule, with its line; per-row arrays are built only here."""
-    rows = _read_rows(path, 2)
+    rows, lines = _scan_rows(path, 2)
     n = len(graph_of)
     bad = np.flatnonzero(((rows < 1) | (rows > n)).any(axis=1))
     if bad.size:
-        raise FormatError(f"{path.name}:{_line_of(path, bad[0])}: node id outside 1..{n}")
+        raise FormatError(f"{path.name}:{lines[bad[0]]}: node id outside 1..{n}")
     i, j = rows[:, 0] - 1, rows[:, 1] - 1
     bad = np.flatnonzero(graph_of[i] != graph_of[j])
     if bad.size:
         r = bad[0]
         raise FormatError(
-            f"{path.name}:{_line_of(path, r)}: edge ({i[r] + 1}, {j[r] + 1}) crosses graphs"
+            f"{path.name}:{lines[r]}: edge ({i[r] + 1}, {j[r] + 1}) crosses graphs"
             f" {graph_of[i[r]] + 1} and {graph_of[j[r]] + 1}"
         )
     bad = np.flatnonzero(i == j)
     if bad.size:
         r = bad[0]
-        raise FormatError(f"{path.name}:{_line_of(path, r)}: self-loop at node {i[r] + 1}")
+        raise FormatError(f"{path.name}:{lines[r]}: self-loop at node {i[r] + 1}")
     key = i * n + j
     order = np.argsort(key, kind="stable")
     ordered = key[order]
@@ -178,15 +173,15 @@ def _pairing_error(path: Path, graph_of: np.ndarray) -> NoReturn:
         r = repeats.min()
         first = np.flatnonzero(key == key[r])[0]
         raise FormatError(
-            f"{path.name}:{_line_of(path, r)}: edge ({i[r] + 1}, {j[r] + 1}) repeats line"
-            f" {_line_of(path, first)} instead of reversing it"
+            f"{path.name}:{lines[r]}: edge ({i[r] + 1}, {j[r] + 1}) repeats line"
+            f" {lines[first]} instead of reversing it"
         )
     # keys and reverse keys are now each duplicate-free and equally many, so
     # the rows that break the rule are those whose reverse key is missing
     reverse = j * n + i
     found = np.searchsorted(ordered, reverse)
     r = np.flatnonzero(ordered[np.minimum(found, len(key) - 1)] != reverse)[0]
-    raise FormatError(f"{path.name}:{_line_of(path, r)}: edge without its reverse-direction row")
+    raise FormatError(f"{path.name}:{lines[r]}: edge without its reverse-direction row")
 
 
 def load_tud_dataset(

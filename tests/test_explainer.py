@@ -349,6 +349,19 @@ class TestBagJson:
         with pytest.raises(ValueError, match="graph 2"):
             bag_from_json(doc, triangle)
 
+    @pytest.mark.parametrize("nodes", [(3,), (-1,), (0, 3)])
+    def test_a_bag_cannot_zero_a_node_outside_its_base_so_none_is_written(self, triangle, nodes):
+        hard = np.ones((2, 3))
+        masks = EdgeMask.block(hard.copy(), hard, zeroed_nodes=[(), nodes])
+        message = f"mask 1 zeroes nodes {nodes} outside 0..2"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SubgraphBag(triangle, masks, "ND")
+        # the document such a bag would give is refused in the same words
+        doc = bag_to_json(SubgraphBag(triangle, masks[:1], "ND"), 2)
+        doc["masks"].append({**doc["masks"][0], "zeroed_nodes": list(nodes)})
+        with pytest.raises(ValueError, match=f"^graph 2: {re.escape(message)}$"):
+            bag_from_json(doc, triangle)
+
     @pytest.mark.parametrize("key", ["policy", "masks"])
     def test_rejects_a_document_without_a_field_naming_the_graph(self, triangle, key):
         doc = bag_to_json(policy_edge_deleted(triangle), 6)

@@ -512,7 +512,7 @@ class TestEdgeMask:
         with pytest.raises(ValueError, match=message):
             EdgeMask(soft=np.ones(2), hard=np.ones(2), **{field: bad})
 
-    @pytest.mark.parametrize("bad", [(1.0,), (True,), (0, 1.5), (np.float64(1.0),)])
+    @pytest.mark.parametrize("bad", [(1.0,), (True,), (0, 1.5), (np.float64(1.0),), 5])
     def test_a_zeroed_node_that_is_no_integer_is_rejected(self, bad):
         with pytest.raises(ValueError, match=rf"^zeroed_nodes {re.escape(repr(bad))} must be"):
             EdgeMask(soft=np.ones(2), hard=np.ones(2), zeroed_nodes=bad)
@@ -598,6 +598,8 @@ class TestEdgeMaskBlock:
             ("budgets", [2.0, 2], "mask 0: budget 2.0 must be an integer or None"),
             ("seeds", [None, 1.5], "mask 1: seed 1.5 must be an integer or None"),
             ("zeroed_nodes", [(), (0.0,)], r"mask 1: zeroed_nodes \(0.0,\) must be integers"),
+            # an entry that is no sequence of nodes
+            ("zeroed_nodes", [(), 3], "mask 1: zeroed_nodes 3 must be integers"),
         ],
     )
     def test_a_field_that_is_no_integer_names_its_mask(self, field, values, message):
@@ -740,18 +742,31 @@ def test_block_raises_the_first_fault_that_a_row_by_row_check_finds(data):
         "zeroed_nodes": zeroed if data.draw(st.booleans()) else None,
     }
     expected = block_fault_loop(soft, hard, **fields)
+    # each mask's fields as ``EdgeMask`` takes them, the unset ones empty
+    rows = [
+        {
+            attr: empty if fields[name] is None else fields[name][k]
+            for name, attr, empty in (
+                ("budgets", "budget", None),
+                ("seeds", "seed", None),
+                ("zeroed_nodes", "zeroed_nodes", ()),
+            )
+        }
+        for k in range(m)
+    ]
     if expected is not None:
         with pytest.raises(ValueError) as err:
             EdgeMask.block(soft, hard, **fields)
         assert str(err.value) == expected
+        if m == 1:  # the one-mask constructor raises the same message without the index
+            with pytest.raises(ValueError) as err:
+                EdgeMask(soft=soft[0], hard=hard[0], **rows[0])
+            assert str(err.value) == expected.removeprefix("mask 0: ")
         return
     masks = EdgeMask.block(soft, hard, **fields)
+    if m == 1:  # the one-mask constructor builds the same mask
+        masks += (EdgeMask(soft=soft[0], hard=hard[0], **rows[0]),)
     for k, mask in enumerate(masks):
-        assert same_bits(mask.soft, soft[k]) and same_bits(mask.hard, hard[k])
-        for name, attr, empty in (
-            ("budgets", "budget", None),
-            ("seeds", "seed", None),
-            ("zeroed_nodes", "zeroed_nodes", ()),
-        ):
-            want = empty if fields[name] is None else fields[name][k]
-            assert getattr(mask, attr) is want
+        row = min(k, m - 1)
+        assert same_bits(mask.soft, soft[row]) and same_bits(mask.hard, hard[row])
+        assert all(getattr(mask, attr) is want for attr, want in rows[row].items())
