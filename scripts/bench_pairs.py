@@ -13,9 +13,10 @@ runs first in even pairs and the change in odd ones.  A run is
 with T the ``run_seconds`` of ``BENCHMARK.json``.
 
 The result file holds, for each workload and end-to-end metric, both sides'
-values, medians and quartiles, and the pairs the change won (better by the
-metric's direction; ties count for neither), and a no-regression verdict,
-then every run's result line.  The verdict reads each metric's ``bound`` in
+values, medians and quartiles, each pair's change/parent ratio with their
+median and quartiles, and the pairs the change won (better by the metric's
+direction; ties count for neither), and a no-regression verdict, then every
+run's result line.  The verdict reads each metric's ``bound`` in
 ``BENCHMARK.json`` as a fraction of the parent's median: ``unresolved`` when
 the parent's quartile spread, over its median, is wider than the bound and
 not every run of the change is better than every run of the parent;
@@ -100,6 +101,7 @@ def compare(runs: dict, metrics: list[dict]) -> dict:
             "bound": metric["bound"],
             "parent": p,
             "change": c,
+            "pair_ratio": summary([b / a for a, b in zip(parent, change)]),
             "change_wins": sum(sign * (b - a) > 0 for a, b in zip(parent, change)),
             "median_change": c["median"] / p["median"] - 1.0 if p["median"] else None,
             "parent_iqr": p["q3"] - p["q1"],

@@ -1,59 +1,69 @@
-"""Print one SHA-256 over the seed-0 outputs that a refactor must keep bit for bit.
+"""Print SHA-256 digests of the seed-0 outputs that a refactor must keep bit for bit.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/output_digest.py
 
-It hashes the dtype, shape and bytes of every array of:
-- ``train_backbone`` parameters and history (60 BA-2Motifs graphs, 3 epochs);
-- ``frozen_forward`` logits and node states of those graphs;
-- ``evaluate_accuracy`` over those graphs and ``predict``'s probabilities for
-  each of them;
-- ``train_explainer`` parameters and history;
-- ``edge_scores`` of every graph, and of each again once its
-  ``Graph.adjacency`` is built;
-- a top-K bag, a noise bag (m=10), an edge-deleted and a node-deleted bag of
-  every graph, ``sample_bag`` of its edge-deleted and node-deleted bags
-  (fraction 0.3, the graph's index as seed), and of each the bag that
-  ``bag_from_json`` reads back from its JSON: soft weights, hard bits,
-  budgets, seeds, zeroed nodes, policy and bag JSON (with a node-deleted bag
-  of an edgeless graph);
-- ``frozen_forward`` and ``train_explainer`` over 21 graphs that include a
-  zero-node graph and an edgeless graph;
-- ``write_tud_dataset``'s files, byte for byte, and every field of what
-  ``load_tud_dataset`` returns under each feature spec, for the 60 graphs
-  (with motifs), a copy with drawn node labels, a copy without node labels
-  and an edgeless dataset;
-- every field of every graph of ``generate_ba2motifs(1200, s)`` for s = 0, 1
-  and 2, the datasets the benchmark trains on;
-- ``frozen_forward`` logits and node states of 64 random graphs of 100-300
-  nodes with degree features (cap 10), under a fresh 32-wide, 4-layer
-  backbone, and ``evaluate_accuracy`` over each 32-graph half: batches of
-  thousands of nodes, whose GIN layers run in several row blocks;
-- ``frozen_forward`` of the first 3 and the first 4 of those graphs (559
-  and 764 nodes): batches between one and two row blocks;
-- one taped ``apply_gin_layer`` (11 -> 32, random eps and biases) over the
-  first 32 of those graphs, which span more than two row blocks: its output
-  and the gradients of its seven inputs;
+It prints one ``section sha256`` line per output section, named in brackets
+below, then the digest over all of them in this order as the last line.
+A section computed from given parameters must keep its digest through a
+change that touches only training; the sections of training, and of what
+is computed from trained parameters, may move.  It hashes the dtype, shape
+and bytes of every array of:
+- [backbone_train] ``train_backbone`` parameters and history (60
+  BA-2Motifs graphs, 3 epochs);
+- [trained_forward] ``frozen_forward`` logits and node states of those
+  graphs, ``evaluate_accuracy`` over them and ``predict``'s probabilities
+  for each of them;
+- [explainer_train] ``train_explainer`` parameters and history;
+- [trained_bags] ``edge_scores`` of every graph, and of each again once its
+  ``Graph.adjacency`` is built; a top-K bag, a noise bag (m=10), an
+  edge-deleted and a node-deleted bag of every graph, ``sample_bag`` of its
+  edge-deleted and node-deleted bags (fraction 0.3, the graph's index as
+  seed), and of each the bag that ``bag_from_json`` reads back from its
+  JSON: soft weights, hard bits, budgets, seeds, zeroed nodes, policy and
+  bag JSON;
+- [edgeless_bag] a node-deleted bag of an edgeless graph, the same way;
+- [mixed_forward] ``frozen_forward`` over 21 graphs that include a
+  zero-node graph and an edgeless graph, and [mixed_explainer_train]
+  ``train_explainer`` over them;
+- [tud] ``write_tud_dataset``'s files, byte for byte, and every field of
+  what ``load_tud_dataset`` returns under each feature spec, for the 60
+  graphs (with motifs), a copy with drawn node labels, a copy without node
+  labels and an edgeless dataset;
+- [ba2motifs] every field of every graph of ``generate_ba2motifs(1200, s)``
+  for s = 0, 1 and 2, the datasets the benchmark trains on;
+- [large_forward] ``frozen_forward`` logits and node states of 64 random
+  graphs of 100-300 nodes with degree features (cap 10), under a fresh
+  32-wide, 4-layer backbone, and ``evaluate_accuracy`` over each 32-graph
+  half: batches of thousands of nodes, whose GIN layers run in several row
+  blocks; and ``frozen_forward`` of the first 3 and the first 4 of those
+  graphs (559 and 764 nodes): batches between one and two row blocks;
+- [taped_layer] one taped ``apply_gin_layer`` (11 -> 32, random eps and
+  biases) over the first 32 of those graphs, which span more than two row
+  blocks: its output and the gradients of its seven inputs;
 - batch forwards of graphs whose CSR is concatenated from each graph's
-  sorted entries: 16 of the 60 graphs with node-deleted and noise masks
-  through ``build_graph_batch(graphs, masks)``, and 8 of the large graphs
-  with their edge rows shuffled out of key order, unmasked and with
-  node-deleted masks: logits and node states;
-- a taped ``mask_values`` forward over the 21 graphs with a zero-node and an
-  edgeless graph, and over the 8 shuffled and 4 more large graphs: logits,
-  node states and the gradients of the mask values and of every parameter,
-  then ``edge_logits`` over those states (the trained explainer, and a
-  fresh 32-wide one for the large graphs) and its gradient onto them;
-- ``assemble``'s ``indptr``, ``indices`` and ``data`` for random simple
-  graphs of 40 and 3000 nodes, each edge flipped at random and the edges
-  shuffled, with 0.0, -0.0, NaN and +-inf among the weights;
-- the bag path at the benchmark's large size: ``edge_scores``, a top-K bag
-  and a noise bag (m=10) of 24 Barabasi-Albert graphs (two edges per new
-  node) of 100-300 nodes with degree features (cap 10), under the fresh
-  32-wide backbone and a fresh edge scorer, and of a one-edge graph, each
-  with its JSON and the bag read back from it;
-- ``sigmoid`` and its gradient at +-0, +-inf, NaN of either sign, the
-  largest and smallest floats of either sign, and +-745 and +-710, where
-  ``exp`` underflows and overflows.
+  sorted entries: [masked_batch] 16 of the 60 graphs with node-deleted and
+  noise masks through ``build_graph_batch(graphs, masks)`` under the
+  trained models, and [shuffled_batches] 8 of the large graphs with their
+  edge rows shuffled out of key order, unmasked and with node-deleted
+  masks: logits and node states;
+- a taped ``mask_values`` forward, [taped_mask_values_trained] over the 21
+  graphs with a zero-node and an edgeless graph under the trained models,
+  and [taped_mask_values_fresh] over the 8 shuffled and 4 more large graphs
+  under the fresh ones: logits, node states and the gradients of the mask
+  values and of every parameter, then ``edge_logits`` over those states
+  (the trained explainer, and a fresh 32-wide one for the large graphs) and
+  its gradient onto them;
+- [assemble] ``assemble``'s ``indptr``, ``indices`` and ``data`` for random
+  simple graphs of 40 and 3000 nodes, each edge flipped at random and the
+  edges shuffled, with 0.0, -0.0, NaN and +-inf among the weights;
+- [large_bags] the bag path at the benchmark's large size: ``edge_scores``,
+  a top-K bag and a noise bag (m=10) of 24 Barabasi-Albert graphs (two
+  edges per new node) of 100-300 nodes with degree features (cap 10), under
+  the fresh 32-wide backbone and a fresh edge scorer, and of a one-edge
+  graph, each with its JSON and the bag read back from it;
+- [sigmoid] ``sigmoid`` and its gradient at +-0, +-inf, NaN of either sign,
+  the largest and smallest floats of either sign, and +-745 and +-710,
+  where ``exp`` underflows and overflows.
 Features hash with their dtype: those that ``load_tud_dataset``,
 ``generate_ba2motifs`` and ``constant_features`` build are uint8, so a tree
 that built them as float64 prints another digest for the same values.
@@ -82,8 +92,30 @@ from esgnn.graphs import (
 )
 
 
+class Digest:
+    """One SHA-256 over everything fed and one over each section's share of it."""
+
+    def __init__(self) -> None:
+        self.overall = hashlib.sha256()
+        self.sections = {}
+        self.current = None
+
+    def section(self, name: str) -> None:
+        """Feed what follows to ``name``'s digest too, until the next section."""
+        self.current = self.sections.setdefault(name, hashlib.sha256())
+
+    def update(self, data: bytes) -> None:
+        self.overall.update(data)
+        self.current.update(data)
+
+    def print(self) -> None:
+        for name, h in self.sections.items():
+            print(name, h.hexdigest())
+        print(self.overall.hexdigest())
+
+
 def main() -> None:
-    digest = hashlib.sha256()
+    digest = Digest()
 
     def feed(a) -> None:
         a = np.ascontiguousarray(a)
@@ -102,13 +134,16 @@ def main() -> None:
 
     graphs = list(generate_ba2motifs(60, seed=0).graphs)
     cfg = gin.TrainConfig(epochs=3, batch_size=16, hidden=16)
+    digest.section("backbone_train")
     backbone, history = gin.train_backbone(graphs, 2, cfg)
     feed_run(backbone, history)
+    digest.section("trained_forward")
     feed_forward(graphs, backbone)
     digest.update(repr(gin.evaluate_accuracy(graphs, backbone)).encode())
     for g in graphs:
         feed(gin.predict(g, backbone).probs)
     ecfg = explainer.ExplainerConfig(epochs=3, batch_size=16)
+    digest.section("explainer_train")
     params, history = explainer.train_explainer(graphs, backbone, ecfg, seed=0)
     feed_run(params, history)
 
@@ -127,6 +162,7 @@ def main() -> None:
             feed(m.hard)
             digest.update(repr((m.budget, m.seed, m.zeroed_nodes)).encode())
 
+    digest.section("trained_bags")
     for gi, g in enumerate(graphs):
         feed(explainer.edge_scores(g, backbone, params))
         edge_deleted, node_deleted = policy_edge_deleted(g), policy_node_deleted(g)
@@ -144,10 +180,13 @@ def main() -> None:
 
     zero_nodes = Graph(0, [], np.zeros((0, 1)), 0)
     edgeless = Graph(3, [], np.ones((3, 1)), 1)
+    digest.section("edgeless_bag")
     feed_bag(policy_node_deleted(edgeless), len(graphs))
     mixed = graphs[:5] + [zero_nodes] + graphs[5:9] + [edgeless] + graphs[9:20]
+    digest.section("mixed_forward")
     feed_forward(mixed, backbone)
     ecfg = explainer.ExplainerConfig(epochs=2, batch_size=8)
+    digest.section("mixed_explainer_train")
     feed_run(*explainer.train_explainer(mixed, backbone, ecfg, seed=3))
 
     def feed_dataset(ds) -> None:
@@ -167,6 +206,7 @@ def main() -> None:
     unlabelled = [dataclasses.replace(g, node_labels=None) for g in graphs]
     no_edges = [Graph(n, [], np.ones((n, 1)), k % 2) for k, n in enumerate([0, 3, 1, 5])]
     sets = {"BA": graphs, "LABELLED": labelled, "PLAIN": unlabelled, "EDGELESS": no_edges}
+    digest.section("tud")
     for name, members in sets.items():
         ds = GraphDataset(
             graphs=tuple(members), num_classes=2, name=name, feature_spec=FeatureSpec("constant")
@@ -180,6 +220,7 @@ def main() -> None:
                 digest.update(path.name.encode() + path.read_bytes())
             for spec in specs:
                 feed_dataset(tud.load_tud_dataset(tmp, name, spec))
+    digest.section("ba2motifs")
     for s in (0, 1, 2):
         feed_dataset(generate_ba2motifs(1200, seed=s))
 
@@ -194,6 +235,7 @@ def main() -> None:
         degree = np.minimum(np.bincount(edges.reshape(-1), minlength=n), 10)
         large.append(Graph(n, edges, np.eye(11)[degree], k % 2))
     wide = gin.init_backbone(np.random.default_rng(2), 11, 2)
+    digest.section("large_forward")
     feed_forward(large, wide)
     for start in (0, 32):
         digest.update(repr(gin.evaluate_accuracy(large[start : start + 32], wide)).encode())
@@ -201,6 +243,7 @@ def main() -> None:
         feed_forward(large[:count], wide)
 
     rng = np.random.default_rng(3)
+    digest.section("taped_layer")
     batch = gin.build_graph_batch(large[:32])
     values = Tensor(rng.random(len(batch.edges)), requires_grad=True)
     h = Tensor(rng.standard_normal((len(batch.x), 11)), requires_grad=True)
@@ -228,20 +271,22 @@ def main() -> None:
         for k, g in enumerate(graphs[:16])
     ]
     large_masks = [policy_node_deleted(g).masks[3 * k] for k, g in enumerate(shuffled)]
-    for members, masks, model in (
-        (graphs[:16], small_masks, backbone),
-        (shuffled, None, wide),
-        (shuffled, large_masks, wide),
+    for section, members, masks, model in (
+        ("masked_batch", graphs[:16], small_masks, backbone),
+        ("shuffled_batches", shuffled, None, wide),
+        ("shuffled_batches", shuffled, large_masks, wide),
     ):
+        digest.section(section)
         batch = gin.build_graph_batch(members, masks)
         logits, h = gin.backbone_forward_batch(batch, model.frozen())
         feed(logits.data)
         feed(h.data)
     wide_scorer = explainer.init_explainer(np.random.default_rng(5), hidden=wide.hidden)
-    for members, model, scorer in (
-        (mixed, backbone, params),
-        (shuffled + large[8:12], wide, wide_scorer),
+    for section, members, model, scorer in (
+        ("taped_mask_values_trained", mixed, backbone, params),
+        ("taped_mask_values_fresh", shuffled + large[8:12], wide, wide_scorer),
     ):
+        digest.section(section)
         batch = gin.build_graph_batch(members)
         values = Tensor(draw.random(len(batch.edges)), requires_grad=True)
         logits, h = gin.backbone_forward_batch(batch, model, mask_values=values)
@@ -257,6 +302,7 @@ def main() -> None:
         feed(omega.data)
         feed(z.grad)
 
+    digest.section("assemble")
     for n, draws in ((40, 300), (3000, 9000)):
         pairs = rng.integers(0, n, (draws, 2))
         edges = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1), axis=0)
@@ -289,11 +335,13 @@ def main() -> None:
     ba = [ba_graph(int(rng.integers(100, 301)), k, k % 2) for k in range(24)]
     one_edge = Graph(2, [(0, 1)], np.eye(11, dtype=np.uint8)[[1, 1]], 0)
     bag_scorer = explainer.init_explainer(np.random.default_rng(7), hidden=wide.hidden)
+    digest.section("large_bags")
     for gi, g in enumerate([*ba, one_edge]):
         feed(explainer.edge_scores(g, wide, bag_scorer))
         feed_bag(explainer.generate_bag_topk(g, wide, bag_scorer), gi)
         feed_bag(explainer.generate_bag_noise(g, wide, bag_scorer, 10, 1.0, 100 + gi), gi)
 
+    digest.section("sigmoid")
     big, tiny = np.finfo(np.float64).max, np.finfo(np.float64).smallest_subnormal
     special = np.array([0.0, np.inf, np.nan, big, tiny, 745.0, 710.0, 1.0])
     x = Tensor(np.concatenate([special, -special]), requires_grad=True)
@@ -302,7 +350,7 @@ def main() -> None:
         sum_all(mul(s, np.arange(1.0, 17.0))).backward()
     feed(s.data)
     feed(x.grad)
-    print(digest.hexdigest())
+    digest.print()
 
 
 if __name__ == "__main__":

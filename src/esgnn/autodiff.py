@@ -13,6 +13,16 @@ with ``grad = g if grad is None else grad + g``, never in place, so a
 closure may return its upstream array, a view or a read-only broadcast: a
 non-leaf ``.grad`` may share memory and must be treated as read-only.
 
+Every backward takes its sums over rows with :func:`col_sum`, one BLAS
+product by a vector of ones, and its products by a transposed weight with
+:func:`times_transpose`, which multiplies by a contiguous copy of the
+transpose.  The composed ops here (``_unbroadcast``, ``matmul``,
+``linear``) and the fused ones built on ``custom_primitive`` (the GIN
+layer and the edge scorer's MLP) share these two, so their gradients
+agree bit for bit: BLAS does not add in numpy's order, and its product by
+a transposed operand does not always give the sums of the product by its
+contiguous copy.
+
 A node holds its inputs and its closure, never its own output, so the tape
 is acyclic: it is freed by reference counting as soon as the last reference
 to its output (typically the loss) goes, without the cyclic collector.
@@ -48,6 +58,7 @@ __all__ = [
     "WeightedSparse",
     "add",
     "assemble",
+    "col_sum",
     "concat_cols",
     "concat_entries",
     "cross_entropy_mean",
@@ -67,6 +78,7 @@ __all__ = [
     "sort_entries",
     "spmm",
     "sum_all",
+    "times_transpose",
 ]
 
 
@@ -169,12 +181,36 @@ def custom_primitive(data, inputs, vjp) -> Tensor:
     return _record(np.asarray(data, dtype=np.float64), tuple(_lift(t) for t in inputs), vjp)
 
 
+def col_sum(a: np.ndarray) -> np.ndarray:
+    """The sum of ``a`` over its leading axis, as one BLAS product by a vector of ones.
+
+    numpy's ``sum(axis=0)`` runs one short inner loop per row; the product
+    is one call.  The two agree to rounding, not bit for bit, so every
+    backward sums its rows here.  No rows give zeros.
+    """
+    n = a.shape[0]
+    return (np.ones(n) @ a.reshape(n, math.prod(a.shape[1:]))).reshape(a.shape[1:])
+
+
+def times_transpose(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``a @ w.T``, multiplied by a contiguous copy of the transpose.
+
+    BLAS takes a slower path for a transposed small operand, and its sums
+    can differ from the copy's in the last bits, so every backward's
+    product by a transposed weight is taken here.
+    """
+    return a @ np.ascontiguousarray(w.T)
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
+        grad = col_sum(grad)
     for axis, size in enumerate(shape):
         if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
+            if axis == 0:
+                grad = col_sum(grad)[np.newaxis]
+            else:
+                grad = grad.sum(axis=axis, keepdims=True)
     return grad
 
 
@@ -218,7 +254,7 @@ def matmul(a, b) -> Tensor:
 
     def _bp(grad):
         return (
-            grad @ b.data.T if a.requires_grad else None,
+            times_transpose(grad, b.data) if a.requires_grad else None,
             a.data.T @ grad if b.requires_grad else None,
         )
 
@@ -238,9 +274,9 @@ def linear(x, w, b) -> Tensor:
 
     def _bp(grad):
         return (
-            grad @ w.data.T if x.requires_grad else None,
+            times_transpose(grad, w.data) if x.requires_grad else None,
             x.data.T @ grad if w.requires_grad else None,
-            grad.sum(axis=0) if b.requires_grad else None,
+            col_sum(grad) if b.requires_grad else None,
         )
 
     return _record(data, (x, w, b), _bp)
@@ -371,7 +407,12 @@ class WeightedSparse(NamedTuple):
     def weight_grad(self, g: np.ndarray, x: np.ndarray) -> np.ndarray:
         """d<g, A x>/d w_k = g_i . x_j + g_j . x_i for each edge k = (i, j)."""
         i, j = self.edges[:, 0], self.edges[:, 1]
-        return (g[i] * x[j]).sum(axis=1) + (g[j] * x[i]).sum(axis=1)
+        gi = g.take(i, axis=0)
+        gi *= x.take(j, axis=0)
+        gj = g.take(j, axis=0)
+        gj *= x.take(i, axis=0)
+        # numpy's row sums, not BLAS dots: the tests' directed-entry oracle adds this way
+        return gi.sum(axis=1) + gj.sum(axis=1)
 
 
 def sort_entries(n: int, edges) -> np.ndarray:

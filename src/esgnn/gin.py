@@ -5,7 +5,9 @@ symmetric adjacency with one weight per undirected edge (0 for a masked
 edge); eps is a learnable scalar per layer.  A layer is one taped op: its
 backward returns the gradients of the edge weights, H, eps and the MLP's
 two weights and biases at once, bit-identical to the same layer composed
-of ``spmm``, ``mul``, ``add``, ``linear`` and ``relu``.  A batch holds its
+of ``spmm``, ``mul``, ``add``, ``linear`` and ``relu``: both take their
+sums over rows with ``autodiff.col_sum`` and their products by transposed
+weights with ``autodiff.times_transpose``.  A batch holds its
 edges once, as the (E, 2) undirected pairs ``batch.edges``, and no code
 here indexes directed entries: the edge-weight gradient comes from
 ``WeightedSparse.weight_grad``, one value per undirected edge.  After the
@@ -43,11 +45,13 @@ from .autodiff import (
     DimensionError,
     Tensor,
     WeightedSparse,
+    col_sum,
     concat_entries,
     cross_entropy_mean,
     custom_primitive,
     from_layout,
     linear,
+    times_transpose,
 )
 from .graphs import EdgeMask, Graph, _check_count, _check_real
 from .optim import AdamState, TrainingError, step_from_gradients
@@ -293,24 +297,28 @@ def _mlp(x, w1, w2, biases, r=None, out=None):
 def _mlp_grads(grad, x, r, w1, b1, w2, b2, needs_gx, x_grads):
     """The one MLP backward: the gradients behind x, then those of w1, b1, w2 and b2.
 
-    They are those of the composed ``linear``/``relu`` ops.  ``x`` and ``r``
-    are the forward's input and hidden activations.  ``x_grads`` maps the
-    gradient of x, None unless ``needs_gx``, to the tuple of gradients of
-    the inputs x was computed from; the weights' and biases' follow, each
-    None unless its Tensor requires one.
+    They are those of the composed ``linear``/``relu`` ops, bit for bit:
+    the bias gradients are the same ``autodiff.col_sum`` of rows and the
+    products by the transposed weights the same ``autodiff.times_transpose``
+    that ``linear``'s backward takes.  ``x`` and ``r`` are the forward's
+    input and hidden activations.  ``x_grads`` maps the gradient of x, None
+    unless ``needs_gx``, to the tuple of gradients of the inputs x was
+    computed from; the weights' and biases' follow, each None unless its
+    Tensor requires one.
     """
+    ga = times_transpose(grad, w2.data)
     # r > 0 exactly where the pre-activation was > 0 (NaN in neither)
-    ga = (grad @ w2.data.T) * (r > 0)
-    gx = ga @ w1.data.T if needs_gx else None
+    np.multiply(ga, r > 0, out=ga)
+    gx = times_transpose(ga, w1.data) if needs_gx else None
     # the inputs' gradients come first, while ga and gx live: made after the
     # weights', they left the heap so that train_backbone's untaped held-out
     # forward between epochs ran about 20% slower
     return (
         *x_grads(gx),
         x.T @ ga if w1.requires_grad else None,
-        ga.sum(axis=0) if b1.requires_grad else None,
+        col_sum(ga) if b1.requires_grad else None,
         r.T @ grad if w2.requires_grad else None,
-        grad.sum(axis=0) if b2.requires_grad else None,
+        col_sum(grad) if b2.requires_grad else None,
     )
 
 
@@ -360,10 +368,16 @@ def apply_gin_layer(layer: GinLayerParams, h: Tensor, adj: WeightedSparse) -> Te
     needs_gz = weights.requires_grad or h.requires_grad or eps.requires_grad
 
     def _input_grads(gz):
+        gh = None
+        if h.requires_grad:
+            # spmm's path plus mul's; addition commutes exactly
+            gh = adj.csr @ gz
+            gh += gz * scale
         return (
             adj.weight_grad(gz, h.data) if weights.requires_grad else None,
-            gz * scale + adj.csr @ gz if h.requires_grad else None,
-            (gz * h.data).sum(axis=0).sum(axis=0) if eps.requires_grad else None,
+            gh,
+            # mul's unbroadcast of (n, d) to eps's shape ()
+            col_sum(col_sum(gz * h.data)) if eps.requires_grad else None,
         )
 
     def _bp(grad):

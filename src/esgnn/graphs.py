@@ -311,13 +311,21 @@ def _mask_fault(
     return bad, "hard mask must be binary"
 
 
+def _node_tuple(nodes) -> tuple[int, ...]:
+    """Checked zeroed nodes as a tuple: a tuple is kept, a list becomes Python ints."""
+    return nodes if isinstance(nodes, tuple) else tuple(map(int, nodes))
+
+
 @dataclass(frozen=True)
 class EdgeMask:
     """Per-undirected-edge selection: soft weights plus hard bits.
 
     ``zeroed_nodes`` flags feature rows to blank at encoding time (node
-    deletion); index removal never happens.  ``EdgeMask.block`` builds a
-    bag's masks from (m, E) blocks, checked with the same rules in one pass.
+    deletion); index removal never happens.  It is kept as a tuple: a tuple
+    as given, a list as a tuple of Python ints, so a mask compares equal to
+    the one read back from bag JSON (numpy integers equal Python ones).
+    ``EdgeMask.block`` builds a bag's masks from (m, E) blocks, checked with
+    the same rules in one pass.
     """
 
     soft: np.ndarray
@@ -340,6 +348,7 @@ class EdgeMask:
         )
         if fault is not None:
             raise ValueError(fault[1])
+        object.__setattr__(self, "zeroed_nodes", _node_tuple(self.zeroed_nodes))
 
     @classmethod
     def block(
@@ -374,7 +383,7 @@ class EdgeMask:
             hard,
             none if budgets is None else budgets,
             none if seeds is None else seeds,
-            repeat(()) if zeroed_nodes is None else zeroed_nodes,
+            repeat(()) if zeroed_nodes is None else map(_node_tuple, zeroed_nodes),
         )
         masks = []
         for s, h, budget, seed, zeroed in rows:

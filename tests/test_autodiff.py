@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esgnn import autodiff as ad
 from esgnn.autodiff import (
@@ -16,6 +18,7 @@ from esgnn.autodiff import (
     Tensor,
     add,
     assemble,
+    col_sum,
     concat_cols,
     cross_entropy_mean,
     custom_primitive,
@@ -28,9 +31,12 @@ from esgnn.autodiff import (
     sigmoid,
     spmm,
     sum_all,
+    times_transpose,
 )
+from esgnn.gin import apply_gin_layer, init_gin_layer
 from tests.conftest import same_bits
 from tests.oracles import grad_check, masked_sigmoid, softmax_cross_entropy
+from tests.test_gin import composed_gin_layer
 
 
 def rand_param(rng, *shape):
@@ -129,6 +135,105 @@ class TestLinear:
             sum_all(relu(mul(out, c))).backward()
             results.append([a.tobytes() for a in (out.data, x.grad, w.grad, b.grad)])
         assert results[0] == results[1]
+
+
+class TestBlasRowSumsAndTransposedProducts:
+    @pytest.mark.parametrize("rows", [0, 1, 800])
+    @pytest.mark.parametrize("tail", [(), (7,), (3, 5)])
+    def test_col_sum_matches_numpy_to_rounding(self, rows, tail):
+        a = np.random.default_rng(rows).standard_normal((rows, *tail)) * 1e3
+        got, want = col_sum(a), a.sum(axis=0)
+        assert got.shape == want.shape and got.dtype == np.float64
+        # 1e-12 relative to the summed magnitudes: a column that cancels to
+        # about zero is still held to the rounding of its terms
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(a).sum(axis=0))
+
+    def test_col_sum_of_no_rows_is_zeros(self):
+        assert same_bits(col_sum(np.zeros((0, 2, 3))), np.zeros((2, 3)))
+
+    def test_col_sum_propagates_nan_and_infinities(self):
+        a = np.ones((5, 6))
+        a[2, 0] = np.nan
+        a[1, 1] = np.inf
+        a[3, 2] = -np.inf
+        a[0, 3], a[4, 3] = np.inf, -np.inf
+        a[0, 4], a[1, 4] = np.nan, np.inf
+        # both warn of the NaN that inf + -inf makes
+        with np.errstate(invalid="ignore"):
+            want, got = a.sum(axis=0), col_sum(a)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(got[[0, 3, 4]]).all() and list(got[1:3]) == [np.inf, -np.inf]
+
+    @pytest.mark.parametrize("rows", [*range(1, 10), 25, 800])
+    @pytest.mark.parametrize("width", [1, 2, 11, 32, 64])
+    def test_times_transpose_matches_the_transposed_product_to_rounding(self, rows, width):
+        """OpenBLAS can give the two different last bits (seen at one row, and at
+        widths 32 and 64 with few rows), so the fused and the composed ops
+        must both multiply by a transposed weight through this one helper."""
+        rng = np.random.default_rng(100 * rows + width)
+        a, w = rng.standard_normal((rows, width)), rng.standard_normal((width + 3, width))
+        got = times_transpose(a, w)
+        assert got.shape == (rows, width + 3)
+        bound = 4 * width * np.finfo(np.float64).eps * (np.abs(a) @ np.abs(w).T)
+        assert np.all(np.abs(got - a @ w.T) <= bound)
+
+    @pytest.mark.parametrize("op", ["linear", "matmul"])
+    def test_composed_backward_multiplies_through_times_transpose(self, op):
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.standard_normal((5, 32)), requires_grad=True)
+        w, b = rng.standard_normal((32, 32)), rng.standard_normal(32)
+        g = rng.standard_normal((5, 32))
+        out = linear(x, w, b) if op == "linear" else matmul(x, w)
+        sum_all(mul(out, g)).backward()
+        assert same_bits(x.grad, times_transpose(g, w))
+
+    def test_unbroadcast_sums_rows_through_col_sum(self):
+        rng = np.random.default_rng(4)
+        a = Tensor(rng.standard_normal((300, 4, 6)))
+        b = Tensor(rng.standard_normal((1, 6)), requires_grad=True)
+        c = Tensor(rng.standard_normal(()), requires_grad=True)
+        sum_all(mul(add(a, b), add(a, c))).backward()
+        assert same_bits(b.grad, col_sum(col_sum(a.data + c.data))[np.newaxis])
+        assert same_bits(c.grad, col_sum(col_sum(col_sum(a.data + b.data))))
+
+
+_FUSED_INPUTS = ("weights", "h", "eps", "w1", "b1", "w2", "b2")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    n=st.integers(0, 20),
+    in_dim=st.integers(1, 40),
+    hidden=st.integers(1, 40),
+    taped=st.lists(st.booleans(), min_size=7, max_size=7),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fused_gin_layer_equals_the_composed_ops_bit_for_bit(n, in_dim, hidden, taped, seed):
+    """Output and every gradient, for any subset of the seven inputs taped."""
+    rng = np.random.default_rng(seed)
+    pairs = np.array([(i, j) for i in range(n) for j in range(i + 1, n)], dtype=np.intp)
+    edges = pairs[rng.random(len(pairs)) < 0.3].reshape(-1, 2)
+    layer = init_gin_layer(rng, in_dim, hidden)
+    layer.eps.data[...] = rng.standard_normal()
+    layer.b1.data[:] = rng.standard_normal(hidden)
+    layer.b2.data[:] = rng.standard_normal(hidden)
+    weights = Tensor(rng.random(len(edges)))
+    h = Tensor(rng.standard_normal((n, in_dim)))
+    inputs = (weights, h, layer.eps, layer.w1, layer.b1, layer.w2, layer.b2)
+    for t, flag in zip(inputs, taped):
+        t.requires_grad = flag
+    upstream = rng.standard_normal((n, hidden))
+    results = []
+    for apply in (apply_gin_layer, composed_gin_layer):
+        out = apply(layer, h, assemble(n, edges, weights))
+        sum_all(mul(out, upstream)).backward()
+        grads = [None if t.grad is None else t.grad.copy() for t in inputs]
+        results.append((out.data, grads))
+    (fused, fused_grads), (composed, composed_grads) = results
+    assert same_bits(fused, composed)
+    for name, a, b, flag in zip(_FUSED_INPUTS, fused_grads, composed_grads, taped):
+        assert (a is None) == (b is None) == (not flag), name
+        assert a is None or same_bits(a, b), name
 
 
 class TestSpmm:

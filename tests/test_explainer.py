@@ -298,6 +298,18 @@ class TestBagJson:
         ):
             self.assert_same(bag, self.round_trip(bag))
 
+    @pytest.mark.parametrize("build", ["mask", "block"])
+    def test_a_zeroed_nodes_list_equals_what_bag_json_reads_back(self, build):
+        g = make_graph(3, [(0, 1), (1, 2)])
+        hard = np.array([1.0, 0.0])
+        if build == "mask":
+            mask = EdgeMask(soft=hard.copy(), hard=hard, zeroed_nodes=[1])
+        else:
+            (mask,) = EdgeMask.block(hard[None].copy(), hard[None], zeroed_nodes=[[1]])
+        loaded = bag_from_json(bag_to_json(SubgraphBag(g, (mask,), "ND"), 0), g)
+        assert mask.zeroed_nodes == loaded.masks[0].zeroed_nodes == (1,)
+        assert type(mask.zeroed_nodes[0]) is int
+
     def test_numpy_integer_fields_give_a_document_that_json_accepts(self, triangle):
         hard = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
         masks = EdgeMask.block(
