@@ -61,6 +61,11 @@ and bytes of every array of:
   edges per new node) of 100-300 nodes with degree features (cap 10), under
   the fresh 32-wide backbone and a fresh edge scorer, and of a one-edge
   graph, each with its JSON and the bag read back from it;
+- [one_graph_blocks] the row-block path of a graph scored alone:
+  ``edge_scores``, a top-K bag and a noise bag (m=10) of one
+  Barabasi-Albert graph of 600 nodes, more than ``ROW_BLOCK + 1``, each
+  bag with its JSON and the bag read back from it, under the fresh 32-wide
+  backbone and edge scorer; and ``edge_scores`` of a one-node graph;
 - [sigmoid] ``sigmoid`` and its gradient at +-0, +-inf, NaN of either sign,
   the largest and smallest floats of either sign, and +-745 and +-710,
   where ``exp`` underflows and overflows.
@@ -340,6 +345,15 @@ def main() -> None:
         feed(explainer.edge_scores(g, wide, bag_scorer))
         feed_bag(explainer.generate_bag_topk(g, wide, bag_scorer), gi)
         feed_bag(explainer.generate_bag_noise(g, wide, bag_scorer, 10, 1.0, 100 + gi), gi)
+
+    digest.section("one_graph_blocks")
+    big = ba_graph(600, 24, 1)
+    assert big.num_nodes > gin.ROW_BLOCK + 1
+    feed(explainer.edge_scores(big, wide, bag_scorer))
+    feed_bag(explainer.generate_bag_topk(big, wide, bag_scorer), 0)
+    feed_bag(explainer.generate_bag_noise(big, wide, bag_scorer, 10, 1.0, 200), 0)
+    lone = Graph(1, [], np.eye(11, dtype=np.uint8)[[0]], 0)
+    feed(explainer.edge_scores(lone, wide, bag_scorer))
 
     digest.section("sigmoid")
     big, tiny = np.finfo(np.float64).max, np.finfo(np.float64).smallest_subnormal

@@ -27,6 +27,10 @@ A node holds its inputs and its closure, never its own output, so the tape
 is acyclic: it is freed by reference counting as soon as the last reference
 to its output (typically the loss) goes, without the cyclic collector.
 An op whose inputs all have ``requires_grad=False`` records nothing.
+Where an untaped forward needs no Tensor at all, it calls an op's array
+kernel, which the op itself calls for its forward: ``_sigmoid`` for
+``sigmoid``, ``_affine`` (with the shape checks) for ``linear`` and
+``_layout_csr`` for the CSR of ``from_layout``.
 
 Graph adjacencies are symmetric operators over an (E, 2) array of
 undirected edges.  Their directed entries are sorted once per graph:
@@ -261,16 +265,22 @@ def matmul(a, b) -> Tensor:
     return _record(data, (a, b), _bp)
 
 
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``linear``'s forward on arrays: x @ w + b, its shapes checked first."""
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise DimensionError(f"linear: shapes {x.shape} and {w.shape}")
+    if b.shape != (w.shape[1],):
+        raise DimensionError(f"linear: bias {b.shape} vs weight {w.shape}")
+    # bit-identical to add(matmul(x, w), b), without the second taped op
+    out = x @ w
+    out += b
+    return out
+
+
 def linear(x, w, b) -> Tensor:
     """x @ w + b with b broadcast over rows."""
     x, w, b = _lift(x), _lift(w), _lift(b)
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
-        raise DimensionError(f"linear: shapes {x.data.shape} and {w.data.shape}")
-    if b.data.shape != (w.data.shape[1],):
-        raise DimensionError(f"linear: bias {b.data.shape} vs weight {w.data.shape}")
-    # bit-identical to add(matmul(x, w), b), without the second taped op
-    data = x.data @ w.data
-    data += b.data
+    data = _affine(x.data, w.data, b.data)
 
     def _bp(grad):
         return (
@@ -290,21 +300,27 @@ def relu(x) -> Tensor:
     return _record(data, (x,), lambda grad: (grad * mask,))
 
 
-def sigmoid(x) -> Tensor:
-    """Overflow-free sigmoid: 1 / (1 + e) where x >= 0, else e / (1 + e).
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """``sigmoid``'s forward on arrays: 1 / (1 + e) where x >= 0, else e / (1 + e).
 
     e = exp(-|x|) over the whole array, with no boolean gather or scatter.
     The exponent is picked by the same comparison (-x where x >= 0, else x)
     rather than taken as -|x|, so a NaN keeps its sign bit.  The numerator,
     1 or e, is picked before the one division.
     """
-    x = _lift(x)
-    pos = x.data >= 0
-    e = np.where(pos, -x.data, x.data)
+    pos = x >= 0
+    e = np.where(pos, -x, x)
     np.exp(e, out=e)
     denom = e + 1.0
-    data = np.where(pos, 1.0, e)
-    data /= denom
+    out = np.where(pos, 1.0, e)
+    out /= denom
+    return out
+
+
+def sigmoid(x) -> Tensor:
+    """Overflow-free sigmoid, computed by ``_sigmoid``."""
+    x = _lift(x)
+    data = _sigmoid(x.data)
     return _record(data, (x,), lambda grad: (grad * data * (1.0 - data),))
 
 
@@ -496,20 +512,30 @@ def from_layout(n: int, edges, weights, layout: np.ndarray) -> WeightedSparse:
     degrees; nothing is sorted or checked, and the CSR's columns are a view
     of the layout, not a copy.
     """
-    half = len(layout) // 2
     if weights is None:
         weights = Tensor(np.broadcast_to(1.0, (len(edges),)))
+        return WeightedSparse(edges, weights, _layout_csr(n, edges, None, layout))
+    weights = _lift(weights)
+    return WeightedSparse(edges, weights, _layout_csr(n, edges, weights.data, layout))
+
+
+def _layout_csr(n: int, edges, values, layout: np.ndarray) -> scipy.sparse.csr_matrix:
+    """``from_layout``'s CSR alone: ``values`` is an array of edge weights or None.
+
+    Builds no Tensor; an untaped forward, which reads no weight tensor,
+    multiplies by it directly.
+    """
+    half = len(layout) // 2
+    if values is None:
         data = np.ones(half)
     else:
-        weights = _lift(weights)
-        if weights.data.shape != (len(edges),):
-            raise DimensionError(f"edge weights {weights.data.shape} vs {len(edges)} edges")
-        data = weights.data[layout[half:]]
+        if values.shape != (len(edges),):
+            raise DimensionError(f"edge weights {values.shape} vs {len(edges)} edges")
+        data = values[layout[half:]]
     indptr = np.empty(n + 1, dtype=np.int32)
     indptr[0] = 0
     np.cumsum(np.bincount(edges.reshape(-1), minlength=n), out=indptr[1:])
-    csr = scipy.sparse.csr_matrix((data, layout[:half], indptr), shape=(n, n))
-    return WeightedSparse(edges, weights, csr)
+    return scipy.sparse.csr_matrix((data, layout[:half], indptr), shape=(n, n))
 
 
 def assemble(n: int, edges, weights=None) -> WeightedSparse:

@@ -1,34 +1,41 @@
 """Learned hard edge-mask explanations over a frozen classifier.
 
 A small MLP maps concatenated endpoint embeddings [z_i ; z_j] to one logit
-per undirected edge: one taped op, from the gather of both endpoints to the
-logits, on the GIN layer's MLP kernel (``gin._mlp``, ``gin._mlp_grads``).
+per undirected edge.  Its forward arithmetic lives once, in the array
+kernel ``_edge_mlp``: one gather of both endpoints, then the GIN layer's
+MLP kernel ``gin._mlp``.  ``edge_logits`` is the taped op around it, from
+the gather to the logits, with ``gin._mlp_grads`` as its backward.
 Soft weights come from a binary-concrete relaxation (logistic noise,
-temperature tau), all drawn by ``concrete_sample``; the classifier only
-ever sees hard binary masks, obtained either by thresholding or by an exact
-top-K budget, with a straight-through estimator carrying gradients back to
-the logits.  The sparsity penalty acts on the hard bits, i.e. it counts
-selected edges.
-``edge_scores`` runs only the backbone's layers (``gin.layer_states``) on
-its one graph's own cached ``Graph.adjacency``, with no batch, pooling or
-head, then the edge MLP.  ``train_explainer`` scores a batch's ``edges``
-on the node states one ``frozen_forward`` returned, and feeds the hard bits
-to the batch forward as its edge weights.  Every bag's masks are built from
-its (m, E) soft and hard blocks by ``EdgeMask.block``, which checks all
-rows in one pass, and a bag's JSON packs and unpacks the bits of all its
-masks in one array pass; ``bag_from_json`` checks the document's own
-structure entry by entry, then builds the masks through ``EdgeMask.block``
-like every other bag.
+temperature tau), all drawn by ``concrete_sample``: taped in training, on
+arrays through ``autodiff._sigmoid`` for the bag generators' untaped
+scores.  The classifier only ever sees hard binary masks, obtained either
+by thresholding or by an exact top-K budget, with a straight-through
+estimator carrying gradients back to the logits.  The sparsity penalty
+acts on the hard bits, i.e. it counts selected edges.
+``edge_scores`` runs only the backbone's layers, by ``gin.untaped_states``
+on the CSR of its one graph's cached ``Graph.adjacency``, with no batch,
+pooling or head, then ``_edge_mlp``, all on the parameters' arrays: it
+makes no Tensor, frozen view or closure.  ``train_explainer`` scores a
+batch's ``edges`` on the node states one ``frozen_forward`` returned, and
+feeds the hard bits to the batch forward as its edge weights.  Every bag's
+masks are built from its (m, E) soft and hard blocks by
+``EdgeMask.block``, which checks all rows in one pass, and a bag's JSON
+packs and unpacks the bits of all its masks in one array pass;
+``bag_from_json`` checks the document's own structure entry by entry,
+then builds the masks through ``EdgeMask.block`` like every other bag.
 
 Where a bag op's time goes: one top-K and one m = 10 noise bag of a graph
-of 100-300 nodes, each round-tripped through JSON, took about 1.2 ms on
-one thread of a shared 2-vCPU Xeon VM (Python 3.11, numpy 2.4), timed
-per stage in a loop over 200 such graphs.  The two ``edge_scores`` calls
-take about half of it (about 35 us each of that is wrapping, dispatch and
-the frozen views; the rest is the layers' and the MLP's arithmetic), the
-ten per-mask ``mask_seed`` and ``default_rng`` draws about a sixth, which
-the recorded seeds fix, the JSON round trip about a ninth, and the noise,
-sigmoid, top-K ranking and mask checks the remaining quarter.
+of 100-300 nodes, each round-tripped through JSON, took about 1.27 ms on
+one thread of a shared 2-vCPU Xeon VM (Python 3.11, numpy 2.4), timed per
+stage in a loop over 200 such graphs, against 1.33 ms or more with frozen
+views and a Tensor per layer.  The two ``edge_scores`` calls take about
+two fifths of it, about 260-290 us each, all of it the layers' and the
+MLP's arithmetic and scipy's dispatch; nearly a third of that, about 85 us
+a call, is the biases, each added to its rows by numpy's broadcast, one
+short inner loop per row.  The ten per-mask ``mask_seed`` and
+``default_rng`` draws take about a sixth, which the recorded seeds fix,
+the JSON round trip about a fifth, and the noise, sigmoid, top-K ranking
+and mask checks the remaining fifth.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ import numpy as np
 from .autodiff import (
     DimensionError,
     Tensor,
+    _sigmoid,
     cross_entropy_mean,
     custom_primitive,
     reshape,
@@ -57,7 +65,7 @@ from .gin import (
     build_graph_batch,
     frozen_forward,
     glorot,
-    layer_states,
+    untaped_states,
 )
 from .graphs import (
     POLICY_TAGS,
@@ -112,10 +120,6 @@ class ExplainerParams:
             "explainer/lin2/b": self.b2,
         }
 
-    def frozen(self) -> "ExplainerParams":
-        """Views of the same arrays with ``requires_grad=False`` (no copy)."""
-        return ExplainerParams(*(Tensor(t.data) for t in (self.w1, self.b1, self.w2, self.b2)))
-
 
 def init_explainer(rng: np.random.Generator, hidden: int = 32) -> ExplainerParams:
     return ExplainerParams(
@@ -156,34 +160,43 @@ class ExplainerConfig:
         return self.tau_start + step * epoch
 
 
+def _edge_mlp(Z, edges, w1, b1, w2, b2):
+    """The edge MLP's forward on arrays: one logit per edge of the (E, 2) ``edges``.
+
+    Checks the states' width against the first weight (2 * width rows) and
+    the shapes ``init_explainer`` gives the weights and biases, then gathers
+    both endpoints' rows of ``Z`` in one gather, which lays them out as the
+    concatenated pairs [z_i ; z_j], and runs ``gin._mlp`` on them in one
+    call.  Returns the pairs, the hidden activations and the (E,) logits.
+    """
+    if Z.ndim != 2 or w1.ndim != 2 or 2 * Z.shape[1] != w1.shape[0]:
+        raise DimensionError(f"edge MLP: states {Z.shape} vs weight {w1.shape}")
+    hidden = w1.shape[1]
+    if b1.shape != (hidden,) or w2.shape != (hidden, 1) or b2.shape != (1,):
+        raise DimensionError(
+            f"edge MLP: weight {w1.shape} with bias {b1.shape},"
+            f" weight {w2.shape} with bias {b2.shape}"
+        )
+    # row k is [z_i ; z_j] for edge k = (i, j): both ends in one gather
+    pair = Z.take(edges.reshape(-1), axis=0).reshape(len(edges), w1.shape[0])
+    h, out = _mlp(pair, w1, w2, (b1, b2))
+    return pair, h, out.reshape(len(edges))
+
+
 def edge_logits(Z: Tensor | np.ndarray, edges: np.ndarray, params: ExplainerParams) -> Tensor:
     """One logit per undirected edge from [z_i ; z_j] on the canonical i < j pair.
 
-    One taped op over ``Z``, ``w1``, ``b1``, ``w2`` and ``b2``: the forward
-    gathers both endpoints' rows in one gather, which lays them out as the
-    concatenated pairs, and runs ``gin._mlp`` on them in one call; untaped
-    it keeps nothing, records no node and makes no closure.  The backward
-    is ``gin._mlp_grads``, which sums the pairs' gradient onto each end by
-    one product with that end's ``autodiff.segment_matrix`` and adds the
-    two, with the same arithmetic as the composed ``gather_rows``/
-    ``concat_cols``/``linear``/``relu``/``linear``/``reshape`` ops, so the
-    two agree bit for bit.  The weights and biases must have the shapes
-    ``init_explainer`` gives them.
+    One taped op over ``Z``, ``w1``, ``b1``, ``w2`` and ``b2`` whose forward
+    is ``_edge_mlp``; untaped it keeps nothing, records no node and makes no
+    closure.  The backward is ``gin._mlp_grads``, which sums the pairs'
+    gradient onto each end by one product with that end's
+    ``autodiff.segment_matrix`` and adds the two, with the same arithmetic
+    as the composed ``gather_rows``/``concat_cols``/``linear``/``relu``/
+    ``linear``/``reshape`` ops, so the two agree bit for bit.
     """
     Z = Z if isinstance(Z, Tensor) else Tensor(Z)
     w1, b1, w2, b2 = params.w1, params.b1, params.w2, params.b2
-    if Z.data.ndim != 2 or w1.data.ndim != 2 or 2 * Z.data.shape[1] != w1.data.shape[0]:
-        raise DimensionError(f"edge MLP: states {Z.data.shape} vs weight {w1.data.shape}")
-    hidden = w1.data.shape[1]
-    if b1.data.shape != (hidden,) or w2.data.shape != (hidden, 1) or b2.data.shape != (1,):
-        raise DimensionError(
-            f"edge MLP: weight {w1.data.shape} with bias {b1.data.shape},"
-            f" weight {w2.data.shape} with bias {b2.data.shape}"
-        )
-    # row k is [z_i ; z_j] for edge k = (i, j): both ends in one gather
-    pair = Z.data.take(edges.reshape(-1), axis=0).reshape(len(edges), w1.data.shape[0])
-    h, out = _mlp(pair, w1.data, w2.data, (b1.data, b2.data))
-    logits = out.reshape(len(edges))
+    pair, h, logits = _edge_mlp(Z.data, edges, w1.data, b1.data, w2.data, b2.data)
     if not any(t.requires_grad for t in (Z, w1, b1, w2, b2)):
         return Tensor(logits)
 
@@ -198,7 +211,7 @@ def edge_logits(Z: Tensor | np.ndarray, edges: np.ndarray, params: ExplainerPara
         return (gi + gj,)
 
     def _bp(grad):
-        grad = grad.reshape(out.shape)
+        grad = grad.reshape(len(edges), 1)
         return _mlp_grads(grad, pair, h, w1, b1, w2, b2, Z.requires_grad, _z_grad)
 
     return custom_primitive(logits, (Z, w1, b1, w2, b2), _bp)
@@ -209,14 +222,17 @@ def concrete_sample(omega: Tensor | np.ndarray, tau: float, noise_scale: float, 
 
     Row t is sigmoid((omega + noise_scale * logistic) / tau), its Logistic(0, 1)
     draws from ``default_rng(seeds[t])``.  noise_scale = 0 draws nothing and
-    gives the deterministic map sigmoid(omega / tau) in every row.
+    gives the deterministic map sigmoid(omega / tau) in every row.  A taped
+    ``omega`` gets the taped ``add``, ``mul`` and ``sigmoid`` ops; an array
+    or untaped Tensor, as the bag generators give, the same arithmetic on
+    arrays, through ``autodiff._sigmoid``, wrapped in one Tensor.
     """
     if not tau > 0:  # NaN too
         raise ValueError(f"temperature {tau} must be positive")
     if not (math.isfinite(noise_scale) and noise_scale >= 0):
         raise ValueError(f"noise_scale {noise_scale} must be finite and >= 0")
-    omega = omega if isinstance(omega, Tensor) else Tensor(omega)
-    shape = (len(seeds), omega.data.shape[0])
+    logits = omega.data if isinstance(omega, Tensor) else np.asarray(omega, dtype=np.float64)
+    shape = (len(seeds), logits.shape[0])
     if noise_scale == 0.0:
         noise = np.zeros(shape)
     else:
@@ -229,7 +245,12 @@ def concrete_sample(omega: Tensor | np.ndarray, tau: float, noise_scale: float, 
         noise = np.log(u)
         noise -= np.log1p(np.negative(u, out=u), out=u)
         noise *= noise_scale
-    return sigmoid((omega + Tensor(noise)) * (1.0 / tau))
+    if isinstance(omega, Tensor) and omega.requires_grad:
+        return sigmoid((omega + Tensor(noise)) * (1.0 / tau))
+    # omega + noise and the scaling by 1 / tau, in place: addition commutes exactly
+    noise += logits
+    noise *= 1.0 / tau
+    return Tensor(_sigmoid(noise))
 
 
 def hard_threshold(s: Tensor, threshold: float) -> Tensor:
@@ -326,15 +347,18 @@ def mask_seed(*parts: int) -> int:
 def edge_scores(g: Graph, backbone: BackboneParams, params: ExplainerParams) -> np.ndarray:
     """Raw per-edge logits omega for one graph (no gradients, no tape).
 
-    Runs only the backbone's layers, with no readout, on the graph's own
-    ``Graph.adjacency``; after a graph's first call, no batch or CSR is
+    Runs only the backbone's layers, with no readout, by
+    ``gin.untaped_states`` on the CSR of the graph's own
+    ``Graph.adjacency``, then ``_edge_mlp``, all on the parameters' arrays:
+    no Tensor is made, and after a graph's first call no batch or CSR is
     built.  The node states equal those of ``frozen_forward([g])`` bit for
     bit, and those of a batched ``frozen_forward`` call under the condition
     that it names: a hidden width that is a multiple of 8 and a graph of at
     least 2 nodes.
     """
-    z = layer_states(g.x, g.adjacency, backbone.frozen())
-    return edge_logits(z, g.edges, params.frozen()).data
+    z = untaped_states(g.x, g.adjacency.csr, backbone)
+    arrays = (params.w1.data, params.b1.data, params.w2.data, params.b2.data)
+    return _edge_mlp(z, g.edges, *arrays)[2]
 
 
 def generate_bag_noise(

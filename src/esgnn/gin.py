@@ -2,30 +2,36 @@
 
 Each layer computes MLP((1 + eps) * H + A_mask H) where A_mask is the
 symmetric adjacency with one weight per undirected edge (0 for a masked
-edge); eps is a learnable scalar per layer.  A layer is one taped op: its
-backward returns the gradients of the edge weights, H, eps and the MLP's
-two weights and biases at once, bit-identical to the same layer composed
-of ``spmm``, ``mul``, ``add``, ``linear`` and ``relu``: both take their
-sums over rows with ``autodiff.col_sum`` and their products by transposed
-weights with ``autodiff.times_transpose``.  A batch holds its
-edges once, as the (E, 2) undirected pairs ``batch.edges``, and no code
-here indexes directed entries: the edge-weight gradient comes from
-``WeightedSparse.weight_grad``, one value per undirected edge.  After the
-sparse product A H and the scale-add, a layer runs ``_mlp``, the package's
-one two-layer ReLU MLP, and takes its backward from ``_mlp_grads``; only an
-untaped layer of more than ``ROW_BLOCK + 1`` rows, as in ``frozen_forward``,
-runs it in row blocks.  An untaped layer keeps nothing and records no node.
-Graphs are trained in block-diagonal minibatches whose node and edge
-offsets are the only record of which rows and edges belong to which graph.
-``layer_states`` is the one layer loop of the package: it runs every layer
-over features and an assembled adjacency.  ``build_graph_batch`` joins its
-graphs' sorted CSR layouts (``Graph.entry_layout``, sorted once per graph)
-with no sort; ``backbone_forward_batch`` puts the edge weights on that
-layout once, in the forward that uses it, shares the CSR with every layer
-and their backward, and pools each graph's states with one product by a
-sum-pooling CSR built from the node offsets; ``explainer.edge_scores`` runs
-``layer_states`` on one graph's cached ``Graph.adjacency``, with no batch.
-Adam updates all parameters in one flat vector step (``optim``).
+edge); eps is a learnable scalar per layer.  Its forward arithmetic lives
+once, in the array kernel ``_gin_layer``: the sparse product A H, the
+scale-add and ``_mlp``, the package's one two-layer ReLU MLP, run in row
+blocks with bias tiles when the layer is untaped and has more than
+``ROW_BLOCK + 1`` rows.  Two loops call it.  ``layer_states`` runs the
+taped op ``apply_gin_layer`` per layer, whose backward returns the
+gradients of the edge weights, H, eps and the MLP's two weights and biases
+at once from ``_mlp_grads``, bit-identical to the same layer composed of
+``spmm``, ``mul``, ``add``, ``linear`` and ``relu``: both take their sums
+over rows with ``autodiff.col_sum`` and their products by transposed
+weights with ``autodiff.times_transpose``.  ``untaped_states`` calls the
+kernel directly on the parameters' arrays, with no Tensor, closure or tape
+node: it is the forward of ``frozen_forward`` (and so of
+``evaluate_accuracy``, ``predict`` and ``train_explainer``'s targets and
+node states) and of ``explainer.edge_scores``.  A batch holds its edges
+once, as the (E, 2) undirected pairs ``batch.edges``, and no code here
+indexes directed entries: the edge-weight gradient comes from
+``WeightedSparse.weight_grad``, one value per undirected edge.  Graphs are
+trained in block-diagonal minibatches whose node and edge offsets are the
+only record of which rows and edges belong to which graph.
+``build_graph_batch`` joins its graphs' sorted CSR layouts
+(``Graph.entry_layout``, sorted once per graph) with no sort;
+``backbone_forward_batch`` puts the edge weights on that layout once, in
+the forward that uses it, shares the CSR with every layer and their
+backward, and pools each graph's states with one product by a sum-pooling
+CSR built from the node offsets; ``frozen_forward`` builds the same CSR and
+pooling on arrays (``autodiff._layout_csr``, ``autodiff._affine``), and
+``explainer.edge_scores`` runs ``untaped_states`` on one graph's cached
+``Graph.adjacency``, with no batch.  Adam updates all parameters in one
+flat vector step (``optim``).
 
 ``train_backbone``'s per-epoch ``train_acc`` is the running minibatch
 accuracy: the share of training graphs that their minibatch's logits, taken
@@ -45,6 +51,8 @@ from .autodiff import (
     DimensionError,
     Tensor,
     WeightedSparse,
+    _affine,
+    _layout_csr,
     col_sum,
     concat_entries,
     cross_entropy_mean,
@@ -74,6 +82,7 @@ __all__ = [
     "predict",
     "softmax",
     "train_backbone",
+    "untaped_states",
 ]
 
 
@@ -322,47 +331,61 @@ def _mlp_grads(grad, x, r, w1, b1, w2, b2, needs_gx, x_grads):
     )
 
 
+def _gin_layer(h, csr, eps, w1, b1, w2, b2, keep):
+    """The GIN layer's forward on arrays: MLP((1 + eps) * h + A h), A = ``csr``.
+
+    Checks the states against the adjacency and the first weight, then adds
+    ``(1 + eps) * h`` to ``z = A h`` and runs ``_mlp`` on it.  With ``keep``
+    it returns ``z``, the hidden activations and the output, for a backward.
+    Without it, a layer of at most ``ROW_BLOCK + 1`` rows runs the same one
+    call, and a larger one runs in blocks of ``ROW_BLOCK`` rows that stay in
+    cache, with one block's scratch for the hidden activations, the output
+    written over ``z`` when the widths match and the biases added from
+    tiles; it then returns None, None and the output.  Addition commutes
+    exactly, so a block's rows equal those of one call bit for bit wherever
+    BLAS gives a row the same sums whatever the row count, as OpenBLAS does
+    for output widths that are multiples of 8.
+    """
+    n = csr.shape[0]
+    if h.ndim != 2 or h.shape[0] != n:
+        raise DimensionError(f"GIN layer: states {h.shape} vs {n} nodes")
+    if h.shape[1] != w1.shape[0]:
+        raise DimensionError(f"GIN layer: states {h.shape} vs weight {w1.shape}")
+    scale = eps + 1.0
+    z = csr @ h
+    if keep or n <= ROW_BLOCK + 1:
+        z += h * scale
+        r, out = _mlp(z, w1, w2, (b1, b2))
+        return z, r, out
+    r = np.empty((ROW_BLOCK + 1, w1.shape[1]))
+    out = z if z.shape[1] == w2.shape[1] else np.empty((n, w2.shape[1]))
+    biases = tuple(np.tile(b, ((ROW_BLOCK + 1) // 2, 1)) for b in (b1, b2))
+    # the last block takes a lone leftover row, which BLAS would multiply
+    # on its matrix-vector path, whose sums can differ in the last bits
+    starts = range(0, n - 1, ROW_BLOCK)
+    for a, b in zip(starts, [*starts[1:], n]):
+        z[a:b] += h[a:b] * scale
+        _mlp(z[a:b], w1, w2, biases, r[: b - a], out[a:b])
+    return None, None, out
+
+
 def apply_gin_layer(layer: GinLayerParams, h: Tensor, adj: WeightedSparse) -> Tensor:
     """MLP((1 + eps) * h + A h) as one taped op over the layer's seven inputs.
 
-    The forward adds ``(1 + eps) * h`` to ``z = A h`` and runs ``_mlp`` on
-    it: in one call when the layer is taped or has at most ``ROW_BLOCK + 1``
-    rows, else in blocks of ``ROW_BLOCK`` rows that stay in cache, with one
-    block's scratch for the hidden activations, the output written over
-    ``z`` when the widths match and the biases added from tiles.  Addition
-    commutes exactly, so a block's rows equal those of one call bit for bit
-    wherever BLAS gives a row the same sums whatever the row count, as
-    OpenBLAS does for output widths that are multiples of 8.  Untaped, the
-    layer keeps nothing and records no node.  The backward is
+    The forward is ``_gin_layer``, kept for the backward when any input is
+    taped; an untaped layer runs it in row blocks above ``ROW_BLOCK + 1``
+    rows, keeps nothing and returns a plain Tensor of its output: no
+    closure is made and no ``custom_primitive`` called.  The backward is
     ``_mlp_grads``, which maps the gradient of ``z`` to those of the edge
     weights, ``h`` and ``eps``; all seven are bit for bit those of the
-    composed ``spmm``/``mul``/``add``/``linear``/``relu`` ops.  An untaped
-    layer returns a plain Tensor of its output: no closure is made and no
-    ``custom_primitive`` called.
+    composed ``spmm``/``mul``/``add``/``linear``/``relu`` ops.
     """
-    weights, n = adj.weights, adj.csr.shape[0]
+    weights = adj.weights
     eps, w1, b1, w2, b2 = layer.eps, layer.w1, layer.b1, layer.w2, layer.b2
-    if h.data.ndim != 2 or h.data.shape[0] != n:
-        raise DimensionError(f"GIN layer: states {h.data.shape} vs {n} nodes")
-    if h.data.shape[1] != w1.data.shape[0]:
-        raise DimensionError(f"GIN layer: states {h.data.shape} vs weight {w1.data.shape}")
-    scale = eps.data + 1.0
-    z = adj.csr @ h.data
     taped = any(t.requires_grad for t in (weights, h, eps, w1, b1, w2, b2))
-    if taped or n <= ROW_BLOCK + 1:
-        z += h.data * scale
-        r, out = _mlp(z, w1.data, w2.data, (b1.data, b2.data))
-    else:
-        # untaped: no backward keeps r or z
-        r = np.empty((ROW_BLOCK + 1, w1.data.shape[1]))
-        out = z if z.shape[1] == w2.data.shape[1] else np.empty((n, w2.data.shape[1]))
-        biases = tuple(np.tile(b.data, ((ROW_BLOCK + 1) // 2, 1)) for b in (b1, b2))
-        # the last block takes a lone leftover row, which BLAS would multiply
-        # on its matrix-vector path, whose sums can differ in the last bits
-        starts = range(0, n - 1, ROW_BLOCK)
-        for a, b in zip(starts, [*starts[1:], n]):
-            z[a:b] += h.data[a:b] * scale
-            _mlp(z[a:b], w1.data, w2.data, biases, r[: b - a], out[a:b])
+    z, r, out = _gin_layer(
+        h.data, adj.csr, eps.data, w1.data, b1.data, w2.data, b2.data, keep=taped
+    )
     if not taped:
         return Tensor(out)
     needs_gz = weights.requires_grad or h.requires_grad or eps.requires_grad
@@ -372,7 +395,7 @@ def apply_gin_layer(layer: GinLayerParams, h: Tensor, adj: WeightedSparse) -> Te
         if h.requires_grad:
             # spmm's path plus mul's; addition commutes exactly
             gh = adj.csr @ gz
-            gh += gz * scale
+            gh += gz * (eps.data + 1.0)
         return (
             adj.weight_grad(gz, h.data) if weights.requires_grad else None,
             gh,
@@ -386,19 +409,51 @@ def apply_gin_layer(layer: GinLayerParams, h: Tensor, adj: WeightedSparse) -> Te
     return custom_primitive(out, (weights, h, eps, w1, b1, w2, b2), _bp)
 
 
-def layer_states(x: np.ndarray, adj: WeightedSparse, params: BackboneParams) -> Tensor:
-    """Last-layer node states of features ``x`` over ``adj``: every GIN layer.
-
-    The one layer loop of the package.  ``backbone_forward_batch`` runs it
-    on a batch; ``explainer.edge_scores`` runs it on one graph's
-    ``Graph.adjacency``.
-    """
+def _check_features(x: np.ndarray, params: BackboneParams) -> None:
     if x.shape[1] != params.in_dim:
         raise ValueError(f"feature dim {x.shape[1]} vs layer-0 input {params.in_dim}")
+
+
+def layer_states(x: np.ndarray, adj: WeightedSparse, params: BackboneParams) -> Tensor:
+    """Last-layer node states of features ``x`` over ``adj``: every GIN layer, taped.
+
+    The layer loop of ``backbone_forward_batch``; ``untaped_states`` is the
+    same loop on arrays.
+    """
+    _check_features(x, params)
     h = Tensor(x)
     for layer in params.layers:
         h = apply_gin_layer(layer, h, adj)
     return h
+
+
+def untaped_states(x: np.ndarray, csr, params: BackboneParams) -> np.ndarray:
+    """``layer_states`` with no tape, on the parameters' arrays and the CSR ``csr``.
+
+    Every layer is one ``_gin_layer`` call, in row blocks above
+    ``ROW_BLOCK + 1`` rows; no Tensor is made and no ``.grad`` touched.
+    ``frozen_forward`` runs it on a batch and ``explainer.edge_scores`` on
+    one graph's cached ``Graph.adjacency``.
+    """
+    _check_features(x, params)
+    h = np.asarray(x, dtype=np.float64)
+    for layer in params.layers:
+        arrays = (layer.eps.data, layer.w1.data, layer.b1.data, layer.w2.data, layer.b2.data)
+        h = _gin_layer(h, csr, *arrays, keep=False)[2]
+    return h
+
+
+def _pool_matrix(node_offsets: np.ndarray) -> scipy.sparse.csr_matrix:
+    """The (graphs, nodes) CSR of ones whose row g sums graph g's node rows.
+
+    Row g lists rows node_offsets[g] to node_offsets[g + 1] - 1 in order, as
+    segment_sum's would.
+    """
+    n = int(node_offsets[-1])
+    return scipy.sparse.csr_matrix(
+        (np.ones(n), np.arange(n, dtype=np.int32), node_offsets.astype(np.int32)),
+        shape=(len(node_offsets) - 1, n),
+    )
 
 
 def backbone_forward_batch(
@@ -417,16 +472,13 @@ def backbone_forward_batch(
     node_offsets[g + 1] - 1 in order, as segment_sum's would, and fed to
     the linear head.
     """
-    n = len(batch.x)
     weights = batch.default_values if mask_values is None else mask_values
-    adj = from_layout(n, batch.edges, weights, batch.entry_layout)
+    adj = from_layout(len(batch.x), batch.edges, weights, batch.entry_layout)
     h = layer_states(batch.x, adj, params)
-    pool = scipy.sparse.csr_matrix(
-        (np.ones(n), np.arange(n, dtype=np.int32), batch.node_offsets.astype(np.int32)),
-        shape=(len(batch.labels), n),
-    )
     pooled = custom_primitive(
-        pool @ h.data, (h,), lambda g: (np.repeat(g, np.diff(batch.node_offsets), 0),)
+        _pool_matrix(batch.node_offsets) @ h.data,
+        (h,),
+        lambda g: (np.repeat(g, np.diff(batch.node_offsets), 0),),
     )
     return linear(pooled, params.head_w, params.head_b), h
 
@@ -443,8 +495,10 @@ def frozen_forward(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Untaped logits (G, C) and each graph's last-layer node states.
 
-    Runs ``FORWARD_CHUNK`` graphs per block-diagonal forward through
-    ``params.frozen()``, so no tape is built and no ``.grad`` is touched.
+    Runs ``FORWARD_CHUNK`` graphs per block-diagonal batch through
+    ``untaped_states`` and pools and applies the head on arrays, with
+    ``backbone_forward_batch``'s arithmetic: no Tensor is made, so no tape
+    is built and no ``.grad`` is touched.
     A graph's node states equal those of a one-graph call bit for bit when
     the hidden width is a multiple of 8 and the graph has at least 2 nodes:
     OpenBLAS then gives each row the same sums whatever the row count.  A
@@ -452,14 +506,15 @@ def frozen_forward(
     sums can differ in the last bits.  Logits may differ from a one-graph
     call in the last digits.
     """
-    frozen = params.frozen()
     logits, states = [], []
     for start in range(0, len(graphs), FORWARD_CHUNK):
         batch = build_graph_batch(graphs[start : start + FORWARD_CHUNK])
-        out, h = backbone_forward_batch(batch, frozen)
-        logits.append(out.data)
+        csr = _layout_csr(len(batch.x), batch.edges, None, batch.entry_layout)
+        h = untaped_states(batch.x, csr, params)
+        pooled = _pool_matrix(batch.node_offsets) @ h
+        logits.append(_affine(pooled, params.head_w.data, params.head_b.data))
         bounds = batch.node_offsets.tolist()
-        states.extend(h.data[a:b] for a, b in zip(bounds, bounds[1:]))
+        states.extend(h[a:b] for a, b in zip(bounds, bounds[1:]))
     return np.concatenate(logits or [np.zeros((0, params.num_classes))]), states
 
 

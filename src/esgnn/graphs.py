@@ -312,8 +312,10 @@ def _mask_fault(
 
 
 def _node_tuple(nodes) -> tuple[int, ...]:
-    """Checked zeroed nodes as a tuple: a tuple is kept, a list becomes Python ints."""
-    return nodes if isinstance(nodes, tuple) else tuple(map(int, nodes))
+    """Checked zeroed nodes as a tuple of Python ints; such a tuple is kept as it is."""
+    if isinstance(nodes, tuple) and all(type(v) is int for v in nodes):
+        return nodes
+    return tuple(map(int, nodes))
 
 
 @dataclass(frozen=True)
@@ -321,9 +323,9 @@ class EdgeMask:
     """Per-undirected-edge selection: soft weights plus hard bits.
 
     ``zeroed_nodes`` flags feature rows to blank at encoding time (node
-    deletion); index removal never happens.  It is kept as a tuple: a tuple
-    as given, a list as a tuple of Python ints, so a mask compares equal to
-    the one read back from bag JSON (numpy integers equal Python ones).
+    deletion); index removal never happens.  It is kept as a tuple of
+    Python ints, numpy integers converted, so a mask equals the one read
+    back from bag JSON and has the same ``repr``.
     ``EdgeMask.block`` builds a bag's masks from (m, E) blocks, checked with
     the same rules in one pass.
     """
@@ -418,7 +420,7 @@ class SubgraphBag:
             nodes = m.zeroed_nodes
             if nodes and not (min(nodes) >= 0 and max(nodes) < n):
                 raise ValueError(
-                    f"mask {k} zeroes nodes {tuple(map(int, nodes))} outside 0..{n - 1}"
+                    f"mask {k} zeroes nodes {nodes} outside 0..{n - 1}"
                 )
 
     def __len__(self) -> int:

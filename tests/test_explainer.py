@@ -92,8 +92,17 @@ class TestTraining:
             seen.append((mask_values is not None, out[0].requires_grad))
             return out
 
+        states = gin.untaped_states
+
+        def untaped_spy(x, csr, params):
+            # frozen_forward's layers, for the targets and the node states
+            out = states(x, csr, params)
+            seen.append((False, isinstance(out, Tensor) and out.requires_grad))
+            return out
+
         monkeypatch.setattr(gin, "backbone_forward_batch", spy)
         monkeypatch.setattr(explainer, "backbone_forward_batch", spy)
+        monkeypatch.setattr(gin, "untaped_states", untaped_spy)
         before = named_arrays(backbone)
         train_explainer(graphs, backbone, ExplainerConfig(epochs=1, batch_size=6))
         assert seen and all(masked == taped for masked, taped in seen)
@@ -223,6 +232,21 @@ def test_concrete_sample_draws_one_row_per_seed_from_that_seed_alone():
     assert same_bits(rows[0], rows[2]) and not np.array_equal(rows[0], rows[1])
     for noise_scale in (0.0, 1.0):
         assert concrete_sample(omega, 0.5, noise_scale, []).data.shape == (0, 5)
+
+
+@pytest.mark.parametrize("noise_scale", [0.0, 0.7])
+def test_untaped_scores_sample_the_taped_samplers_bits(noise_scale):
+    # random scores, and -0.0, the overflow range of exp and NaN among them
+    special = [-0.0, 0.0, 800.0, -800.0, np.nan, -np.nan]
+    omega = np.concatenate([np.random.default_rng(0).standard_normal(40) * 3, special])
+    seeds = [5, [6, 1], 7]
+    taped = Tensor(omega, requires_grad=True)
+    with np.errstate(invalid="ignore"):
+        want = concrete_sample(taped, 0.45, noise_scale, seeds)
+        for untaped in (omega, omega.tolist(), Tensor(omega)):
+            got = concrete_sample(untaped, 0.45, noise_scale, seeds)
+            assert not got.requires_grad and same_bits(got.data, want.data)
+    assert want.requires_grad
 
 
 class TestTauSchedule:
@@ -548,16 +572,28 @@ class TestBagJson:
         assert str(err.value) == expected
 
 
+def test_numpy_zeroed_nodes_read_back_with_the_same_repr(triangle):
+    hard = np.array([1.0, 0.0, 0.0])  # node 2's edges (0, 2) and (1, 2) dropped
+    zeroed = (np.int64(2),)
+    masks = (EdgeMask(hard.copy(), hard, zeroed_nodes=zeroed),)
+    masks += EdgeMask.block(hard[None].copy(), hard[None], zeroed_nodes=[zeroed])
+    bag = SubgraphBag(triangle, masks, "ND")
+    loaded = bag_from_json(json.loads(json.dumps(bag_to_json(bag, 0))), triangle)
+    for mask, back in zip(bag.masks, loaded.masks):
+        assert repr(mask.zeroed_nodes) == repr(back.zeroed_nodes) == "(2,)"
+
+
 class TestFrozenForwards:
     @pytest.fixture
     def spies(self, monkeypatch):
-        """Record requires_grad of every backbone, layer-loop and edge-MLP output."""
+        """Record whether each backbone, layer-loop and edge-MLP output is taped."""
         taped = []
 
         def spy(fn):
             def wrapper(*args, **kwargs):
                 out = fn(*args, **kwargs)
-                taped.append((out[0] if isinstance(out, tuple) else out).requires_grad)
+                first = out[0] if isinstance(out, tuple) else out
+                taped.append(isinstance(first, Tensor) and first.requires_grad)
                 return out
 
             return wrapper
@@ -566,9 +602,10 @@ class TestFrozenForwards:
         monkeypatch.setattr(
             explainer, "backbone_forward_batch", spy(explainer.backbone_forward_batch)
         )
-        monkeypatch.setattr(gin, "layer_states", spy(gin.layer_states))
-        monkeypatch.setattr(explainer, "layer_states", spy(explainer.layer_states))
+        monkeypatch.setattr(gin, "untaped_states", spy(gin.untaped_states))
+        monkeypatch.setattr(explainer, "untaped_states", spy(explainer.untaped_states))
         monkeypatch.setattr(explainer, "edge_logits", spy(explainer.edge_logits))
+        monkeypatch.setattr(explainer, "_edge_mlp", spy(explainer._edge_mlp))
         return taped
 
     @staticmethod
@@ -583,9 +620,9 @@ class TestFrozenForwards:
         edge_scores(graphs[0], backbone, params)
         gin.evaluate_accuracy(graphs, backbone)
         gin.predict(graphs[0], backbone)
-        # edge_scores runs the layers and the edge MLP; evaluate_accuracy and
-        # predict each run one forward, which runs the layers
-        assert len(spies) == 6 and not any(spies)
+        # edge_scores runs the layers and the edge MLP's kernel; evaluate_accuracy
+        # and predict each run one forward, which runs the layers
+        assert len(spies) == 4 and not any(spies)
         for t in tensors:
             assert t.requires_grad
             assert np.array_equal(t.grad, np.full(t.data.shape, 7.0))
@@ -744,7 +781,8 @@ class TestFusedEdgeMlp:
     def test_untaped_it_equals_the_taped_forward_and_records_no_node(self):
         Z, edges, params, _ = self.random_inputs(1)
         taped = edge_logits(Z, edges, params)
-        out = edge_logits(Z.data, edges, params.frozen())
+        frozen = explainer.ExplainerParams(*(Tensor(t.data) for t in params.named().values()))
+        out = edge_logits(Z.data, edges, frozen)
         assert taped.requires_grad and same_bits(out.data, taped.data)
         assert not out.requires_grad and out._prev == () and out._backward is None
 

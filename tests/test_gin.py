@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import esgnn.graphs
 from esgnn import autodiff, explainer, gin
@@ -933,3 +935,167 @@ def test_evaluate_accuracy_on_known_params(triangle, single_edge):
     params = init_backbone(np.random.default_rng(0), 1, 2)
     acc = evaluate_accuracy([triangle, single_edge], params)
     assert 0.0 <= acc <= 1.0
+
+
+def random_graph(rng, n, width, uint8, y=0):
+    """A random simple graph on n nodes, its edge rows out of key order."""
+    pairs = rng.integers(0, max(n, 1), (2 * n, 2))
+    edges = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1), axis=0)
+    if uint8:
+        x = rng.integers(0, 2, (n, width)).astype(np.uint8)
+    else:
+        x = rng.standard_normal((n, width))
+    return Graph(n, edges[rng.permutation(len(edges))], x, y)
+
+
+def assert_equal_to(a, b, exact, condition):
+    """Bit equality when ``exact``, else equality to 1e-12; ``condition`` names the rule."""
+    if exact:
+        assert same_bits(a, b), f"not bit for bit although {condition}"
+    else:
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12, err_msg=f"not {condition}")
+
+
+def untaped_batch_states(batch, params):
+    """``untaped_states`` over a batch's own CSR, its mask weights included."""
+    csr = autodiff._layout_csr(len(batch.x), batch.edges, batch.default_values, batch.entry_layout)
+    return gin.untaped_states(batch.x, csr, params)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_the_untaped_array_forward_equals_the_taped_ops(data):
+    """``frozen_forward``, ``untaped_states`` and ``edge_scores`` against the taped ops.
+
+    The taped side is ``backbone_forward_batch`` and ``edge_logits`` with
+    every parameter requiring a gradient: one ``_mlp`` call per layer over
+    the whole batch.  The untaped side runs the same kernels on arrays, in
+    row blocks of a patched ``ROW_BLOCK``, and ``edge_scores`` runs each
+    graph alone.  Bit equality is promised (``gin._gin_layer``,
+    ``frozen_forward``, ``edge_scores``) for a hidden width that is a
+    multiple of 8 and, for a graph run alone, at least 2 nodes; elsewhere
+    BLAS may sum a row differently by row count, so 1e-12 is required.
+    """
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # widths that are multiples of 8, where bits are promised, and any others
+    hidden = data.draw(st.one_of(st.sampled_from([8, 16, 32, 40]), st.integers(1, 40)))
+    num_layers = data.draw(st.integers(0, 4))
+    # with no layers the features go straight to the head
+    width = data.draw(st.integers(1, 3)) if num_layers else hidden
+    uint8 = data.draw(st.booleans())
+    sizes = data.draw(st.lists(st.integers(2, 14), max_size=5))
+    # a 0-node, a 1-node and an edgeless graph in every list, at drawn places
+    sizes += [0, 1, -data.draw(st.integers(2, 5))]
+    graphs = []
+    for k in data.draw(st.permutations(range(len(sizes)))):
+        n = abs(sizes[k])
+        g = random_graph(rng, n, width, uint8, y=k % 2)
+        graphs.append(dataclasses.replace(g, edges=[]) if sizes[k] < 0 else g)
+    params = init_backbone(rng, width, 2, hidden=hidden, num_layers=num_layers)
+    for layer in params.layers:
+        layer.eps.data[...] = rng.standard_normal()
+        layer.b1.data[:] = rng.standard_normal(hidden) * 0.1
+        layer.b2.data[:] = rng.standard_normal(hidden) * 0.1
+    scorer = explainer.init_explainer(rng, hidden=hidden)
+    scorer.b1.data[:] = rng.standard_normal(scorer.b1.data.shape) * 0.1
+    masks = None
+    if data.draw(st.booleans()):
+        masks = []
+        for g in graphs:
+            hard = (rng.random(g.num_edges) < 0.7).astype(np.float64)
+            zeroed = tuple(np.flatnonzero(rng.random(g.num_nodes) < 0.2).tolist())
+            masks.append(EdgeMask(hard.copy(), hard, zeroed_nodes=zeroed))
+    row_block = data.draw(st.integers(3, 9))
+    exact = hidden % 8 == 0
+    width8 = "the hidden width is a multiple of 8"
+    alone = f"{width8} and the graph, run alone, has at least 2 nodes"
+
+    batch = build_graph_batch(graphs, masks)
+    nodes, edges = batch.node_offsets, batch.edge_offsets
+    logits, h = backbone_forward_batch(batch, params)
+    omega = explainer.edge_logits(h, batch.edges, scorer)
+    assert logits.requires_grad and omega.requires_grad
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gin, "ROW_BLOCK", row_block)
+        if masks is not None:
+            assert_equal_to(untaped_batch_states(batch, params), h.data, exact, width8)
+            # each graph alone with its mask: its edges' weights need no shift
+            for k, (g, mask) in enumerate(zip(graphs, masks)):
+                got = untaped_batch_states(build_graph_batch([g], [mask]), params)
+                rows = h.data[nodes[k] : nodes[k + 1]]
+                assert_equal_to(got, rows, exact and g.num_nodes >= 2, alone)
+            return
+        untaped_logits, states = frozen_forward(graphs, params)
+        scores = [explainer.edge_scores(g, params, scorer) for g in graphs]
+    assert [z.shape for z in states] == [(g.num_nodes, hidden) for g in graphs]
+    assert_equal_to(np.concatenate(states), h.data, exact, width8)
+    assert_equal_to(untaped_logits, logits.data, exact, width8)
+    for k, g in enumerate(graphs):
+        # edge_scores runs the graph alone: its states are the batch's under
+        # the promise, and the edge MLP then runs on the same arrays
+        z = Tensor(h.data[nodes[k] : nodes[k + 1]], requires_grad=True)
+        want = explainer.edge_logits(z, g.edges, scorer).data
+        assert_equal_to(scores[k], want, exact and g.num_nodes >= 2, alone)
+        # no promise: the batch's MLP multiplies more rows by the one-column
+        # weight, and BLAS may sum a row differently by the row count
+        batch_rows = "equal to the batch's edge logits"
+        assert_equal_to(scores[k], omega.data[edges[k] : edges[k + 1]], False, batch_rows)
+
+
+def test_frozen_forward_and_edge_scores_make_no_tensor_and_touch_no_grad(monkeypatch):
+    # 25-node graphs: 41 of them are 1025 rows, two row blocks and a leftover row
+    graphs = list(generate_ba2motifs(42, seed=5).graphs)[:41]
+    params = init_backbone(np.random.default_rng(4), 1, 2, hidden=8, num_layers=3)
+    scorer = explainer.init_explainer(np.random.default_rng(5), hidden=8)
+    tensors = [t for p in (params, scorer) for t in p.named().values()]
+    for t in tensors:
+        t.grad = np.full(t.data.shape, 7.0)
+    # a graph's first edge_scores call builds its kept adjacency, whose unit
+    # weights are a Tensor; every later call builds nothing
+    for g in graphs[:3]:
+        g.adjacency
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an untaped forward made a Tensor")
+
+    monkeypatch.setattr(autodiff.Tensor, "__init__", refuse)
+    logits, states = frozen_forward(graphs, params)
+    hits = logits.argmax(axis=1) == [g.y for g in graphs]
+    assert evaluate_accuracy(graphs, params) == hits.mean()
+    for g in graphs[:3]:
+        assert explainer.edge_scores(g, params, scorer).shape == (g.num_edges,)
+    monkeypatch.undo()
+    assert len(states) == 41
+    for t in tensors:
+        assert t.requires_grad and np.array_equal(t.grad, np.full(t.data.shape, 7.0))
+
+
+class TestUntapedInputChecks:
+    """The checks of the taped ops hold on the untaped array path too."""
+
+    def test_a_feature_width_that_is_not_layer_0s_is_rejected(self, triangle):
+        params = init_backbone(np.random.default_rng(0), 3, 2, hidden=8, num_layers=2)
+        scorer = explainer.init_explainer(np.random.default_rng(1), hidden=8)
+        with pytest.raises(ValueError, match="^feature dim 1 vs layer-0 input 3$"):
+            frozen_forward([triangle], params)
+        with pytest.raises(ValueError, match="^feature dim 1 vs layer-0 input 3$"):
+            explainer.edge_scores(triangle, params, scorer)
+
+    def test_an_explainer_not_twice_the_hidden_width_wide_is_rejected(self, triangle):
+        params = init_backbone(np.random.default_rng(0), 1, 2, hidden=8, num_layers=2)
+        scorer = explainer.init_explainer(np.random.default_rng(1), hidden=4)
+        message = re.escape("edge MLP: states (3, 8) vs weight (8, 32)")
+        for run in (
+            lambda: explainer.edge_scores(triangle, params, scorer),
+            lambda: explainer.generate_bag_topk(triangle, params, scorer),
+            lambda: explainer.generate_bag_noise(triangle, params, scorer, 3, 1.0, 0),
+        ):
+            with pytest.raises(autodiff.DimensionError, match=f"^{message}$"):
+                run()
+
+    def test_a_layer_whose_weight_does_not_fit_the_states_is_rejected(self, triangle):
+        params = init_backbone(np.random.default_rng(0), 1, 2, hidden=8, num_layers=2)
+        params.layers[1].w1 = Tensor(np.zeros((4, 8)))
+        message = re.escape("GIN layer: states (3, 8) vs weight (4, 8)")
+        with pytest.raises(autodiff.DimensionError, match=f"^{message}$"):
+            frozen_forward([triangle], params)

@@ -769,4 +769,6 @@ def test_block_raises_the_first_fault_that_a_row_by_row_check_finds(data):
     for k, mask in enumerate(masks):
         row = min(k, m - 1)
         assert same_bits(mask.soft, soft[row]) and same_bits(mask.hard, hard[row])
-        assert all(getattr(mask, attr) is want for attr, want in rows[row].items())
+        assert mask.budget is rows[row]["budget"] and mask.seed is rows[row]["seed"]
+        assert mask.zeroed_nodes == rows[row]["zeroed_nodes"]
+        assert all(type(v) is int for v in mask.zeroed_nodes)
