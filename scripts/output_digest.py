@@ -45,7 +45,9 @@ and bytes of every array of:
   noise masks through ``build_graph_batch(graphs, masks)`` under the
   trained models, and [shuffled_batches] 8 of the large graphs with their
   edge rows shuffled out of key order, unmasked and with node-deleted
-  masks: logits and node states;
+  masks: logits and node states.  Both run ``backbone_forward_batch`` with
+  ``BackboneParams.frozen()``: the taped op with nothing taped, one kernel
+  call over all of a batch's rows per layer, with no row blocks;
 - a taped ``mask_values`` forward, [taped_mask_values_trained] over the 21
   graphs with a zero-node and an edgeless graph under the trained models,
   and [taped_mask_values_fresh] over the 8 shuffled and 4 more large graphs

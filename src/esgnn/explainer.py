@@ -4,16 +4,18 @@ A small MLP maps concatenated endpoint embeddings [z_i ; z_j] to one logit
 per undirected edge.  Its forward arithmetic lives once, in the array
 kernel ``_edge_mlp``: one gather of both endpoints, then the GIN layer's
 MLP kernel ``gin._mlp``.  ``edge_logits`` is the taped op around it, from
-the gather to the logits, with ``gin._mlp_grads`` as its backward.
-Soft weights come from a binary-concrete relaxation (logistic noise,
-temperature tau), all drawn by ``concrete_sample``: taped in training, on
-arrays through ``autodiff._sigmoid`` for the bag generators' untaped
-scores.  The classifier only ever sees hard binary masks, obtained either
-by thresholding or by an exact top-K budget, with a straight-through
+the gather to the logits, with ``gin._mlp_grads`` as its backward; it has
+one mode, and untaped scores call the kernel on arrays instead.  Soft
+weights come from a binary-concrete relaxation (logistic noise,
+temperature tau), all drawn by ``concrete_sample``: by taped ops for a
+Tensor of logits, as in training, and on arrays through
+``autodiff._sigmoid`` for the bag generators' array scores.  The
+classifier only ever sees hard binary masks, obtained either by
+thresholding or by an exact top-K budget, with a straight-through
 estimator carrying gradients back to the logits.  The sparsity penalty
 acts on the hard bits, i.e. it counts selected edges.
 ``edge_scores`` runs only the backbone's layers, by ``gin.untaped_states``
-on the CSR of its one graph's cached ``Graph.adjacency``, with no batch,
+on its one graph's cached CSR, ``Graph.adjacency``, with no batch,
 pooling or head, then ``_edge_mlp``, all on the parameters' arrays: it
 makes no Tensor, frozen view or closure.  ``train_explainer`` scores a
 batch's ``edges`` on the node states one ``frozen_forward`` returned, and
@@ -76,6 +78,7 @@ from .graphs import (
     _check_count,
     _check_real,
     _is_int,
+    _is_real,
 )
 from .optim import AdamState, TrainingError, step_from_gradients
 
@@ -183,22 +186,20 @@ def _edge_mlp(Z, edges, w1, b1, w2, b2):
     return pair, h, out.reshape(len(edges))
 
 
-def edge_logits(Z: Tensor | np.ndarray, edges: np.ndarray, params: ExplainerParams) -> Tensor:
+def edge_logits(Z: Tensor, edges: np.ndarray, params: ExplainerParams) -> Tensor:
     """One logit per undirected edge from [z_i ; z_j] on the canonical i < j pair.
 
     One taped op over ``Z``, ``w1``, ``b1``, ``w2`` and ``b2`` whose forward
-    is ``_edge_mlp``; untaped it keeps nothing, records no node and makes no
-    closure.  The backward is ``gin._mlp_grads``, which sums the pairs'
-    gradient onto each end by one product with that end's
-    ``autodiff.segment_matrix`` and adds the two, with the same arithmetic
-    as the composed ``gather_rows``/``concat_cols``/``linear``/``relu``/
-    ``linear``/``reshape`` ops, so the two agree bit for bit.
+    is ``_edge_mlp``; with no input taped, ``custom_primitive`` records
+    nothing.  Untaped scores run ``_edge_mlp`` on arrays (``edge_scores``).
+    The backward is ``gin._mlp_grads``, which sums the pairs' gradient onto
+    each end by one product with that end's ``autodiff.segment_matrix`` and
+    adds the two, with the same arithmetic as the composed ``gather_rows``/
+    ``concat_cols``/``linear``/``relu``/``linear``/``reshape`` ops, so the
+    two agree bit for bit.
     """
-    Z = Z if isinstance(Z, Tensor) else Tensor(Z)
     w1, b1, w2, b2 = params.w1, params.b1, params.w2, params.b2
     pair, h, logits = _edge_mlp(Z.data, edges, w1.data, b1.data, w2.data, b2.data)
-    if not any(t.requires_grad for t in (Z, w1, b1, w2, b2)):
-        return Tensor(logits)
 
     def _z_grad(gpair):
         if gpair is None:
@@ -222,11 +223,16 @@ def concrete_sample(omega: Tensor | np.ndarray, tau: float, noise_scale: float, 
 
     Row t is sigmoid((omega + noise_scale * logistic) / tau), its Logistic(0, 1)
     draws from ``default_rng(seeds[t])``.  noise_scale = 0 draws nothing and
-    gives the deterministic map sigmoid(omega / tau) in every row.  A taped
-    ``omega`` gets the taped ``add``, ``mul`` and ``sigmoid`` ops; an array
-    or untaped Tensor, as the bag generators give, the same arithmetic on
-    arrays, through ``autodiff._sigmoid``, wrapped in one Tensor.
+    gives the deterministic map sigmoid(omega / tau) in every row.  A
+    Tensor ``omega`` gets the taped ``add``, ``mul`` and ``sigmoid`` ops; an
+    array, as the bag generators give, the same arithmetic on arrays,
+    through ``autodiff._sigmoid``, wrapped in one Tensor: addition commutes
+    exactly, so both give the same bits.  ``tau`` and ``noise_scale`` must
+    be real numbers; a bool or a string counts as none.
     """
+    for name, value in (("tau", tau), ("noise_scale", noise_scale)):
+        if not _is_real(value):
+            raise ValueError(f"{name} {value!r} must be a real number")
     if not tau > 0:  # NaN too
         raise ValueError(f"temperature {tau} must be positive")
     if not (math.isfinite(noise_scale) and noise_scale >= 0):
@@ -245,7 +251,7 @@ def concrete_sample(omega: Tensor | np.ndarray, tau: float, noise_scale: float, 
         noise = np.log(u)
         noise -= np.log1p(np.negative(u, out=u), out=u)
         noise *= noise_scale
-    if isinstance(omega, Tensor) and omega.requires_grad:
+    if isinstance(omega, Tensor):
         return sigmoid((omega + Tensor(noise)) * (1.0 / tau))
     # omega + noise and the scaling by 1 / tau, in place: addition commutes exactly
     noise += logits
@@ -348,15 +354,14 @@ def edge_scores(g: Graph, backbone: BackboneParams, params: ExplainerParams) -> 
     """Raw per-edge logits omega for one graph (no gradients, no tape).
 
     Runs only the backbone's layers, with no readout, by
-    ``gin.untaped_states`` on the CSR of the graph's own
-    ``Graph.adjacency``, then ``_edge_mlp``, all on the parameters' arrays:
-    no Tensor is made, and after a graph's first call no batch or CSR is
-    built.  The node states equal those of ``frozen_forward([g])`` bit for
-    bit, and those of a batched ``frozen_forward`` call under the condition
-    that it names: a hidden width that is a multiple of 8 and a graph of at
-    least 2 nodes.
+    ``gin.untaped_states`` on the graph's own CSR, ``Graph.adjacency``,
+    then ``_edge_mlp``, all on the parameters' arrays: no Tensor is made,
+    and after a graph's first call no batch or CSR is built.  The node
+    states equal those of ``frozen_forward([g])`` bit for bit, and those of
+    a batched ``frozen_forward`` call under the condition that it names: a
+    hidden width that is a multiple of 8 and a graph of at least 2 nodes.
     """
-    z = untaped_states(g.x, g.adjacency.csr, backbone)
+    z = untaped_states(g.x, g.adjacency, backbone)
     arrays = (params.w1.data, params.b1.data, params.w2.data, params.b2.data)
     return _edge_mlp(z, g.edges, *arrays)[2]
 

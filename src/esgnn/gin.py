@@ -4,16 +4,17 @@ Each layer computes MLP((1 + eps) * H + A_mask H) where A_mask is the
 symmetric adjacency with one weight per undirected edge (0 for a masked
 edge); eps is a learnable scalar per layer.  Its forward arithmetic lives
 once, in the array kernel ``_gin_layer``: the sparse product A H, the
-scale-add and ``_mlp``, the package's one two-layer ReLU MLP, run in row
-blocks with bias tiles when the layer is untaped and has more than
-``ROW_BLOCK + 1`` rows.  Two loops call it.  ``layer_states`` runs the
-taped op ``apply_gin_layer`` per layer, whose backward returns the
-gradients of the edge weights, H, eps and the MLP's two weights and biases
-at once from ``_mlp_grads``, bit-identical to the same layer composed of
-``spmm``, ``mul``, ``add``, ``linear`` and ``relu``: both take their sums
-over rows with ``autodiff.col_sum`` and their products by transposed
-weights with ``autodiff.times_transpose``.  ``untaped_states`` calls the
-kernel directly on the parameters' arrays, with no Tensor, closure or tape
+scale-add and ``_mlp``, the package's one two-layer ReLU MLP.  Two loops
+call it, each in one mode.  ``backbone_forward_batch`` runs the taped op
+``apply_gin_layer`` per layer, one kernel call over all rows whose
+backward returns the gradients of the edge weights, H, eps and the MLP's
+two weights and biases at once from ``_mlp_grads``, bit-identical to the
+same layer composed of ``spmm``, ``mul``, ``add``, ``linear`` and ``relu``:
+both take their sums over rows with ``autodiff.col_sum`` and their
+products by transposed weights with ``autodiff.times_transpose``; with no
+input taped it records nothing.  ``untaped_states`` calls the kernel
+directly on the parameters' arrays and a bare CSR, in row blocks with bias
+tiles above ``ROW_BLOCK + 1`` rows, with no Tensor, closure or tape
 node: it is the forward of ``frozen_forward`` (and so of
 ``evaluate_accuracy``, ``predict`` and ``train_explainer``'s targets and
 node states) and of ``explainer.edge_scores``.  A batch holds its edges
@@ -78,7 +79,6 @@ __all__ = [
     "glorot",
     "init_backbone",
     "init_gin_layer",
-    "layer_states",
     "predict",
     "softmax",
     "train_backbone",
@@ -336,12 +336,13 @@ def _gin_layer(h, csr, eps, w1, b1, w2, b2, keep):
 
     Checks the states against the adjacency and the first weight, then adds
     ``(1 + eps) * h`` to ``z = A h`` and runs ``_mlp`` on it.  With ``keep``
-    it returns ``z``, the hidden activations and the output, for a backward.
-    Without it, a layer of at most ``ROW_BLOCK + 1`` rows runs the same one
-    call, and a larger one runs in blocks of ``ROW_BLOCK`` rows that stay in
-    cache, with one block's scratch for the hidden activations, the output
-    written over ``z`` when the widths match and the biases added from
-    tiles; it then returns None, None and the output.  Addition commutes
+    it returns ``z``, the hidden activations and the output, for a backward:
+    ``apply_gin_layer`` always keeps them.  Without it, as only
+    ``untaped_states`` calls it, a layer of at most ``ROW_BLOCK + 1`` rows
+    runs the same one call, and a larger one runs in blocks of ``ROW_BLOCK``
+    rows that stay in cache, with one block's scratch for the hidden
+    activations, the output written over ``z`` when the widths match and the
+    biases added from tiles; it then returns None, None and the output.  Addition commutes
     exactly, so a block's rows equal those of one call bit for bit wherever
     BLAS gives a row the same sums whatever the row count, as OpenBLAS does
     for output widths that are multiples of 8.
@@ -372,22 +373,17 @@ def _gin_layer(h, csr, eps, w1, b1, w2, b2, keep):
 def apply_gin_layer(layer: GinLayerParams, h: Tensor, adj: WeightedSparse) -> Tensor:
     """MLP((1 + eps) * h + A h) as one taped op over the layer's seven inputs.
 
-    The forward is ``_gin_layer``, kept for the backward when any input is
-    taped; an untaped layer runs it in row blocks above ``ROW_BLOCK + 1``
-    rows, keeps nothing and returns a plain Tensor of its output: no
-    closure is made and no ``custom_primitive`` called.  The backward is
-    ``_mlp_grads``, which maps the gradient of ``z`` to those of the edge
-    weights, ``h`` and ``eps``; all seven are bit for bit those of the
-    composed ``spmm``/``mul``/``add``/``linear``/``relu`` ops.
+    The forward is one ``_gin_layer`` call over all rows, kept for the
+    backward; when no input is taped, ``custom_primitive`` records nothing.
+    The backward is ``_mlp_grads``, which maps the gradient of ``z`` to
+    those of the edge weights, ``h`` and ``eps``; all seven are bit for bit
+    those of the composed ``spmm``/``mul``/``add``/``linear``/``relu`` ops.
     """
     weights = adj.weights
     eps, w1, b1, w2, b2 = layer.eps, layer.w1, layer.b1, layer.w2, layer.b2
-    taped = any(t.requires_grad for t in (weights, h, eps, w1, b1, w2, b2))
     z, r, out = _gin_layer(
-        h.data, adj.csr, eps.data, w1.data, b1.data, w2.data, b2.data, keep=taped
+        h.data, adj.csr, eps.data, w1.data, b1.data, w2.data, b2.data, keep=True
     )
-    if not taped:
-        return Tensor(out)
     needs_gz = weights.requires_grad or h.requires_grad or eps.requires_grad
 
     def _input_grads(gz):
@@ -414,26 +410,14 @@ def _check_features(x: np.ndarray, params: BackboneParams) -> None:
         raise ValueError(f"feature dim {x.shape[1]} vs layer-0 input {params.in_dim}")
 
 
-def layer_states(x: np.ndarray, adj: WeightedSparse, params: BackboneParams) -> Tensor:
-    """Last-layer node states of features ``x`` over ``adj``: every GIN layer, taped.
-
-    The layer loop of ``backbone_forward_batch``; ``untaped_states`` is the
-    same loop on arrays.
-    """
-    _check_features(x, params)
-    h = Tensor(x)
-    for layer in params.layers:
-        h = apply_gin_layer(layer, h, adj)
-    return h
-
-
 def untaped_states(x: np.ndarray, csr, params: BackboneParams) -> np.ndarray:
-    """``layer_states`` with no tape, on the parameters' arrays and the CSR ``csr``.
+    """Last-layer node states of features ``x`` over the CSR ``csr``, with no tape.
 
-    Every layer is one ``_gin_layer`` call, in row blocks above
-    ``ROW_BLOCK + 1`` rows; no Tensor is made and no ``.grad`` touched.
-    ``frozen_forward`` runs it on a batch and ``explainer.edge_scores`` on
-    one graph's cached ``Graph.adjacency``.
+    ``backbone_forward_batch``'s layer loop on the parameters' arrays: every
+    layer is one ``_gin_layer`` call, in row blocks above ``ROW_BLOCK + 1``
+    rows; no Tensor is made and no ``.grad`` touched.  ``frozen_forward``
+    runs it on a batch and ``explainer.edge_scores`` on one graph's cached
+    ``Graph.adjacency``.
     """
     _check_features(x, params)
     h = np.asarray(x, dtype=np.float64)
@@ -464,7 +448,8 @@ def backbone_forward_batch(
     """Forward over a batch; returns (logits, last-layer node states).
 
     Builds the batch adjacency once, from the batch's CSR layout with no
-    sort (``autodiff.from_layout``), and runs ``layer_states`` over it.
+    sort (``autodiff.from_layout``), and runs ``apply_gin_layer`` over it
+    per layer.
     mask_values, when given, is a per-undirected-edge weight tensor that
     overrides the batch defaults; gradients flow through it into the mask
     machinery.  Each graph's states are then summed by one product with a
@@ -472,9 +457,12 @@ def backbone_forward_batch(
     node_offsets[g + 1] - 1 in order, as segment_sum's would, and fed to
     the linear head.
     """
+    _check_features(batch.x, params)
     weights = batch.default_values if mask_values is None else mask_values
     adj = from_layout(len(batch.x), batch.edges, weights, batch.entry_layout)
-    h = layer_states(batch.x, adj, params)
+    h = Tensor(batch.x)
+    for layer in params.layers:
+        h = apply_gin_layer(layer, h, adj)
     pooled = custom_primitive(
         _pool_matrix(batch.node_offsets) @ h.data,
         (h,),

@@ -6,14 +6,14 @@ format of the package.  Batches concatenate these arrays, and only CSRs
 hold them as directed entries.  A graph sorts its directed entries once, on
 first use, into ``Graph.entry_layout``, one read-only int32 array; every
 batch CSR that holds the graph is joined from these layouts, and so is its
-own unit-weight adjacency, ``Graph.adjacency``, which it keeps, read-only,
-for one-graph forwards such as edge scoring.  Every
-subgraph view is an edge mask with one weight per row of that array.  Node
-deletion keeps the node slot and zeroes its feature row plus incident
-edges, so matrix shapes never change across a bag.  A bag's masks are built
-from (m, E) soft and hard blocks by ``EdgeMask.block``, which checks every
-row in one pass against the one-mask rules of ``_mask_fault``, the only
-code that holds them.  A mask's budget and seed are integers or None, its
+own unit-weight adjacency, ``Graph.adjacency``, a bare scipy CSR that it
+keeps, read-only, for one-graph untaped forwards such as edge scoring.
+Every subgraph view is an edge mask with one weight per row of that
+array.  Node deletion keeps the node slot and zeroes its feature row plus
+incident edges, so matrix shapes never change across a bag.  A bag's
+masks are built from (m, E) soft and hard blocks by ``EdgeMask.block``,
+which checks every row in one pass against the one-mask rules of
+``_mask_fault``, the only code that holds them.  A mask's budget and seed are integers or None, its
 zeroed nodes integers, and a bag's zeroed nodes lie in its base graph, so
 every bag that ``explainer.bag_to_json`` writes reads back.
 """
@@ -27,8 +27,9 @@ from functools import cached_property
 from itertools import repeat
 
 import numpy as np
+import scipy.sparse
 
-from .autodiff import WeightedSparse, from_layout, sort_entries
+from .autodiff import _layout_csr, sort_entries
 
 __all__ = [
     "EdgeMask",
@@ -70,12 +71,14 @@ def _check_count(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} {value} must be >= {minimum}")
 
 
-def _check_real(name: str, value) -> None:
-    """Raise ValueError naming ``name`` unless ``value`` is a finite real number.
+def _is_real(value) -> bool:
+    """True for Python and numpy real numbers; a bool counts as none, and so does a str."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
-    A bool counts as none, and so does a string such as "0.1".
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+
+def _check_real(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a finite real number (``_is_real``)."""
+    if not _is_real(value):
         raise ValueError(f"{name} {value!r} must be a real number")
     if not math.isfinite(value):
         raise ValueError(f"{name} {value} must be finite")
@@ -222,20 +225,18 @@ class Graph:
         return layout
 
     @cached_property
-    def adjacency(self) -> WeightedSparse:
-        """The unit-weight symmetric adjacency, built on first use and kept.
+    def adjacency(self) -> scipy.sparse.csr_matrix:
+        """The unit-weight symmetric adjacency as a scipy CSR, built on first use and kept.
 
         The graph is immutable, so its CSR is too: its arrays are read-only.
-        Its columns are a view of ``entry_layout`` and it shares the graph's
-        ``edges``; its unit weights are one float64 broadcast to E entries
-        (no op reads them untaped), so beyond the layout it keeps the CSR's
-        values, 16 bytes per edge, and its row pointers, 4 bytes per node
-        plus 4.
+        Its columns are a view of ``entry_layout``, so beyond the layout it
+        keeps its values, 16 bytes per edge, and its row pointers, 4 bytes
+        per node plus 4.
         """
-        adj = from_layout(self.num_nodes, self.edges, None, self.entry_layout)
-        adj.csr.data.flags.writeable = False
-        adj.csr.indptr.flags.writeable = False
-        return adj
+        csr = _layout_csr(self.num_nodes, self.edges, None, self.entry_layout)
+        csr.data.flags.writeable = False
+        csr.indptr.flags.writeable = False
+        return csr
 
     def edge_array(self) -> np.ndarray:
         """``edges``, the read-only (E, 2) intp array (empty -> shape (0, 2))."""
@@ -448,8 +449,12 @@ def policy_node_deleted(g: Graph) -> SubgraphBag:
 
 
 def sample_bag(bag: SubgraphBag, fraction: float, seed: int) -> SubgraphBag:
-    """Keep ceil(fraction * m) masks, sampled uniformly without replacement."""
+    """Keep ceil(fraction * m) masks, sampled uniformly without replacement.
+
+    ``fraction`` is a real number in (0, 1] (``_is_real``)."""
     _check_count("seed", seed, 0)
+    if not _is_real(fraction):
+        raise ValueError(f"fraction {fraction!r} must be a real number")
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction {fraction} outside (0, 1]")
     m = len(bag.masks)

@@ -31,7 +31,7 @@ pass holds more than a small multiple of the edge rows.
 Node features (node-label or degree one-hot, or one constant column) are
 built as one uint8 block of 0s and 1s, one byte per entry: float64 appears
 only where arithmetic starts, in ``gin.build_graph_batch``'s batch copy and
-``gin.layer_states``.
+``gin.untaped_states``, which widens one graph's features for edge scoring.
 """
 
 from __future__ import annotations

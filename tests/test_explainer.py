@@ -199,14 +199,14 @@ def test_config_rejects_a_float_field_that_is_no_real_number_by_name(name, bad):
         ExplainerConfig(**{name: bad})
 
 
-@pytest.mark.parametrize("noise_scale", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("noise_scale", [float("nan"), float("inf"), -1.0, "0.3", None, True])
 class TestNoiseScaleIsChecked:
     def test_by_generate_bag_noise(self, graphs, backbone, params, noise_scale):
-        with pytest.raises(ValueError, match=f"noise_scale {noise_scale} must be"):
+        with pytest.raises(ValueError, match=re.escape(f"noise_scale {noise_scale!r} must be")):
             generate_bag_noise(graphs[0], backbone, params, m=2, noise_scale=noise_scale, seed=0)
 
     def test_by_concrete_sample(self, noise_scale):
-        with pytest.raises(ValueError, match=f"noise_scale {noise_scale} must be"):
+        with pytest.raises(ValueError, match=re.escape(f"noise_scale {noise_scale!r} must be")):
             concrete_sample(np.zeros(3), 1.0, noise_scale, [0])
 
 
@@ -221,6 +221,15 @@ def test_generate_bag_noise_rejects_a_bag_size_that_is_no_positive_integer(
 def test_concrete_sample_rejects_a_nan_temperature():
     with pytest.raises(ValueError, match="temperature nan must be positive"):
         concrete_sample(np.zeros(3), float("nan"), 1.0, [0])
+
+
+@pytest.mark.parametrize("tau", ["0.3", None, True])
+def test_concrete_sample_rejects_a_temperature_that_is_no_real_number(tau):
+    with pytest.raises(ValueError, match=re.escape(f"tau {tau!r} must be a real number")):
+        concrete_sample(np.zeros(3), tau, 1.0, [0])
+    # numpy reals are real numbers
+    want = concrete_sample(np.zeros(3), 0.5, 1.0, [0]).data
+    assert same_bits(concrete_sample(np.zeros(3), np.float64(0.5), np.float32(1.0), [0]).data, want)
 
 
 def test_concrete_sample_draws_one_row_per_seed_from_that_seed_alone():
@@ -635,7 +644,7 @@ def test_edge_scores_read_the_frozen_forwards_states_and_build_no_batch(
         raise AssertionError("edge_scores built a batch")
 
     states = gin.frozen_forward(graphs, backbone)[1]
-    want = [edge_logits(z, g.edges, params).data for g, z in zip(graphs, states)]
+    want = [edge_logits(Tensor(z), g.edges, params).data for g, z in zip(graphs, states)]
     assert not any("adjacency" in vars(g) for g in graphs)
     monkeypatch.setattr(gin, "build_graph_batch", refuse)
     monkeypatch.setattr(explainer, "build_graph_batch", refuse)
@@ -654,7 +663,7 @@ def test_warm_edge_scores_build_no_batch_and_no_adjacency(graphs, backbone, para
     monkeypatch.setattr(explainer, "build_graph_batch", refuse)
     # every namespace that holds a function that sorts entries or builds a CSR
     for module in (autodiff, gin, esgnn.graphs):
-        for name in ("assemble", "sort_entries", "from_layout"):
+        for name in ("assemble", "sort_entries", "from_layout", "_layout_csr"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     for _ in range(2):
@@ -670,7 +679,7 @@ def test_integer_features_score_like_their_float_copy(graphs, backbone, params):
     want = edge_scores(as_float, backbone, params)
     assert same_bits(edge_scores(as_int, backbone, params), want)
     (z,) = gin.frozen_forward([as_int], backbone)[1]
-    assert same_bits(edge_logits(z, g.edges, params).data, want)
+    assert same_bits(edge_logits(Tensor(z), g.edges, params).data, want)
 
 
 def test_edge_scores_name_a_feature_width_mismatch(triangle, params):
@@ -782,7 +791,7 @@ class TestFusedEdgeMlp:
         Z, edges, params, _ = self.random_inputs(1)
         taped = edge_logits(Z, edges, params)
         frozen = explainer.ExplainerParams(*(Tensor(t.data) for t in params.named().values()))
-        out = edge_logits(Z.data, edges, frozen)
+        out = edge_logits(Tensor(Z.data), edges, frozen)
         assert taped.requires_grad and same_bits(out.data, taped.data)
         assert not out.requires_grad and out._prev == () and out._backward is None
 

@@ -210,8 +210,10 @@ class TestFusedGinLayer:
     # taken into it (8), 1 whole block and 2 rows (9), 2 (14), 2 and a lone
     # leftover row (15), 3 (21), and 3 and a leftover of 1, 2 and 6 rows;
     # width 8, for which OpenBLAS gives a row the same sums whatever the row
-    # count.  Only the untaped layer runs in blocks; an input width of 8
-    # lets it write its output over A h.
+    # count.  Only the untaped kernel, ``_gin_layer(keep=False)`` as
+    # ``untaped_states`` calls it, runs in blocks; the taped op makes one
+    # call, taped or not.  An input width of 8 lets the kernel write its
+    # output over A h.
     @pytest.mark.parametrize("n", [0, 5, 8, 9, 14, 15, 21, 22, 23, 27])
     def test_row_blocks_give_the_output_and_all_seven_gradients_of_one_block(
         self, monkeypatch, n
@@ -227,6 +229,7 @@ class TestFusedGinLayer:
         for in_dim in (3, 8):
             edges, values, h, layer, upstream = self.random_layer(n, in_dim)
             frozen = GinLayerParams(*(Tensor(t.data) for t in layer.named("l").values()))
+            arrays = (layer.eps.data, layer.w1.data, layer.b1.data, layer.w2.data, layer.b2.data)
             results = []
             for row_block in row_blocks:
                 monkeypatch.setattr(gin, "ROW_BLOCK", row_block)
@@ -235,24 +238,30 @@ class TestFusedGinLayer:
                     t.grad = None
                 out = apply_gin_layer(layer, h, assemble(n, edges, values))
                 sum_all(mul(out, upstream)).backward()
-                taped_bias_dims = set(bias_dims)
-                bias_dims.clear()
-                inputs = (values, h, layer.eps, layer.w1, layer.b1, layer.w2, layer.b2)
                 untaped = apply_gin_layer(frozen, Tensor(h.data), assemble(n, edges, values.data))
-                assert not np.shares_memory(untaped.data, h.data)
-                results.append([out.data, untaped.data] + [t.grad.copy() for t in inputs])
-                # tiles exactly when the layer is untaped and has more than ROW_BLOCK + 1 rows
-                assert taped_bias_dims == {1}
+                assert untaped._prev == () and untaped._backward is None
+                op_bias_dims = set(bias_dims)
+                bias_dims.clear()
+                csr = assemble(n, edges, values.data).csr
+                kernel = gin._gin_layer(h.data, csr, *arrays, keep=False)[2]
+                assert not np.shares_memory(kernel, h.data)
+                inputs = (values, h, layer.eps, layer.w1, layer.b1, layer.w2, layer.b2)
+                results.append([out.data, untaped.data, kernel] + [t.grad.copy() for t in inputs])
+                # tiles exactly in the untaped kernel of more than ROW_BLOCK + 1 rows
+                assert op_bias_dims == {1}
                 assert set(bias_dims) == ({2} if n > row_block + 1 else {1})
             one_block, blocked = results
             assert one_block[0].shape == (n, 8)
-            assert all(same_bits(a, one_block[0]) for a in (one_block[1], *blocked[:2]))
-            assert all(same_bits(a, b) for a, b in zip(one_block[2:], blocked[2:]))
+            assert all(same_bits(a, one_block[0]) for a in (*one_block[1:3], *blocked[:3]))
+            assert all(same_bits(a, b) for a, b in zip(one_block[3:], blocked[3:]))
 
     # with ROW_BLOCK 7, 22 rows are 3 blocks; a layer taped through its edge
-    # weights alone is train_explainer's, through all seven train_backbone's
+    # weights alone is train_explainer's, through all seven train_backbone's;
+    # the taped op makes one call over all rows even with nothing taped, and
+    # only the untaped kernel runs in blocks
     @pytest.mark.parametrize(
-        "taped, rows", [("all", [22]), ("weights", [22]), ("none", [7, 7, 8])]
+        "taped, rows",
+        [("all", [22]), ("weights", [22]), ("none", [22]), ("kernel", [7, 7, 8])],
     )
     def test_only_an_untaped_layer_above_one_block_runs_in_blocks(self, monkeypatch, taped, rows):
         mlp, calls = gin._mlp, []
@@ -264,6 +273,11 @@ class TestFusedGinLayer:
         monkeypatch.setattr(gin, "_mlp", spy)
         monkeypatch.setattr(gin, "ROW_BLOCK", 7)
         edges, values, h, layer, _ = self.random_layer(22, 8)
+        if taped == "kernel":
+            arrays = (layer.eps.data, layer.w1.data, layer.b1.data, layer.w2.data, layer.b2.data)
+            gin._gin_layer(h.data, assemble(22, edges, values.data).csr, *arrays, keep=False)
+            assert calls == rows
+            return
         if taped != "all":
             layer = GinLayerParams(*(Tensor(t.data) for t in layer.named("l").values()))
             h = Tensor(h.data)
@@ -956,6 +970,13 @@ def assert_equal_to(a, b, exact, condition):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12, err_msg=f"not {condition}")
 
 
+def pooled_logits(states, params):
+    """The pooling oracle: the head over each graph's node rows summed by numpy."""
+    hidden = params.head_w.data.shape[0]
+    pooled = np.array([z.sum(axis=0) for z in states]).reshape(len(states), hidden)
+    return pooled @ params.head_w.data + params.head_b.data
+
+
 def untaped_batch_states(batch, params):
     """``untaped_states`` over a batch's own CSR, its mask weights included."""
     csr = autodiff._layout_csr(len(batch.x), batch.edges, batch.default_values, batch.entry_layout)
@@ -969,9 +990,12 @@ def test_the_untaped_array_forward_equals_the_taped_ops(data):
 
     The taped side is ``backbone_forward_batch`` and ``edge_logits`` with
     every parameter requiring a gradient: one ``_mlp`` call per layer over
-    the whole batch.  The untaped side runs the same kernels on arrays, in
-    row blocks of a patched ``ROW_BLOCK``, and ``edge_scores`` runs each
-    graph alone.  Bit equality is promised (``gin._gin_layer``,
+    the whole batch.  The taped ops have one mode, so a frozen backbone and
+    scorer, a taped ``mask_values`` or both give the same bits, and with
+    nothing taped they record no tape node.  Both sides' logits equal an
+    independent pooling oracle to 1e-12.  The untaped side runs the same
+    kernels on arrays, in row blocks of a patched ``ROW_BLOCK``, and
+    ``edge_scores`` runs each graph alone.  Bit equality is promised (``gin._gin_layer``,
     ``frozen_forward``, ``edge_scores``) for a hidden width that is a
     multiple of 8 and, for a graph run alone, at least 2 nodes; elsewhere
     BLAS may sum a row differently by row count, so 1e-12 is required.
@@ -1015,6 +1039,27 @@ def test_the_untaped_array_forward_equals_the_taped_ops(data):
     logits, h = backbone_forward_batch(batch, params)
     omega = explainer.edge_logits(h, batch.edges, scorer)
     assert logits.requires_grad and omega.requires_grad
+    bounds = nodes.tolist()
+    graph_rows = [h.data[a:b] for a, b in zip(bounds, bounds[1:])]
+    np.testing.assert_allclose(logits.data, pooled_logits(graph_rows, params), 1e-12, 1e-12)
+    # the same ops with a frozen backbone and scorer, a taped mask, or both
+    frozen, taped_mask = data.draw(st.booleans()), data.draw(st.booleans())
+    model, edge_model = params, scorer
+    if frozen:
+        model = params.frozen()
+        edge_model = explainer.ExplainerParams(*(Tensor(t.data) for t in scorer.named().values()))
+    values = None
+    if taped_mask:
+        weights = np.ones(len(batch.edges)) if masks is None else batch.default_values
+        values = Tensor(weights, requires_grad=True)
+    other_logits, other_h = backbone_forward_batch(batch, model, values)
+    other_omega = explainer.edge_logits(other_h, batch.edges, edge_model)
+    # with no layers the mask reaches nothing
+    assert other_logits.requires_grad == (not frozen or (taped_mask and num_layers > 0))
+    for got, want in ((other_logits, logits), (other_h, h), (other_omega, omega)):
+        assert same_bits(got.data, want.data)
+        if frozen and not taped_mask:
+            assert not got.requires_grad and got._prev == () and got._backward is None
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gin, "ROW_BLOCK", row_block)
         if masks is not None:
@@ -1030,6 +1075,7 @@ def test_the_untaped_array_forward_equals_the_taped_ops(data):
     assert [z.shape for z in states] == [(g.num_nodes, hidden) for g in graphs]
     assert_equal_to(np.concatenate(states), h.data, exact, width8)
     assert_equal_to(untaped_logits, logits.data, exact, width8)
+    np.testing.assert_allclose(untaped_logits, pooled_logits(states, params), 1e-12, 1e-12)
     for k, g in enumerate(graphs):
         # edge_scores runs the graph alone: its states are the batch's under
         # the promise, and the edge MLP then runs on the same arrays
@@ -1050,10 +1096,6 @@ def test_frozen_forward_and_edge_scores_make_no_tensor_and_touch_no_grad(monkeyp
     tensors = [t for p in (params, scorer) for t in p.named().values()]
     for t in tensors:
         t.grad = np.full(t.data.shape, 7.0)
-    # a graph's first edge_scores call builds its kept adjacency, whose unit
-    # weights are a Tensor; every later call builds nothing
-    for g in graphs[:3]:
-        g.adjacency
 
     def refuse(self, *args, **kwargs):
         raise AssertionError("an untaped forward made a Tensor")

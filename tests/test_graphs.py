@@ -263,9 +263,9 @@ class TestAdjacency:
         # every array the graph keeps beyond its edges and features: once a
         # batch has used it, its layout's int32 column and edge of each
         # directed entry (8 + 8 bytes per edge); once its adjacency is built,
-        # also the CSR's values (16 bytes per edge), its int32 row pointers (4
-        # bytes per node, plus 4) and the one float64 its unit weights
-        # broadcast.  The CSR's columns are the layout's first half.
+        # also the CSR's values (16 bytes per edge) and its int32 row pointers
+        # (4 bytes per node, plus 4).  The CSR's columns are the layout's
+        # first half.
         rng = np.random.default_rng(0)
         n = 200
         pairs = rng.integers(0, n, (900, 2))
@@ -280,18 +280,16 @@ class TestAdjacency:
         build_graph_batch([g, g])
         assert kept_bytes() == 16 * g.num_edges
         adj = g.adjacency
-        assert kept_bytes() == 32 * g.num_edges + 4 * (n + 1) + 8
-        assert np.shares_memory(adj.csr.indices, g.entry_layout)
-        assert same_bits(adj.weights.data, np.ones(g.num_edges))
+        assert kept_bytes() == 32 * g.num_edges + 4 * (n + 1)
+        assert np.shares_memory(adj.indices, g.entry_layout)
 
     def test_is_built_on_first_use_and_kept(self, cycle6):
         assert "adjacency" not in vars(cycle6)
         adj = cycle6.adjacency
-        assert cycle6.adjacency is adj and adj.edges is cycle6.edges
-        assert not adj.weights.requires_grad
+        assert cycle6.adjacency is adj and isinstance(adj, scipy.sparse.csr_matrix)
 
     def test_its_csr_arrays_are_read_only(self, cycle6):
-        csr = cycle6.adjacency.csr
+        csr = cycle6.adjacency
         assert not any(a.flags.writeable for a in (csr.data, csr.indices, csr.indptr))
         with pytest.raises(ValueError, match="read-only"):
             csr.data[0] = 2.0
@@ -303,7 +301,7 @@ class TestAdjacency:
     def test_equals_a_fresh_unit_assembly_bit_for_bit(self, n, edges):
         g = make_graph(n, edges)
         want = assemble(n, g.edges, np.ones(g.num_edges)).csr
-        got = g.adjacency.csr
+        got = g.adjacency
         assert got.shape == (n, n)
         for name in ("indptr", "indices", "data"):
             assert same_bits(getattr(got, name), getattr(want, name))
@@ -312,9 +310,9 @@ class TestAdjacency:
         adj = path4.adjacency
         same = dataclasses.replace(path4)
         assert "adjacency" not in vars(same) and same.adjacency is not adj
-        assert same_bits(same.adjacency.csr.data, adj.csr.data)
+        assert same_bits(same.adjacency.data, adj.data)
         fewer = dataclasses.replace(path4, edges=((0, 1),))
-        assert fewer.adjacency.csr.nnz == 2 and adj.csr.nnz == 6
+        assert fewer.adjacency.nnz == 2 and adj.nnz == 6
 
     def test_equality_ignores_it_and_builds_none(self, path4):
         path4.adjacency
@@ -397,6 +395,20 @@ class TestSampleBag:
         # also when the fraction keeps every mask and no draw is made
         with pytest.raises(ValueError, match=rf"^seed {seed!r} must be"):
             sample_bag(policy_edge_deleted(cycle6), fraction, seed=seed)
+
+    @pytest.mark.parametrize(
+        "fraction, message",
+        [
+            ("0.3", "'0.3' must be a real number"),
+            (None, "None must be a real number"),
+            (True, "True must be a real number"),
+            (float("nan"), "nan outside (0, 1]"),
+            (-0.5, "-0.5 outside (0, 1]"),
+        ],
+    )
+    def test_the_fraction_is_checked_by_name(self, cycle6, fraction, message):
+        with pytest.raises(ValueError, match="^fraction " + re.escape(message)):
+            sample_bag(policy_edge_deleted(cycle6), fraction, seed=0)
 
     def test_fraction_bounds(self, triangle):
         bag = policy_edge_deleted(triangle)
