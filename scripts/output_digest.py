@@ -55,9 +55,10 @@ and bytes of every array of:
   values and of every parameter, then ``edge_logits`` over those states
   (the trained explainer, and a fresh 32-wide one for the large graphs) and
   its gradient onto them;
-- [assemble] ``assemble``'s ``indptr``, ``indices`` and ``data`` for random
-  simple graphs of 40 and 3000 nodes, each edge flipped at random and the
-  edges shuffled, with 0.0, -0.0, NaN and +-inf among the weights;
+- [assemble] the ``indptr``, ``indices`` and ``data`` of the test oracle
+  ``tests.oracles.assemble`` (``sort_entries`` then ``from_layout``) for
+  random simple graphs of 40 and 3000 nodes, each edge flipped at random
+  and the edges shuffled, with 0.0, -0.0, NaN and +-inf among the weights;
 - [large_bags] the bag path at the benchmark's large size: ``edge_scores``,
   a top-K bag and a noise bag (m=10) of 24 Barabasi-Albert graphs (two
   edges per new node) of 100-300 nodes with degree features (cap 10), under
@@ -81,13 +82,14 @@ import dataclasses
 import hashlib
 import json
 import random
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from esgnn import explainer, gin, tud
-from esgnn.autodiff import Tensor, assemble, cross_entropy_mean, mul, sigmoid, sum_all
+from esgnn.autodiff import Tensor, cross_entropy_mean, mul, sigmoid, sum_all
 from esgnn.ba2motifs import generate_ba2motifs
 from esgnn.graphs import (
     FeatureSpec,
@@ -97,6 +99,10 @@ from esgnn.graphs import (
     policy_node_deleted,
     sample_bag,
 )
+
+# the repo root, for the test oracle that builds an adjacency from bare edges
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.oracles import assemble  # noqa: E402
 
 
 class Digest:

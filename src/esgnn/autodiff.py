@@ -34,14 +34,14 @@ kernel, which the op itself calls for its forward: ``_sigmoid`` for
 
 Graph adjacencies are symmetric operators over an (E, 2) array of
 undirected edges.  Their directed entries are sorted once per graph:
-:func:`sort_entries` gives the CSR layout, each entry's int32 column and
-the edge it comes from, and :func:`concat_entries` joins the layouts of a
-batch's graphs, shifted by their offsets, with no sort.
-:func:`from_layout` puts one weight tensor with a value per undirected edge
-on a layout, records no tape node, and returns a :class:`WeightedSparse`
-whose CSR every layer of one forward shares; :func:`assemble` does both
-steps for edges that no graph holds.  An op that applies the CSR takes the
-weight tensor as its input and returns its gradient per edge through
+:func:`sort_entries` gives the CSR layout of a ``graphs.Graph``'s edges,
+which the graph has checked, each entry's int32 column and the edge it
+comes from, and :func:`concat_entries` joins the layouts of a batch's
+graphs, shifted by their offsets, with no sort.  :func:`from_layout` puts
+one weight tensor with a value per undirected edge on a layout, records no
+tape node, and returns a :class:`WeightedSparse` whose CSR every layer of
+one forward shares.  An op that applies the CSR takes the weight tensor as
+its input and returns its gradient per edge through
 ``WeightedSparse.weight_grad``.  Because the operator is symmetric, the
 backward multiplies by the same CSR and no transpose is made.
 """
@@ -61,7 +61,6 @@ __all__ = [
     "Tensor",
     "WeightedSparse",
     "add",
-    "assemble",
     "col_sum",
     "concat_cols",
     "concat_entries",
@@ -438,37 +437,20 @@ def sort_entries(n: int, edges) -> np.ndarray:
     row-major order, then the edge each entry comes from.  The row pointers
     are the running sum of the node degrees and need no sort, so
     ``from_layout`` counts them.  The columns are exactly the first half of
-    the array, so scipy keeps a view of them instead of a copy.  A pair
-    given twice, in either orientation, is rejected, naming the pair.  So is
-    an n of 2**31 or more, which int32 indices cannot hold, and a size whose
-    packed sort key would overflow int64, before anything n-sized is
-    allocated.
+    the array, so scipy keeps a view of them instead of a copy.  ``edges``
+    are a ``Graph``'s, which ``Graph`` has checked: in range, with no
+    self-loop and no pair given twice.  An n of 2**31 or more, which int32
+    indices cannot hold, is rejected before anything n-sized is allocated.
     """
-    edges = np.asarray(edges, dtype=np.intp)
-    if edges.ndim != 2 or edges.shape[1] != 2:
-        raise DimensionError(f"sparse edges: shape {edges.shape}, expected (E, 2)")
-    # entry 2k is (i, j) and 2k + 1 is (j, i); its flat index i * n + j goes
-    # in the high bits of an int64 and k's entry number in the low ``bits``
-    bits = (2 * len(edges)).bit_length()
-    if n >= 2**31 or int(n) ** 2 << bits >= 2**63:
+    if n >= 2**31:
         raise DimensionError(
-            f"sort_entries: {n} nodes and {len(edges)} edges do not fit the int32 CSR"
-            f" indices (n < 2**31) and the int64 sort key (n * n * 2**{bits} < 2**63)"
+            f"sort_entries: {n} nodes do not fit the int32 CSR indices (n < 2**31)"
         )
-    if edges.size and (edges.min() < 0 or edges.max() >= n):
-        raise DimensionError(f"sparse edge endpoint out of range for {n} nodes")
-    if (edges[:, 0] == edges[:, 1]).any():
-        raise DimensionError("sparse edges: a self-loop has no symmetric pair of entries")
-    # the packed values are distinct, so one plain sort puts the entries in
-    # row-major order with ties kept in entry order, as a stable argsort of
-    # the flat index would
+    edges = np.asarray(edges, dtype=np.intp)
+    # entry 2k is (i, j) and 2k + 1 is (j, i); the flat indices i * n + j
+    # are distinct, so any sort of them gives the row-major order
     rows, cols = edges.reshape(-1), edges[:, ::-1].reshape(-1)
-    packed = np.sort(((rows * n + cols) << bits) | np.arange(len(rows)))
-    perm, ordered = packed & ((1 << bits) - 1), packed >> bits
-    repeated = ordered[1:] == ordered[:-1]
-    if repeated.any():
-        i, j = divmod(int(ordered[repeated.argmax()]), n)
-        raise DimensionError(f"sparse edges: the pair ({i}, {j}) is given twice")
+    perm = np.argsort(rows * n + cols)
     return np.concatenate((cols[perm], perm >> 1), dtype=np.int32)
 
 
@@ -536,21 +518,6 @@ def _layout_csr(n: int, edges, values, layout: np.ndarray) -> scipy.sparse.csr_m
     indptr[0] = 0
     np.cumsum(np.bincount(edges.reshape(-1), minlength=n), out=indptr[1:])
     return scipy.sparse.csr_matrix((data, layout[:half], indptr), shape=(n, n))
-
-
-def assemble(n: int, edges, weights=None) -> WeightedSparse:
-    """The n x n adjacency of the (E, 2) undirected ``edges``, one CSR.
-
-    ``from_layout`` over ``sort_entries(n, edges)``: each edge gives both of
-    its directed entries its weight, 1 when ``weights`` is None, and the
-    edges are checked as ``sort_entries`` checks them.  Records no tape
-    node: the ops that apply the CSR take ``weights`` as their input and
-    return its gradient through ``WeightedSparse.weight_grad``.  A graph
-    sorts its entries once (``Graph.entry_layout``) and a batch concatenates
-    its graphs' layouts (``concat_entries``), so neither calls this.
-    """
-    edges = np.asarray(edges, dtype=np.intp)
-    return from_layout(n, edges, weights, sort_entries(n, edges))
 
 
 def spmm(adj: WeightedSparse, x) -> Tensor:

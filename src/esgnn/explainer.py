@@ -21,23 +21,10 @@ makes no Tensor, frozen view or closure.  ``train_explainer`` scores a
 batch's ``edges`` on the node states one ``frozen_forward`` returned, and
 feeds the hard bits to the batch forward as its edge weights.  Every bag's
 masks are built from its (m, E) soft and hard blocks by
-``EdgeMask.block``, which checks all rows in one pass, and a bag's JSON
-packs and unpacks the bits of all its masks in one array pass;
-``bag_from_json`` checks the document's own structure entry by entry,
-then builds the masks through ``EdgeMask.block`` like every other bag.
-
-Where a bag op's time goes: one top-K and one m = 10 noise bag of a graph
-of 100-300 nodes, each round-tripped through JSON, took about 1.27 ms on
-one thread of a shared 2-vCPU Xeon VM (Python 3.11, numpy 2.4), timed per
-stage in a loop over 200 such graphs, against 1.33 ms or more with frozen
-views and a Tensor per layer.  The two ``edge_scores`` calls take about
-two fifths of it, about 260-290 us each, all of it the layers' and the
-MLP's arithmetic and scipy's dispatch; nearly a third of that, about 85 us
-a call, is the biases, each added to its rows by numpy's broadcast, one
-short inner loop per row.  The ten per-mask ``mask_seed`` and
-``default_rng`` draws take about a sixth, which the recorded seeds fix,
-the JSON round trip about a fifth, and the noise, sigmoid, top-K ranking
-and mask checks the remaining fifth.
+``EdgeMask.block``, and a bag's JSON packs and unpacks the bits of all its
+masks in one array pass.  ``bag_from_json`` checks only the document's own
+form and leaves every mask rule to ``graphs``: ``EdgeMask.block`` builds
+the masks and ``SubgraphBag`` the bag, as for every other bag.
 """
 
 from __future__ import annotations
@@ -77,7 +64,6 @@ from .graphs import (
     SubgraphBag,
     _check_count,
     _check_real,
-    _is_int,
     _is_real,
 )
 from .optim import AdamState, TrainingError, step_from_gradients
@@ -428,14 +414,14 @@ def bag_to_json(bag: SubgraphBag, graph_id: int) -> dict:
 def bag_from_json(doc: dict, base: Graph) -> SubgraphBag:
     """The bag ``bag_to_json`` wrote for ``base``.
 
-    ``doc`` must be an object and its ``masks`` a list of objects.  Every
-    mask's bits must be a string, decoded strictly, so a character outside
-    the base64 alphabet is an error, and checked for their byte length
-    before any is unpacked.  ``K`` and ``seed`` must be integers or null and
-    ``zeroed_nodes`` a list of node ids; a bool counts as no integer.  These
-    checks run mask by mask, and ``EdgeMask.block`` then builds the masks
-    from the unpacked bits of all of them, so an error names the graph and
-    the first bad mask.
+    Checks only what the document alone can get wrong: ``doc`` must be an
+    object with a known ``policy`` and a list of objects as ``masks``, and
+    every mask's bits a string, decoded strictly, so a character outside
+    the base64 alphabet is an error, and of the byte length ``base``'s edges
+    need, checked for every mask before any is unpacked.  Each mask's ``K``
+    holds its budget; it, ``seed`` and ``zeroed_nodes`` (none when absent)
+    go as they are to ``EdgeMask.block``, and the masks to ``SubgraphBag``,
+    which check them by ``graphs``' rules.  Every error names the graph.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"bag document is {type(doc).__name__}, expected an object")
@@ -449,10 +435,8 @@ def bag_from_json(doc: dict, base: Graph) -> SubgraphBag:
     if not isinstance(entries, list):
         kind = type(entries).__name__
         raise ValueError(f"graph {graph_id}: bag document's 'masks' is {kind}, expected a list")
-    if not entries:
-        raise ValueError(f"graph {graph_id}: bag document lists no masks")
     nbytes = (base.num_edges + 7) // 8
-    raws, budgets, seeds, zeroed_sets = [], [], [], []
+    raws = []
     for k, entry in enumerate(entries):
         if not isinstance(entry, dict):
             kind = type(entry).__name__
@@ -472,30 +456,14 @@ def bag_from_json(doc: dict, base: Graph) -> SubgraphBag:
                 f"graph {graph_id}: mask {k} has {len(raw)} bytes of bits,"
                 f" expected {nbytes} for {base.num_edges} edges"
             )
-        for key in ("K", "seed"):
-            value = entry.get(key)
-            if value is not None and not _is_int(value):
-                raise ValueError(
-                    f"graph {graph_id}: mask {k} {key} {value!r} must be an integer or null"
-                )
-        zeroed = entry.get("zeroed_nodes", [])
-        if not (isinstance(zeroed, list) and all(map(_is_int, zeroed))):
-            raise ValueError(
-                f"graph {graph_id}: mask {k} zeroed_nodes {zeroed!r} must be a list of integers"
-            )
-        zeroed = tuple(map(int, zeroed))
-        if zeroed and not (min(zeroed) >= 0 and max(zeroed) < base.num_nodes):
-            raise ValueError(
-                f"graph {graph_id}: mask {k} zeroes nodes {zeroed} outside 0..{base.num_nodes - 1}"
-            )
         raws.append(raw)
-        budgets.append(entry.get("K"))
-        seeds.append(entry.get("seed"))
-        zeroed_sets.append(zeroed)
     packed = np.frombuffer(b"".join(raws), dtype=np.uint8).reshape(len(raws), nbytes)
     hard = np.unpackbits(packed, axis=1, count=base.num_edges).astype(np.float64)
+    budgets = [entry.get("K") for entry in entries]
+    seeds = [entry.get("seed") for entry in entries]
+    zeroed = [entry.get("zeroed_nodes", []) for entry in entries]
     try:
-        masks = EdgeMask.block(hard.copy(), hard, budgets, seeds, zeroed_sets)
+        masks = EdgeMask.block(hard.copy(), hard, budgets, seeds, zeroed)
+        return SubgraphBag(base=base, masks=masks, policy_tag=doc["policy"])
     except ValueError as err:
         raise ValueError(f"graph {graph_id}: {err}") from None
-    return SubgraphBag(base=base, masks=masks, policy_tag=doc["policy"])

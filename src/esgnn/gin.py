@@ -62,7 +62,7 @@ from .autodiff import (
     linear,
     times_transpose,
 )
-from .graphs import EdgeMask, Graph, _check_count, _check_real
+from .graphs import EdgeMask, Graph, _check_count, _check_real, _misfit
 from .optim import AdamState, TrainingError, step_from_gradients
 
 __all__ = [
@@ -217,7 +217,8 @@ def build_graph_batch(
 ) -> GraphBatch:
     """One block-diagonal batch; graph gi's nodes start at row sum(n[:gi]).
 
-    Each mask sets its graph's edge weights and zeroes its ``zeroed_nodes``
+    Mask gi must fit graph gi (``graphs._misfit``; a misfit is named "mask
+    gi"); it sets its graph's edge weights and zeroes its ``zeroed_nodes``
     feature rows in the batch copy of ``x``; with no masks every edge weighs
     1.  The batch's CSR layout is its graphs' ``entry_layout`` joined by
     ``autodiff.concat_entries``: a graph sorts its entries the first time a
@@ -249,18 +250,11 @@ def build_graph_batch(
     values = None
     if masks is not None:
         for gi, (g, mask) in enumerate(zip(graphs, masks)):
-            if mask.num_edges != g.num_edges:
-                raise ValueError(
-                    f"mask length {mask.num_edges} vs {g.num_edges} edges in graph {gi}"
-                )
+            fault = _misfit(mask, g)
+            if fault is not None:
+                raise ValueError(f"mask {gi} {fault}")
             if mask.zeroed_nodes:
-                zeroed = np.asarray(mask.zeroed_nodes, dtype=np.intp)
-                if zeroed.min() < 0 or zeroed.max() >= g.num_nodes:
-                    raise ValueError(
-                        f"mask zeroes nodes {mask.zeroed_nodes} outside 0..{g.num_nodes - 1}"
-                        f" in graph {gi}"
-                    )
-                x[node_offsets[gi] + zeroed] = 0.0
+                x[node_offsets[gi] + np.asarray(mask.zeroed_nodes, dtype=np.intp)] = 0.0
         values = np.concatenate([mask.hard for mask in masks] or [np.zeros(0)], dtype=np.float64)
 
     return GraphBatch(

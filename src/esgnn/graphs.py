@@ -10,12 +10,21 @@ own unit-weight adjacency, ``Graph.adjacency``, a bare scipy CSR that it
 keeps, read-only, for one-graph untaped forwards such as edge scoring.
 Every subgraph view is an edge mask with one weight per row of that
 array.  Node deletion keeps the node slot and zeroes its feature row plus
-incident edges, so matrix shapes never change across a bag.  A bag's
-masks are built from (m, E) soft and hard blocks by ``EdgeMask.block``,
-which checks every row in one pass against the one-mask rules of
-``_mask_fault``, the only code that holds them.  A mask's budget and seed are integers or None, its
-zeroed nodes integers, and a bag's zeroed nodes lie in its base graph, so
-every bag that ``explainer.bag_to_json`` writes reads back.
+incident edges, so matrix shapes never change across a bag.
+
+Each rule is checked once, here.  ``Graph`` checks its edges: each a
+canonical pair i < j in range, so no self-loop, and no pair given twice,
+in any order; ``autodiff.sort_entries`` sorts them with no check.
+``_mask_fault`` holds the one-mask rules: a budget and a seed are integers
+or None, zeroed nodes a tuple or list of integers, soft weights finite,
+hard bits binary, and a budget the count of kept bits.  ``EdgeMask`` runs
+it on its one row, and ``EdgeMask.block``, which builds a bag's masks from
+(m, E) soft and hard blocks, on every row in one pass.  ``_misfit`` holds
+the rule that a mask fits a graph: it covers the graph's edges and zeroes
+only its nodes.  ``SubgraphBag`` runs it on each mask and
+``gin.build_graph_batch`` on each mask it is given.  So every bag that
+``explainer.bag_to_json`` writes reads back, and ``explainer.bag_from_json``
+checks only the document's own form.
 """
 
 from __future__ import annotations
@@ -400,11 +409,22 @@ class EdgeMask:
         return self.soft.shape[0]
 
 
+def _misfit(mask: EdgeMask, g: Graph) -> str | None:
+    """Why ``mask`` does not fit ``g``, or None: it must cover g's edges and zero only g's nodes."""
+    if mask.num_edges != g.num_edges:
+        return f"covers {mask.num_edges} edges of a graph with {g.num_edges}"
+    nodes = mask.zeroed_nodes
+    if nodes and not (min(nodes) >= 0 and max(nodes) < g.num_nodes):
+        return f"zeroes nodes {nodes} outside 0..{g.num_nodes - 1}"
+    return None
+
+
 @dataclass(frozen=True)
 class SubgraphBag:
     """Ordered collection of edge-mask views over one base graph.
 
-    Every mask covers the base graph's edges and zeroes only its nodes.
+    Every mask fits the base graph (``_misfit``); the first that does not
+    is named with its index.
     """
 
     base: Graph
@@ -414,15 +434,10 @@ class SubgraphBag:
     def __post_init__(self):
         if not self.masks:
             raise ValueError("bag must hold at least one mask")
-        n, num_edges = self.base.num_nodes, self.base.num_edges
-        for k, m in enumerate(self.masks):
-            if m.num_edges != num_edges:
-                raise ValueError(f"mask over {m.num_edges} edges for a base graph with {num_edges}")
-            nodes = m.zeroed_nodes
-            if nodes and not (min(nodes) >= 0 and max(nodes) < n):
-                raise ValueError(
-                    f"mask {k} zeroes nodes {nodes} outside 0..{n - 1}"
-                )
+        for k, mask in enumerate(self.masks):
+            fault = _misfit(mask, self.base)
+            if fault is not None:
+                raise ValueError(f"mask {k} {fault}")
 
     def __len__(self) -> int:
         return len(self.masks)

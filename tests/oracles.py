@@ -12,6 +12,8 @@ is the BA-2Motifs generator built on ``networkx.barabasi_albert_graph`` that
 and ``bag_json_fault_loop`` check a bag's masks and its JSON document one
 row and one entry at a time, with plain Python values, and return the
 message that ``EdgeMask.block`` and ``explainer.bag_from_json`` must raise.
+``assemble`` builds the adjacency of edges that no graph holds in one call,
+for the tests that compare an op or a batch CSR against it.
 """
 
 import base64
@@ -21,7 +23,16 @@ import numbers
 import networkx as nx
 import numpy as np
 
-from esgnn.autodiff import DimensionError, Tensor, _log_softmax, _record, custom_primitive
+from esgnn.autodiff import (
+    DimensionError,
+    Tensor,
+    WeightedSparse,
+    _log_softmax,
+    _record,
+    custom_primitive,
+    from_layout,
+    sort_entries,
+)
 from esgnn.ba2motifs import _CYCLE, _HOUSE, BASE_NODES, MOTIF_NODES
 from esgnn.graphs import (
     POLICY_TAGS,
@@ -33,6 +44,21 @@ from esgnn.graphs import (
     SubgraphBag,
     constant_features,
 )
+
+
+def assemble(n: int, edges, weights=None) -> WeightedSparse:
+    """The n x n adjacency of the (E, 2) undirected ``edges``, one CSR.
+
+    ``from_layout`` over ``sort_entries(n, edges)``: each edge gives both of
+    its directed entries its weight, 1 when ``weights`` is None.  The edges
+    must obey ``Graph``'s rules, in range, with no self-loop and no pair
+    given twice, but may be in either orientation and in any order.  A
+    graph sorts its entries once (``Graph.entry_layout``) and a batch joins
+    its graphs' layouts (``autodiff.concat_entries``); this takes both steps
+    for bare edges.
+    """
+    edges = np.asarray(edges, dtype=np.intp)
+    return from_layout(n, edges, weights, sort_entries(n, edges))
 
 
 def softmax_cross_entropy(logits, target: int) -> Tensor:
@@ -179,7 +205,7 @@ def block_fault_loop(soft, hard, budgets=None, seeds=None, zeroed_nodes=None) ->
             if value is not None and not _is_integer(value):
                 return f"mask {k}: {name} {value!r} must be an integer or None"
     for k, nodes in enumerate(zeroed_nodes or ()):
-        if not all(_is_integer(v) for v in nodes):
+        if not isinstance(nodes, (tuple, list)) or not all(_is_integer(v) for v in nodes):
             return f"mask {k}: zeroed_nodes {nodes!r} must be integers"
     for k, (soft_row, hard_row) in enumerate(zip(soft.tolist(), hard.tolist())):
         for e, w in enumerate(soft_row):
@@ -197,8 +223,12 @@ def block_fault_loop(soft, hard, budgets=None, seeds=None, zeroed_nodes=None) ->
 def bag_json_fault_loop(doc, base: Graph) -> str | None:
     """The message ``bag_from_json(doc, base)`` raises, or None for a valid document.
 
-    Each mask entry is checked in turn, field by field; the unpacked bits
-    of all masks are then checked with ``block_fault_loop``.
+    The document's own form first, entry by entry: an object with a known
+    policy and a list of objects as masks, each with strict base64 bits of
+    the right byte count.  Then, behind ``graph {id}: ``, the unpacked bits
+    and each entry's ``K``, ``seed`` and ``zeroed_nodes`` as they are, with
+    ``block_fault_loop``; then a bag with no mask, and then each mask's
+    zeroed nodes against the base graph's node range.
     """
     if not isinstance(doc, dict):
         return f"bag document is {type(doc).__name__}, expected an object"
@@ -211,8 +241,6 @@ def bag_json_fault_loop(doc, base: Graph) -> str | None:
     entries = doc["masks"]
     if not isinstance(entries, list):
         return f"{graph}: bag document's 'masks' is {type(entries).__name__}, expected a list"
-    if not entries:
-        return f"{graph}: bag document lists no masks"
     nbytes = (base.num_edges + 7) // 8
     rows = []
     for k, entry in enumerate(entries):
@@ -232,19 +260,19 @@ def bag_json_fault_loop(doc, base: Graph) -> str | None:
                 f"{mask} has {len(raw)} bytes of bits, expected {nbytes}"
                 f" for {base.num_edges} edges"
             )
-        for key in ("K", "seed"):
-            value = entry.get(key)
-            if value is not None and not _is_integer(value):
-                return f"{mask} {key} {value!r} must be an integer or null"
-        zeroed = entry.get("zeroed_nodes", [])
-        if not isinstance(zeroed, list) or not all(_is_integer(v) for v in zeroed):
-            return f"{mask} zeroed_nodes {zeroed!r} must be a list of integers"
-        zeroed = tuple(int(v) for v in zeroed)
-        for v in zeroed:
-            if not 0 <= v < base.num_nodes:
-                return f"{mask} zeroes nodes {zeroed} outside 0..{base.num_nodes - 1}"
         bits = [(byte >> (7 - b)) & 1 for byte in raw for b in range(8)]
         rows.append(bits[: base.num_edges])
     hard = np.array(rows, dtype=np.float64).reshape(len(rows), base.num_edges)
-    fault = block_fault_loop(hard, hard, [entry.get("K") for entry in entries])
-    return None if fault is None else f"{graph}: {fault}"
+    budgets = [entry.get("K") for entry in entries]
+    seeds = [entry.get("seed") for entry in entries]
+    zeroed = [entry.get("zeroed_nodes", []) for entry in entries]
+    fault = block_fault_loop(hard, hard, budgets, seeds, zeroed)
+    if fault is not None:
+        return f"{graph}: {fault}"
+    if not entries:
+        return f"{graph}: bag must hold at least one mask"
+    for k, nodes in enumerate(zeroed):
+        nodes = tuple(int(v) for v in nodes)
+        if any(not 0 <= v < base.num_nodes for v in nodes):
+            return f"{graph}: mask {k} zeroes nodes {nodes} outside 0..{base.num_nodes - 1}"
+    return None

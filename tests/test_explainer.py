@@ -317,6 +317,23 @@ class TestBagJson:
         bag = policy_edge_deleted(cycle6)
         self.assert_same(bag, self.round_trip(bag))
 
+    def test_reading_a_bag_back_checks_its_masks_once_and_fits_each_once(
+        self, cycle6, monkeypatch
+    ):
+        doc = json.loads(json.dumps(bag_to_json(policy_node_deleted(cycle6), 1)))
+        calls = []
+        for name in ("_mask_fault", "_misfit"):
+            rule = getattr(esgnn.graphs, name)
+
+            def counted(*args, _rule=rule, _name=name):
+                calls.append(_name)
+                return _rule(*args)
+
+            monkeypatch.setattr(esgnn.graphs, name, counted)
+        bag = bag_from_json(doc, cycle6)
+        assert len(bag) == 6
+        assert calls == ["_mask_fault"] + ["_misfit"] * 6
+
     def test_sampled_node_deleted_keeps_its_nodes(self):
         g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
         bag = sample_bag(policy_node_deleted(g), 0.6, 3)
@@ -424,28 +441,50 @@ class TestBagJson:
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("K", 2.0, "mask 1 K 2.0 must be an integer or null"),
-            ("K", "2", "mask 1 K '2' must be an integer or null"),
-            ("K", True, "mask 1 K True must be an integer or null"),
-            ("seed", "7", "mask 1 seed '7' must be an integer or null"),
-            ("seed", 7.0, "mask 1 seed 7.0 must be an integer or null"),
-            ("seed", False, "mask 1 seed False must be an integer or null"),
-            ("zeroed_nodes", [1.5], r"mask 1 zeroed_nodes \[1.5\] must be a list of integers"),
-            ("zeroed_nodes", ["2"], r"mask 1 zeroed_nodes \['2'\] must be a list of integers"),
-            ("zeroed_nodes", [True], r"mask 1 zeroed_nodes \[True\] must be a list of integers"),
-            ("zeroed_nodes", "12", "mask 1 zeroed_nodes '12' must be a list of integers"),
-            ("zeroed_nodes", None, "mask 1 zeroed_nodes None must be a list of integers"),
+            ("K", 2.0, "mask 1: budget 2.0 must be an integer or None"),
+            ("K", "2", "mask 1: budget '2' must be an integer or None"),
+            ("K", True, "mask 1: budget True must be an integer or None"),
+            ("seed", "7", "mask 1: seed '7' must be an integer or None"),
+            ("seed", 7.0, "mask 1: seed 7.0 must be an integer or None"),
+            ("seed", False, "mask 1: seed False must be an integer or None"),
+            ("zeroed_nodes", [1.5], r"mask 1: zeroed_nodes \[1.5\] must be integers"),
+            ("zeroed_nodes", ["2"], r"mask 1: zeroed_nodes \['2'\] must be integers"),
+            ("zeroed_nodes", [True], r"mask 1: zeroed_nodes \[True\] must be integers"),
+            ("zeroed_nodes", "12", "mask 1: zeroed_nodes '12' must be integers"),
+            ("zeroed_nodes", None, "mask 1: zeroed_nodes None must be integers"),
         ],
     )
     def test_rejects_a_mask_field_of_the_wrong_type_naming_graph_and_mask(
         self, triangle, key, value, message
     ):
+        # the fields go to EdgeMask.block as they are, so its words name them
         doc = bag_to_json(policy_edge_deleted(triangle), 9)
         for entry in doc["masks"]:
             entry["K"] = 2  # every ED mask keeps two of three edges
         doc["masks"][1][key] = value
-        doc["masks"][2]["bits"] = "AAAA"  # a later bad mask is not the one named
-        with pytest.raises(ValueError, match=f"graph 9: {message}$"):
+        doc["masks"][2]["K"] = 3  # a later mask that breaks a row rule is not the one named
+        with pytest.raises(ValueError, match=f"^graph 9: {message}$"):
+            bag_from_json(doc, triangle)
+
+    def test_the_documents_form_is_checked_before_any_mask_rule(self, triangle):
+        doc = bag_to_json(policy_edge_deleted(triangle), 9)
+        doc["masks"][1]["K"] = 2.0
+        doc["masks"][2]["bits"] = "AAAA"
+        message = "graph 9: mask 2 has 3 bytes of bits, expected 1 for 3 edges"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            bag_from_json(doc, triangle)
+
+    def test_a_zeroed_node_outside_the_base_is_checked_after_the_masks(self, triangle):
+        # EdgeMask.block checks the masks, then SubgraphBag fits them to the base
+        doc = bag_to_json(policy_node_deleted(triangle), 9)
+        doc["masks"][0]["zeroed_nodes"] = [3]
+        doc["masks"][1]["K"] = 3
+        message = "graph 9: mask 1: hard mask sums to 1, budget is 3"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            bag_from_json(doc, triangle)
+        del doc["masks"][1]["K"]
+        message = "graph 9: mask 0 zeroes nodes (3,) outside 0..2"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             bag_from_json(doc, triangle)
 
     @pytest.mark.parametrize(
@@ -480,7 +519,7 @@ class TestBagJson:
     def test_rejects_an_empty_mask_list_naming_the_graph(self, triangle):
         doc = bag_to_json(policy_edge_deleted(triangle), 5)
         doc["masks"] = []
-        with pytest.raises(ValueError, match="graph 5: bag document lists no masks"):
+        with pytest.raises(ValueError, match="^graph 5: bag must hold at least one mask$"):
             bag_from_json(doc, triangle)
 
     @pytest.mark.parametrize("num_edges", [0, 1, 7, 8, 9, 26])

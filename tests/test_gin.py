@@ -16,7 +16,6 @@ from esgnn import autodiff, explainer, gin
 from esgnn.autodiff import (
     Tensor,
     add,
-    assemble,
     cross_entropy_mean,
     linear,
     mul,
@@ -41,7 +40,7 @@ from esgnn.gin import (
 from esgnn.graphs import EdgeMask, Graph, policy_node_deleted
 from esgnn.optim import TrainingError
 from tests.conftest import make_graph, same_bits
-from tests.oracles import grad_check
+from tests.oracles import assemble, grad_check
 
 
 def identity_layer(dim):
@@ -491,8 +490,26 @@ class TestBuildGraphBatch:
     def test_zeroed_node_outside_its_graph_is_rejected(self, triangle, single_edge):
         ones = np.ones(3)
         bad = EdgeMask(soft=ones[:1], hard=ones[:1], zeroed_nodes=(2,))
-        with pytest.raises(ValueError, match="graph 1"):
+        with pytest.raises(ValueError, match=r"^mask 1 zeroes nodes \(2,\) outside 0\.\.1$"):
             build_graph_batch([triangle, single_edge], [EdgeMask(soft=ones, hard=ones), bad])
+
+    ones = np.ones(3)
+
+    @pytest.mark.parametrize(
+        "mask, rule",
+        [
+            (EdgeMask(soft=ones[:2], hard=ones[:2]), "covers 2 edges of a graph with 3"),
+            (EdgeMask(ones, ones, zeroed_nodes=(0, 3)), "zeroes nodes (0, 3) outside 0..2"),
+            (EdgeMask(ones, ones, zeroed_nodes=(-1,)), "zeroes nodes (-1,) outside 0..2"),
+        ],
+    )
+    def test_a_misfit_mask_is_rejected_in_the_words_of_a_bag(self, triangle, mask, rule):
+        # graphs._misfit words the rule once, for a batch and for a bag
+        fits = EdgeMask(soft=np.ones(3), hard=np.ones(3))
+        with pytest.raises(ValueError, match=f"^mask 1 {re.escape(rule)}$"):
+            build_graph_batch([triangle, triangle], [fits, mask])
+        with pytest.raises(ValueError, match=f"^mask 1 {re.escape(rule)}$"):
+            esgnn.graphs.SubgraphBag(triangle, (fits, mask), "ND")
 
 
 def shuffled_graphs(seed, count=6):
@@ -648,7 +665,7 @@ class TestOneAdjacencyPerForward:
         logits, _ = backbone_forward_batch(build_graph_batch(graphs), params)
         cross_entropy_mean(logits, [g.y for g in graphs]).backward()
         # the graphs are new, so each sorts its entries once, on first use
-        assert calls == {"concat_entries": 1, "from_layout": 1, "sort_entries": 6, "sort": 6}
+        assert calls == {"concat_entries": 1, "from_layout": 1, "sort_entries": 6, "argsort": 6}
 
     def test_a_forward_over_sorted_graphs_sorts_nothing_and_assembles_nothing(
         self, monkeypatch

@@ -7,7 +7,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esgnn.autodiff import Tensor, assemble
+from esgnn.autodiff import Tensor
 from esgnn.gin import GinLayerParams, apply_gin_layer, build_graph_batch
 from esgnn.graphs import (
     EdgeMask,
@@ -22,7 +22,12 @@ from esgnn.graphs import (
 )
 from esgnn.tud import load_tud_dataset, write_tud_dataset
 from tests.conftest import make_graph, same_bits
-from tests.oracles import block_fault_loop, policy_edge_deleted_loop, policy_node_deleted_loop
+from tests.oracles import (
+    assemble,
+    block_fault_loop,
+    policy_edge_deleted_loop,
+    policy_node_deleted_loop,
+)
 
 
 def degree_features(g, cap, root):
@@ -62,6 +67,19 @@ class TestGraphInvariants:
         for edges in tuple_and_array(((0, 1), (2, 1), (0, 1), (2, 2))):
             with pytest.raises(ValueError, match=r"edge \(2, 1\) outside"):
                 Graph(num_nodes=3, edges=edges, x=constant_features(3), y=0)
+
+    # ids above 2**16, whose flat index i * n + j needs more than 32 bits
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([[3, 70000], [3, 70000]], "duplicate edge (3, 70000)"),
+            ([[3, 70000], [70000, 3]], "edge (70000, 3) outside 0..70000 or not canonical"),
+            ([[70000, 3], [5, 6], [3, 70000]], "edge (70000, 3) outside 0..70000 or not canonical"),
+        ],
+    )
+    def test_a_pair_of_high_ids_given_twice_is_named_in_either_orientation(self, edges, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Graph(num_nodes=70001, edges=edges, x=constant_features(70001), y=0)
 
     def test_accepts_canonical_edges_in_any_order(self):
         for edges in tuple_and_array(((1, 2), (0, 2), (0, 1))):

@@ -1,8 +1,10 @@
 """Every exported name resolves and has a caller; no module imports networkx; every
-console script resolves; the pytest configuration survives a failing property test."""
+console script resolves, and so do the scripts under ``scripts/``; the pytest
+configuration survives a failing property test."""
 
 import ast
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -30,7 +32,6 @@ UNCALLED_EXPORTS = {
     "gather_rows": "test oracle; patched by name by perfbench",
     "concat_cols": "test oracle; patched by name by perfbench",
     "segment_sum": "test oracle; patched by name by perfbench",
-    "assemble": "one-shot sort_entries + from_layout for edges outside a graph; test oracle",
     "save_params": "checkpoints for the planned run records and CLI",
     "load_params": "checkpoints for the planned run records and CLI",
     "policy_edge_deleted": "ED baseline for the planned bag classifier",
@@ -103,6 +104,24 @@ def test_project_scripts_import():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"script {script} -> {target} is not callable"
+
+
+def test_the_scripts_import_and_bench_pairs_prints_its_usage():
+    # output_digest.py takes the adjacency oracle from tests/oracles.py; load it without main
+    path = ROOT / "scripts" / "output_digest.py"
+    spec = importlib.util.spec_from_file_location("output_digest", path)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    assert callable(digest.main) and callable(digest.assemble)
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), "--help"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert run.returncode == 0, run.stderr
+    assert "--parent" in run.stdout and "--workload" in run.stdout
 
 
 FAILING_PROPERTY = """
