@@ -71,7 +71,12 @@ and bytes of every array of:
   backbone and edge scorer; and ``edge_scores`` of a one-node graph;
 - [sigmoid] ``sigmoid`` and its gradient at +-0, +-inf, NaN of either sign,
   the largest and smallest floats of either sign, and +-745 and +-710,
-  where ``exp`` underflows and overflows.
+  where ``exp`` underflows and overflows;
+- [leaf_grads] the leaf gradients of one tape: mask values that every
+  layer of the trained backbone and a sparsity term take, as the
+  explainer's training does, over 16 of the 60 graphs, a leaf whose first
+  gradient holds -0.0, a leaf that no gradient reaches, and every backbone
+  parameter.
 Features hash with their dtype: those that ``load_tud_dataset``,
 ``generate_ba2motifs`` and ``constant_features`` build are uint8, so a tree
 that built them as float64 prints another digest for the same values.
@@ -89,7 +94,15 @@ from pathlib import Path
 import numpy as np
 
 from esgnn import explainer, gin, tud
-from esgnn.autodiff import Tensor, cross_entropy_mean, mul, sigmoid, sum_all
+from esgnn.autodiff import (
+    Tensor,
+    add,
+    cross_entropy_mean,
+    custom_primitive,
+    mul,
+    sigmoid,
+    sum_all,
+)
 from esgnn.ba2motifs import generate_ba2motifs
 from esgnn.graphs import (
     FeatureSpec,
@@ -372,6 +385,28 @@ def main() -> None:
         sum_all(mul(s, np.arange(1.0, 17.0))).backward()
     feed(s.data)
     feed(x.grad)
+
+    digest.section("leaf_grads")
+    batch = gin.build_graph_batch(graphs[:16])
+    values = Tensor(draw.random(len(batch.edges)), requires_grad=True)
+    logits, _ = gin.backbone_forward_batch(batch, backbone, mask_values=values)
+    signed = Tensor(draw.standard_normal(4), requires_grad=True)
+    unreached = Tensor(draw.standard_normal((2, 3)), requires_grad=True)
+    loss = add(
+        add(
+            cross_entropy_mean(logits, batch.labels),
+            mul(sum_all(mul(values, draw.random(len(batch.edges)))), 0.3),
+        ),
+        add(
+            sum_all(mul(signed, [-0.0, 1.5, -0.0, -2.0])),
+            custom_primitive(0.0, [unreached], lambda g: [None]),
+        ),
+    )
+    loss.backward()
+    for t in (values, signed, unreached):
+        feed(t.grad)
+    for _, t in sorted(backbone.named().items()):
+        feed(t.grad)
     digest.print()
 
 

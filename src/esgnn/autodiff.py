@@ -6,12 +6,15 @@ Every op, built in or registered through :func:`custom_primitive`, keeps
 one contract: the closure takes the output gradient and returns one
 gradient per input, in input order, or ``None`` for an input that needs
 none, and writes to no tensor.  ``backward()`` is the only place that
-allocates and adds up gradients.  It resets leaves that require a gradient
-to zeros and every other node to ``None``, then walks the tape once in
-reverse topological order, skipping nodes that nothing reached.  It adds
-with ``grad = g if grad is None else grad + g``, never in place, so a
+allocates and adds up gradients.  It orders the tape by one iterative
+depth-first postorder, resets every node's ``.grad`` to ``None``, then
+walks that order once in reverse, skipping nodes that nothing reached.  It
+adds with ``grad = g if grad is None else grad + g``, never in place, so a
 closure may return its upstream array, a view or a read-only broadcast: a
-non-leaf ``.grad`` may share memory and must be treated as read-only.
+non-leaf ``.grad`` may share memory and must be treated as read-only.  A
+leaf that requires a gradient takes ``g + 0.0`` as its first one, its own
+array with the bits of a sum started from zeros, and reads zeros if no
+gradient reaches it.
 
 Every backward takes its sums over rows with :func:`col_sum`, one BLAS
 product by a vector of ones, and its products by a transposed weight with
@@ -109,45 +112,68 @@ class Tensor:
         return float(self.data)
 
     def _toposort(self) -> list["Tensor"]:
-        # Iterative DFS postorder; _prev tuples make the order deterministic.
+        # Iterative DFS postorder over each node's _prev in order, which makes
+        # the order, and so the order in which gradients add up, deterministic.
+        # Tensors hash by identity.  A node with no inputs is its own
+        # postorder, so it is appended when first seen, never pushed.
         order: list[Tensor] = []
-        visited = {id(self)}
-        stack: list[tuple[Tensor, iter]] = [(self, iter(self._prev))]
+        visited = {self}
+        stack = [(self, iter(self._prev))]
         while stack:
             node, children = stack[-1]
-            child = next((c for c in children if id(c) not in visited), None)
-            if child is None:
+            for child in children:
+                if child not in visited:
+                    visited.add(child)
+                    if child._prev:
+                        stack.append((child, iter(child._prev)))
+                        break
+                    order.append(child)
+            else:
                 order.append(node)
                 stack.pop()
-            else:
-                visited.add(id(child))
-                stack.append((child, iter(child._prev)))
         return order
 
     def backward(self) -> None:
         """Propagate d(self)/d(leaf) to every tensor reachable on the tape.
 
-        Only defined for single-element outputs (losses).  Leaves that
-        require a gradient reset to zeros, every other node to ``None``;
-        two calls on the same tape therefore give bit-identical results.
+        Only defined for single-element outputs (losses).  Every node's
+        ``.grad`` resets to ``None``, and the tape is walked once in reverse
+        postorder, which sets the order in which gradients add up.  A leaf
+        that requires a gradient gets its own array when its first gradient
+        arrives, ``g + 0.0``, which has the bits of ``zeros + g``; a leaf
+        that no gradient reaches reads zeros.  Two calls on the same tape
+        therefore give bit-identical results.
         """
         if self.data.size != 1:
             raise DimensionError(
                 f"backward() needs a scalar output, got shape {self.data.shape}"
             )
         order = self._toposort()
+        leaves = []
         for node in order:
-            leaf = node.requires_grad and node._backward is None
-            node.grad = np.zeros_like(node.data) if leaf else None
-        if not self.requires_grad:
-            return
-        self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward is None or node.grad is None:
-                continue
-            for t, g in zip(node._prev, node._backward(node.grad)):
-                if g is not None and t.requires_grad:
-                    t.grad = g if t.grad is None else t.grad + g
+            node.grad = None
+            if node._backward is None and node.requires_grad:
+                leaves.append(node)
+        if self.requires_grad:
+            self.grad = np.ones_like(self.data)
+            for node in reversed(order):
+                vjp = node._backward
+                if vjp is None or node.grad is None:
+                    continue
+                for t, g in zip(node._prev, vjp(node.grad)):
+                    if g is None or not t.requires_grad:
+                        continue
+                    if t.grad is not None:
+                        t.grad = t.grad + g
+                    elif t._backward is None:
+                        # a leaf's own array; + 0.0 turns -0.0 into +0.0, as
+                        # a sum started from zeros does
+                        t.grad = g + 0.0
+                    else:
+                        t.grad = g
+        for leaf in leaves:
+            if leaf.grad is None:
+                leaf.grad = np.zeros_like(leaf.data)
 
     # Operator sugar; the module-level functions are the canonical ops.
     def __add__(self, other):
@@ -167,10 +193,12 @@ def _lift(x) -> Tensor:
 def _record(data: np.ndarray, inputs: tuple[Tensor, ...], vjp) -> Tensor:
     """An op output, taped with its vjp only if some input needs a gradient."""
     out = Tensor(data)
-    if any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        out._prev = inputs
-        out._backward = vjp
+    for t in inputs:
+        if t.requires_grad:
+            out.requires_grad = True
+            out._prev = inputs
+            out._backward = vjp
+            break
     return out
 
 
@@ -181,7 +209,7 @@ def custom_primitive(data, inputs, vjp) -> Tensor:
     ``None``, per input, in input order, and no write to any tensor.  It
     may return ``grad_out`` itself, since gradients are never added in place.
     """
-    return _record(np.asarray(data, dtype=np.float64), tuple(_lift(t) for t in inputs), vjp)
+    return _record(data, tuple([_lift(t) for t in inputs]), vjp)
 
 
 def col_sum(a: np.ndarray) -> np.ndarray:
@@ -387,17 +415,46 @@ def segment_matrix(segment_ids: np.ndarray, num_segments: int) -> scipy.sparse.c
     A product by it sums each segment's rows in their order, bit for bit as
     ``np.add.at`` into zeros does.  The ids must lie in 0..num_segments - 1.
     Its index arrays are built as the int32 that scipy keeps for fewer than
-    2**31 rows, so the constructor neither scans nor copies them.
+    2**31 rows, and ``_csr`` puts them in a CSR without scipy's checks.
     """
     rows = segment_ids.size
     index = np.int32 if rows < 2**31 else np.int64
     indptr = np.empty(num_segments + 1, dtype=index)
     indptr[0] = 0
     np.cumsum(np.bincount(segment_ids, minlength=num_segments), out=indptr[1:])
-    return scipy.sparse.csr_matrix(
-        (np.ones(rows), np.argsort(segment_ids, kind="stable").astype(index), indptr),
-        shape=(num_segments, rows),
+    order = np.argsort(segment_ids, kind="stable").astype(index)
+    return _csr(np.ones(rows), order, indptr, (num_segments, rows))
+
+
+# what scipy's CSR constructor sets besides the three arrays and the shape
+_CSR_ATTRIBUTES = {
+    name: value
+    for name, value in vars(scipy.sparse.csr_matrix((0, 0))).items()
+    if name not in ("_shape", "data", "indices", "indptr")
+}
+
+
+def _csr(data, indices, indptr, shape) -> scipy.sparse.csr_matrix:
+    """The scipy CSR of three arrays that this package builds valid, with no scipy checks.
+
+    ``data`` is float64, ``indices`` and ``indptr`` share the integer dtype
+    that scipy picks for them (int32 below 2**31 indices) and each row's
+    columns ascend with no repeat.  scipy's constructor keeps such arrays
+    as they are, but first re-derives their dtype and checks the format,
+    on every call: in a training step that took several times as long as
+    the product by the CSR.  This sets the attributes that the constructor
+    sets, to the values it would set; ``tests/test_autodiff.py`` compares
+    the two for every kind of CSR the package builds.
+    """
+    csr = scipy.sparse.csr_matrix.__new__(scipy.sparse.csr_matrix)
+    vars(csr).update(
+        _CSR_ATTRIBUTES,
+        _shape=(int(shape[0]), int(shape[1])),
+        data=data,
+        indices=indices,
+        indptr=indptr,
     )
+    return csr
 
 
 def sum_all(x) -> Tensor:
@@ -517,7 +574,7 @@ def _layout_csr(n: int, edges, values, layout: np.ndarray) -> scipy.sparse.csr_m
     indptr = np.empty(n + 1, dtype=np.int32)
     indptr[0] = 0
     np.cumsum(np.bincount(edges.reshape(-1), minlength=n), out=indptr[1:])
-    return scipy.sparse.csr_matrix((data, layout[:half], indptr), shape=(n, n))
+    return _csr(data, layout[:half], indptr, (n, n))
 
 
 def spmm(adj: WeightedSparse, x) -> Tensor:
@@ -548,14 +605,19 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def cross_entropy_mean(logits, targets) -> Tensor:
-    """Mean -log softmax(logits)[target] over a batch of logit rows."""
+    """Mean -log softmax(logits)[target] over a batch of logit rows.
+
+    A batch of no rows has no mean and raises a ValueError.
+    """
     logits = _lift(logits)
     targets = np.asarray(targets, dtype=np.intp)
     if logits.data.ndim != 2 or targets.shape != (logits.data.shape[0],):
         raise DimensionError(
             f"cross_entropy_mean: logits {logits.data.shape} vs targets {targets.shape}"
         )
-    if targets.size and (targets.min() < 0 or targets.max() >= logits.data.shape[1]):
+    if not targets.size:
+        raise ValueError("cross_entropy_mean: empty batch, no logit rows to average")
+    if targets.min() < 0 or targets.max() >= logits.data.shape[1]:
         raise ValueError("target class out of range")
     log_probs = _log_softmax(logits.data)
     rows = np.arange(targets.size)

@@ -53,6 +53,7 @@ from .autodiff import (
     Tensor,
     WeightedSparse,
     _affine,
+    _csr,
     _layout_csr,
     col_sum,
     concat_entries,
@@ -428,10 +429,8 @@ def _pool_matrix(node_offsets: np.ndarray) -> scipy.sparse.csr_matrix:
     segment_sum's would.
     """
     n = int(node_offsets[-1])
-    return scipy.sparse.csr_matrix(
-        (np.ones(n), np.arange(n, dtype=np.int32), node_offsets.astype(np.int32)),
-        shape=(len(node_offsets) - 1, n),
-    )
+    indptr = node_offsets.astype(np.int32)
+    return _csr(np.ones(n), np.arange(n, dtype=np.int32), indptr, (len(node_offsets) - 1, n))
 
 
 def backbone_forward_batch(

@@ -14,6 +14,10 @@ row and one entry at a time, with plain Python values, and return the
 message that ``EdgeMask.block`` and ``explainer.bag_from_json`` must raise.
 ``assemble`` builds the adjacency of edges that no graph holds in one call,
 for the tests that compare an op or a batch CSR against it.
+``dfs_postorder`` is the plain recursive postorder that ``Tensor._toposort``
+must return node for node, and ``walk_leaf_grads`` the backward on it that
+starts every leaf from zeros and keeps gradients in a dict, whose leaf
+gradients ``Tensor.backward`` must match bit for bit.
 """
 
 import base64
@@ -59,6 +63,45 @@ def assemble(n: int, edges, weights=None) -> WeightedSparse:
     """
     edges = np.asarray(edges, dtype=np.intp)
     return from_layout(n, edges, weights, sort_entries(n, edges))
+
+
+def dfs_postorder(root: Tensor) -> list[Tensor]:
+    """Every node reachable from ``root``, once, in recursive depth-first postorder.
+
+    A node's inputs are visited in ``_prev`` order, each at its first
+    sighting; a node follows all its inputs.
+    """
+    order, seen = [], set()
+
+    def visit(node):
+        seen.add(id(node))
+        for child in node._prev:
+            if id(child) not in seen:
+                visit(child)
+        order.append(node)
+
+    visit(root)
+    return order
+
+
+def walk_leaf_grads(root: Tensor) -> list[tuple[Tensor, np.ndarray]]:
+    """Each leaf that requires a gradient, in ``dfs_postorder``, with d(root)/d(leaf).
+
+    Walks the postorder backwards from ``root``'s ones; every leaf starts
+    from zeros and each gradient is added to what its node holds, in walk
+    order.  Gradients live in a dict, so no ``.grad`` is read or written.
+    """
+    order = dfs_postorder(root)
+    leaves = [t for t in order if t.requires_grad and t._backward is None]
+    grads = {id(t): np.zeros_like(t.data) for t in leaves}
+    grads[id(root)] = np.ones_like(root.data)
+    for node in reversed(order):
+        if node._backward is None or id(node) not in grads:
+            continue
+        for t, g in zip(node._prev, node._backward(grads[id(node)])):
+            if g is not None and t.requires_grad:
+                grads[id(t)] = grads[id(t)] + g if id(t) in grads else g
+    return [(t, grads[id(t)]) for t in leaves]
 
 
 def softmax_cross_entropy(logits, target: int) -> Tensor:

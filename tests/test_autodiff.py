@@ -31,9 +31,24 @@ from esgnn.autodiff import (
     sum_all,
     times_transpose,
 )
-from esgnn.gin import apply_gin_layer, init_gin_layer
-from tests.conftest import same_bits
-from tests.oracles import assemble, grad_check, masked_sigmoid, softmax_cross_entropy
+from esgnn.ba2motifs import generate_ba2motifs
+from esgnn.gin import (
+    apply_gin_layer,
+    backbone_forward_batch,
+    build_graph_batch,
+    _pool_matrix,
+    init_backbone,
+    init_gin_layer,
+)
+from tests.conftest import make_graph, same_bits
+from tests.oracles import (
+    assemble,
+    dfs_postorder,
+    grad_check,
+    masked_sigmoid,
+    softmax_cross_entropy,
+    walk_leaf_grads,
+)
 from tests.test_gin import composed_gin_layer
 
 
@@ -232,6 +247,41 @@ def test_fused_gin_layer_equals_the_composed_ops_bit_for_bit(n, in_dim, hidden, 
     for name, a, b, flag in zip(_FUSED_INPUTS, fused_grads, composed_grads, taped):
         assert (a is None) == (b is None) == (not flag), name
         assert a is None or same_bits(a, b), name
+
+
+class TestCsrBuiltWithoutChecks:
+    """Every kind of CSR the package builds equals scipy's constructor's of the same arrays."""
+
+    def assert_as_constructed(self, csr, rng):
+        ref = scipy.sparse.csr_matrix((csr.data, csr.indices, csr.indptr), shape=csr.shape)
+        assert type(csr) is type(ref) and vars(csr).keys() == vars(ref).keys()
+        assert csr.shape == ref.shape and all(type(d) is int for d in csr.shape)
+        assert csr.maxprint == ref.maxprint
+        for a, b in ((csr.data, ref.data), (csr.indices, ref.indices), (csr.indptr, ref.indptr)):
+            # the constructor keeps the arrays, as views of their first nnz entries
+            assert same_bits(a, b) and (a.size == 0 or np.shares_memory(a, b))
+        csr.check_format(full_check=True)
+        assert csr.has_canonical_format
+        x = rng.standard_normal((csr.shape[1], 3))
+        assert same_bits(csr @ x, ref @ x)
+
+    def test_layout_pool_and_segment_csrs(self):
+        rng = np.random.default_rng(21)
+        for n, draws in ((0, 0), (1, 0), (5, 0), (7, 12), (40, 300)):
+            pairs = rng.integers(0, max(n, 1), (draws, 2))
+            edges = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1), axis=0)
+            edges = edges.reshape(-1, 2)
+            layout = ad.sort_entries(n, edges)
+            w = rng.standard_normal(len(edges))
+            w[: len(w) // 4] = -0.0
+            for values in (None, w):
+                self.assert_as_constructed(ad._layout_csr(n, edges, values, layout), rng)
+            ids = rng.integers(0, max(n, 1), n)
+            self.assert_as_constructed(ad.segment_matrix(ids, max(n, 1) + 2), rng)
+        for counts in ([], [0], [3, 0, 4, 0], [25] * 32):
+            self.assert_as_constructed(_pool_matrix(np.cumsum([0, *counts])), rng)
+        g = make_graph(4, [(0, 1), (1, 2), (0, 3)])
+        self.assert_as_constructed(g.adjacency, rng)
 
 
 class TestSpmm:
@@ -466,6 +516,11 @@ class TestSoftmaxCrossEntropy:
         )
         assert batched == pytest.approx(singles, abs=1e-12)
 
+    def test_an_empty_batch_raises_a_value_error_naming_it(self):
+        for logits in (np.zeros((0, 2)), Tensor(np.zeros((0, 3)), requires_grad=True)):
+            with pytest.raises(ValueError, match="empty batch"):
+                cross_entropy_mean(logits, [])
+
     def test_batched_gradient(self):
         rng = np.random.default_rng(8)
         logits = rand_param(rng, 3, 4)
@@ -545,6 +600,70 @@ class TestTapeMechanics:
         assert np.array_equal(x.grad, [1.0, 1.0])
         assert np.array_equal(unreached.grad, [0.0])  # reads zeros for Adam
         assert mid.grad is None and np.array_equal(cut.grad, [1.0])
+
+    def test_a_leaf_gradient_is_its_own_array_and_a_first_minus_zero_reads_plus_zero(self):
+        x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        # mul's vjp gives x the upstream ones times [-0.0, 3.0, -0.0]
+        sum_all(mul(x, [-0.0, 3.0, -0.0])).backward()
+        assert same_bits(x.grad, [0.0, 3.0, 0.0])
+        assert not np.signbit(x.grad).any()
+        y = Tensor([1.0, 2.0], requires_grad=True)
+        # sum_all's vjp returns a read-only broadcast of its upstream gradient
+        sum_all(y).backward()
+        assert same_bits(y.grad, [1.0, 1.0]) and y.grad.flags.writeable
+
+    def test_a_leaf_reached_by_several_ops_adds_their_gradients_in_walk_order(self):
+        # the explainer's mask weights: taken by every GIN layer and by the
+        # sparsity term, five gradients, added in the tape walk's order
+        graphs = list(generate_ba2motifs(8, seed=0).graphs)
+        params = init_backbone(np.random.default_rng(0), 1, 2)
+        batch = build_graph_batch(graphs)
+        rng = np.random.default_rng(1)
+        values = Tensor(rng.random(len(batch.edges)), requires_grad=True)
+        logits, _ = backbone_forward_batch(batch, params, mask_values=values)
+        sparsity = sum_all(mul(values, rng.random(len(batch.edges))))
+        loss = add(cross_entropy_mean(logits, batch.labels), mul(sparsity, 0.3))
+        takers = [node for node in dfs_postorder(loss) if values in node._prev]
+        assert len(takers) == 5
+        expected = walk_leaf_grads(loss)
+        loss.backward()
+        assert any(t is values for t, _ in expected)
+        for leaf, grad in expected:
+            assert same_bits(leaf.grad, grad)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_the_tape_walk_is_the_recursive_postorder_and_adds_in_its_order(self, data):
+        # scalar nodes; an op takes 1-3 earlier nodes, repeats allowed, and
+        # passes each a scaled gradient or, for a None scale, none
+        nodes = [
+            Tensor(data.draw(st.floats(-2, 2)), requires_grad=data.draw(st.booleans()))
+            for _ in range(data.draw(st.integers(1, 4)))
+        ]
+        scales = st.one_of(st.none(), st.just(-0.0), st.floats(-3, 3, allow_nan=False))
+        for _ in range(data.draw(st.integers(1, 10))):
+            picks = data.draw(st.lists(st.integers(0, len(nodes) - 1), min_size=1, max_size=3))
+            inputs = [nodes[i] for i in picks]
+            coefs = [data.draw(scales) for _ in inputs]
+            nodes.append(
+                custom_primitive(
+                    sum(t.data for t in inputs),
+                    inputs,
+                    lambda g, coefs=coefs: [None if c is None else g * c for c in coefs],
+                )
+            )
+        loss = nodes[-1]
+        assert [id(t) for t in loss._toposort()] == [id(t) for t in dfs_postorder(loss)]
+        expected = walk_leaf_grads(loss)
+        for t in nodes:
+            t.grad = np.full(t.data.shape, 7.0)
+        loss.backward()
+        for leaf, grad in expected:
+            assert same_bits(leaf.grad, grad)
+        walked = {id(t) for t in dfs_postorder(loss)}
+        for t in nodes:
+            if id(t) in walked and not t.requires_grad:
+                assert t.grad is None
 
     def test_custom_primitive_backward_rule(self):
         x = Tensor([1.0, -2.0], requires_grad=True)

@@ -17,6 +17,7 @@ from esgnn.autodiff import (
     Tensor,
     add,
     cross_entropy_mean,
+    custom_primitive,
     linear,
     mul,
     relu,
@@ -684,23 +685,37 @@ class TestOneAdjacencyPerForward:
         assert calls == {"concat_entries": 2, "from_layout": 4}
 
 
-def test_backward_zero_fills_only_the_parameters(monkeypatch):
+def test_backward_makes_zeros_only_for_the_leaves_no_gradient_reaches(monkeypatch):
     graphs = list(generate_ba2motifs(32, seed=0).graphs)
     params = init_backbone(np.random.default_rng(0), 1, 2)  # 4 layers, 22 tensors
     batch = build_graph_batch(graphs)
     loss = cross_entropy_mean(backbone_forward_batch(batch, params)[0], batch.labels)
-    filled = []
+    # two leaves and an untaped input behind an op that passes no gradient on
+    unreached = [Tensor(np.ones((3, 2)), requires_grad=True), Tensor(2.0, requires_grad=True)]
+    untaped = Tensor(np.ones(4))
+    cut = custom_primitive(0.0, [*unreached, untaped], lambda g: [None, None, None])
+    loss = add(loss, cut)
+    made = []
     zeros_like = np.zeros_like
 
     def spy(a, *args, **kwargs):
-        filled.append(a.shape)
-        return zeros_like(a, *args, **kwargs)
+        made.append(zeros_like(a, *args, **kwargs))
+        return made[-1]
 
+    for t in [*params.named().values(), *unreached]:
+        t.grad = np.full(t.data.shape, 7.0)
     monkeypatch.setattr(np, "zeros_like", spy)
     loss.backward()
     monkeypatch.undo()
-    assert sorted(filled) == sorted(t.shape for t in params.named().values())
-    assert len(filled) == 22
+    # the only zero arrays made are those of the leaves no gradient reaches
+    assert len(made) == 2
+    for t, zeros in zip(unreached, made):
+        assert t.grad is zeros and same_bits(t.grad, np.zeros(t.data.shape))
+    assert untaped.grad is None
+    # the 22 parameters, all reached, hold new gradients of their shape
+    for t in params.named().values():
+        assert t.grad.shape == t.data.shape
+        assert not np.array_equal(t.grad, np.full(t.data.shape, 7.0))
 
 
 class TestPredict:
